@@ -3,7 +3,6 @@ plus two-way compilation against general quantum circuits."""
 
 from .algebra import (
     PlaneRotation,
-    fermionic_swap,
     givens_factor,
     jordan_wigner,
     make_matchgate,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PlaneRotation",
-    "fermionic_swap",
     "givens_factor",
     "jordan_wigner",
     "make_matchgate",

@@ -21,6 +21,7 @@ Conventions (used consistently across the package):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,18 @@ FERMIONIC_SWAP = np.array(
 GXX = np.kron(PAULI_X, PAULI_X)
 
 
+def unitary_deviation(m: np.ndarray) -> float:
+    """max |M^dag M - 1|: 0 for a unitary (or real orthogonal) matrix, NaN
+    for a matrix holding NaN, so a check must read `not dev <= tol`."""
+    return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
+
+
+def rot2(theta: float) -> np.ndarray:
+    """The 2x2 rotation block [[c, -s], [s, c]] by theta."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
 def make_matchgate(a: np.ndarray, b: np.ndarray, tol: float = TOL_DET_MATCH) -> np.ndarray:
     """Assemble G(A, B) from the even-subspace block A and odd block B.
 
@@ -76,11 +89,11 @@ def make_matchgate(a: np.ndarray, b: np.ndarray, tol: float = TOL_DET_MATCH) -> 
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValueError("matchgate blocks must be 2x2")
     for name, m in (("a", a), ("b", b)):
-        dev = np.abs(m.conj().T @ m - np.eye(2)).max()
-        if dev > TOL_UNITARY:
+        dev = unitary_deviation(m)
+        if not dev <= TOL_UNITARY:
             raise ValueError(f"block {name} is not unitary (deviation {dev:.3g})")
     gap = abs(np.linalg.det(a) - np.linalg.det(b))
-    if gap > tol:
+    if not gap <= tol:
         raise ValueError(f"determinant mismatch between blocks ({gap:.3g})")
     g = np.zeros((4, 4), dtype=complex)
     g[0, 0], g[0, 3] = a[0, 0], a[0, 1]
@@ -98,23 +111,17 @@ def split_matchgate(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def fermionic_swap() -> np.ndarray:
-    """The swap-with-sign matchgate: exchanges two lines and negates the
-    doubly-occupied component.  Equals make_matchgate(Z, X); an involution."""
-    return FERMIONIC_SWAP.copy()
-
-
 def is_matchgate(g: np.ndarray, tol: float = TOL_DET_MATCH) -> bool:
     """True if g is unitary, supported on the two parity blocks, det A = det B."""
     g = np.asarray(g, dtype=complex)
     if g.shape != (4, 4):
         return False
-    if np.abs(g.conj().T @ g - np.eye(4)).max() > TOL_UNITARY:
+    if not unitary_deviation(g) <= TOL_UNITARY:
         return False
     mask = np.ones((4, 4), dtype=bool)
     for i, j in ((0, 0), (0, 3), (3, 0), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2)):
         mask[i, j] = False
-    if np.abs(g[mask]).max() > tol:
+    if not np.abs(g[mask]).max() <= tol:
         return False
     a, b = split_matchgate(g)
     return bool(abs(np.linalg.det(a) - np.linalg.det(b)) <= tol)
@@ -153,23 +160,13 @@ def rotation_of_matchgate(g: np.ndarray) -> np.ndarray:
     return r
 
 
-def rotations_of_matchgates(gs: np.ndarray) -> np.ndarray:
-    """Batched rotation_of_matchgate: (T, 4, 4) complex -> (T, 4, 4) real."""
-    gs = np.asarray(gs, dtype=complex)
-    c = np.stack(LOCAL_OPS)
-    return 0.25 * np.einsum("tba,jbc,tcd,lda->tjl", gs.conj(), c, gs, c).real
-
-
 def plane_rotation(d: int, a: int, b: int, theta: float) -> np.ndarray:
     """Dense d x d rotation by theta in the (a, b) plane (1-based, a < b)."""
     if not 1 <= a < b <= d:
         raise ValueError(f"bad plane ({a}, {b}) for dimension {d}")
     r = np.eye(d)
-    c, s = np.cos(theta), np.sin(theta)
-    r[a - 1, a - 1] = c
-    r[b - 1, b - 1] = c
-    r[b - 1, a - 1] = s
-    r[a - 1, b - 1] = -s
+    plane = slice(a - 1, b, b - a)  # indices a - 1 and b - 1
+    r[plane, plane] = rot2(theta)
     return r
 
 
@@ -199,8 +196,8 @@ def rotation_generator_exponential(plane: int, theta: float) -> np.ndarray:
 
 
 def _check_special_orthogonal(r: np.ndarray, tol: float) -> None:
-    dev = np.abs(r.T @ r - np.eye(r.shape[0])).max()
-    if dev > tol:
+    dev = unitary_deviation(r)
+    if not dev <= tol:
         raise ValueError(f"matrix is not orthogonal (deviation {dev:.3g})")
     if np.linalg.det(r) < 0.0:
         raise ValueError("matrix has determinant -1, not a rotation")
@@ -256,7 +253,7 @@ def givens_factor(r: np.ndarray, omit: float = OMIT_ANGLE) -> list[PlaneRotation
     for f in factors:
         check = f.matrix(d) @ check
     dev = np.abs(check - r).max()
-    if dev > REPRODUCE_TOL:
+    if not dev <= REPRODUCE_TOL:
         raise RuntimeError(f"givens factorization failed to reproduce input ({dev:.3g})")
     return factors
 

@@ -17,7 +17,7 @@ repr(), which round-trips exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator, NamedTuple
 
@@ -195,10 +195,6 @@ def gate_matrix(gate: GateApp) -> np.ndarray:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def _check_unitary(m: np.ndarray) -> float:
-    return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-
-
 _BATCH_THRESHOLD = 512
 _SCREEN_CHUNK = 512
 
@@ -307,11 +303,11 @@ def mg_runs_last_first(circuit: MatchgateCircuit, size: int) -> Iterator[MgColum
     """The gates of a matchgate circuit as validated runs of `size` gates,
     the last run first (the order reverse propagation consumes them in).
 
-    Header fields are checked at the call.  Each run is read once and
-    screened by the array checks of `validate`.  At the first doubt the whole
-    circuit goes through `validate_or_raise`, so an invalid circuit raises
-    ValidationError with validate's messages, possibly after later runs were
-    yielded.
+    Header fields are checked at the call.  Each run is read once and, unless
+    the circuit already passed `validate_or_raise`, screened by the array
+    checks of `validate`.  At the first doubt the whole circuit goes through
+    `validate_or_raise`, so an invalid circuit raises ValidationError with
+    validate's messages, possibly after later runs were yielded.
     """
     if _header_violations(circuit):
         validate_or_raise(circuit)
@@ -321,7 +317,7 @@ def mg_runs_last_first(circuit: MatchgateCircuit, size: int) -> Iterator[MgColum
 def _mg_runs_last_first(circuit: MatchgateCircuit, size: int) -> Iterator[MgColumns]:
     width = circuit.width
     gates = circuit.gates
-    checked = False
+    checked = getattr(circuit, "_valid", False)
     touched = np.zeros(width + 2, dtype=bool)
     for lo in reversed(range(0, len(gates), size)):
         cols = _read_mg_chunk(gates[lo : lo + size])
@@ -422,7 +418,7 @@ def validate(circuit: Circuit) -> list[str]:
             a = complex_from_reals(g.params[:8])
             b = complex_from_reals(g.params[8:])
             for name, m in (("a", a), ("b", b)):
-                dev = _check_unitary(m)
+                dev = algebra.unitary_deviation(m)
                 if not dev <= algebra.TOL_UNITARY:
                     out.append(f"{label}: block {name} not unitary (deviation {dev:.3g})")
             gap = abs(np.linalg.det(a) - np.linalg.det(b))
@@ -430,7 +426,7 @@ def validate(circuit: Circuit) -> list[str]:
                 out.append(f"{label}: determinant mismatch {gap:.3g}")
         elif g.kind in ("u1", "u2", "cu1"):
             m = complex_from_reals(g.params)
-            dev = _check_unitary(m)
+            dev = algebra.unitary_deviation(m)
             if not dev <= algebra.TOL_UNITARY:
                 out.append(f"{label}: matrix not unitary (deviation {dev:.3g})")
 
@@ -442,9 +438,18 @@ def validate(circuit: Circuit) -> list[str]:
 
 
 def validate_or_raise(circuit: Circuit) -> None:
+    """Raise ValidationError unless `circuit` passes `validate`.
+
+    Circuits and their gates are frozen and hold only ints, floats and
+    strings, so a pass is recorded on the circuit object and a later call on
+    the same object returns at once.  A failure is not recorded.
+    """
+    if getattr(circuit, "_valid", False):
+        return
     violations = validate(circuit)
     if violations:
         raise ValidationError(violations)
+    object.__setattr__(circuit, "_valid", True)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +606,3 @@ def _parse_gate(toks: list[str], lineno: int) -> GateApp:
         if kv:
             raise ParseError(f"{kind} takes no parameters", lineno)
     return GateApp(kind, lines, params)
-
-
-def replace_circuit(circuit: Circuit, **changes) -> Circuit:
-    """dataclasses.replace that tolerates both circuit flavors."""
-    return replace(circuit, **changes)

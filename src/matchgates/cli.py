@@ -62,7 +62,7 @@ def cmd_simulate(args) -> int:
         z = simulate.simulate_expectation(circuit, line)
     else:
         z = simulate.simulate_expectation_reference(circuit, line)
-    p0, p1 = simulate.output_distribution(circuit, line, method=args.method)
+    p0, p1 = simulate.distribution_from_expectation(z)
     print(f"z={z:.15g} p0={p0:.15g} p1={p1:.15g}")
     return EXIT_OK
 

@@ -51,11 +51,6 @@ _V_PARAMS = reals_from_complex(_V_MATRIX)
 _VDG_PARAMS = reals_from_complex(_V_MATRIX.conj().T)
 
 
-def _rot2(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def gray(i: int, mu: int) -> str:
     """Reflected-binary Gray label of index i, as mu bits MSB first."""
     if not 0 <= i < (1 << mu):
@@ -197,9 +192,9 @@ def lambda_r_decompose(
     c, s = float(rot[0, 0]), float(rot[1, 0])
     if (
         rot.shape != (2, 2)
-        or abs(rot[0, 1] + s) > 1e-12
-        or abs(rot[1, 1] - c) > 1e-12
-        or abs(c * c + s * s - 1.0) > 1e-9
+        or not abs(rot[0, 1] + s) <= 1e-12
+        or not abs(rot[1, 1] - c) <= 1e-12
+        or not abs(c * c + s * s - 1.0) <= 1e-9
     ):
         raise ValueError("expected a 2x2 rotation [[c, -s], [s, c]]")
     t = pattern.target
@@ -211,12 +206,12 @@ def lambda_r_decompose(
 
     r = len(lines)
     if r == 0:
-        core = [GateApp("u1", (t,), reals_from_complex(_rot2(theta)))]
+        core = [GateApp("u1", (t,), reals_from_complex(algebra.rot2(theta)))]
     elif r == 1:
-        core = [GateApp("cu1", (lines[0], t), reals_from_complex(_rot2(theta)))]
+        core = [GateApp("cu1", (lines[0], t), reals_from_complex(algebra.rot2(theta)))]
     elif r == 2:
-        half = reals_from_complex(_rot2(theta / 2.0))
-        nhalf = reals_from_complex(_rot2(-theta / 2.0))
+        half = reals_from_complex(algebra.rot2(theta / 2.0))
+        nhalf = reals_from_complex(algebra.rot2(-theta / 2.0))
         core = [
             GateApp("cu1", (lines[1], t), half),
             GateApp("cu1", (lines[0], lines[1]), _X_PARAMS),
@@ -229,9 +224,9 @@ def lambda_r_decompose(
         # R(theta) when all controls fire and cancels to identity otherwise.
         mcx = _mcx(lines, t, (ancilla,))
         core = (
-            [GateApp("u1", (t,), reals_from_complex(_rot2(theta / 2.0)))]
+            [GateApp("u1", (t,), reals_from_complex(algebra.rot2(theta / 2.0)))]
             + mcx
-            + [GateApp("u1", (t,), reals_from_complex(_rot2(-theta / 2.0)))]
+            + [GateApp("u1", (t,), reals_from_complex(algebra.rot2(-theta / 2.0)))]
             + mcx
         )
     return wraps + core + wraps[::-1]
@@ -291,7 +286,7 @@ def _controlled_two_level(
     # dim_a keeps its own bit at the target position; if that bit is 0 the
     # rebit basis (|0>, |1>) is (dim_a, dim_b) and the block is [[c,-s],[s,c]],
     # otherwise the roles swap and the block is the inverse rotation.
-    local = _rot2(theta if la[pattern.target - 1] == "0" else -theta)
+    local = algebra.rot2(theta if la[pattern.target - 1] == "0" else -theta)
     yield from conj
     yield from lambda_r_decompose(shifted, local, ancilla)
     yield from reversed(conj)
@@ -315,7 +310,7 @@ def _rotation_pass(
             )
 
 
-_S_BLOCK = _rot2(math.pi / 2.0)  # [[0, -1], [1, 0]]: the per-pair action of S
+_S_BLOCK = algebra.rot2(math.pi / 2.0)  # [[0, -1], [1, 0]]: the per-pair action of S
 
 
 def _pairing_pass(mu: int, invert: bool) -> Iterator[GateApp]:
@@ -354,7 +349,6 @@ def compress_circuit(circuit: MatchgateCircuit) -> GeneralCircuit:
     The output's <Z_1> on the all-zero input equals the input circuit's
     <Z_1>.  Requires all-zero input, measure line 1, power-of-two width.
     """
-    n = _require_standard(circuit)
-    mu = (2 * n).bit_length() - 1
     gates = tuple(compress_gate_stream(circuit))
+    mu = (2 * circuit.width).bit_length() - 1
     return GeneralCircuit(mu + 2, gates, "0" * (mu + 2))

@@ -89,8 +89,8 @@ class RealGate:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (2**k, 2**k):
             raise ValueError(f"matrix shape {m.shape} does not match {k} rebits")
-        dev = np.abs(m.T @ m - np.eye(2**k)).max()
-        if dev > 1e-9:
+        dev = algebra.unitary_deviation(m)
+        if not dev <= algebra.TOL_ORTHOGONAL:
             raise ValueError(f"matrix not orthogonal (deviation {dev:.3g})")
         object.__setattr__(self, "matrix", m)
 
@@ -107,8 +107,8 @@ def realify_gate(u: np.ndarray, lines: tuple[int, ...]) -> RealGate:
     k = len(lines) - 1
     if u.shape != (2**k, 2**k):
         raise ValueError(f"unitary shape {u.shape} does not match {k} qubits + B")
-    dev = np.abs(u.conj().T @ u - np.eye(2**k)).max()
-    if dev > 1e-9:
+    dev = algebra.unitary_deviation(u)
+    if not dev <= algebra.TOL_UNITARY:
         raise ValueError(f"input not unitary (deviation {dev:.3g})")
     out = np.kron(u.real, np.eye(2)) - np.kron(u.imag, YTILDE)
     if np.linalg.det(out) < 0.0:
@@ -139,7 +139,7 @@ def two_level_to_matchgates(a: int, b: int, rot: np.ndarray, n: int) -> list[Gat
     if not 1 <= a < b <= 2 * n:
         raise ValueError(f"bad dimension pair ({a}, {b}) for {n} lines")
     c, s = float(rot[0, 0]), float(rot[1, 0])
-    if abs(rot[0, 1] + s) > 1e-12 or abs(rot[1, 1] - c) > 1e-12:
+    if not (abs(rot[0, 1] + s) <= 1e-12 and abs(rot[1, 1] - c) <= 1e-12):
         raise ValueError("expected a 2x2 rotation [[c, -s], [s, c]]")
     theta = math.atan2(s, c)
 
@@ -163,11 +163,6 @@ def two_level_to_matchgates(a: int, b: int, rot: np.ndarray, n: int) -> list[Gat
     off = 2 * ka - 2
     core = local_rot(ka, a - off, b_up - off)
     return ladder + [core] + ladder[::-1]
-
-
-def _two_level_rot2(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
 
 
 def _global_dim(local_dim: int, gate_lines: tuple[int, ...], spectators: tuple[int, ...], assignment: int, width: int) -> int:
@@ -211,7 +206,7 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
 
     # The Z_A layer: sign-flip of both dimensions of every odd-indexed pair,
     # written as pi-rotations in the planes (4t-2, 4t).
-    pi_rot = _two_level_rot2(math.pi)
+    pi_rot = algebra.rot2(math.pi)
     for t in range(1, n // 2 + 1):
         out.extend(two_level_to_matchgates(4 * t - 2, 4 * t, pi_rot, n))
 
@@ -223,12 +218,12 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
         real, lines = _permute_to_sorted(rg.matrix.T, rg.lines)
         spectators = tuple(q for q in range(1, rebits + 1) if q not in lines)
         for f in algebra.givens_factor(real):
-            rot = _two_level_rot2(f.theta)
+            rot = algebra.rot2(f.theta)
             for sigma in range(2 ** len(spectators)):
                 da = _global_dim(f.a, lines, spectators, sigma, rebits)
                 db = _global_dim(f.b, lines, spectators, sigma, rebits)
-                # Sorted lines make the dim order monotone in the local order.
-                assert da < db
+                # Sorted lines make the dim order monotone in the local
+                # order, so da < db as two_level_to_matchgates requires.
                 out.extend(two_level_to_matchgates(da, db, rot, n))
 
     result = MatchgateCircuit(n, tuple(out), "0" * n, 1)

@@ -243,20 +243,11 @@ def simulate_expectation(circuit: MatchgateCircuit, k: int | None = None) -> flo
 
 def simulate_expectation_reference(circuit: MatchgateCircuit, k: int | None = None) -> float:
     """Reference path: accumulate the dense 2n x 2n rotation, then read one entry."""
-    validate_or_raise(circuit)
-    if circuit.width > REFERENCE_MAX_WIDTH:
-        raise GuardError(
-            f"width {circuit.width} exceeds the reference-path guard of {REFERENCE_MAX_WIDTH}"
-        )
+    r = circuit_rotation(circuit)
     if k is None:
         k = circuit.measure_line
     if not 1 <= k <= circuit.width:
         raise ValueError(f"line {k} out of range 1..{circuit.width}")
-    n = circuit.width
-    r = np.eye(2 * n)
-    for g in circuit.gates:
-        w = 2 * g.lines[0] - 2
-        r[w : w + 4, :] = gate_rotation(g) @ r[w : w + 4, :]
     s = s_matrix(circuit.input)
     return float(r[2 * k - 1] @ s @ r[2 * k - 2])
 
@@ -276,22 +267,28 @@ def circuit_rotation(circuit: MatchgateCircuit) -> np.ndarray:
     return r
 
 
+def distribution_from_expectation(z: float) -> tuple[float, float]:
+    """(p0, p1) of a line whose <Z> is z.
+
+    Overshoots of |z| beyond 1 by at most 1e-6 are clamped; anything larger,
+    or NaN, signals an internal error and raises.
+    """
+    if not abs(z) <= 1.0 + 1e-6:
+        raise RuntimeError(f"expectation {z} out of [-1, 1] beyond tolerance")
+    z = min(1.0, max(-1.0, z))
+    p1 = (1.0 - z) / 2.0
+    return 1.0 - p1, p1
+
+
 def output_distribution(
     circuit: MatchgateCircuit, k: int | None = None, method: str = "fast"
 ) -> tuple[float, float]:
-    """(p0, p1) of measuring the chosen line in the computational basis.
-
-    Overshoots of |<Z>| beyond 1 by at most 1e-6 are clamped; anything larger
-    signals an internal error and raises.
-    """
+    """(p0, p1) of measuring the chosen line in the computational basis,
+    from `distribution_from_expectation`."""
     if method == "fast":
         z = simulate_expectation(circuit, k)
     elif method == "reference":
         z = simulate_expectation_reference(circuit, k)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if not abs(z) <= 1.0 + 1e-6:
-        raise RuntimeError(f"expectation {z} out of [-1, 1] beyond tolerance")
-    z = min(1.0, max(-1.0, z))
-    p1 = (1.0 - z) / 2.0
-    return 1.0 - p1, p1
+    return distribution_from_expectation(z)

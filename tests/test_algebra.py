@@ -13,16 +13,18 @@ from matchgates.algebra import (
     PAULI_Z,
     PLANES,
     PlaneRotation,
-    fermionic_swap,
     givens_factor,
     is_matchgate,
     jordan_wigner,
     make_matchgate,
     matchgate_of_rotation,
     plane_rotation,
+    rot2,
     rotation_of_matchgate,
     split_matchgate,
 )
+from matchgates.compress import ControlPattern, lambda_r_decompose
+from matchgates.expand import RealGate, realify_gate, two_level_to_matchgates
 
 
 def test_make_matchgate_places_blocks_on_parity_subspaces():
@@ -49,13 +51,13 @@ def test_double_flip_gate_is_a_matchgate():
 
 
 def test_fermionic_swap_is_an_involution():
-    w = fermionic_swap()
+    w = FERMIONIC_SWAP
     assert np.allclose(w @ w, np.eye(4))
     assert np.allclose(w, make_matchgate(PAULI_Z, PAULI_X))
 
 
 def test_fermionic_swap_action_on_basis_states():
-    w = fermionic_swap()
+    w = FERMIONIC_SWAP
     assert np.allclose(w @ np.eye(4)[3], -np.eye(4)[3])  # |11> -> -|11>
     assert np.allclose(w @ np.eye(4)[1], np.eye(4)[2])  # |01> -> |10>
 
@@ -184,3 +186,40 @@ def test_plane_rotation_convention():
     assert r[2, 0] == pytest.approx(np.sin(0.3))
     assert r[0, 2] == pytest.approx(-np.sin(0.3))
     assert PlaneRotation(1, 3, 0.3).matrix(4) == pytest.approx(r)
+    # The (a, b) block is the shared 2x2 helper, [[c, -s], [s, c]].
+    assert (r[np.ix_([0, 2], [0, 2])] == rot2(0.3)).all()
+    assert rot2(0.3) == pytest.approx(np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]))
+
+
+NAN2 = np.full((2, 2), np.nan)
+NAN4 = np.full((4, 4), np.nan)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: givens_factor(NAN4),
+        lambda: matchgate_of_rotation(NAN4),
+        lambda: make_matchgate(NAN2, NAN2),
+        lambda: RealGate(NAN4, (1, 2)),
+        lambda: realify_gate(NAN2, (1, 2)),
+        lambda: lambda_r_decompose(ControlPattern(1, ()), NAN2, ancilla=2),
+        lambda: two_level_to_matchgates(1, 4, NAN2, 2),
+    ],
+    ids=[
+        "givens_factor",
+        "matchgate_of_rotation",
+        "make_matchgate",
+        "RealGate",
+        "realify_gate",
+        "lambda_r_decompose",
+        "two_level_to_matchgates",
+    ],
+)
+def test_tolerance_checks_reject_nan(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_nan_gate_is_not_a_matchgate():
+    assert not is_matchgate(NAN4)

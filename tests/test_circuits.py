@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from matchgates import randgen
+from matchgates import circuits, randgen
 from matchgates.algebra import FERMIONIC_SWAP, GXX, rotation_generator_exponential
 from matchgates.circuits import (
     GateApp,
@@ -142,6 +142,26 @@ def test_validate_flags_determinant_mismatch():
     ) + reals_from_complex(np.array([[0, 1], [1, 0]], dtype=complex))
     good = MatchgateCircuit(2, (GateApp("mg", (1,), good_params),), "00")
     assert validate(good) == []
+
+
+def test_validation_passes_are_remembered_and_failures_are_not(monkeypatch):
+    calls = []
+    real = circuits.validate
+    monkeypatch.setattr(circuits, "validate", lambda c: calls.append(c) or real(c))
+    good = MatchgateCircuit(2, (GateApp("w", (1,)),), "01")
+    validate_or_raise(good)
+    validate_or_raise(good)
+    assert calls == [good]
+    assert validate(good) == []  # the validator itself stays pure
+
+    bad = MatchgateCircuit(3, (GateApp("w", (1,)),), "000")  # line 3 idle
+    for _ in range(3):
+        with pytest.raises(ValidationError):
+            validate_or_raise(bad)
+    assert calls[1:] == [bad] * 3
+    # The memo is no dataclass field: equality and the text are unchanged.
+    fresh = MatchgateCircuit(2, (GateApp("w", (1,)),), "01")
+    assert fresh == good and serialize_circuit(fresh) == serialize_circuit(good)
 
 
 def test_validate_flags_non_unitary_blocks():

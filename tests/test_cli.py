@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from matchgates import circuits, simulate
 from matchgates.cli import main
 from matchgates.circuits import parse_circuit
 
@@ -38,6 +39,54 @@ def test_simulate_methods_agree(tmp_path, capsys):
         key_b, val_b = b.split("=")
         assert key_a == key_b
         assert float(val_a) == pytest.approx(float(val_b), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "method, engine",
+    [("fast", "simulate_expectation"), ("reference", "simulate_expectation_reference")],
+)
+def test_simulate_runs_the_simulation_once(tmp_path, capsys, monkeypatch, method, engine):
+    f = tmp_path / "c.mg"
+    f.write_text(ROT_CIRCUIT)
+    calls = []
+    real = getattr(simulate, engine)
+    monkeypatch.setattr(simulate, engine, lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    assert run_cli("simulate", str(f), "--method", method) == 0
+    assert len(calls) == 1
+    z, p0, p1 = (float(kv.split("=")[1]) for kv in capsys.readouterr().out.split())
+    assert (p0, p1) == pytest.approx(simulate.distribution_from_expectation(z), abs=1e-14)
+
+
+def _record_validations(monkeypatch) -> list:
+    """Wrap circuits.validate; the returned list collects every circuit it
+    sees (kept alive, so no two of them can share an id)."""
+    seen = []
+    real = circuits.validate
+    monkeypatch.setattr(circuits, "validate", lambda c: seen.append(c) or real(c))
+    return seen
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compress", "{mg}", "{out}.qc"],
+        ["compress", "{std}", "{out}.qc", "--strict"],
+        ["expand", "{qc}", "{out}.mg"],
+        ["verify", "{mg}", "{qc}"],
+        ["verify", "{qc}", "{qc}"],
+        ["verify", "{std}", "{std}", "--lhs", "mgsim"],
+    ],
+)
+def test_no_circuit_object_is_validated_twice(tmp_path, capsys, monkeypatch, argv):
+    files = {"mg": ROT_CIRCUIT, "std": GXX_CIRCUIT, "qc": SMALL_QC}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = {name: str(tmp_path / name) for name in files}
+    argv = [a.format(out=tmp_path / "out", **paths) for a in argv]
+    seen = _record_validations(monkeypatch)
+    assert run_cli(*argv) in (0, 4)
+    assert seen
+    assert len({id(c) for c in seen}) == len(seen)
 
 
 def test_simulate_rejects_general_circuits(tmp_path, capsys):

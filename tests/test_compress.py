@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from matchgates import randgen
+from matchgates.algebra import rot2
 from matchgates.circuits import GateApp, MatchgateCircuit
 from matchgates.compress import (
     MAX_LABEL_DISTANCE,
     ControlPattern,
     _mcx,
-    _rot2,
     _toffoli,
     align_conjugation,
     compress_circuit,
@@ -181,7 +181,7 @@ def test_multi_controlled_x_with_one_dirty_scratch_line():
 
 
 def test_zero_and_one_control_rotations_are_single_gates():
-    rot = _rot2(0.7)
+    rot = rot2(0.7)
     no_controls = lambda_r_decompose(ControlPattern(1, ()), rot, ancilla=2)
     assert [g.kind for g in no_controls] == ["u1"]
     one_control = lambda_r_decompose(ControlPattern(2, ((1, 1),)), rot, ancilla=3)
@@ -201,7 +201,7 @@ def test_controlled_rotation_decomposition_is_exact(rng):
             pattern = ControlPattern(
                 target, tuple(sorted(zip(lines, values)))
             )
-            rot = _rot2(theta)
+            rot = rot2(theta)
             gates = lambda_r_decompose(pattern, rot, ancilla)
             width = r + 2
             u = dense_unitary(gates, width)
@@ -210,7 +210,7 @@ def test_controlled_rotation_decomposition_is_exact(rng):
 
 
 def test_controlled_rotation_gate_count_is_quadratically_bounded():
-    rot = _rot2(0.3)
+    rot = rot2(0.3)
     worst = 0.0
     for r in range(1, 9):
         pattern = ControlPattern(r + 1, tuple((l, 1) for l in range(1, r + 1)))
@@ -220,7 +220,7 @@ def test_controlled_rotation_gate_count_is_quadratically_bounded():
 
 
 def test_ancilla_collisions_are_rejected():
-    rot = _rot2(0.4)
+    rot = rot2(0.4)
     pattern = ControlPattern(1, ((2, 1), (3, 1), (4, 0)))
     with pytest.raises(ValueError):
         lambda_r_decompose(pattern, rot, ancilla=1)
