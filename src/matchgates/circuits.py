@@ -195,138 +195,182 @@ def gate_matrix(gate: GateApp) -> np.ndarray:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-_BATCH_THRESHOLD = 512
-_SCREEN_CHUNK = 512
+# Validation reads this many gates at a time, so its scratch memory does not
+# grow with the gate count (the compilers validate while streaming).
+_VALIDATE_CHUNK = 512
 
-# Codes of the mg-flavor kinds in MgColumns.kinds, and their parameter counts.
-MG_KIND_CODES = {"w": 0, "gxx": 1, "rot": 2, "mg": 3}
-_MG_NPARAMS = np.array([GATE_KINDS[k][2] for k in MG_KIND_CODES])
+# Kind codes (positions in GATE_KINDS) and, by code, each kind's signature;
+# code -1 (an unknown kind) reads the last entry, which matches no gate.
+KIND_CODES = {kind: code for code, kind in enumerate(GATE_KINDS)}
+_FLAVOR, _NLINES, _NPARAMS = map(np.array, zip(*GATE_KINDS.values(), ("", -1, -1)))
 
 
-class MgColumns(NamedTuple):
-    """A run of mg-flavor gates as arrays, in circuit order.
+class GateColumns(NamedTuple):
+    """A run of gates as arrays, in circuit order.
 
-    `kinds` holds MG_KIND_CODES, `lines` the lower line k of each gate, `rot`
-    the (plane, theta) rows of the `rot` gates and `mg` the 16 reals of the
-    `mg` gates.
+    `kinds` holds KIND_CODES (-1 for an unknown kind); `lines` and `params`
+    hold every gate's lines and parameters end to end, `nlines` and
+    `nparams` their counts per gate, and `line_at` each gate's first line.
     """
 
     kinds: np.ndarray
+    nlines: np.ndarray
+    nparams: np.ndarray
     lines: np.ndarray
-    rot: np.ndarray
-    mg: np.ndarray
+    params: np.ndarray
+    line_at: np.ndarray
+
+    def rows(self, kind: str) -> np.ndarray:
+        """The parameters of every `kind` gate, one row per gate; each must
+        have the kind's parameter count."""
+        mine = np.repeat(self.kinds == KIND_CODES[kind], self.nparams)
+        return self.params[mine].reshape(-1, GATE_KINDS[kind][2])
 
 
-def _read_mg_chunk(chunk: tuple[GateApp, ...]) -> MgColumns | None:
-    """Read gates into columns in one pass over their parameters.
-
-    Returns None when some gate has a kind, line count or parameter count
-    that no mg-flavor gate has; the per-gate checks reject such a gate.
-    """
-    n = len(chunk)
-    kinds = np.fromiter([MG_KIND_CODES.get(g.kind, -1) for g in chunk], np.int8, n)
-    if (kinds < 0).any():
-        return None
-    lines = [g.lines for g in chunk]
-    params = [g.params for g in chunk]
-    nparams = _MG_NPARAMS[kinds]
-    if (np.fromiter(map(len, lines), np.intp, n) != 1).any() or (
-        np.fromiter(map(len, params), np.intp, n) != nparams
-    ).any():
-        return None
+def read_gates(gates: tuple[GateApp, ...]) -> GateColumns:
+    """Read gates into columns in one pass over their lines and parameters."""
+    n = len(gates)
+    kinds = np.fromiter([KIND_CODES.get(g.kind, -1) for g in gates], np.intp, n)
+    lines = [g.lines for g in gates]
+    params = [g.params for g in gates]
+    nlines = np.fromiter(map(len, lines), np.intp, n)
+    nparams = np.fromiter(map(len, params), np.intp, n)
     try:
-        line_col = np.fromiter(chain.from_iterable(lines), np.int64, n)
-    except OverflowError:  # a line beyond int64 is out of range
-        return None
-    flat = np.fromiter(chain.from_iterable(params), float, int(nparams.sum()))
-    starts = np.cumsum(nparams) - nparams
-    rot_at = starts[kinds == MG_KIND_CODES["rot"]]
-    mg_at = starts[kinds == MG_KIND_CODES["mg"]]
-    return MgColumns(
-        kinds,
-        line_col,
-        flat[rot_at[:, None] + np.arange(2)],
-        flat[mg_at[:, None] + np.arange(16)],
+        line_col = np.fromiter(chain.from_iterable(lines), np.int64, nlines.sum())
+    except OverflowError:  # a line beyond int64 is out of range of every width
+        big = np.array([*chain.from_iterable(lines)], dtype=object)
+        line_col = np.clip(big, -(2**62), 2**62).astype(np.int64)
+    param_col = np.fromiter(chain.from_iterable(params), float, nparams.sum())
+    return GateColumns(kinds, nlines, nparams, line_col, param_col, np.cumsum(nlines) - nlines)
+
+
+def _deviations(m: np.ndarray) -> np.ndarray:
+    """max |M^dag M - 1| of each matrix in a (k, d, d) stack, NaN where a product
+    overflows; 2x2 stacks take the closed form, several times faster than matmul."""
+    if m.shape[1] != 2:
+        return np.abs(m.conj().swapaxes(1, 2) @ m - np.eye(m.shape[1])).max(axis=(1, 2))
+    p, q, r, s = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    # The entries of M^dag M - 1: two diagonal, one off-diagonal pair.
+    dev = np.maximum(
+        np.abs((p.conj() * p + r.conj() * r).real - 1.0),
+        np.abs((q.conj() * q + s.conj() * s).real - 1.0),
     )
+    return np.maximum(dev, np.abs(p.conj() * q + r.conj() * s))
 
 
-def _mg_chunk_is_clean(cols: MgColumns, width: int) -> bool:
-    """The per-gate invariants, checked on whole arrays.
+def _not_unitary(name: str, params: tuple[float, ...]) -> str:
+    dev = algebra.unitary_deviation(complex_from_reals(params))
+    return f"{name} not unitary (deviation {dev:.3g})"
 
-    True when every gate provably passes; any doubt (including NaN from
-    overflowing products, hence the `not x <= tol` form) returns False.
+
+def _determinant_gap(params: tuple[float, ...]) -> float:
+    a, b = complex_from_reals(params[:8]), complex_from_reals(params[8:])
+    return abs(np.linalg.det(a) - np.linalg.det(b))
+
+
+def _chunk_violations(
+    circuit: Circuit, first: int, cols: GateColumns, touched: np.ndarray | None
+) -> list[str]:
+    """The violations of the circuit's gates from index `first` on, read into
+    `cols`, in gate order, from checks on whole arrays.
+
+    A gate reports only its first structural failure; a gate without one
+    marks its lines in `touched` (when given) and has its rot plane,
+    matrices and determinants checked, as `not x <= tol` so NaN fails.
     """
-    lines, rot, mg = cols.lines, cols.rot, cols.mg
-    if lines.min() < 1 or lines.max() > width - 1:
-        return False
-    if not (np.isfinite(rot).all() and np.isfinite(mg).all()):
-        return False
-    planes = rot[:, 0]
-    if not ((planes == np.round(planes)) & (planes >= 1) & (planes <= 6)).all():
-        return False
-    blocks = mg.view(complex).reshape(-1, 2, 2)  # a-blocks and b-blocks interleaved
-    p, q, r, s = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
-    with np.errstate(all="ignore"):
-        # The entries of U^dag U - 1: two diagonal, one off-diagonal pair.
-        devs = (
-            (p.conj() * p + r.conj() * r).real - 1.0,
-            (q.conj() * q + s.conj() * s).real - 1.0,
-            p.conj() * q + r.conj() * s,
-        )
-        if not all(np.abs(d).max(initial=0.0) <= algebra.TOL_UNITARY for d in devs):
-            return False
-        dets = p * s - q * r
-        return bool(np.abs(dets[0::2] - dets[1::2]).max(initial=0.0) <= algebra.TOL_DET_MATCH)
-
-
-def _screen_mg_batch(circuit: MatchgateCircuit) -> bool:
-    """Vectorized all-clear check for large mg circuits.
-
-    Returns True when every gate provably satisfies the invariants, so the
-    per-gate loop (which exists to produce precise messages) can be skipped;
-    any doubt returns False.  Works on fixed-size chunks so validation
-    memory stays constant in the gate count (the compilers validate while
-    streaming and must not buffer the whole circuit's worth of scratch).
-    """
-    width = circuit.width
+    flavor = circuit.flavor
+    top = circuit.width - 1 if flavor == "mg" else circuit.width
     gates = circuit.gates
-    touched = np.zeros(width + 2, dtype=bool)
-    for lo in range(0, len(gates), _SCREEN_CHUNK):
-        cols = _read_mg_chunk(gates[lo : lo + _SCREEN_CHUNK])
-        if cols is None or not _mg_chunk_is_clean(cols, width):
-            return False
-        touched[cols.lines] = touched[cols.lines + 1] = True
-    return circuit.allow_idle or bool(touched[1 : width + 1].all())
+    kinds, nlines, nparams = cols.kinds, cols.nlines, cols.nparams
+    finite = np.isfinite(cols.params)
+    nonfinite = np.zeros(len(kinds), dtype=bool)
+    if not finite.all():
+        nonfinite[np.repeat(np.arange(len(kinds)), nparams)[~finite]] = True
+    # Every kind takes one or two lines, so the first and the last cover them
+    # all; the padding keeps the reads for a gate without lines in bounds.
+    lines = np.append(cols.lines, 0)
+    lo, hi = lines[cols.line_at], lines[cols.line_at + nlines - 1]
+    out_of_range = (np.minimum(lo, hi) < 1) | (np.maximum(lo, hi) > top)
+    which_line = "line {g.lines[0]}" if flavor == "mg" else "line"
+    # (failing gates, message) in check order; a gate reports the first it fails.
+    structure = (
+        (kinds < 0, "unknown kind"),
+        ((_FLAVOR != flavor)[kinds], "not a {flavor} gate"),
+        (nlines != _NLINES[kinds], "expected {want[1]} line(s), got {nlines}"),
+        (nparams != _NPARAMS[kinds], "expected {want[2]} parameter(s), got {nparams}"),
+        (nonfinite, "non-finite parameter"),
+        (out_of_range, which_line + " out of range 1..{top}"),
+        ((nlines > 1) & (lo == hi), "repeated line"),
+    )
+    failed = np.logical_or.reduce([bad for bad, _ in structure])
+    found = []
+    for i in np.flatnonzero(failed).tolist():
+        g = gates[first + i]
+        message = next(message for bad, message in structure if bad[i])
+        want = GATE_KINDS.get(g.kind)
+        counts = dict(nlines=len(g.lines), nparams=len(g.params))
+        found.append((i, message.format(g=g, flavor=flavor, top=top, want=want, **counts)))
+    if touched is not None:
+        k = lo[~failed]
+        touched[k] = touched[k + 1] = True
+    live = cols._replace(kinds=np.where(failed, -1, kinds)) if found else cols
+
+    def check(kind, ok, message):
+        if not ok.all():
+            rows = np.flatnonzero(live.kinds == KIND_CODES[kind])[~ok]
+            found.extend((i, message(gates[first + i])) for i in rows.tolist())
+
+    with np.errstate(all="ignore"):
+        if flavor == "mg":
+            plane = live.rows("rot")[:, 0]
+            ok = (plane == np.trunc(plane)) & (plane >= 1) & (plane <= 6)
+            check("rot", ok, lambda g: f"plane must be an integer in 1..6, got {g.params[0]}")
+            blocks = live.rows("mg").view(complex).reshape(-1, 2, 2)  # a, b, a, b, ...
+            if len(blocks):
+                unitary = _deviations(blocks).reshape(-1, 2) <= algebra.TOL_UNITARY
+                check("mg", unitary[:, 0], lambda g: _not_unitary("block a", g.params[:8]))
+                check("mg", unitary[:, 1], lambda g: _not_unitary("block b", g.params[8:]))
+                dets = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
+                ok = np.abs(dets[0::2] - dets[1::2]) <= algebra.TOL_DET_MATCH
+                check("mg", ok, lambda g: f"determinant mismatch {_determinant_gap(g.params):.3g}")
+        else:
+            for kind in ("u1", "u2", "cu1"):
+                m = live.rows(kind).view(complex)
+                if len(m):
+                    d = math.isqrt(m.shape[1])
+                    ok = _deviations(m.reshape(-1, d, d)) <= algebra.TOL_UNITARY
+                    check(kind, ok, lambda g: _not_unitary("matrix", g.params))
+    found.sort(key=lambda f: f[0])
+    return [f"gate {first + i + 1} ({gates[first + i].kind}): {message}" for i, message in found]
 
 
-def mg_runs_last_first(circuit: MatchgateCircuit, size: int) -> Iterator[MgColumns]:
+def mg_runs_last_first(circuit: MatchgateCircuit, size: int) -> Iterator[GateColumns]:
     """The gates of a matchgate circuit as validated runs of `size` gates,
     the last run first (the order reverse propagation consumes them in).
 
     Header fields are checked at the call.  Each run is read once and, unless
-    the circuit already passed `validate_or_raise`, screened by the array
-    checks of `validate`.  At the first doubt the whole circuit goes through
+    the circuit already passed `validate_or_raise`, checked as `validate`
+    checks its chunks.  At the first violation the whole circuit goes through
     `validate_or_raise`, so an invalid circuit raises ValidationError with
     validate's messages, possibly after later runs were yielded.
     """
+    if circuit.flavor != "mg":
+        validate_or_raise(circuit)  # an invalid circuit is reported first
+        raise ValueError(f"expected an mg circuit, got a {circuit.flavor} circuit")
     if _header_violations(circuit):
         validate_or_raise(circuit)
     return _mg_runs_last_first(circuit, size)
 
 
-def _mg_runs_last_first(circuit: MatchgateCircuit, size: int) -> Iterator[MgColumns]:
+def _mg_runs_last_first(circuit: MatchgateCircuit, size: int) -> Iterator[GateColumns]:
     width = circuit.width
     gates = circuit.gates
     checked = getattr(circuit, "_valid", False)
     touched = np.zeros(width + 2, dtype=bool)
     for lo in reversed(range(0, len(gates), size)):
-        cols = _read_mg_chunk(gates[lo : lo + size])
-        if not checked and (cols is None or not _mg_chunk_is_clean(cols, width)):
+        cols = read_gates(gates[lo : lo + size])
+        if not checked and _chunk_violations(circuit, lo, cols, touched):
             validate_or_raise(circuit)
-            checked = True
-        if cols is None:
-            raise ValueError(f"{circuit.flavor} circuit holds gates of another flavor")
-        touched[cols.lines] = touched[cols.lines + 1] = True
         yield cols
     if not (checked or circuit.allow_idle or touched[1 : width + 1].all()):
         validate_or_raise(circuit)
@@ -358,80 +402,20 @@ def validate(circuit: Circuit) -> list[str]:
     matchgate determinant condition, and for mg circuits that every line is
     touched unless `allow_idle` is set.
 
-    Large matchgate circuits are screened by one vectorized pass; the
-    per-gate loop runs only when that pass cannot certify the circuit.
+    Gates of both flavors are checked as arrays, 512 at a time; a gate reports
+    its first structural failure, or else any plane, unitarity and determinant failures.
     """
     out = _header_violations(circuit)
-    flavor = circuit.flavor
     width = circuit.width
     if width < 1:
         return out
-
-    if (
-        not out
-        and flavor == "mg"
-        and len(circuit.gates) >= _BATCH_THRESHOLD
-        and _screen_mg_batch(circuit)
-    ):
-        return out
-
-    touched: set[int] = set()
-    for idx, g in enumerate(circuit.gates, start=1):
-        label = f"gate {idx} ({g.kind})"
-        sig = GATE_KINDS.get(g.kind)
-        if sig is None:
-            out.append(f"{label}: unknown kind")
-            continue
-        kind_flavor, nlines, nparams = sig
-        if kind_flavor != flavor:
-            out.append(f"{label}: not a {flavor} gate")
-            continue
-        if len(g.lines) != nlines:
-            out.append(f"{label}: expected {nlines} line(s), got {len(g.lines)}")
-            continue
-        if len(g.params) != nparams:
-            out.append(f"{label}: expected {nparams} parameter(s), got {len(g.params)}")
-            continue
-        if not all(math.isfinite(p) for p in g.params):
-            out.append(f"{label}: non-finite parameter")
-            continue
-        if flavor == "mg":
-            k = g.lines[0]
-            if not 1 <= k <= width - 1:
-                out.append(f"{label}: line {k} out of range 1..{width - 1}")
-                continue
-            touched.update((k, k + 1))
-        else:
-            if any(not 1 <= q <= width for q in g.lines):
-                out.append(f"{label}: line out of range 1..{width}")
-                continue
-            if len(set(g.lines)) != len(g.lines):
-                out.append(f"{label}: repeated line")
-                continue
-            touched.update(g.lines)
-
-        if g.kind == "rot":
-            plane = g.params[0]
-            if plane != int(plane) or not 1 <= int(plane) <= 6:
-                out.append(f"{label}: plane must be an integer in 1..6, got {plane}")
-        elif g.kind == "mg":
-            a = complex_from_reals(g.params[:8])
-            b = complex_from_reals(g.params[8:])
-            for name, m in (("a", a), ("b", b)):
-                dev = algebra.unitary_deviation(m)
-                if not dev <= algebra.TOL_UNITARY:
-                    out.append(f"{label}: block {name} not unitary (deviation {dev:.3g})")
-            gap = abs(np.linalg.det(a) - np.linalg.det(b))
-            if not gap <= algebra.TOL_DET_MATCH:
-                out.append(f"{label}: determinant mismatch {gap:.3g}")
-        elif g.kind in ("u1", "u2", "cu1"):
-            m = complex_from_reals(g.params)
-            dev = algebra.unitary_deviation(m)
-            if not dev <= algebra.TOL_UNITARY:
-                out.append(f"{label}: matrix not unitary (deviation {dev:.3g})")
-
-    if flavor == "mg" and not circuit.allow_idle:
-        idle = sorted(set(range(1, width + 1)) - touched)
+    idle_check = circuit.flavor == "mg" and not circuit.allow_idle
+    touched = np.zeros(width + 2, dtype=bool) if idle_check else None
+    for lo in range(0, len(circuit.gates), _VALIDATE_CHUNK):
+        cols = read_gates(circuit.gates[lo : lo + _VALIDATE_CHUNK])
+        out += _chunk_violations(circuit, lo, cols, touched)
+    if idle_check:
+        idle = (np.flatnonzero(~touched[1 : width + 1]) + 1).tolist()
         if idle:
             out.append(f"idle line(s) {idle} (set idle=1 to permit)")
     return out

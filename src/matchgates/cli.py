@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Subcommands: simulate, standardize, compress, expand, verify, gen-random.
-Exit codes: 0 success, 1 internal error, 2 parse or validation error,
+Exit codes: 0 success, 1 internal error, 2 parse, validation or argument error,
 3 resource guard refusal, 4 verification mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -19,9 +20,7 @@ from . import oracle, randgen, simulate
 from .standardize import standardize
 from .circuits import (
     CircuitError,
-    GeneralCircuit,
     GuardError,
-    MatchgateCircuit,
     ParseError,
     ValidationError,
     parse_circuit,
@@ -43,20 +42,26 @@ def _store(path: str, circuit) -> None:
     Path(path).write_text(serialize_circuit(circuit))
 
 
-def _require_mg(circuit, what: str) -> MatchgateCircuit:
-    if not isinstance(circuit, MatchgateCircuit):
-        raise ValidationError([f"{what} expects an mg circuit"])
-    return circuit
+def _nonnegative(kind):
+    """An argparse type: a finite `kind` (int or float) >= 0."""
+
+    def number(text: str):
+        value = kind(text)
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+        return value
+
+    return number
 
 
-def _require_qc(circuit, what: str) -> GeneralCircuit:
-    if not isinstance(circuit, GeneralCircuit):
-        raise ValidationError([f"{what} expects a qc circuit"])
+def _require(flavor: str, circuit, what: str):
+    if circuit.flavor != flavor:
+        raise ValidationError([f"{what} expects a {flavor} circuit"])
     return circuit
 
 
 def cmd_simulate(args) -> int:
-    circuit = _require_mg(_load(args.circuit), "simulate")
+    circuit = _require("mg", _load(args.circuit), "simulate")
     line = circuit.measure_line
     if args.method == "fast":
         z = simulate.simulate_expectation(circuit, line)
@@ -77,7 +82,7 @@ def _summary(before, after) -> str:
 
 
 def cmd_standardize(args) -> int:
-    circuit = _require_mg(_load(args.circuit), "standardize")
+    circuit = _require("mg", _load(args.circuit), "standardize")
     out = standardize(circuit)
     _store(args.output, out)
     added = len(out.gates) - len(circuit.gates)
@@ -86,7 +91,7 @@ def cmd_standardize(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    circuit = _require_mg(_load(args.circuit), "compress")
+    circuit = _require("mg", _load(args.circuit), "compress")
     prepped = circuit
     if args.strict:
         n = circuit.width
@@ -107,8 +112,8 @@ def cmd_compress(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    circuit = _require_qc(_load(args.circuit), "expand")
-    guard = 64 if args.force else expand_mod.EXPAND_MAX_WIDTH
+    circuit = _require("qc", _load(args.circuit), "expand")
+    guard = expand_mod.EXPAND_FORCED_MAX_WIDTH if args.force else expand_mod.EXPAND_MAX_WIDTH
     out = expand_mod.expand_circuit(circuit, width_guard=guard)
     _store(args.output, out)
     print(_summary(circuit, out))
@@ -118,7 +123,12 @@ def cmd_expand(args) -> int:
 def cmd_verify(args) -> int:
     ca = _load(args.circuit_a)
     cb = _load(args.circuit_b)
+    if args.lhs == "mgsim":
+        _require("mg", ca, "verify --lhs mgsim")
     line_a, line_b = args.lines if args.lines else (None, None)
+    for circuit, line in ((ca, line_a), (cb, line_b)):
+        if line is not None and not 1 <= line <= circuit.width:
+            raise ValidationError([f"--lines: line {line} out of range 1..{circuit.width}"])
     report = oracle.verify_equivalent(
         ca,
         cb,
@@ -133,6 +143,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen_random(args) -> int:
+    least = 2 if args.flavor == "mg" else 1
+    if args.width < least:
+        raise ValidationError([f"{args.flavor} circuits need width >= {least}, got {args.width}"])
     rng = np.random.default_rng(args.seed)
     if args.flavor == "mg":
         circuit = randgen.random_matchgate_circuit(
@@ -178,14 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--force",
         action="store_true",
-        help=f"lift the {expand_mod.EXPAND_MAX_WIDTH}-qubit width guard",
+        help=f"raise the width guard to {expand_mod.EXPAND_FORCED_MAX_WIDTH} qubits",
     )
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", help="compare <Z> readouts of two circuit files")
     p.add_argument("circuit_a")
     p.add_argument("circuit_b")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_nonnegative(float), default=1e-9)
     p.add_argument(
         "--lines",
         type=int,
@@ -204,10 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-random", help="write a seeded random circuit")
     p.add_argument("flavor", choices=("mg", "qc"))
-    p.add_argument("width", type=int)
-    p.add_argument("size", type=int)
+    p.add_argument("width", type=_nonnegative(int))
+    p.add_argument("size", type=_nonnegative(int))
     p.add_argument("output")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative(int), default=0)
     p.set_defaults(func=cmd_gen_random)
     return parser
 

@@ -124,8 +124,6 @@ class VerifyReport:
 
 def _readout(circuit: Circuit, line: int, engine: str) -> float:
     if engine == "mgsim":
-        if circuit.flavor != "mg":
-            raise ValueError("the mgsim engine only runs matchgate circuits")
         from . import simulate
 
         return simulate.simulate_expectation(circuit, line)

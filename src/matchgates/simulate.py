@@ -17,10 +17,10 @@ import numpy as np
 
 from . import algebra
 from .circuits import (
-    MG_KIND_CODES,
+    KIND_CODES,
+    GateColumns,
     GuardError,
     MatchgateCircuit,
-    MgColumns,
     complex_from_reals,
     mg_runs_last_first,
     validate_or_raise,
@@ -146,14 +146,14 @@ def _rot_transposed_rotations(params: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transposed_rotations(cols: MgColumns) -> np.ndarray:
+def _transposed_rotations(cols: GateColumns) -> np.ndarray:
     """Per-gate transposed rotations (C, 4, 4) of one run of gates."""
     kinds = cols.kinds
     rots = np.empty((len(kinds), 4, 4))
-    rots[kinds == MG_KIND_CODES["w"]] = _ROT_W  # symmetric: equals its transpose
-    rots[kinds == MG_KIND_CODES["gxx"]] = _ROT_GXX
-    rots[kinds == MG_KIND_CODES["rot"]] = _rot_transposed_rotations(cols.rot)
-    rots[kinds == MG_KIND_CODES["mg"]] = _mg_transposed_rotations(cols.mg)
+    rots[kinds == KIND_CODES["w"]] = _ROT_W  # symmetric: equals its transpose
+    rots[kinds == KIND_CODES["gxx"]] = _ROT_GXX
+    rots[kinds == KIND_CODES["rot"]] = _rot_transposed_rotations(cols.rows("rot"))
+    rots[kinds == KIND_CODES["mg"]] = _mg_transposed_rotations(cols.rows("mg"))
     return rots
 
 

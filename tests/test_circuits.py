@@ -1,11 +1,16 @@
 """Circuit containers, the text format, validation, and gate matrices."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from matchgates import circuits, randgen
+from matchgates import algebra, circuits, randgen
 from matchgates.algebra import FERMIONIC_SWAP, GXX, rotation_generator_exponential
 from matchgates.circuits import (
+    GATE_KINDS,
     GateApp,
     GeneralCircuit,
     MatchgateCircuit,
@@ -263,3 +268,160 @@ def test_complex_real_packing_round_trip(rng):
         complex_from_reals((1.0, 2.0, 3.0))
     with pytest.raises(ValueError):
         complex_from_reals((1.0, 0.0, 2.0, 0.0, 3.0, 0.0))
+
+
+def reference_validate(circuit) -> list[str]:
+    """The per-gate validation loop that the array validator replaced, kept
+    as its oracle: `validate` must return exactly these messages."""
+    out = circuits._header_violations(circuit)
+    flavor = circuit.flavor
+    width = circuit.width
+    if width < 1:
+        return out
+
+    touched: set[int] = set()
+    for idx, g in enumerate(circuit.gates, start=1):
+        label = f"gate {idx} ({g.kind})"
+        sig = GATE_KINDS.get(g.kind)
+        if sig is None:
+            out.append(f"{label}: unknown kind")
+            continue
+        kind_flavor, nlines, nparams = sig
+        if kind_flavor != flavor:
+            out.append(f"{label}: not a {flavor} gate")
+            continue
+        if len(g.lines) != nlines:
+            out.append(f"{label}: expected {nlines} line(s), got {len(g.lines)}")
+            continue
+        if len(g.params) != nparams:
+            out.append(f"{label}: expected {nparams} parameter(s), got {len(g.params)}")
+            continue
+        if not all(math.isfinite(p) for p in g.params):
+            out.append(f"{label}: non-finite parameter")
+            continue
+        if flavor == "mg":
+            k = g.lines[0]
+            if not 1 <= k <= width - 1:
+                out.append(f"{label}: line {k} out of range 1..{width - 1}")
+                continue
+            touched.update((k, k + 1))
+        else:
+            if any(not 1 <= q <= width for q in g.lines):
+                out.append(f"{label}: line out of range 1..{width}")
+                continue
+            if len(set(g.lines)) != len(g.lines):
+                out.append(f"{label}: repeated line")
+                continue
+            touched.update(g.lines)
+
+        if g.kind == "rot":
+            plane = g.params[0]
+            if plane != int(plane) or not 1 <= int(plane) <= 6:
+                out.append(f"{label}: plane must be an integer in 1..6, got {plane}")
+        elif g.kind == "mg":
+            a = complex_from_reals(g.params[:8])
+            b = complex_from_reals(g.params[8:])
+            for name, m in (("a", a), ("b", b)):
+                dev = algebra.unitary_deviation(m)
+                if not dev <= algebra.TOL_UNITARY:
+                    out.append(f"{label}: block {name} not unitary (deviation {dev:.3g})")
+            gap = abs(np.linalg.det(a) - np.linalg.det(b))
+            if not gap <= algebra.TOL_DET_MATCH:
+                out.append(f"{label}: determinant mismatch {gap:.3g}")
+        elif g.kind in ("u1", "u2", "cu1"):
+            m = complex_from_reals(g.params)
+            dev = algebra.unitary_deviation(m)
+            if not dev <= algebra.TOL_UNITARY:
+                out.append(f"{label}: matrix not unitary (deviation {dev:.3g})")
+
+    if flavor == "mg" and not circuit.allow_idle:
+        idle = sorted(set(range(1, width + 1)) - touched)
+        if idle:
+            out.append(f"idle line(s) {idle} (set idle=1 to permit)")
+    return out
+
+
+def _replace_at(values: tuple, j: int, value) -> tuple:
+    if not values:
+        return values
+    j %= len(values)
+    return values[:j] + (value,) + values[j + 1 :]
+
+
+MUTATIONS = (
+    "kind",
+    "unknown kind",
+    "extra line",
+    "missing line",
+    "dropped parameter",
+    "entry",
+    "line",
+    "repeated line",
+    "perturbation",
+)
+
+
+@st.composite
+def _mutated_gate(draw, gate: GateApp, width: int) -> GateApp:
+    kind, lines, params = gate.kind, gate.lines, gate.params
+    how = draw(st.sampled_from(MUTATIONS))
+    j = draw(st.integers(0, 31))  # which line or parameter, modulo their count
+    if how == "kind":
+        kind = draw(st.sampled_from(list(GATE_KINDS)))
+    elif how == "unknown kind":
+        kind = "cz"
+    elif how == "extra line":
+        lines += (draw(st.integers(1, width)),)
+    elif how == "missing line":
+        lines = lines[:-1]
+    elif how == "dropped parameter" and params:
+        j %= len(params)
+        params = params[:j] + params[j + 1 :]
+    elif how == "entry":
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e200]))
+        params = _replace_at(params, j, value)
+    elif how == "line":
+        lines = _replace_at(lines, j, draw(st.sampled_from([0, width, width + 1, 2**70])))
+    elif how == "repeated line":
+        lines = lines[:1] * 2
+    elif how == "perturbation" and params:
+        params = _replace_at(params, j, params[j % len(params)] + 1e-6)
+    return GateApp(kind, lines, params)
+
+
+@st.composite
+def _mutated_circuits(draw):
+    flavor = draw(st.sampled_from(["mg", "qc"]))
+    width = draw(st.integers(2, 6) if flavor == "mg" else st.integers(1, 4))
+    size = draw(st.sampled_from([1, 3, 40, 511, 512, 513, 700, 1025]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if flavor == "mg":
+        base = randgen.random_matchgate_circuit(width, size, rng)
+    else:
+        base = randgen.random_general_circuit(width, size, rng)
+    gates = list(base.gates)
+    for _ in range(draw(st.integers(0, 6))):
+        at = draw(st.integers(0, size - 1))
+        gates[at] = draw(_mutated_gate(gates[at], width))
+    if flavor == "qc":
+        return GeneralCircuit(width, tuple(gates), base.input)
+    idle = draw(st.booleans())
+    return MatchgateCircuit(width, tuple(gates), base.input, allow_idle=idle)
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(_mutated_circuits())
+def test_array_validator_matches_the_per_gate_loop(circuit):
+    with np.errstate(all="ignore"):
+        expected = reference_validate(circuit)
+        assert validate(circuit) == expected
+        if circuit.flavor == "mg" and expected:
+            # The simulation's run reader reports the same violations.
+            with pytest.raises(ValidationError) as err:
+                simulate_expectation(circuit)
+            assert err.value.violations == expected

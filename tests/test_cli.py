@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -156,12 +157,48 @@ def test_expand_reaches_the_exponential_width(tmp_path, capsys):
     assert run_cli("verify", str(f), str(out), "--tol", "1e-8") == 0
 
 
-def test_expand_guard_and_force(tmp_path):
+def test_expand_guard_and_force(tmp_path, capsys):
     f = tmp_path / "wide.qc"
     out = tmp_path / "wide.mg"
     f.write_text("circuit qc width=5 input=00000\nh 1\n")
     assert run_cli("expand", str(f), str(out)) == 3
     assert run_cli("expand", str(f), str(out), "--force") == 0
+    # --force has its own ceiling, checked before anything is built.
+    f.write_text(f"circuit qc width=20 input={'0' * 20}\nh 1\n")
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert run_cli("expand", str(f), str(out), "--force") == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("guard: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{qc}", "{qc}", "--lhs", "mgsim"],
+        ["verify", "{qc}", "{qc}", "--lines", "1", "9"],
+        ["verify", "{qc}", "{qc}", "--lines", "0", "1"],
+        ["verify", "{qc}", "{qc}", "--tol", "nan"],
+        ["verify", "{qc}", "{qc}", "--tol", "-1"],
+        ["verify", "{qc}", "{qc}", "--tol", "inf"],
+        ["gen-random", "mg", "1", "10", "{out}"],
+        ["gen-random", "qc", "0", "10", "{out}"],
+        ["gen-random", "mg", "3", "-2", "{out}"],
+        ["gen-random", "qc", "-1", "3", "{out}"],
+        ["gen-random", "mg", "3", "5", "{out}", "--seed", "-1"],
+    ],
+)
+def test_bad_arguments_exit_2(tmp_path, capsys, argv):
+    qc = tmp_path / "c.qc"
+    qc.write_text(SMALL_QC)
+    argv = [a.format(qc=qc, out=tmp_path / "out") for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    assert code == 2
+    assert "internal error" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_detects_a_perturbed_angle(tmp_path, capsys):
