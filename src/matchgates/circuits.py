@@ -17,9 +17,10 @@ repr(), which round-trips exactly.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -96,8 +97,8 @@ class GateApp:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "lines", tuple(int(l) for l in self.lines))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        object.__setattr__(self, "lines", tuple(map(int, self.lines)))
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
 
 
 @dataclass(frozen=True)
@@ -150,12 +151,7 @@ def complex_from_reals(params: tuple[float, ...] | list[float]) -> np.ndarray:
 
 def reals_from_complex(m: np.ndarray) -> tuple[float, ...]:
     """Flatten a complex matrix row-major into (re, im, re, im, ...)."""
-    m = np.asarray(m, dtype=complex).ravel()
-    out: list[float] = []
-    for z in m:
-        out.append(float(z.real))
-        out.append(float(z.imag))
-    return tuple(out)
+    return tuple(np.asarray(m, dtype=complex).ravel().view(float).tolist())
 
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -440,29 +436,56 @@ def validate_or_raise(circuit: Circuit) -> None:
 # text format
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# serialize_circuit keeps at most this many formatted gates, so a circuit
+# whose gates never repeat is written in flat memory.
+_GATE_CACHE_SIZE = 1024
+
+
+def _gate_text(index: int, g: GateApp) -> str:
+    """Gate `index` (1-based) as one line of the text format."""
+    toks = [g.kind, *map(str, g.lines)]
+    p = g.params
+    if g.kind == "rot":
+        if not p[0].is_integer():
+            raise ValueError(f"gate {index} (rot): plane must be an integer, got {p[0]!r}")
+        toks += (f"plane={int(p[0])}", f"theta={p[1]!r}")
+    elif g.kind == "mg":
+        toks += ("a=" + ",".join(map(repr, p[:8])), "b=" + ",".join(map(repr, p[8:])))
+    elif g.kind in ("u1", "u2", "cu1"):
+        toks.append("m=" + ",".join(map(repr, p)))
+    return " ".join(toks)
 
 
 def serialize_circuit(circuit: Circuit) -> str:
-    """Render a circuit in the text format (always ends with a newline)."""
+    """Render a circuit in the text format (always ends with a newline).
+
+    Every float is written with repr(), so the text is fixed by the circuit's
+    values bit for bit (-0.0 stays -0.0).  Each distinct gate is formatted
+    once per call and its repeats are written from that text: the compilers
+    emit a few hundred distinct gates many thousand times.  The cache key
+    holds the parameters' packed bytes, since a float key would let 0.0
+    stand in for -0.0.
+    """
     head = [f"circuit {circuit.flavor}", f"width={circuit.width}", f"input={circuit.input}"]
     if circuit.flavor == "mg":
         head.append(f"measure={circuit.measure_line}")
         if circuit.allow_idle:
             head.append("idle=1")
     lines = [" ".join(head)]
-    for g in circuit.gates:
-        toks = [g.kind] + [str(l) for l in g.lines]
-        if g.kind == "rot":
-            toks.append(f"plane={int(g.params[0])}")
-            toks.append(f"theta={_fmt(g.params[1])}")
-        elif g.kind == "mg":
-            toks.append("a=" + ",".join(_fmt(p) for p in g.params[:8]))
-            toks.append("b=" + ",".join(_fmt(p) for p in g.params[8:]))
-        elif g.kind in ("u1", "u2", "cu1"):
-            toks.append("m=" + ",".join(_fmt(p) for p in g.params))
-        lines.append(" ".join(toks))
+    texts: dict[tuple[str, tuple[int, ...], bytes], str] = {}
+    packers: dict[int, Callable[..., bytes]] = {}  # by parameter count
+    for index, g in enumerate(circuit.gates, start=1):
+        p = g.params
+        pack = packers.get(len(p))
+        if pack is None:
+            pack = packers[len(p)] = struct.Struct(f"{len(p)}d").pack
+        key = (g.kind, g.lines, pack(*p))
+        text = texts.get(key)
+        if text is None:
+            if len(texts) == _GATE_CACHE_SIZE:
+                texts.clear()
+            text = texts[key] = _gate_text(index, g)
+        lines.append(text)
     return "\n".join(lines) + "\n"
 
 
@@ -484,7 +507,7 @@ def _parse_int(val: str, what: str, lineno: int) -> int:
 
 def _parse_floats(val: str, what: str, lineno: int) -> tuple[float, ...]:
     try:
-        return tuple(float(t) for t in val.split(","))
+        return tuple(map(float, val.split(",")))
     except ValueError:
         raise ParseError(f"bad {what} value {val!r}", lineno) from None
 
@@ -498,10 +521,9 @@ def parse_circuit(text: str) -> Circuit:
     header_line = 0
     gates: list[GateApp] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
             continue
-        toks = line.split()
         if header is None:
             if toks[0] != "circuit":
                 raise ParseError(f"expected 'circuit' header, got {toks[0]!r}", lineno)
@@ -554,7 +576,10 @@ def _parse_gate(toks: list[str], lineno: int) -> GateApp:
     _, nlines, nparams = sig
     if len(toks) < 1 + nlines:
         raise ParseError(f"{kind} needs {nlines} line argument(s)", lineno)
-    lines = tuple(_parse_int(t, "line", lineno) for t in toks[1 : 1 + nlines])
+    try:
+        lines = tuple(map(int, toks[1 : 1 + nlines]))
+    except ValueError:  # name the first bad token
+        lines = tuple(_parse_int(t, "line", lineno) for t in toks[1 : 1 + nlines])
     rest = toks[1 + nlines :]
     kv = {}
     for tok in rest:

@@ -1,6 +1,8 @@
 """Circuit containers, the text format, validation, and gate matrices."""
 
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -425,3 +427,293 @@ def test_array_validator_matches_the_per_gate_loop(circuit):
             with pytest.raises(ValidationError) as err:
                 simulate_expectation(circuit)
             assert err.value.violations == expected
+
+
+def reference_serialize(circuit) -> str:
+    """The serializer that formatted every float of every gate, kept as the
+    oracle of `serialize_circuit`, which must write exactly this text."""
+
+    def _fmt(x: float) -> str:
+        return repr(float(x))
+
+    head = [f"circuit {circuit.flavor}", f"width={circuit.width}", f"input={circuit.input}"]
+    if circuit.flavor == "mg":
+        head.append(f"measure={circuit.measure_line}")
+        if circuit.allow_idle:
+            head.append("idle=1")
+    lines = [" ".join(head)]
+    for g in circuit.gates:
+        toks = [g.kind] + [str(l) for l in g.lines]
+        if g.kind == "rot":
+            toks.append(f"plane={int(g.params[0])}")
+            toks.append(f"theta={_fmt(g.params[1])}")
+        elif g.kind == "mg":
+            toks.append("a=" + ",".join(_fmt(p) for p in g.params[:8]))
+            toks.append("b=" + ",".join(_fmt(p) for p in g.params[8:]))
+        elif g.kind in ("u1", "u2", "cu1"):
+            toks.append("m=" + ",".join(_fmt(p) for p in g.params))
+        lines.append(" ".join(toks))
+    return "\n".join(lines) + "\n"
+
+
+def test_serialize_keeps_the_sign_of_zero_in_repeated_blocks():
+    m = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+    flipped = m[:3] + (-0.0,) + m[4:]
+    gates = tuple(GateApp("u1", (1,), p) for p in (m, flipped, m, flipped))
+    circuit = GeneralCircuit(1, gates, "0")
+    text = serialize_circuit(circuit)
+    assert text.splitlines()[1:3] == [
+        "u1 1 m=1.0,0.0,0.0,0.0,0.0,0.0,1.0,0.0",
+        "u1 1 m=1.0,0.0,0.0,-0.0,0.0,0.0,1.0,0.0",
+    ]
+    assert text == reference_serialize(circuit)
+
+
+@pytest.mark.parametrize("plane", [2.5, math.nan, math.inf])
+def test_serialize_refuses_a_non_integral_rot_plane(plane):
+    # Truncating 2.5 to 2 would turn an invalid circuit into a valid one.
+    gates = (GateApp("w", (1,)), GateApp("rot", (1,), (plane, 0.1)))
+    message = f"gate 2 (rot): plane must be an integer, got {plane!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        serialize_circuit(MatchgateCircuit(2, gates, "00"))
+
+
+# Reals the text format must keep bit for bit: signed zeros, subnormals and
+# the ends of the double range.
+EDGE_REALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308]
+_reals = st.sampled_from(EDGE_REALS) | st.floats()
+
+
+@st.composite
+def _gate_with_params(draw, kind: str, width: int, params: tuple) -> GateApp:
+    nlines = GATE_KINDS[kind][1]
+    lines = tuple(draw(st.integers(1, width)) for _ in range(nlines))
+    if kind == "rot":
+        params = (float(draw(st.integers(1, 6))), params[1])
+    return GateApp(kind, lines, params)
+
+
+@st.composite
+def _circuits_with_repeated_blocks(draw):
+    flavor = draw(st.sampled_from(["mg", "qc"]))
+    width = draw(st.integers(2, 5))
+    kinds = [k for k, sig in GATE_KINDS.items() if sig[0] == flavor]
+    # A few blocks per parameter count, each also with the signs of its zeros
+    # flipped, so that blocks equal as floats but not as bits share a slot.
+    pools = {}
+    for n in {GATE_KINDS[k][2] for k in kinds}:
+        blocks = draw(st.lists(st.tuples(*[_reals] * n), min_size=1, max_size=3))
+        pools[n] = blocks + [tuple(-x if x == 0 else x for x in b) for b in blocks]
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(kinds))
+        params = draw(st.sampled_from(pools[GATE_KINDS[kind][2]]))
+        gates.append(draw(_gate_with_params(kind, width, params)))
+    if flavor == "qc":
+        return GeneralCircuit(width, tuple(gates), "0" * width)
+    return MatchgateCircuit(width, tuple(gates), "0" * width, 1, draw(st.booleans()))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_circuits_with_repeated_blocks(), st.sampled_from([1, 2, 1024]))
+def test_serialize_matches_the_reference_byte_for_byte(circuit, cache_size):
+    # A small cache makes the gates repeat across clears.
+    with mock.patch.object(circuits, "_GATE_CACHE_SIZE", cache_size):
+        assert serialize_circuit(circuit) == reference_serialize(circuit)
+
+
+def reference_parse(text: str):
+    """The parser that converted every value twice, kept as the oracle of
+    `parse_circuit`: same circuit, or the same error on the same line."""
+
+    def _parse_kv(tok: str, lineno: int) -> tuple[str, str]:
+        if "=" not in tok:
+            raise ParseError(f"expected key=value, got {tok!r}", lineno)
+        key, _, val = tok.partition("=")
+        if not key or not val:
+            raise ParseError(f"malformed key=value token {tok!r}", lineno)
+        return key, val
+
+    def _parse_int(val: str, what: str, lineno: int) -> int:
+        try:
+            return int(val)
+        except ValueError:
+            raise ParseError(f"{what} must be an integer, got {val!r}", lineno) from None
+
+    def _parse_floats(val: str, what: str, lineno: int) -> tuple[float, ...]:
+        try:
+            return tuple(float(t) for t in val.split(","))
+        except ValueError:
+            raise ParseError(f"bad {what} value {val!r}", lineno) from None
+
+    def _parse_gate(toks: list[str], lineno: int) -> GateApp:
+        kind = toks[0]
+        sig = GATE_KINDS.get(kind)
+        if sig is None:
+            raise ParseError(f"unknown gate kind {kind!r}", lineno)
+        _, nlines, nparams = sig
+        if len(toks) < 1 + nlines:
+            raise ParseError(f"{kind} needs {nlines} line argument(s)", lineno)
+        lines = tuple(_parse_int(t, "line", lineno) for t in toks[1 : 1 + nlines])
+        rest = toks[1 + nlines :]
+        kv = {}
+        for tok in rest:
+            key, val = _parse_kv(tok, lineno)
+            if key in kv:
+                raise ParseError(f"duplicate field {key!r}", lineno)
+            kv[key] = val
+
+        params: tuple[float, ...] = ()
+        if kind == "rot":
+            if set(kv) != {"plane", "theta"}:
+                raise ParseError("rot needs plane= and theta=", lineno)
+            plane = _parse_int(kv["plane"], "plane", lineno)
+            theta = _parse_floats(kv["theta"], "theta", lineno)
+            if len(theta) != 1:
+                raise ParseError("theta must be a single real", lineno)
+            params = (float(plane), theta[0])
+        elif kind == "mg":
+            if set(kv) != {"a", "b"}:
+                raise ParseError("mg needs a= and b=", lineno)
+            a = _parse_floats(kv["a"], "a", lineno)
+            b = _parse_floats(kv["b"], "b", lineno)
+            if len(a) != 8 or len(b) != 8:
+                raise ParseError("mg blocks take 8 reals each", lineno)
+            params = a + b
+        elif kind in ("u1", "u2", "cu1"):
+            if set(kv) != {"m"}:
+                raise ParseError(f"{kind} needs m=", lineno)
+            params = _parse_floats(kv["m"], "m", lineno)
+            if len(params) != nparams:
+                raise ParseError(f"{kind} takes {nparams} reals, got {len(params)}", lineno)
+        else:
+            if kv:
+                raise ParseError(f"{kind} takes no parameters", lineno)
+        return GateApp(kind, lines, params)
+
+    header: list[str] | None = None
+    header_line = 0
+    gates: list[GateApp] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        toks = line.split()
+        if header is None:
+            if toks[0] != "circuit":
+                raise ParseError(f"expected 'circuit' header, got {toks[0]!r}", lineno)
+            header = toks
+            header_line = lineno
+            continue
+        gates.append(_parse_gate(toks, lineno))
+    if header is None:
+        raise ParseError("empty input: no circuit header")
+
+    if len(header) < 2 or header[1] not in ("mg", "qc"):
+        raise ParseError("header must name a flavor, 'mg' or 'qc'", header_line)
+    flavor = header[1]
+    fields: dict[str, str] = {}
+    for tok in header[2:]:
+        key, val = _parse_kv(tok, header_line)
+        if key in fields:
+            raise ParseError(f"duplicate header field {key!r}", header_line)
+        fields[key] = val
+    for key in fields:
+        if key not in ("width", "input", "measure", "idle"):
+            raise ParseError(f"unknown header field {key!r}", header_line)
+    if "width" not in fields or "input" not in fields:
+        raise ParseError("header needs width= and input=", header_line)
+    width = _parse_int(fields["width"], "width", header_line)
+    inp = fields["input"]
+
+    if flavor == "mg":
+        if "measure" not in fields:
+            raise ParseError("mg header needs measure=", header_line)
+        measure = _parse_int(fields["measure"], "measure", header_line)
+        idle = _parse_int(fields.get("idle", "0"), "idle", header_line)
+        if idle not in (0, 1):
+            raise ParseError("idle must be 0 or 1", header_line)
+        circuit = MatchgateCircuit(width, tuple(gates), inp, measure, bool(idle))
+    else:
+        if "measure" in fields or "idle" in fields:
+            raise ParseError("measure=/idle= apply only to mg circuits", header_line)
+        circuit = GeneralCircuit(width, tuple(gates), inp)
+    validate_or_raise(circuit)
+    return circuit
+
+
+# Replacements for a line number, a plane or one real of a parameter list.
+ODD_NUMBERS = ["1.0", "0x1", "1_0", "-0", "+1", "01", "1e0", "", "nan", "-inf", "1e999", "٣"]
+
+
+def _mutate_token(draw, tok: str) -> list[str]:
+    """A drawn edit of one token of a gate line, as the tokens replacing it."""
+    key, eq, val = tok.partition("=")
+    how = draw(
+        st.sampled_from(
+            ["number", "empty value", "double =", "duplicate", "drop", "extra", "trailing comma", "two values"]
+        )
+    )
+    if how == "number":
+        if not eq:
+            return [draw(st.sampled_from(ODD_NUMBERS)) or "="]
+        vals = val.split(",")
+        vals[draw(st.integers(0, len(vals) - 1))] = draw(st.sampled_from(ODD_NUMBERS))
+        return [f"{key}={','.join(vals)}"]
+    if how == "empty value":
+        return [f"{key}=" if eq else "="]
+    if how == "double =":
+        return [f"{key}=={val}" if eq else f"{tok}==1"]
+    if how == "duplicate":
+        return [tok, tok]
+    if how == "drop":
+        return []
+    if how == "extra":
+        return [tok, draw(st.sampled_from(["theta=1", "m=1", "plane=2", "q=1", "7", "a"]))]
+    if how == "trailing comma":
+        return [tok + ","]
+    return [f"{key}={val},{val}" if eq else f"{tok},{tok}"]
+
+
+@st.composite
+def _mutated_texts(draw):
+    flavor = draw(st.sampled_from(["mg", "qc"]))
+    width = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 6))
+    if flavor == "mg":
+        base = randgen.random_matchgate_circuit(width, size, rng)
+    else:
+        base = randgen.random_general_circuit(width, size, rng)
+    lines = serialize_circuit(base).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(1, len(lines) - 1) | st.just(0))  # mostly a gate line
+        toks = lines[at].split()
+        how = draw(st.sampled_from(["token", "comment", "comment line"] if toks else ["comment line"]))
+        if how == "token":
+            j = draw(st.integers(1, len(toks) - 1) if len(toks) > 1 else st.just(0))
+            toks[j : j + 1] = _mutate_token(draw, toks[j])
+            lines[at] = " ".join(toks)
+        elif how == "comment":
+            cut = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:cut] + " # " + lines[at][cut:]
+        else:
+            lines.insert(at, draw(st.sampled_from(["# note", "", "   ", "#"])))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        circuit = parse(text)
+    except (ParseError, ValidationError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+    return circuit, reference_serialize(circuit)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_mutated_texts())
+def test_parser_matches_the_reference_on_mutated_text(text):
+    # Any other exception fails the test: malformed text raises only
+    # ParseError or ValidationError.
+    with np.errstate(all="ignore"):
+        assert _parse_outcome(parse_circuit, text) == _parse_outcome(reference_parse, text)
