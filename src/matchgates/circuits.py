@@ -179,9 +179,7 @@ def gate_matrix(gate: GateApp) -> np.ndarray:
         return algebra.PAULI_X.copy()
     if kind == "h":
         return _HADAMARD.copy()
-    if kind == "u1":
-        return complex_from_reals(gate.params)
-    if kind == "u2":
+    if kind in ("u1", "u2"):
         return complex_from_reals(gate.params)
     if kind == "cu1":
         u = complex_from_reals(gate.params)
@@ -442,12 +440,23 @@ _GATE_CACHE_SIZE = 1024
 
 
 def _gate_text(index: int, g: GateApp) -> str:
-    """Gate `index` (1-based) as one line of the text format."""
+    """Gate `index` (1-based) as one line of the text format; ValueError for a
+    gate that the text would carry as another gate or as a line the parser refuses."""
+    sig, p = GATE_KINDS.get(g.kind), g.params
+    if sig is None:
+        problem = "unknown kind"
+    elif len(g.lines) != sig[1]:
+        problem = f"expected {sig[1]} line(s), got {len(g.lines)}"
+    elif len(p) != sig[2]:
+        problem = f"expected {sig[2]} parameter(s), got {len(p)}"
+    elif g.kind == "rot" and not (p[0].is_integer() and (p[0] or math.copysign(1, p[0]) > 0)):
+        problem = f"plane must be an integer, got {p[0]!r}"  # -0.0 would read back as 0.0
+    else:
+        problem = None
+    if problem:
+        raise ValueError(f"gate {index} ({g.kind}): {problem}")
     toks = [g.kind, *map(str, g.lines)]
-    p = g.params
     if g.kind == "rot":
-        if not p[0].is_integer():
-            raise ValueError(f"gate {index} (rot): plane must be an integer, got {p[0]!r}")
         toks += (f"plane={int(p[0])}", f"theta={p[1]!r}")
     elif g.kind == "mg":
         toks += ("a=" + ",".join(map(repr, p[:8])), "b=" + ",".join(map(repr, p[8:])))

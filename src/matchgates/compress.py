@@ -40,7 +40,7 @@ from .circuits import (
     reals_from_complex,
     validate_or_raise,
 )
-from .simulate import gate_rotation
+from .simulate import gate_rotations
 
 MAX_LABEL_DISTANCE = 3
 
@@ -296,14 +296,13 @@ def _rotation_pass(
     circuit: MatchgateCircuit, mu: int, invert: bool, ancilla: int
 ) -> Iterator[GateApp]:
     """Controlled R (or R^{-1} with `invert`), one matchgate at a time."""
-    gates = reversed(circuit.gates) if invert else iter(circuit.gates)
-    for g in gates:
-        factors = algebra.givens_factor(gate_rotation(g))
+    for k, rot in gate_rotations(circuit.gates, last_first=invert):
+        factors = algebra.givens_factor(rot)
         if invert:
             factors = [
                 algebra.PlaneRotation(f.a, f.b, -f.theta) for f in reversed(factors)
             ]
-        base = 2 * g.lines[0] - 2
+        base = 2 * k - 2
         for f in factors:
             yield from _controlled_two_level(
                 base + f.a, base + f.b, f.theta, mu, 1, ancilla

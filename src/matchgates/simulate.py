@@ -13,30 +13,26 @@ through the gate list in O(N + n) time and applies S(x) sparsely.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from . import algebra
 from .circuits import (
     KIND_CODES,
+    GateApp,
     GateColumns,
     GuardError,
     MatchgateCircuit,
-    complex_from_reals,
     mg_runs_last_first,
+    read_gates,
     validate_or_raise,
 )
 
 REFERENCE_MAX_WIDTH = 64
 
 # Rotation of the fermionic swap W: exchange dimensions (1, 2) <-> (3, 4).
-_ROT_W = np.array(
-    [
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-    ]
-)
+_ROT_W = np.eye(4)[[2, 3, 0, 1]]
 # Rotation of G(X, X).
 _ROT_GXX = np.diag([1.0, -1.0, -1.0, 1.0])
 
@@ -65,32 +61,10 @@ def _parse_bits(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def gate_rotation(gate) -> np.ndarray:
-    """The 4x4 rotation induced by one mg-flavor gate application."""
-    kind = gate.kind
-    if kind == "w":
-        return _ROT_W.copy()
-    if kind == "gxx":
-        return _ROT_GXX.copy()
-    if kind == "rot":
-        a, b = algebra.PLANES[int(gate.params[0]) - 1]
-        r = np.eye(4)
-        c, s = np.cos(gate.params[1]), np.sin(gate.params[1])
-        # rot stores exp(+(theta/2) c'_a c'_b), whose rotation carries
-        # [a, b] = +sin(theta): the transpose of the plane_rotation convention.
-        r[a - 1, a - 1] = c
-        r[b - 1, b - 1] = c
-        r[a - 1, b - 1] = s
-        r[b - 1, a - 1] = -s
-        return r
-    if kind == "mg":
-        a = complex_from_reals(gate.params[:8])
-        b = complex_from_reals(gate.params[8:])
-        return algebra.rotation_of_matchgate(algebra.make_matchgate(a, b))
-    raise ValueError(f"not an mg-flavor gate: {kind!r}")
-
-
 _MG_CHUNK = 4096
+# Gates per run that gate_rotations reads, so that a streaming consumer's
+# scratch memory stays small and flat in the gate count.
+_ROTATION_RUN = 64
 # Fewest gates in a layer that _propagate applies as one batch.
 _MIN_BATCH = 4
 
@@ -138,11 +112,9 @@ def _rot_transposed_rotations(params: np.ndarray) -> np.ndarray:
     c, s = np.cos(params[:, 1]), np.sin(params[:, 1])
     out = np.broadcast_to(np.eye(4), (len(params), 4, 4)).copy()
     i = np.arange(len(params))
-    # The transpose of gate_rotation's rot matrix: [a, b] = -sin, [b, a] = +sin.
-    out[i, a, a] = c
-    out[i, b, b] = c
-    out[i, a, b] = -s
-    out[i, b, a] = s
+    # rot stores exp(+(theta/2) c'_a c'_b): R[a, b] = +sin, so R^T[a, b] = -sin.
+    out[i, a, a] = out[i, b, b] = c
+    out[i, a, b], out[i, b, a] = -s, s
     return out
 
 
@@ -155,6 +127,22 @@ def _transposed_rotations(cols: GateColumns) -> np.ndarray:
     rots[kinds == KIND_CODES["rot"]] = _rot_transposed_rotations(cols.rows("rot"))
     rots[kinds == KIND_CODES["mg"]] = _mg_transposed_rotations(cols.rows("mg"))
     return rots
+
+
+def gate_rotations(
+    gates: tuple[GateApp, ...], last_first: bool = False
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(lower line k, 4x4 rotation R) of each gate, acting on dimensions
+    2k-1 .. 2k+2, in circuit order or, with `last_first`, in reverse.
+
+    The gates must be valid mg-flavor gates.  They are read _ROTATION_RUN at
+    a time through the batched closed form of the fast path.
+    """
+    starts = range(0, len(gates), _ROTATION_RUN)
+    for lo in reversed(starts) if last_first else starts:
+        cols = read_gates(gates[lo : lo + _ROTATION_RUN])
+        run = zip(cols.lines.tolist(), _transposed_rotations(cols).transpose(0, 2, 1))
+        yield from reversed(list(run)) if last_first else run
 
 
 def _propagate(
@@ -259,11 +247,10 @@ def circuit_rotation(circuit: MatchgateCircuit) -> np.ndarray:
         raise GuardError(
             f"width {circuit.width} exceeds the reference-path guard of {REFERENCE_MAX_WIDTH}"
         )
-    n = circuit.width
-    r = np.eye(2 * n)
-    for g in circuit.gates:
-        w = 2 * g.lines[0] - 2
-        r[w : w + 4, :] = gate_rotation(g) @ r[w : w + 4, :]
+    r = np.eye(2 * circuit.width)
+    for k, rot in gate_rotations(circuit.gates):
+        w = 2 * k - 2
+        r[w : w + 4, :] = rot @ r[w : w + 4, :]
     return r
 
 

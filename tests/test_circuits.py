@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from matchgates import algebra, circuits, randgen
@@ -478,6 +478,25 @@ def test_serialize_refuses_a_non_integral_rot_plane(plane):
         serialize_circuit(MatchgateCircuit(2, gates, "00"))
 
 
+@pytest.mark.parametrize(
+    "gate, problem",
+    [
+        (GateApp("w", (1,), (1.0,)), "expected 0 parameter(s), got 1"),
+        (GateApp("rot", (1,), (2.0, 0.1, 0.3)), "expected 2 parameter(s), got 3"),
+        (GateApp("mg", (1,), _mg_params_identity()[:15]), "expected 16 parameter(s), got 15"),
+        (GateApp("gxx", (1, 2)), "expected 1 line(s), got 2"),
+        (GateApp("cz", (1,)), "unknown kind"),
+        (GateApp("rot", (1,), (-0.0, 0.1)), "plane must be an integer, got -0.0"),
+    ],
+)
+def test_serialize_refuses_a_gate_the_text_would_change(gate, problem):
+    # `w 1` with a parameter would be written as `w 1`, a different, valid gate.
+    gates = (GateApp("w", (1,)), gate)
+    message = f"gate 2 ({gate.kind}): {problem}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        serialize_circuit(MatchgateCircuit(2, gates, "00"))
+
+
 # Reals the text format must keep bit for bit: signed zeros, subnormals and
 # the ends of the double range.
 EDGE_REALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308]
@@ -717,3 +736,73 @@ def test_parser_matches_the_reference_on_mutated_text(text):
     # ParseError or ValidationError.
     with np.errstate(all="ignore"):
         assert _parse_outcome(parse_circuit, text) == _parse_outcome(reference_parse, text)
+
+
+# Parameter values for gates of any shape: signed zeros, non-integral and
+# non-finite values and any float; and rot planes in and out of 1..6.
+_ANY_PARAM = st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e300, math.nan, math.inf]) | st.floats()
+_ANY_PLANE = st.sampled_from([1.0, 6.0, 0.0, -0.0, 7.0, -3.0, 2.5, 1e300, math.nan])
+_SHAPES = ("kind's", "kind's", "extra line", "missing line", "extra parameter", "missing parameter")
+
+
+@st.composite
+def _any_gate(draw, width: int) -> GateApp:
+    """A GateApp of any kind, known to either flavor or unknown, with the
+    kind's counts of lines and parameters or with one too few or too many."""
+    kind = draw(st.sampled_from([*GATE_KINDS, "cz", "", "W", "w 1"]))
+    _, nlines, nparams = GATE_KINDS.get(kind, ("", 1, 0))
+    shape = draw(st.sampled_from(_SHAPES))
+    nlines += (shape == "extra line") - (shape == "missing line")
+    nparams += (shape == "extra parameter") - (shape == "missing parameter" and nparams > 0)
+    lines = tuple(draw(st.sampled_from([*range(-1, width + 2), 2**70])) for _ in range(nlines))
+    params = [draw(_ANY_PARAM) for _ in range(nparams)]
+    if kind == "rot" and params:
+        params[0] = draw(_ANY_PLANE)
+    return GateApp(kind, lines, tuple(params))
+
+
+@st.composite
+def _circuits_of_any_gates(draw):
+    flavor = draw(st.sampled_from(["mg", "qc"]))
+    width = draw(st.integers(2, 4) if flavor == "mg" else st.integers(1, 3))
+    # At most one odd gate, so that no other one masks its fault.
+    odd = draw(st.none() | _any_gate(width))
+    size = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if flavor == "mg":
+        gates = list(randgen.random_matchgate_circuit(width, size, rng).gates)
+    else:
+        gates = list(randgen.random_general_circuit(width, size, rng).gates)
+    if odd is not None:
+        gates.insert(draw(st.integers(0, len(gates))), odd)
+    if flavor == "qc":
+        return GeneralCircuit(width, tuple(gates), "0" * width)
+    return MatchgateCircuit(width, tuple(gates), "0" * width, 1, draw(st.booleans()))
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_circuits_of_any_gates())
+@example(MatchgateCircuit(2, (GateApp("w", (1,), (1.0,)),), "00"))
+@example(MatchgateCircuit(2, (GateApp("rot", (1,), (-0.0, 0.5)),), "00"))
+@example(GeneralCircuit(1, (GateApp("u1", (1,), _mg_params_identity()[:7]),), "0"))
+def test_serialize_raises_or_round_trips_any_gates(circuit):
+    # The text either carries the circuit itself, which parses back equal or
+    # with validate's own verdict, or serialize refuses an invalid circuit.
+    with np.errstate(all="ignore"):
+        violations = validate(circuit)
+        try:
+            text = serialize_circuit(circuit)
+        except ValueError as err:
+            assert violations and re.match(r"gate \d+ \(", str(err))
+            return
+        try:
+            again = parse_circuit(text)
+        except ValidationError as err:
+            assert err.violations == violations
+        else:
+            assert not violations and again == circuit

@@ -159,19 +159,29 @@ def test_oracle_statevector_norm_for_random_inputs(rng):
     assert basis_state("10101").shape == state.shape
 
 
-def test_closed_form_rotations_match_the_trace_formula(rng):
-    from matchgates import algebra
-    from matchgates.circuits import reals_from_complex
-    from matchgates.simulate import _mg_transposed_rotations
+def test_closed_form_rotations_match_the_trace_formula(rng, monkeypatch):
+    from matchgates import algebra, simulate
+    from matchgates.circuits import gate_matrix, reals_from_complex
 
-    blocks = []
+    gates = [GateApp("w", (1,)), GateApp("gxx", (1,))]
+    for plane in range(1, 7):
+        for theta in (0.0, np.pi, -np.pi, rng.uniform(-np.pi, np.pi)):
+            gates.append(GateApp("rot", (1,), (float(plane), theta)))
     for _ in range(50):
         a, b = randgen.haar_unitaries_2x2(2, rng) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-        blocks.append((a, b * np.sqrt(np.linalg.det(a) / np.linalg.det(b))))
-    params = np.array([reals_from_complex(a) + reals_from_complex(b) for a, b in blocks])
-    for (a, b), rt in zip(blocks, _mg_transposed_rotations(params)):
-        g = algebra.make_matchgate(a, b)
-        assert np.abs(rt - algebra.rotation_of_matchgate(g).T).max() <= 1e-14
+        b = b * np.sqrt(np.linalg.det(a) / np.linalg.det(b))
+        gates.append(GateApp("mg", (1,), reals_from_complex(a) + reals_from_complex(b)))
+    gates = tuple(
+        GateApp(g.kind, (int(rng.integers(1, 6)),), g.params)
+        for g in (gates[i] for i in rng.permutation(len(gates)))
+    )
+    monkeypatch.setattr(simulate, "_ROTATION_RUN", 7)  # 76 gates: runs end mid-circuit
+    for last_first in (False, True):
+        rotations = list(simulate.gate_rotations(gates, last_first))
+        assert len(rotations) == len(gates)
+        for g, (k, r) in zip(gates[::-1] if last_first else gates, rotations):
+            assert k == g.lines[0]
+            assert np.abs(r - algebra.rotation_of_matchgate(gate_matrix(g))).max() <= 1e-14
 
 
 def _walk_circuit(n: int, size: int, rng) -> MatchgateCircuit:

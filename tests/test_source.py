@@ -17,3 +17,17 @@ def test_library_code_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def test_only_the_oracle_calls_the_trace_formula():
+    # simulate's batched closed form is the one matchgate -> SO(4) map; the
+    # trace formula in algebra.py stays as the oracle that checks it.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name not in ("algebra.py", "oracle.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "rotation_of_matchgate"
+    ]
+    assert SOURCES and not found, found
