@@ -11,7 +11,10 @@ Two circuit flavors share one gate-application type:
 The text format is line-oriented: a header, then one gate per line, with `#`
 starting a comment.  Matrices are written row-major as comma-separated reals,
 real part before imaginary part for each entry.  Floats are serialized with
-repr(), which round-trips exactly.
+repr(), which round-trips exactly.  The parser reads gate lines straight into
+one GateColumns table; a parsed circuit's `gates` is a sequence over that
+table that equals, hashes and prints as the GateApp tuple, built only when
+the gates themselves are read.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
+from collections.abc import Sequence
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -101,6 +106,61 @@ class GateApp:
         object.__setattr__(self, "params", tuple(map(float, self.params)))
 
 
+def _gate(kind: str, lines: tuple[int, ...], params: tuple[float, ...]) -> GateApp:
+    """A GateApp of values that are already ints and floats: no second conversion."""
+    g = object.__new__(GateApp)
+    fields = g.__dict__
+    fields["kind"] = kind
+    fields["lines"] = lines
+    fields["params"] = params
+    return g
+
+
+class _ParsedGates(Sequence):
+    """The gates of a parsed circuit: its GateColumns `table`, read by
+    `validate` and the simulation, behind a read-only sequence that equals
+    the GateApp tuple.  Any use but len() builds that tuple once."""
+
+    __slots__ = ("table", "_built")
+
+    def __init__(self, table: GateColumns):
+        self.table = table
+        self._built: tuple[GateApp, ...] | None = None
+
+    @property
+    def _gates(self) -> tuple[GateApp, ...]:
+        if self._built is None:
+            self._built = _gate_apps(self.table)
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self.table.kinds)
+
+    def __getitem__(self, index):
+        return self._gates[index]
+
+    def __iter__(self):
+        return iter(self._gates)
+
+    def __reversed__(self):
+        return reversed(self._gates)
+
+    def __eq__(self, other):
+        return self._gates == other
+
+    def __hash__(self):
+        return hash(self._gates)
+
+    def __repr__(self) -> str:
+        return repr(self._gates)
+
+    def __add__(self, other):
+        return self._gates + other
+
+    def __radd__(self, other):
+        return other + self._gates
+
+
 @dataclass(frozen=True)
 class MatchgateCircuit:
     """A nearest-neighbour matchgate circuit with classical input and readout.
@@ -118,7 +178,8 @@ class MatchgateCircuit:
     flavor: str = field(default="mg", init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
+        if not isinstance(self.gates, _ParsedGates):
+            object.__setattr__(self, "gates", tuple(self.gates))
 
 
 @dataclass(frozen=True)
@@ -131,7 +192,8 @@ class GeneralCircuit:
     flavor: str = field(default="qc", init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
+        if not isinstance(self.gates, _ParsedGates):
+            object.__setattr__(self, "gates", tuple(self.gates))
 
 
 Circuit = MatchgateCircuit | GeneralCircuit
@@ -196,6 +258,7 @@ _VALIDATE_CHUNK = 512
 # Kind codes (positions in GATE_KINDS) and, by code, each kind's signature;
 # code -1 (an unknown kind) reads the last entry, which matches no gate.
 KIND_CODES = {kind: code for code, kind in enumerate(GATE_KINDS)}
+_KIND_NAMES = tuple(GATE_KINDS)
 _FLAVOR, _NLINES, _NPARAMS = map(np.array, zip(*GATE_KINDS.values(), ("", -1, -1)))
 
 
@@ -204,7 +267,8 @@ class GateColumns(NamedTuple):
 
     `kinds` holds KIND_CODES (-1 for an unknown kind); `lines` and `params`
     hold every gate's lines and parameters end to end, `nlines` and
-    `nparams` their counts per gate, and `line_at` each gate's first line.
+    `nparams` their counts per gate, and `line_at` and `param_at` the
+    offsets of each gate's first line and parameter.
     """
 
     kinds: np.ndarray
@@ -213,12 +277,39 @@ class GateColumns(NamedTuple):
     lines: np.ndarray
     params: np.ndarray
     line_at: np.ndarray
+    param_at: np.ndarray
 
     def rows(self, kind: str) -> np.ndarray:
         """The parameters of every `kind` gate, one row per gate; each must
         have the kind's parameter count."""
-        mine = np.repeat(self.kinds == KIND_CODES[kind], self.nparams)
-        return self.params[mine].reshape(-1, GATE_KINDS[kind][2])
+        width = GATE_KINDS[kind][2]
+        at = self.param_at[self.kinds == KIND_CODES[kind]]
+        if not len(at):
+            return np.empty((0, width))
+        # Row i of this view is params[i : i + width]; indexing it copies each
+        # gate's row in one piece.
+        p, step = self.params, self.params.strides[0]
+        return np.lib.stride_tricks.as_strided(p, (len(p) - width + 1, width), (step, step))[at]
+
+    def part(self, lo: int, hi: int) -> GateColumns:
+        """Gates lo .. hi - 1 (hi clipped to the gate count, lo below it)."""
+        hi = min(hi, len(self.kinds))
+        l0, l1 = self.line_at[lo], self.line_at[hi - 1] + self.nlines[hi - 1]
+        p0, p1 = self.param_at[lo], self.param_at[hi - 1] + self.nparams[hi - 1]
+        return GateColumns(
+            self.kinds[lo:hi],
+            self.nlines[lo:hi],
+            self.nparams[lo:hi],
+            self.lines[l0:l1],
+            self.params[p0:p1],
+            self.line_at[lo:hi] - l0,
+            self.param_at[lo:hi] - p0,
+        )
+
+
+def _columns(kinds, nlines, nparams, lines, params) -> GateColumns:
+    line_at, param_at = np.cumsum(nlines) - nlines, np.cumsum(nparams) - nparams
+    return GateColumns(kinds, nlines, nparams, lines, params, line_at, param_at)
 
 
 def read_gates(gates: tuple[GateApp, ...]) -> GateColumns:
@@ -235,7 +326,34 @@ def read_gates(gates: tuple[GateApp, ...]) -> GateColumns:
         big = np.array([*chain.from_iterable(lines)], dtype=object)
         line_col = np.clip(big, -(2**62), 2**62).astype(np.int64)
     param_col = np.fromiter(chain.from_iterable(params), float, nparams.sum())
-    return GateColumns(kinds, nlines, nparams, line_col, param_col, np.cumsum(nlines) - nlines)
+    return _columns(kinds, nlines, nparams, line_col, param_col)
+
+
+def _gate_apps(cols: GateColumns) -> tuple[GateApp, ...]:
+    """The GateApps of a table of known kinds."""
+
+    def cut(flat: list, at: np.ndarray, counts: np.ndarray) -> list[tuple]:
+        return [tuple(flat[a:b]) for a, b in zip(at.tolist(), (at + counts).tolist())]
+
+    kinds = [_KIND_NAMES[c] for c in cols.kinds.tolist()]
+    lines = cut(cols.lines.tolist(), cols.line_at, cols.nlines)
+    params = cut(cols.params.tolist(), cols.param_at, cols.nparams)
+    return tuple(map(_gate, kinds, lines, params))
+
+
+def _gate_chunks(
+    circuit: Circuit, size: int, last_first: bool = False
+) -> Iterator[tuple[int, GateColumns]]:
+    """(index of the first gate, columns) of each run of `size` gates, in
+    circuit order or the last run first: slices of a parsed circuit's table,
+    or read from `gates` for a circuit built in code."""
+    gates = circuit.gates
+    starts = range(0, len(gates), size)
+    for lo in reversed(starts) if last_first else starts:
+        if isinstance(gates, _ParsedGates):
+            yield lo, gates.table.part(lo, lo + size)
+        else:
+            yield lo, read_gates(gates[lo : lo + size])
 
 
 def _deviations(m: np.ndarray) -> np.ndarray:
@@ -274,7 +392,6 @@ def _chunk_violations(
     """
     flavor = circuit.flavor
     top = circuit.width - 1 if flavor == "mg" else circuit.width
-    gates = circuit.gates
     kinds, nlines, nparams = cols.kinds, cols.nlines, cols.nparams
     finite = np.isfinite(cols.params)
     nonfinite = np.zeros(len(kinds), dtype=bool)
@@ -299,7 +416,7 @@ def _chunk_violations(
     failed = np.logical_or.reduce([bad for bad, _ in structure])
     found = []
     for i in np.flatnonzero(failed).tolist():
-        g = gates[first + i]
+        g = circuit.gates[first + i]
         message = next(message for bad, message in structure if bad[i])
         want = GATE_KINDS.get(g.kind)
         counts = dict(nlines=len(g.lines), nparams=len(g.params))
@@ -312,7 +429,7 @@ def _chunk_violations(
     def check(kind, ok, message):
         if not ok.all():
             rows = np.flatnonzero(live.kinds == KIND_CODES[kind])[~ok]
-            found.extend((i, message(gates[first + i])) for i in rows.tolist())
+            found.extend((i, message(circuit.gates[first + i])) for i in rows.tolist())
 
     with np.errstate(all="ignore"):
         if flavor == "mg":
@@ -335,6 +452,7 @@ def _chunk_violations(
                     ok = _deviations(m.reshape(-1, d, d)) <= algebra.TOL_UNITARY
                     check(kind, ok, lambda g: _not_unitary("matrix", g.params))
     found.sort(key=lambda f: f[0])
+    gates = circuit.gates
     return [f"gate {first + i + 1} ({gates[first + i].kind}): {message}" for i, message in found]
 
 
@@ -358,11 +476,9 @@ def mg_runs_last_first(circuit: MatchgateCircuit, size: int) -> Iterator[GateCol
 
 def _mg_runs_last_first(circuit: MatchgateCircuit, size: int) -> Iterator[GateColumns]:
     width = circuit.width
-    gates = circuit.gates
     checked = getattr(circuit, "_valid", False)
     touched = np.zeros(width + 2, dtype=bool)
-    for lo in reversed(range(0, len(gates), size)):
-        cols = read_gates(gates[lo : lo + size])
+    for lo, cols in _gate_chunks(circuit, size, last_first=True):
         if not checked and _chunk_violations(circuit, lo, cols, touched):
             validate_or_raise(circuit)
         yield cols
@@ -405,8 +521,7 @@ def validate(circuit: Circuit) -> list[str]:
         return out
     idle_check = circuit.flavor == "mg" and not circuit.allow_idle
     touched = np.zeros(width + 2, dtype=bool) if idle_check else None
-    for lo in range(0, len(circuit.gates), _VALIDATE_CHUNK):
-        cols = read_gates(circuit.gates[lo : lo + _VALIDATE_CHUNK])
+    for lo, cols in _gate_chunks(circuit, _VALIDATE_CHUNK):
         out += _chunk_violations(circuit, lo, cols, touched)
     if idle_check:
         idle = (np.flatnonzero(~touched[1 : width + 1]) + 1).tolist()
@@ -524,24 +639,17 @@ def _parse_floats(val: str, what: str, lineno: int) -> tuple[float, ...]:
 def parse_circuit(text: str) -> Circuit:
     """Parse the text format; raises ParseError / ValidationError.
 
-    The returned circuit has passed `validate`.
+    The gate lines are read straight into one GateColumns table (`_read_table`);
+    text that reader is not sure of goes through the line parser instead,
+    which words the error and its line.  The returned circuit has passed
+    `validate`.
     """
-    header: list[str] | None = None
-    header_line = 0
-    gates: list[GateApp] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split("#", 1)[0].split()
-        if not toks:
-            continue
-        if header is None:
-            if toks[0] != "circuit":
-                raise ParseError(f"expected 'circuit' header, got {toks[0]!r}", lineno)
-            header = toks
-            header_line = lineno
-            continue
-        gates.append(_parse_gate(toks, lineno))
-    if header is None:
-        raise ParseError("empty input: no circuit header")
+    rows = text.splitlines()
+    read = None if "#" in text else _read_table(rows)
+    if read is None:
+        header, header_line, gates = _read_lines(rows)
+    else:
+        header, header_line, table = read
 
     if len(header) < 2 or header[1] not in ("mg", "qc"):
         raise ParseError("header must name a flavor, 'mg' or 'qc'", header_line)
@@ -560,7 +668,7 @@ def parse_circuit(text: str) -> Circuit:
     width = _parse_int(fields["width"], "width", header_line)
     inp = fields["input"]
 
-    circuit: Circuit
+    cls: type[MatchgateCircuit] | type[GeneralCircuit]
     if flavor == "mg":
         if "measure" not in fields:
             raise ParseError("mg header needs measure=", header_line)
@@ -568,13 +676,139 @@ def parse_circuit(text: str) -> Circuit:
         idle = _parse_int(fields.get("idle", "0"), "idle", header_line)
         if idle not in (0, 1):
             raise ParseError("idle must be 0 or 1", header_line)
-        circuit = MatchgateCircuit(width, tuple(gates), inp, measure, bool(idle))
+        cls, rest = MatchgateCircuit, (inp, measure, bool(idle))
     else:
         if "measure" in fields or "idle" in fields:
             raise ParseError("measure=/idle= apply only to mg circuits", header_line)
-        circuit = GeneralCircuit(width, tuple(gates), inp)
+        cls, rest = GeneralCircuit, (inp,)
+    circuit = cls(width, tuple(gates) if read is None else _ParsedGates(table), *rest)
     validate_or_raise(circuit)
     return circuit
+
+
+def _read_lines(rows: list[str]) -> tuple[list[str], int, list[GateApp]]:
+    """The line parser: header tokens, header line and gates, one line at a time."""
+    header: list[str] | None = None
+    header_line = 0
+    gates: list[GateApp] = []
+    for lineno, raw in enumerate(rows, start=1):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        if header is None:
+            if toks[0] != "circuit":
+                raise ParseError(f"expected 'circuit' header, got {toks[0]!r}", lineno)
+            header = toks
+            header_line = lineno
+            continue
+        gates.append(_parse_gate(toks, lineno))
+    if header is None:
+        raise ParseError("empty input: no circuit header")
+    return header, header_line, gates
+
+
+# Each kind's key=value fields after its lines, in the serializer's order, with
+# the reals each holds; a rot plane is an integer.
+_FIELDS = {kind: () for kind in GATE_KINDS} | {
+    "rot": (("plane=", 1), ("theta=", 1)),
+    "mg": (("a=", 8), ("b=", 8)),
+    "u1": (("m=", 8),),
+    "u2": (("m=", 32),),
+    "cu1": (("m=", 8),),
+}
+# By kind code (-1, an unknown kind, matches no line): the tokens on a gate
+# line, and each field's reals and its key after a newline (see _read_block).
+_NTOKENS = np.array([1 + GATE_KINDS[kind][1] + len(f) for kind, f in _FIELDS.items()] + [0])
+_FIELD_REALS = np.array(
+    [[n for _, n in f] + [0] * (2 - len(f)) for f in _FIELDS.values()] + [[0, 0]]
+)
+_FIELD_MARKS = np.array(
+    [["\n" + key for key, _ in f] + [""] * (2 - len(f)) for f in _FIELDS.values()] + [["", ""]],
+    dtype=object,
+)
+
+
+# Gate lines that _read_table reads at a time, so that its token strings stay
+# few while the table grows.
+_READ_BLOCK = 4096
+
+
+def _read_table(rows: list[str]) -> tuple[list[str], int, GateColumns] | None:
+    """Header tokens, header line and the gates as one table, or None at any doubt.
+
+    Every gate line must be its kind's serializer form: the kind, its line
+    numbers, then its fields in order, each value with the kind's count of
+    reals.  An unknown kind, another token count, a field out of order or
+    without its key, a value with another count of reals or a token that
+    int() or float() refuses is a doubt.
+    """
+    at = next((i for i, row in enumerate(rows) if row.split()), None)
+    header = rows[at].split() if at is not None else None
+    if header is None or header[0] != "circuit":
+        return None
+    blocks = []
+    for lo in range(at + 1, len(rows) + 1, _READ_BLOCK):  # at least one block, maybe empty
+        block = _read_block(rows[lo : lo + _READ_BLOCK])
+        if block is None:
+            return None
+        blocks.append(block)
+    return header, at + 1, _columns(*map(np.concatenate, zip(*blocks)))
+
+
+def _read_block(rows: list[str]) -> tuple[np.ndarray, ...] | None:
+    """Kinds, line counts, parameter counts, lines and parameters of some gate
+    lines, or None at any doubt.  Lines and rot planes are read by int() and
+    the reals by float(), one map each, so values are exactly the line parser's."""
+    body = [toks for toks in map(str.split, rows) if toks]
+    names = list(map(itemgetter(0), body))
+    n = len(body)
+    kinds = np.fromiter(map(KIND_CODES.get, names, repeat(-1)), np.intp, n)
+    ntoks = np.fromiter(map(len, body), np.intp, n)
+    if (ntoks != _NTOKENS[kinds]).any():
+        return None
+    nlines, nparams = _NLINES[kinds], _NPARAMS[kinds]
+    nfields = ntoks - 1 - nlines
+    # Every token end to end: each gate's kind, its lines, then its fields.
+    flat = list(chain.from_iterable(body))
+    first = np.cumsum(ntoks) - ntoks
+    line_at = np.cumsum(nlines) - nlines
+    field_at = np.cumsum(nfields) - nfields
+    line_tokens = np.repeat(first + 1 - line_at, nlines) + np.arange(nlines.sum())
+    field_tokens = np.repeat(first + 1 + nlines - field_at, nfields) + np.arange(nfields.sum())
+    fields = [flat[i] for i in field_tokens.tolist()]
+    # Joined by ",\n" and split at commas, the fields give their reals in gate
+    # order, but a field's first piece also holds its key and, after the
+    # first field, a newline before it.  Newlines sit only where fields do
+    # start, so the piece where each field is due to start begins with its
+    # newline and key exactly when every field has its key and its count of
+    # reals.  The key is cut; float() skips the newline.
+    reals = ",\n".join(fields).split(",") if fields else []
+    if len(reals) != nparams.sum():
+        return None
+    field_kinds = np.repeat(kinds, nfields)
+    which = np.arange(len(fields)) - np.repeat(field_at, nfields)  # field index in its line
+    nreals = _FIELD_REALS[field_kinds, which]
+    starts = (np.cumsum(nreals) - nreals).tolist()
+    heads, marks = [reals[i] for i in starts], _FIELD_MARKS[field_kinds, which].tolist()
+    if marks:
+        marks[0] = marks[0][1:]
+    if not all(map(str.startswith, heads, marks)):
+        return None
+    values = list(map(str.removeprefix, heads, marks))  # each field's first real
+    for i, value in zip(starts, values):
+        reals[i] = value
+    # A rot plane, its field's only real, is read again by int().
+    rot = kinds == KIND_CODES["rot"]
+    planes = [values[i] for i in field_at[rot].tolist()]
+    line_texts = [flat[i] for i in line_tokens.tolist()]
+    try:
+        lines = np.fromiter(map(int, line_texts), np.int64, len(line_texts))
+        params = np.fromiter(map(float, reals), float, len(reals))
+        plane_values = np.fromiter(map(int, planes), np.int64, len(planes))
+    except (ValueError, OverflowError):  # a token int() or float() refuses, or a huge line
+        return None
+    params[(np.cumsum(nparams) - nparams)[rot]] = plane_values
+    return kinds, nlines, nparams, lines, params
 
 
 def _parse_gate(toks: list[str], lineno: int) -> GateApp:

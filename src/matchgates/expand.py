@@ -49,6 +49,9 @@ from .circuits import (
 EXPAND_MAX_WIDTH = 4
 # The guard under --force: 5 Haar gates at 8 qubits emit 1.0M gates (5 s, 210 MiB, 2-core VM).
 EXPAND_FORCED_MAX_WIDTH = 8
+# expand refuses, before emitting anything, a circuit that would emit more
+# gates than this: 10 Haar gates at 8 qubits emit 1.85M gates (6.4 s, 252 MiB peak RSS, 2-core VM).
+EXPAND_MAX_GATES = 2_000_000
 
 # YT = iY: the real rotation by which realification represents multiplication
 # by -i on the extra rebit.
@@ -183,6 +186,13 @@ def _global_dim(local_dim: int, gate_lines: tuple[int, ...], spectators: tuple[i
     return index + 1
 
 
+def _ladder_lengths(da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """Gates two_level_to_matchgates emits for each plane (da, db): one local
+    rotation, or a swap ladder of kb - ka - 1 gates each way around it."""
+    ka, kb = (da + 1) // 2, (db + 1) // 2
+    return np.where(kb <= ka + 1, 1, 2 * (kb - ka) - 1)
+
+
 def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH) -> MatchgateCircuit:
     """Compile an m-qubit general circuit to a 2^{m+1}-line matchgate circuit.
 
@@ -204,29 +214,41 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
 
     rebits = m + 2  # + realification rebit B (line m+1) + gadget rebit A (last)
     n = 2 ** (rebits - 1)
-    out: list[GateApp] = []
 
-    # The Z_A layer: sign-flip of both dimensions of every odd-indexed pair,
-    # written as pi-rotations in the planes (4t-2, 4t).
-    pi_rot = algebra.rot2(math.pi)
-    for t in range(1, n // 2 + 1):
-        out.extend(two_level_to_matchgates(4 * t - 2, 4 * t, pi_rot, n))
-
-    # V_hat^T: the realified gates, transposed, in reverse order.
+    # V_hat^T: the realified gates, transposed, in reverse order.  Each is
+    # factored once into plane rotations; a factor acts on one plane per
+    # assignment of the spectator lines, whose bits add the same offset to
+    # both of its dimensions.
+    planes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (2x2 rotation, dims a, dims b)
     for g in reversed(widened.gates):
         u = gate_matrix(g)
         lines = tuple(l if l <= m else m + 2 for l in g.lines) + (m + 1,)
         rg = realify_gate(u, lines)
         real, lines = _permute_to_sorted(rg.matrix.T, rg.lines)
         spectators = tuple(q for q in range(1, rebits + 1) if q not in lines)
+        assignments = range(2 ** len(spectators))
+        offsets = np.array([_global_dim(1, (), spectators, s, rebits) - 1 for s in assignments])
         for f in algebra.givens_factor(real):
-            rot = algebra.rot2(f.theta)
-            for sigma in range(2 ** len(spectators)):
-                da = _global_dim(f.a, lines, spectators, sigma, rebits)
-                db = _global_dim(f.b, lines, spectators, sigma, rebits)
-                # Sorted lines make the dim order monotone in the local
-                # order, so da < db as two_level_to_matchgates requires.
-                out.extend(two_level_to_matchgates(da, db, rot, n))
+            # Sorted lines make the dim order monotone in the local order, so
+            # da < db as two_level_to_matchgates requires.
+            da = _global_dim(f.a, lines, (), 0, rebits) + offsets
+            db = _global_dim(f.b, lines, (), 0, rebits) + offsets
+            planes.append((algebra.rot2(f.theta), da, db))
+
+    # The Z_A layer emits one local gate per pair; a plane emits a ladder.
+    emitted = n // 2 + sum(int(_ladder_lengths(da, db).sum()) for _, da, db in planes)
+    if emitted > EXPAND_MAX_GATES:
+        raise GuardError(f"expanding would emit {emitted} gates; guard is {EXPAND_MAX_GATES}")
+
+    # The Z_A layer: sign-flip of both dimensions of every odd-indexed pair,
+    # written as pi-rotations in the planes (4t-2, 4t).
+    out: list[GateApp] = []
+    pi_rot = algebra.rot2(math.pi)
+    for t in range(1, n // 2 + 1):
+        out.extend(two_level_to_matchgates(4 * t - 2, 4 * t, pi_rot, n))
+    for rot, da, db in planes:
+        for a, b in zip(da.tolist(), db.tolist()):
+            out.extend(two_level_to_matchgates(a, b, rot, n))
 
     result = MatchgateCircuit(n, tuple(out), "0" * n, 1)
     validate_or_raise(result)

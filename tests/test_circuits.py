@@ -708,17 +708,30 @@ def _mutated_texts(draw):
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(1, len(lines) - 1) | st.just(0))  # mostly a gate line
         toks = lines[at].split()
-        how = draw(st.sampled_from(["token", "comment", "comment line"] if toks else ["comment line"]))
+        hows = ["token", "swap", "shift", "bare", "plane", "comment", "comment line"]
+        how = draw(st.sampled_from(hows if toks else ["comment line"]))
         if how == "token":
             j = draw(st.integers(1, len(toks) - 1) if len(toks) > 1 else st.just(0))
             toks[j : j + 1] = _mutate_token(draw, toks[j])
             lines[at] = " ".join(toks)
+        elif how == "swap":  # b=... a=..., theta=... plane=..., m=... before a line
+            toks[-2:] = toks[-2:][::-1]
+            lines[at] = " ".join(toks)
+        elif how == "shift":  # the last real of one field becomes the first of the next
+            lines[at] = re.sub(r",([^,\s]*) (\w+=)", r" \2\1,", lines[at], count=1)
+        elif how == "bare":  # a field without its key
+            lines[at] = re.sub(r" \w+=", " ", lines[at], count=1)
+        elif how == "plane":
+            plane = draw(st.sampled_from(["1.0", "٣", *ODD_NUMBERS]))
+            lines[at] = " ".join(f"plane={plane}" if t.startswith("plane=") else t for t in toks)
         elif how == "comment":
             cut = draw(st.integers(0, len(lines[at])))
             lines[at] = lines[at][:cut] + " # " + lines[at][cut:]
         else:
             lines.insert(at, draw(st.sampled_from(["# note", "", "   ", "#"])))
-    return "\n".join(lines) + "\n"
+    if draw(st.booleans()):
+        lines = [line.replace(" ", "\t") for line in lines]
+    return draw(st.sampled_from(["\n", "\r\n", "\x0c", "\u2028"])).join(lines) + "\n"
 
 
 def _parse_outcome(parse, text: str):
@@ -736,6 +749,44 @@ def test_parser_matches_the_reference_on_mutated_text(text):
     # ParseError or ValidationError.
     with np.errstate(all="ignore"):
         assert _parse_outcome(parse_circuit, text) == _parse_outcome(reference_parse, text)
+
+
+# (kind of the edited line, pattern, replacement): each edit is a doubt of the
+# table reader; some make text the line parser accepts, others an error.
+_LARGE_EDITS = [
+    ("mg", r"a=[^,]*", "a=nan"),  # a validation error
+    ("mg", r"a=", "a=1.5,"),  # nine reals
+    ("mg", r"(a=\S*) (b=\S*)", r"\2 \1"),  # swapped keys, accepted
+    ("mg", r",(\S*) b=", r" b=\1,"),  # seven reals and nine
+    ("mg", r"a=", ""),  # a bare value
+    ("rot", r"plane=\d", "plane=1.0"),
+    ("rot", r"plane=\d", "plane=٣"),  # accepted: int() reads it as 3
+    ("rot", r"(plane=\S*) (theta=\S*)", r"\2 \1"),
+    ("rot", r"theta=\S*", "theta=x"),
+    ("w", r"\d+", "9"),  # out of range
+    ("gxx", r"gxx", "cz"),
+    ("gxx", r" ", "\t"),  # accepted
+]
+
+
+@pytest.mark.parametrize("size", [513, 4097])  # past a 512-gate and a 4096-line boundary
+@pytest.mark.parametrize("edit", [None, *_LARGE_EDITS])
+def test_parser_matches_the_reference_on_large_text(rng, size, edit):
+    # One edit on the last line of a kind, near the end of a text that is
+    # valid otherwise: the same circuit bit for bit, or the same error and line.
+    base = randgen.random_matchgate_circuit(4, size, rng)
+    lines = serialize_circuit(base).splitlines()
+    if edit is not None:
+        kind, pattern, replacement = edit
+        at = max(i for i, line in enumerate(lines) if line.split()[0] == kind)
+        assert at > len(lines) - 40
+        lines[at] = re.sub(pattern, replacement, lines[at], count=1)
+    text = "\n".join(lines) + "\n"
+    with np.errstate(all="ignore"):
+        outcome = _parse_outcome(parse_circuit, text)
+        assert outcome == _parse_outcome(reference_parse, text)
+    if edit is None:
+        assert outcome[0] == base
 
 
 # Parameter values for gates of any shape: signed zeros, non-integral and
@@ -806,3 +857,105 @@ def test_serialize_raises_or_round_trips_any_gates(circuit):
             assert err.violations == violations
         else:
             assert not violations and again == circuit
+
+
+def _invalid_text(rng, n: int) -> str:
+    """A 60-gate text that parses and then fails validation in several places."""
+    lines = serialize_circuit(randgen.random_matchgate_circuit(n, 60, rng)).splitlines()
+    lines[9] = f"w {n}"  # out of range
+    lines[20] = "mg 1 a=2,0,0,0,0,0,1,0 b=1,0,0,0,0,0,1,0"  # not unitary, determinants differ
+    lines[33] = "rot 1 plane=9 theta=0.5"
+    lines[47] = "gxx 0"
+    return "\n".join(lines) + "\n"
+
+
+def test_parsed_table_reads_as_the_gates_built_in_code(rng, monkeypatch):
+    # Small runs make validation and simulation slice the parsed table many
+    # times: the readout must be the in-memory circuit's bit for bit, and a
+    # parsed invalid circuit must fail with the per-gate loop's messages.
+    from matchgates import simulate
+
+    monkeypatch.setattr(circuits, "_VALIDATE_CHUNK", 7)
+    monkeypatch.setattr(simulate, "_MG_CHUNK", 7)
+    for n in range(2, 11):
+        bits = "".join(str(b) for b in rng.integers(0, 2, n))
+        built = randgen.random_matchgate_circuit(n, 60, rng, input_bits=bits)
+        text = serialize_circuit(built)
+        parsed = parse_circuit(text)
+        for k in range(1, n + 1):
+            assert simulate_expectation(parsed, k) == simulate_expectation(built, k)
+        assert parsed == built and repr(parsed) == repr(reference_parse(text))
+
+        text = _invalid_text(rng, n)
+        with pytest.raises(ValidationError) as err:
+            parse_circuit(text)
+        expected = reference_validate(reference_parse_gates(text))
+        assert len(expected) >= 4 and err.value.violations == expected
+
+
+def reference_parse_gates(text: str) -> MatchgateCircuit:
+    """The circuit of a text, read by the reference line parser without validating it."""
+    with mock.patch.dict(globals(), validate_or_raise=lambda circuit: None):
+        return reference_parse(text)
+
+
+def test_gates_of_a_parsed_circuit_act_as_the_tuple_built_once(rng, monkeypatch):
+    built = randgen.random_matchgate_circuit(5, 40, rng)
+    text = serialize_circuit(built)
+    parsed, reference = parse_circuit(text), reference_parse(text)
+    calls = []
+    monkeypatch.setattr(circuits, "_gate_apps", lambda table: calls.append(1) or ref_gates)
+    ref_gates = reference.gates
+    assert len(parsed.gates) == 40 and calls == []
+    assert parsed.gates == reference.gates and reference.gates == parsed.gates
+    assert parsed.gates[3] is parsed.gates[3] and calls == [1]
+    assert parsed == reference and hash(parsed) == hash(reference)
+    assert repr(parsed) == repr(reference)
+    assert parsed.gates + (parsed.gates[0],) == reference.gates + (reference.gates[0],)
+    assert (parsed.gates[0],) + parsed.gates == (reference.gates[0],) + reference.gates
+    assert list(reversed(parsed.gates)) == list(reversed(reference.gates))
+    assert parsed.gates[-2:] == reference.gates[-2:] and parsed.gates[5] in parsed.gates
+    assert calls == [1]
+    gates = tuple(parse_circuit(text).gates)  # through the unpatched _gate_apps
+    assert gates == reference.gates
+    assert all(type(v) is int for g in gates for v in g.lines)
+    assert all(type(v) is float for g in gates for v in g.params)
+
+
+def test_serialized_text_of_either_flavor_parses_without_gate_objects(rng, monkeypatch):
+    texts = [
+        serialize_circuit(randgen.random_matchgate_circuit(6, 300, rng)),
+        serialize_circuit(randgen.random_general_circuit(3, 300, rng, kinds="mixed")),
+        "\n  \r\ncircuit qc width=2 input=01\r\n\r\nx\t1\r\nu2 1 2 m=%s\r\n"
+        % ",".join(map(repr, reals_from_complex(np.eye(4)))),
+    ]
+    for text in texts:
+        built = []
+        monkeypatch.setattr(GateApp, "__post_init__", lambda g: built.append(g))
+        monkeypatch.setattr(circuits, "_gate", lambda *a: built.append(a))
+        parsed = parse_circuit(text)
+        assert len(parsed.gates) > 0 and built == []
+        monkeypatch.undo()
+        assert parsed == reference_parse(text)
+
+
+def test_gate_columns_slice_and_rows_by_offset():
+    gates = (
+        GateApp("w", (1,)),
+        GateApp("rot", (2,), (3.0, 0.5)),
+        GateApp("mg", (1,), _mg_params_identity()),
+        GateApp("rot", (1,), (1.0, -0.25)),
+    )
+    cols = circuits.read_gates(gates)
+    assert cols.param_at.tolist() == [0, 0, 2, 18]
+    assert cols.rows("rot").tolist() == [[3.0, 0.5], [1.0, -0.25]]
+    assert cols.rows("mg").tolist() == [list(_mg_params_identity())]
+    assert cols.rows("gxx").shape == (0, 0)
+    tail = cols.part(1, 9)
+    assert tail.kinds.tolist() == cols.kinds[1:].tolist()
+    assert tail.param_at.tolist() == [0, 2, 18] and tail.line_at.tolist() == [0, 1, 2]
+    assert tail.rows("rot").tolist() == cols.rows("rot").tolist()
+    for lo in range(4):
+        for hi in range(lo + 1, 6):
+            part, read = cols.part(lo, hi), circuits.read_gates(gates[lo:hi])
+            assert all(map(np.array_equal, part, read))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from matchgates import circuits, simulate
@@ -170,6 +171,45 @@ def test_expand_guard_and_force(tmp_path, capsys):
     assert run_cli("expand", str(f), str(out), "--force") == 3
     assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().err.startswith("guard: ")
+
+
+def test_expand_force_refuses_a_gate_count_over_the_guard(tmp_path, capsys, rng):
+    # 50 two-qubit gates at 8 qubits would emit about 20M gates: refused
+    # from the count, before any is emitted.
+    gates = []
+    for _ in range(50):
+        q = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        lines = tuple(int(x) + 1 for x in rng.choice(8, 2, replace=False))
+        gates.append(circuits.GateApp("u2", lines, circuits.reals_from_complex(np.linalg.qr(q)[0])))
+    f, out = tmp_path / "u2.qc", tmp_path / "u2.mg"
+    f.write_text(circuits.serialize_circuit(circuits.GeneralCircuit(8, tuple(gates), "0" * 8)))
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert run_cli("expand", str(f), str(out), "--force") == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("guard: ")
+    assert not out.exists()
+
+
+def test_simulate_of_a_parsed_file_builds_no_gate_objects(tmp_path, capsys, monkeypatch, rng):
+    from matchgates import randgen
+
+    f = tmp_path / "c.mg"
+    f.write_text(circuits.serialize_circuit(randgen.random_matchgate_circuit(9, 600, rng)))
+    # Both ways to make a GateApp: the dataclass constructor and the
+    # parser's private one for values it has already converted.
+    built = []
+    post_init, make = circuits.GateApp.__post_init__, getattr(circuits, "_gate", None)
+    monkeypatch.setattr(
+        circuits.GateApp, "__post_init__", lambda g: [built.append(1), post_init(g)]
+    )
+    monkeypatch.setattr(circuits, "_gate", lambda *a: built.append(1) or make(*a), raising=False)
+    assert run_cli("simulate", str(f)) == 0
+    assert built == []
+    assert run_cli("simulate", str(f), "--method", "reference") == 0
+    assert len(built) == 600  # the reference path reads the gates, once
+    fast, reference = (float(line.split()[0][2:]) for line in capsys.readouterr().out.splitlines())
+    assert abs(fast - reference) <= 1e-9
 
 
 @pytest.mark.parametrize(

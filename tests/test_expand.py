@@ -220,3 +220,17 @@ def test_expansion_guard_and_override(rng):
     out = expand_circuit(GeneralCircuit(5, (GateApp("h", (1,)),), "00000"), width_guard=5)
     assert out.width == 64
     assert simulate_expectation(out) == pytest.approx(0.0, abs=1e-8)
+
+
+def test_gate_count_guard_is_the_exact_emitted_count(rng, monkeypatch):
+    from matchgates import expand
+
+    for m in (1, 2, 3):
+        c = randgen.random_general_circuit(m, 5, rng)
+        emitted = len(expand_circuit(c).gates)
+        monkeypatch.setattr(expand, "EXPAND_MAX_GATES", emitted)
+        assert len(expand_circuit(c).gates) == emitted
+        monkeypatch.setattr(expand, "EXPAND_MAX_GATES", emitted - 1)
+        with pytest.raises(GuardError, match=f"would emit {emitted} gates"):
+            expand_circuit(c)
+        monkeypatch.undo()
