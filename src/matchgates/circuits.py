@@ -41,6 +41,7 @@ __all__ = [
     "GeneralCircuit",
     "GATE_KINDS",
     "gate_matrix",
+    "gate_matrices",
     "complex_from_reals",
     "reals_from_complex",
     "validate",
@@ -216,41 +217,6 @@ def reals_from_complex(m: np.ndarray) -> tuple[float, ...]:
     return tuple(np.asarray(m, dtype=complex).ravel().view(float).tolist())
 
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-
-
-def gate_matrix(gate: GateApp) -> np.ndarray:
-    """The dense unitary for one gate application (4x4 or 2x2, complex).
-
-    For `cu1` the full controlled 4x4 matrix is returned, control on the
-    first listed line being the more significant factor.
-    """
-    kind = gate.kind
-    if kind == "w":
-        return algebra.FERMIONIC_SWAP.copy()
-    if kind == "gxx":
-        return algebra.GXX.copy()
-    if kind == "rot":
-        plane = int(gate.params[0])
-        return algebra.rotation_generator_exponential(plane, gate.params[1])
-    if kind == "mg":
-        a = complex_from_reals(gate.params[:8])
-        b = complex_from_reals(gate.params[8:])
-        return algebra.make_matchgate(a, b)
-    if kind == "x":
-        return algebra.PAULI_X.copy()
-    if kind == "h":
-        return _HADAMARD.copy()
-    if kind in ("u1", "u2"):
-        return complex_from_reals(gate.params)
-    if kind == "cu1":
-        u = complex_from_reals(gate.params)
-        out = np.eye(4, dtype=complex)
-        out[2:, 2:] = u
-        return out
-    raise ValueError(f"unknown gate kind {kind!r}")
-
-
 # Validation reads this many gates at a time, so its scratch memory does not
 # grow with the gate count (the compilers validate while streaming).
 _VALIDATE_CHUNK = 512
@@ -291,6 +257,10 @@ class GateColumns(NamedTuple):
         p, step = self.params, self.params.strides[0]
         return np.lib.stride_tricks.as_strided(p, (len(p) - width + 1, width), (step, step))[at]
 
+    def line_tuples(self) -> list[tuple[int, ...]]:
+        """Each gate's lines, as a tuple."""
+        return _cut(self.lines.tolist(), self.line_at, self.nlines)
+
     def part(self, lo: int, hi: int) -> GateColumns:
         """Gates lo .. hi - 1 (hi clipped to the gate count, lo below it)."""
         hi = min(hi, len(self.kinds))
@@ -329,16 +299,16 @@ def read_gates(gates: tuple[GateApp, ...]) -> GateColumns:
     return _columns(kinds, nlines, nparams, line_col, param_col)
 
 
+def _cut(flat: list, at: np.ndarray, counts: np.ndarray) -> list[tuple]:
+    """Each gate's run of `flat`, as a tuple."""
+    return [tuple(flat[a:b]) for a, b in zip(at.tolist(), (at + counts).tolist())]
+
+
 def _gate_apps(cols: GateColumns) -> tuple[GateApp, ...]:
     """The GateApps of a table of known kinds."""
-
-    def cut(flat: list, at: np.ndarray, counts: np.ndarray) -> list[tuple]:
-        return [tuple(flat[a:b]) for a, b in zip(at.tolist(), (at + counts).tolist())]
-
     kinds = [_KIND_NAMES[c] for c in cols.kinds.tolist()]
-    lines = cut(cols.lines.tolist(), cols.line_at, cols.nlines)
-    params = cut(cols.params.tolist(), cols.param_at, cols.nparams)
-    return tuple(map(_gate, kinds, lines, params))
+    params = _cut(cols.params.tolist(), cols.param_at, cols.nparams)
+    return tuple(map(_gate, kinds, cols.line_tuples(), params))
 
 
 def _gate_chunks(
@@ -354,6 +324,83 @@ def _gate_chunks(
             yield lo, gates.table.part(lo, lo + size)
         else:
             yield lo, read_gates(gates[lo : lo + size])
+
+
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+_PLANE_PRODUCTS = np.array(algebra.PLANE_PRODUCTS)
+
+
+def _constant(m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda rows: np.repeat(m[None], len(rows), axis=0)
+
+
+def _rot_matrices(rows: np.ndarray) -> np.ndarray:
+    """cos(theta/2) 1 + sin(theta/2) c'_a c'_b, as in
+    `algebra.rotation_generator_exponential`."""
+    plane = rows[:, 0].astype(np.intp)
+    if ((plane < 1) | (plane > 6)).any():
+        raise ValueError("rot plane out of range 1..6")
+    half = (rows[:, 1] / 2.0)[:, None, None]
+    return np.cos(half) * np.eye(4) + np.sin(half) * _PLANE_PRODUCTS[plane - 1]
+
+
+def _mg_matrices(rows: np.ndarray) -> np.ndarray:
+    """G(A, B), laid out as `algebra.make_matchgate` lays it out."""
+    blocks = rows.view(complex).reshape(-1, 2, 2, 2)  # a, b of each gate
+    g = np.zeros((len(rows), 4, 4), dtype=complex)
+    g[:, 0::3, 0::3] = blocks[:, 0]  # rows and columns 0 and 3
+    g[:, 1:3, 1:3] = blocks[:, 1]
+    return g
+
+
+def _controlled_matrices(rows: np.ndarray) -> np.ndarray:
+    g = np.zeros((len(rows), 4, 4), dtype=complex)
+    g[:, 0, 0] = g[:, 1, 1] = 1.0
+    g[:, 2:, 2:] = rows.view(complex).reshape(-1, 2, 2)
+    return g
+
+
+# kind -> the dense matrices of its gates, one per row of GateColumns.rows(kind)
+_MATRICES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "w": _constant(algebra.FERMIONIC_SWAP),
+    "gxx": _constant(algebra.GXX),
+    "rot": _rot_matrices,
+    "mg": _mg_matrices,
+    "x": _constant(algebra.PAULI_X),
+    "h": _constant(_HADAMARD),
+    "u1": lambda rows: rows.view(complex).reshape(-1, 2, 2),
+    "u2": lambda rows: rows.view(complex).reshape(-1, 4, 4),
+    "cu1": _controlled_matrices,
+}
+
+
+def gate_matrices(cols: GateColumns) -> list[np.ndarray]:
+    """The dense unitary of every gate in a table, in gate order (4x4 or 2x2,
+    complex), built for all gates of one kind at once.
+
+    For `cu1` the full controlled 4x4 matrix is returned, control on the
+    first listed line being the more significant factor.  ValueError for an
+    unknown kind, a parameter count that is not the kind's, or a rot plane
+    outside 1..6.
+    """
+    kinds = cols.kinds
+    if (kinds < 0).any():
+        raise ValueError("unknown gate kind")
+    if (cols.nparams != _NPARAMS[kinds]).any():
+        raise ValueError("parameter count is not the kind's")
+    out: list[np.ndarray] = [None] * len(kinds)
+    for code in set(kinds.tolist()):
+        kind = _KIND_NAMES[code]
+        for i, m in zip(np.flatnonzero(kinds == code).tolist(), _MATRICES[kind](cols.rows(kind))):
+            out[i] = m
+    return out
+
+
+def gate_matrix(gate: GateApp) -> np.ndarray:
+    """The dense unitary for one gate application: `gate_matrices` of it alone."""
+    if gate.kind not in GATE_KINDS:
+        raise ValueError(f"unknown gate kind {gate.kind!r}")
+    return gate_matrices(read_gates((gate,)))[0]
 
 
 def _deviations(m: np.ndarray) -> np.ndarray:
@@ -639,13 +686,13 @@ def _parse_floats(val: str, what: str, lineno: int) -> tuple[float, ...]:
 def parse_circuit(text: str) -> Circuit:
     """Parse the text format; raises ParseError / ValidationError.
 
-    The gate lines are read straight into one GateColumns table (`_read_table`);
-    text that reader is not sure of goes through the line parser instead,
-    which words the error and its line.  The returned circuit has passed
-    `validate`.
+    The gate lines, comments cut, are read straight into one GateColumns
+    table (`_read_table`); text that reader is not sure of goes through the
+    line parser instead, which words the error and its line.  The returned
+    circuit has passed `validate`.
     """
     rows = text.splitlines()
-    read = None if "#" in text else _read_table(rows)
+    read = _read_table([row.split("#", 1)[0] for row in rows] if "#" in text else rows)
     if read is None:
         header, header_line, gates = _read_lines(rows)
     else:

@@ -41,7 +41,8 @@ from .circuits import (
     GeneralCircuit,
     GuardError,
     MatchgateCircuit,
-    gate_matrix,
+    gate_matrices,
+    read_gates,
     reals_from_complex,
     validate_or_raise,
 )
@@ -220,8 +221,8 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
     # assignment of the spectator lines, whose bits add the same offset to
     # both of its dimensions.
     planes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (2x2 rotation, dims a, dims b)
-    for g in reversed(widened.gates):
-        u = gate_matrix(g)
+    matrices = gate_matrices(read_gates(widened.gates))
+    for g, u in zip(reversed(widened.gates), reversed(matrices)):
         lines = tuple(l if l <= m else m + 2 for l in g.lines) + (m + 1,)
         rg = realify_gate(u, lines)
         real, lines = _permute_to_sorted(rg.matrix.T, rg.lines)

@@ -18,7 +18,8 @@ from .circuits import (
     Circuit,
     GuardError,
     MatchgateCircuit,
-    gate_matrix,
+    _gate_chunks,
+    gate_matrices,
     validate_or_raise,
 )
 
@@ -26,20 +27,29 @@ ORACLE_MAX_WIDTH = 14
 ADJOINT_MAX_WIDTH = 7
 
 
+def _slot_index(lines: tuple[int, ...], width: int) -> np.ndarray:
+    """The flat positions of a 2^width statevector as a (2^j, 2^(width - j))
+    array for j listed lines: row r holds the amplitudes whose listed lines
+    read r, the first listed line being the most significant bit of r."""
+    j = len(lines)
+    positions = np.arange(2**width).reshape((2,) * width)
+    return np.moveaxis(positions, [l - 1 for l in lines], range(j)).reshape(2**j, -1)
+
+
+def _apply(state: np.ndarray, u: np.ndarray, index: np.ndarray) -> None:
+    """Apply a unitary in place through the slot index of its lines."""
+    state[index] = u @ state[index]
+
+
 def apply_dense_gate(state: np.ndarray, u: np.ndarray, lines: tuple[int, ...], width: int) -> np.ndarray:
     """Apply an explicit unitary to the listed lines of a 2^width statevector.
 
     `lines` are 1-based and ordered: the first listed line is the most
-    significant tensor factor of `u`.
+    significant tensor factor of `u`.  Returns a new array.
     """
-    j = len(lines)
-    t = state.reshape((2,) * width)
-    src = [l - 1 for l in lines]
-    t = np.moveaxis(t, src, range(j))
-    shape = t.shape
-    t = (u @ t.reshape(2**j, -1)).reshape(shape)
-    t = np.moveaxis(t, range(j), src)
-    return t.reshape(-1)
+    out = np.array(state, dtype=complex)
+    _apply(out, u, _slot_index(tuple(lines), width))
+    return out
 
 
 def basis_state(bits: str) -> np.ndarray:
@@ -48,18 +58,39 @@ def basis_state(bits: str) -> np.ndarray:
     return state
 
 
+# run_statevector builds the matrices of this many gates at a time.
+_ORACLE_CHUNK = 512
+# The slot indices of one call hold at most this many positions (512 KiB):
+# every line tuple of a circuit up to 9 lines, four at 14 lines.  A full
+# cache is emptied before the next index is added.
+_SLOT_ENTRIES = 2**16
+
+
 def run_statevector(circuit: Circuit) -> np.ndarray:
-    """Simulate a circuit exactly; returns the final 2^width statevector."""
-    if circuit.width > ORACLE_MAX_WIDTH:
-        raise GuardError(
-            f"width {circuit.width} exceeds the dense-oracle guard of {ORACLE_MAX_WIDTH}"
-        )
+    """Simulate a circuit exactly; returns the final 2^width statevector.
+
+    The gates are read in runs from the circuit's table, each run's matrices
+    built by kind at once; a line tuple's slot index is built once per call
+    while the cache has room for it.
+    """
+    width = circuit.width
+    if width > ORACLE_MAX_WIDTH:
+        raise GuardError(f"width {width} exceeds the dense-oracle guard of {ORACLE_MAX_WIDTH}")
     validate_or_raise(circuit)
     state = basis_state(circuit.input)
-    for g in circuit.gates:
-        u = gate_matrix(g)
-        lines = g.lines if circuit.flavor == "qc" else (g.lines[0], g.lines[0] + 1)
-        state = apply_dense_gate(state, u, lines, circuit.width)
+    indices: dict[tuple[int, ...], np.ndarray] = {}
+    for _, cols in _gate_chunks(circuit, _ORACLE_CHUNK):
+        if circuit.flavor == "qc":
+            keys = cols.line_tuples()
+        else:
+            keys = [(k, k + 1) for k in cols.lines.tolist()]
+        for u, key in zip(gate_matrices(cols), keys):
+            index = indices.get(key)
+            if index is None:
+                if (len(indices) + 1) << width > _SLOT_ENTRIES:
+                    indices.clear()
+                index = indices[key] = _slot_index(key, width)
+            _apply(state, u, index)
     return state
 
 

@@ -53,7 +53,7 @@ def _random_mg_gate(k: int, rng: np.random.Generator, kinds: str) -> GateApp:
     if kinds == "haar":
         return GateApp("mg", (k,), random_matchgate_params(rng))
     names, weights = zip(*MG_KIND_WEIGHTS)
-    kind = rng.choice(names, p=weights)
+    kind = str(rng.choice(names, p=weights))
     if kind == "w" or kind == "gxx":
         return GateApp(kind, (k,))
     if kind == "rot":

@@ -217,6 +217,11 @@ def test_gate_matrix_controlled_gate_blocks():
     assert np.allclose(m, expected)
 
 
+def test_gate_matrix_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown gate kind 'cz'"):
+        gate_matrix(GateApp("cz", (1, 2), ()))
+
+
 def test_batch_screen_matches_per_gate_validation(rng):
     # Clean large circuit: the vectorized screen must certify it.
     big = randgen.random_matchgate_circuit(6, 700, rng)
@@ -959,3 +964,38 @@ def test_gate_columns_slice_and_rows_by_offset():
         for hi in range(lo + 1, 6):
             part, read = cols.part(lo, hi), circuits.read_gates(gates[lo:hi])
             assert all(map(np.array_equal, part, read))
+
+
+def _commented(text: str) -> str:
+    """The text with a comment line first and a comment after every third row."""
+    rows = text.splitlines()
+    rows = [row + ("  # note, a=1 #" if i % 3 == 0 else "") for i, row in enumerate(rows)]
+    return "# hand-edited\n" + "\n".join(rows) + "\n"
+
+
+def test_comments_keep_text_on_the_table_reader(rng, monkeypatch):
+    texts = [
+        serialize_circuit(randgen.random_matchgate_circuit(6, 300, rng)),
+        serialize_circuit(randgen.random_general_circuit(3, 300, rng, kinds="mixed")),
+    ]
+    for text in texts:
+        built = []
+        monkeypatch.setattr(GateApp, "__post_init__", lambda g: built.append(g))
+        monkeypatch.setattr(circuits, "_gate", lambda *a: built.append(a))
+        parsed = parse_circuit(_commented(text))
+        assert len(parsed.gates) == 300 and built == []
+        monkeypatch.undo()
+        assert parsed == parse_circuit(text) and repr(parsed) == repr(parse_circuit(text))
+
+
+def test_errors_in_commented_text_keep_the_line_parsers_line():
+    text = "# first\ncircuit mg width=2 input=00 measure=1 # header\n\nw 1\n"
+    text += "rot 1 plane=2 # theta=1\n"
+    with pytest.raises(ParseError) as err:
+        parse_circuit(text)
+    assert str(err.value) == "line 5: rot needs plane= and theta="
+
+
+def test_generated_circuit_prints_as_its_text_reads_back(rng):
+    circuit = randgen.random_matchgate_circuit(5, 40, rng)
+    assert repr(circuit) == repr(reference_parse(serialize_circuit(circuit)))

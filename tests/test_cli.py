@@ -191,25 +191,55 @@ def test_expand_force_refuses_a_gate_count_over_the_guard(tmp_path, capsys, rng)
     assert not out.exists()
 
 
-def test_simulate_of_a_parsed_file_builds_no_gate_objects(tmp_path, capsys, monkeypatch, rng):
-    from matchgates import randgen
-
-    f = tmp_path / "c.mg"
-    f.write_text(circuits.serialize_circuit(randgen.random_matchgate_circuit(9, 600, rng)))
-    # Both ways to make a GateApp: the dataclass constructor and the
-    # parser's private one for values it has already converted.
+def _record_gate_objects(monkeypatch) -> list:
+    """Count GateApps made both ways: the dataclass constructor and the
+    parser's private one for values it has already converted."""
     built = []
     post_init, make = circuits.GateApp.__post_init__, getattr(circuits, "_gate", None)
     monkeypatch.setattr(
         circuits.GateApp, "__post_init__", lambda g: [built.append(1), post_init(g)]
     )
     monkeypatch.setattr(circuits, "_gate", lambda *a: built.append(1) or make(*a), raising=False)
+    return built
+
+
+def test_simulate_of_a_parsed_file_builds_no_gate_objects(tmp_path, capsys, monkeypatch, rng):
+    from matchgates import randgen
+
+    f = tmp_path / "c.mg"
+    f.write_text(circuits.serialize_circuit(randgen.random_matchgate_circuit(9, 600, rng)))
+    built = _record_gate_objects(monkeypatch)
     assert run_cli("simulate", str(f)) == 0
     assert built == []
     assert run_cli("simulate", str(f), "--method", "reference") == 0
     assert len(built) == 600  # the reference path reads the gates, once
     fast, reference = (float(line.split()[0][2:]) for line in capsys.readouterr().out.splitlines())
     assert abs(fast - reference) <= 1e-9
+
+
+def test_simulate_of_a_commented_file_builds_no_gate_objects(tmp_path, capsys, monkeypatch, rng):
+    from matchgates import randgen
+
+    text = circuits.serialize_circuit(randgen.random_matchgate_circuit(9, 600, rng))
+    f, bare = tmp_path / "c.mg", tmp_path / "bare.mg"
+    f.write_text("# hand-edited\n" + text.replace("\n", "  # gate\n", 300))
+    bare.write_text(text)
+    built = _record_gate_objects(monkeypatch)
+    assert run_cli("simulate", str(f)) == 0
+    assert run_cli("simulate", str(bare)) == 0
+    assert built == []
+    commented, plain = capsys.readouterr().out.splitlines()
+    assert commented == plain
+
+
+def test_verify_of_parsed_qc_files_builds_no_gate_objects(tmp_path, capsys, monkeypatch):
+    a, b = tmp_path / "a.qc", tmp_path / "b.qc"
+    assert run_cli("gen-random", "qc", "5", "700", str(a), "--seed", "3") == 0
+    b.write_text(a.read_text() + "x 2\nx 2\n")
+    built = _record_gate_objects(monkeypatch)
+    assert run_cli("verify", str(a), str(b), "--tol", "1e-12") == 0
+    assert built == []
+    assert capsys.readouterr().out.rstrip().endswith("pass=true")
 
 
 @pytest.mark.parametrize(
