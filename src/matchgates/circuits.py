@@ -397,10 +397,17 @@ def gate_matrices(cols: GateColumns) -> list[np.ndarray]:
 
 
 def gate_matrix(gate: GateApp) -> np.ndarray:
-    """The dense unitary for one gate application: `gate_matrices` of it alone."""
+    """The dense unitary for one gate application: `gate_matrices` of it alone.
+
+    An `mg` gate's blocks are checked as `algebra.make_matchgate` checks them:
+    ValueError if either is not unitary or their determinants differ.
+    """
     if gate.kind not in GATE_KINDS:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
-    return gate_matrices(read_gates((gate,)))[0]
+    m = gate_matrices(read_gates((gate,)))[0]
+    if gate.kind == "mg":
+        algebra.make_matchgate(complex_from_reals(gate.params[:8]), complex_from_reals(gate.params[8:]))
+    return m
 
 
 def _deviations(m: np.ndarray) -> np.ndarray:

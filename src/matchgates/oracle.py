@@ -36,9 +36,28 @@ def _slot_index(lines: tuple[int, ...], width: int) -> np.ndarray:
     return np.moveaxis(positions, [l - 1 for l in lines], range(j)).reshape(2**j, -1)
 
 
-def _apply(state: np.ndarray, u: np.ndarray, index: np.ndarray) -> None:
+def _slot_view(state: np.ndarray, lines: tuple[int, ...], width: int) -> np.ndarray:
+    """A view of a 2^width statevector with the listed lines' axes first, in
+    the order listed: the same amplitudes, row by row, as its slot index."""
+    return np.moveaxis(state.reshape((2,) * width), [l - 1 for l in lines], range(len(lines)))
+
+
+def _apply_indexed(state: np.ndarray, u: np.ndarray, index: np.ndarray) -> None:
     """Apply a unitary in place through the slot index of its lines."""
     state[index] = u @ state[index]
+
+
+def _apply_viewed(u: np.ndarray, view: np.ndarray, scratch: np.ndarray) -> None:
+    """Apply a unitary in place through a slot view of a state's lines.
+
+    The amplitudes go through `scratch`, two buffers of the state's size:
+    at 14 lines, fresh arrays per gate cost more in page faults than the
+    product itself.
+    """
+    a, b = scratch.reshape(2, len(u), -1)
+    np.copyto(a.reshape(view.shape), view)
+    np.matmul(u, a, out=b)
+    np.copyto(view, b.reshape(view.shape))
 
 
 def apply_dense_gate(state: np.ndarray, u: np.ndarray, lines: tuple[int, ...], width: int) -> np.ndarray:
@@ -48,7 +67,7 @@ def apply_dense_gate(state: np.ndarray, u: np.ndarray, lines: tuple[int, ...], w
     significant tensor factor of `u`.  Returns a new array.
     """
     out = np.array(state, dtype=complex)
-    _apply(out, u, _slot_index(tuple(lines), width))
+    _apply_viewed(u, _slot_view(out, tuple(lines), width), np.empty(2 * out.size, dtype=complex))
     return out
 
 
@@ -60,9 +79,11 @@ def basis_state(bits: str) -> np.ndarray:
 
 # run_statevector builds the matrices of this many gates at a time.
 _ORACLE_CHUNK = 512
-# The slot indices of one call hold at most this many positions (512 KiB):
-# every line tuple of a circuit up to 9 lines, four at 14 lines.  A full
-# cache is emptied before the next index is added.
+# A call keeps a slot index per line tuple while every tuple the circuit's
+# flavor can use fits in this many positions (512 KiB): qc circuits up to 9
+# lines, mg up to 12.  Wider circuits keep a slot view per tuple instead: it
+# holds no positions, and from about 12 lines on its strided copy costs what
+# an index's gather does (at 8 lines the gather is about 1.5 times as fast).
 _SLOT_ENTRIES = 2**16
 
 
@@ -70,27 +91,33 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
     """Simulate a circuit exactly; returns the final 2^width statevector.
 
     The gates are read in runs from the circuit's table, each run's matrices
-    built by kind at once; a line tuple's slot index is built once per call
-    while the cache has room for it.
+    built by kind at once; each gate is applied in place through the slot
+    index or slot view of its line tuple, built once per call.
     """
     width = circuit.width
     if width > ORACLE_MAX_WIDTH:
         raise GuardError(f"width {width} exceeds the dense-oracle guard of {ORACLE_MAX_WIDTH}")
     validate_or_raise(circuit)
     state = basis_state(circuit.input)
-    indices: dict[tuple[int, ...], np.ndarray] = {}
+    tuples = width * width if circuit.flavor == "qc" else width - 1
+    if tuples << width <= _SLOT_ENTRIES:
+        slot = lambda key: _slot_index(key, width)
+        apply = lambda u, index: _apply_indexed(state, u, index)
+    else:
+        scratch = np.empty(2 * state.size, dtype=complex)
+        slot = lambda key: _slot_view(state, key, width)
+        apply = lambda u, view: _apply_viewed(u, view, scratch)
+    slots: dict[tuple[int, ...], np.ndarray] = {}
     for _, cols in _gate_chunks(circuit, _ORACLE_CHUNK):
         if circuit.flavor == "qc":
             keys = cols.line_tuples()
         else:
             keys = [(k, k + 1) for k in cols.lines.tolist()]
         for u, key in zip(gate_matrices(cols), keys):
-            index = indices.get(key)
-            if index is None:
-                if (len(indices) + 1) << width > _SLOT_ENTRIES:
-                    indices.clear()
-                index = indices[key] = _slot_index(key, width)
-            _apply(state, u, index)
+            at = slots.get(key)
+            if at is None:
+                at = slots[key] = slot(key)
+            apply(u, at)
     return state
 
 

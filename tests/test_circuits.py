@@ -222,6 +222,16 @@ def test_gate_matrix_refuses_an_unknown_kind():
         gate_matrix(GateApp("cz", (1, 2), ()))
 
 
+def test_gate_matrix_checks_the_blocks_of_an_mg_gate():
+    a = np.eye(2, dtype=complex)
+    flip = reals_from_complex(np.array([[0, 1], [1, 0]], dtype=complex))
+    assert np.allclose(gate_matrix(GateApp("mg", (1,), _mg_params_identity())), np.eye(4))
+    with pytest.raises(ValueError, match="determinant mismatch"):
+        gate_matrix(GateApp("mg", (1,), reals_from_complex(a) + flip))
+    with pytest.raises(ValueError, match="block b is not unitary"):
+        gate_matrix(GateApp("mg", (1,), reals_from_complex(a) + reals_from_complex(2 * a)))
+
+
 def test_batch_screen_matches_per_gate_validation(rng):
     # Clean large circuit: the vectorized screen must certify it.
     big = randgen.random_matchgate_circuit(6, 700, rng)

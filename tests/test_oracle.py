@@ -229,16 +229,17 @@ def _both_orders(rng) -> GeneralCircuit:
 @example(_both_orders(np.random.default_rng(1)), 7, oracle._SLOT_ENTRIES)
 @example(parse_circuit(serialize_circuit(_both_orders(np.random.default_rng(2)))), 7, 1)
 def test_oracle_matches_the_moveaxis_loop(circuit, chunk, entries):
-    # Runs of 7 gates end mid-circuit; a one-entry cache rebuilds every slot index.
+    # Runs of 7 gates end mid-circuit; a one-position bound applies every gate
+    # through a slot view, the default bound through slot indices up to 9 lines.
     with mock.patch.multiple(oracle, _ORACLE_CHUNK=chunk, _SLOT_ENTRIES=entries):
         state = run_statevector(circuit)
     assert np.abs(state - reference_run_statevector(circuit)).max() <= 1e-15
 
 
 def test_slot_indices_stay_within_their_bound(rng):
-    # Every ordered line pair at the width guard: 182 distinct slot indices of
-    # 2^14 positions, 23 MiB if all were kept.  A moveaxis pair per gate
-    # peaks at about 0.8 MiB here.
+    # Every ordered line pair at the width guard: 182 distinct line tuples,
+    # 23 MiB if a slot index of 2^14 positions were kept for each.  A moveaxis
+    # pair per gate peaks at about 0.8 MiB here.
     n = ORACLE_MAX_WIDTH
     u = reals_from_complex(randgen.haar_unitary(4, rng))
     pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
