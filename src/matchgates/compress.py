@@ -13,19 +13,28 @@ Register layout (width mu + 2):
   lines 2 .. mu+1   data, Gray-label bit 1 (most significant) .. bit mu
   line mu+2         work ancilla, starts and ends in |0>
 
-Controlled-V is streamed gate by gate: each matchgate contributes its 4x4
-rotation, split into plane rotations whose Gray labels differ in at most 3
-bits; each plane rotation becomes a short conjugation plus one multiply-
-controlled two-level rotation, decomposed exactly to the cu1/u1/x gate set.
-S contributes Gray-to-binary conversion, one controlled block on the last
-data line, and conversion back.
+Controlled-V is streamed gate by gate.  Matchgate k acts on the window of
+dimensions 2k-1 .. 2k+2, whose four Gray labels agree on every bit but the
+last and one other.  So for each matchgate, once per pass, one AND of the
+control line and the window's shared bits is computed into the work
+ancilla, borrowing the two window lines as dirty scratch (at mu = 2 the
+window shares no bit, and the control line itself is the AND).  Each plane
+rotation of the matchgate's Givens factors is then a short conjugation
+that aligns its two labels, a rotation controlled by the ancilla and the
+other window bit (an exact five-gate network), and the conjugation undone.
+The same AND gates then uncompute the ancilla.  Everything is decomposed
+exactly to the cu1/u1/x gate set.  S contributes Gray-to-binary
+conversion, one controlled block on the last data line, and conversion
+back.
 
-Everything is generated lazily; memory is O(mu^2) per emitted gate
+Everything is generated lazily; memory is O(mu^2) per emitted gate, plus
+the gates of a bounded number of windows kept between matchgates,
 independent of the input length.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -42,7 +51,7 @@ from .circuits import (
 )
 from .simulate import gate_rotations
 
-MAX_LABEL_DISTANCE = 3
+MAX_LABEL_DISTANCE = 2
 
 _X_PARAMS = reals_from_complex(algebra.PAULI_X)
 # Square root of X and its inverse: the exact 5-gate two-control building block.
@@ -176,16 +185,43 @@ def _mcx(controls: tuple[int, ...], target: int, pool: tuple[int, ...]) -> list[
     return g1 + g2 + g1 + g2
 
 
+def _rot_params(theta: float) -> tuple[float, ...]:
+    """cu1/u1 parameters of the rotation block [[c, -s], [s, c]] by theta."""
+    c, s = math.cos(theta), math.sin(theta)
+    return (c, 0.0, -s, 0.0, s, 0.0, c, 0.0)
+
+
+def _rotation_core(c1: int, c2: int, t: int, theta: float, c2_value: int = 1) -> list[GateApp]:
+    """Rotation by theta on line t iff line c1 is 1 and line c2 is `c2_value`.
+
+    The exact five-gate network: rotations by +-theta/2 under c2, under
+    c1 xor c2 and under c1, signed to sum to theta on the one firing
+    pattern and to 0 on the other three.  c2 is restored whatever its state.
+    """
+    half = _rot_params(theta / 2.0)
+    nhalf = _rot_params(-theta / 2.0)
+    first, second = (half, nhalf) if c2_value else (nhalf, half)
+    cx = GateApp("cu1", (c1, c2), _X_PARAMS)
+    return [
+        GateApp("cu1", (c2, t), first),
+        cx,
+        GateApp("cu1", (c2, t), second),
+        cx,
+        GateApp("cu1", (c1, t), half),
+    ]
+
+
 def lambda_r_decompose(
     pattern: ControlPattern, rot: np.ndarray, ancilla: int
 ) -> list[GateApp]:
     """Exact decomposition of a multi-controlled 2x2 real rotation.
 
     `rot` must be [[c, -s], [s, c]]; `ancilla` is one scratch line distinct
-    from the controls and target (its state is restored exactly, so |0> in,
-    |0> out).  Controls requiring value 0 are wrapped in X.  Zero, one and
-    two controls decompose directly (the two-control case via the standard
-    five-gate network); three or more use one rotation sandwich
+    from the controls and target, borrowed dirty: it may hold any state,
+    entangled or not, and is restored exactly whatever that state was.
+    Controls requiring value 0 are wrapped in X.  Zero, one and two controls
+    decompose directly (the two-control case via the standard five-gate
+    network); three or more use one rotation sandwich
     R(theta/2) . MCX . R(-theta/2) . MCX, giving O(r) gates in the control
     count r.
     """
@@ -206,27 +242,19 @@ def lambda_r_decompose(
 
     r = len(lines)
     if r == 0:
-        core = [GateApp("u1", (t,), reals_from_complex(algebra.rot2(theta)))]
+        core = [GateApp("u1", (t,), _rot_params(theta))]
     elif r == 1:
-        core = [GateApp("cu1", (lines[0], t), reals_from_complex(algebra.rot2(theta)))]
+        core = [GateApp("cu1", (lines[0], t), _rot_params(theta))]
     elif r == 2:
-        half = reals_from_complex(algebra.rot2(theta / 2.0))
-        nhalf = reals_from_complex(algebra.rot2(-theta / 2.0))
-        core = [
-            GateApp("cu1", (lines[1], t), half),
-            GateApp("cu1", (lines[0], lines[1]), _X_PARAMS),
-            GateApp("cu1", (lines[1], t), nhalf),
-            GateApp("cu1", (lines[0], lines[1]), _X_PARAMS),
-            GateApp("cu1", (lines[0], t), half),
-        ]
+        core = _rotation_core(lines[0], lines[1], t, theta)
     else:
         # X R(phi) X = R(-phi), so MCX . R(-t/2) . MCX . R(t/2) applies
         # R(theta) when all controls fire and cancels to identity otherwise.
         mcx = _mcx(lines, t, (ancilla,))
         core = (
-            [GateApp("u1", (t,), reals_from_complex(algebra.rot2(theta / 2.0)))]
+            [GateApp("u1", (t,), _rot_params(theta / 2.0))]
             + mcx
-            + [GateApp("u1", (t,), reals_from_complex(algebra.rot2(-theta / 2.0)))]
+            + [GateApp("u1", (t,), _rot_params(-theta / 2.0))]
             + mcx
         )
     return wraps + core + wraps[::-1]
@@ -260,68 +288,98 @@ def _require_standard(circuit: MatchgateCircuit) -> int:
     return n
 
 
-def _controlled_two_level(
-    dim_a: int,
-    dim_b: int,
-    theta: float,
-    mu: int,
-    control_line: int,
-    ancilla: int,
-) -> Iterator[GateApp]:
-    """Gates applying, under the interference control, the rotation that
-    moves dimension dim_a toward dim_b by theta (1-based dimensions)."""
-    la = gray(dim_a - 1, mu)
-    lb = gray(dim_b - 1, mu)
-    distance = sum(x != y for x, y in zip(la, lb))
-    if distance > MAX_LABEL_DISTANCE:
-        raise RuntimeError(
-            f"Gray labels of dimensions {dim_a}, {dim_b} differ in {distance} bits"
-        )
-    conj, pattern = align_conjugation(la, lb)
-    # Shift bit-space lines onto register lines (data starts at line 2).
-    conj = _shift_lines(conj, 1)
-    controls = tuple(sorted(((l + 1, v) for l, v in pattern.controls)))
-    controls = controls + ((control_line, 1),)
-    shifted = ControlPattern(pattern.target + 1, controls)
-    # dim_a keeps its own bit at the target position; if that bit is 0 the
-    # rebit basis (|0>, |1>) is (dim_a, dim_b) and the block is [[c,-s],[s,c]],
-    # otherwise the roles swap and the block is the inverse rotation.
-    local = algebra.rot2(theta if la[pattern.target - 1] == "0" else -theta)
-    yield from conj
-    yield from lambda_r_decompose(shifted, local, ancilla)
-    yield from reversed(conj)
+def _window_bits(k: int, mu: int) -> list[int]:
+    """The label bits (0-based) in which matchgate k's window varies.
+
+    The window is dimensions 2k-1 .. 2k+2, the Gray labels of 2k-2 .. 2k+1.
+    From an even start these vary only in the last bit and the bit flipped
+    between the middle two, and agree on every other bit.
+    """
+    labels = [gray(i, mu) for i in range(2 * k - 2, 2 * k + 2)]
+    varying = [q for q in range(mu) if len({label[q] for label in labels}) > 1]
+    if len(varying) > MAX_LABEL_DISTANCE or varying[-1] != mu - 1:
+        raise RuntimeError(f"Gray labels of window {k} vary in bits {varying}")
+    return varying
 
 
-def _rotation_pass(
-    circuit: MatchgateCircuit, mu: int, invert: bool, ancilla: int
-) -> Iterator[GateApp]:
-    """Controlled R (or R^{-1} with `invert`), one matchgate at a time."""
+# Gates kept between calls, per window: the AND of 64 windows and the
+# aligned planes of 1024, so the memory stays bounded at any width.
+@functools.lru_cache(maxsize=64)
+def _window_and(k: int, mu: int) -> tuple[tuple[GateApp, ...], int]:
+    """The AND of matchgate k's window: its gates, and the line holding it.
+
+    The gates set the clean ancilla (line mu+2) to (control line 1) AND
+    (every bit the window shares, at its value), borrowing the two window
+    lines as dirty scratch; the same gates uncompute it.  With no shared bit
+    (mu = 2) the control line itself is that AND, and there are no gates.
+    """
+    varying = _window_bits(k, mu)
+    shared = [q for q in range(mu) if q not in varying]
+    if not shared:
+        return (), 1
+    label = gray(2 * k - 2, mu)
+    # Label bit q sits on data line q + 2.
+    wraps = [GateApp("x", (q + 2,)) for q in shared if label[q] == "0"]
+    controls = (1,) + tuple(q + 2 for q in shared)
+    window = tuple(q + 2 for q in varying)
+    return tuple(wraps + _mcx(controls, mu + 2, window) + wraps), mu + 2
+
+
+@functools.lru_cache(maxsize=1024)
+def _window_plane(
+    k: int, a: int, b: int, mu: int
+) -> tuple[tuple[GateApp, ...], int, int, int, bool]:
+    """Plane (a, b) of matchgate k's window, as register lines: the
+    align_conjugation gates, the target, the other window line and the
+    value it must hold, and whether the rotation's sign flips.
+
+    Aligned, the plane's two Gray labels differ only at the target, a window
+    bit; the pattern pins the shared bits, which the AND holds, and the
+    other window bit, so a factor is a rotation under two controls.
+    """
+    la = gray(2 * k - 3 + a, mu)
+    conj, pattern = align_conjugation(la, gray(2 * k - 3 + b, mu))
+    tau = pattern.target  # 1-based label bit, on data line tau + 1
+    other = next(q + 1 for q in _window_bits(k, mu) if q + 1 != tau)
+    # la keeps its own bit at the target: if that bit is 0 the basis (|0>, |1>)
+    # is (dim a, dim b) and the block is R(theta), else the inverse rotation.
+    flip = la[tau - 1] == "1"
+    value = dict(pattern.controls)[other]
+    return tuple(_shift_lines(conj, 1)), tau + 1, other + 1, value, flip
+
+
+def _rotation_pass(circuit: MatchgateCircuit, mu: int, invert: bool) -> Iterator[GateApp]:
+    """Controlled R (or R^{-1} with `invert`), one matchgate at a time: its
+    window's AND computed once, every factor under it, the AND uncomputed."""
     for k, rot in gate_rotations(circuit.gates, last_first=invert):
         factors = algebra.givens_factor(rot)
+        if not factors:
+            continue
         if invert:
             factors = [
                 algebra.PlaneRotation(f.a, f.b, -f.theta) for f in reversed(factors)
             ]
-        base = 2 * k - 2
+        gates, fired = _window_and(k, mu)
+        yield from gates
         for f in factors:
-            yield from _controlled_two_level(
-                base + f.a, base + f.b, f.theta, mu, 1, ancilla
-            )
-
-
-_S_BLOCK = algebra.rot2(math.pi / 2.0)  # [[0, -1], [1, 0]]: the per-pair action of S
+            conj, target, other, value, flip = _window_plane(k, f.a, f.b, mu)
+            theta = -f.theta if flip else f.theta
+            yield from conj
+            yield from _rotation_core(fired, other, target, theta, value)
+            yield from reversed(conj)
+        yield from gates
 
 
 def _pairing_pass(mu: int, invert: bool) -> Iterator[GateApp]:
     """Controlled S (or S^{-1}): binary relabeling, one controlled block, undo.
 
     In binary labels S acts on each dimension pair (2k-1, 2k), i.e. on the
-    least significant label bit, as [[0, -1], [1, 0]].
+    least significant label bit, as [[0, -1], [1, 0]]: the rotation by pi/2.
     """
     to_gray = _shift_lines(gray_converter_circuit(mu), 1)  # data lines 2..mu+1
     yield from to_gray[::-1]  # gray labels -> binary labels
-    block = _S_BLOCK.T if invert else _S_BLOCK
-    yield GateApp("cu1", (1, mu + 1), reals_from_complex(block))
+    angle = -math.pi / 2.0 if invert else math.pi / 2.0
+    yield GateApp("cu1", (1, mu + 1), _rot_params(angle))
     yield from to_gray  # back to gray labels
 
 
@@ -333,11 +391,10 @@ def compress_gate_stream(circuit: MatchgateCircuit) -> Iterator[GateApp]:
     """
     n = _require_standard(circuit)
     mu = (2 * n).bit_length() - 1
-    ancilla = mu + 2
     yield GateApp("h", (1,))
-    yield from _rotation_pass(circuit, mu, invert=True, ancilla=ancilla)
+    yield from _rotation_pass(circuit, mu, invert=True)
     yield from _pairing_pass(mu, invert=False)
-    yield from _rotation_pass(circuit, mu, invert=False, ancilla=ancilla)
+    yield from _rotation_pass(circuit, mu, invert=False)
     yield from _pairing_pass(mu, invert=True)
     yield GateApp("h", (1,))
 

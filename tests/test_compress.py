@@ -1,15 +1,20 @@
 """Compilation of matchgate circuits into exponentially narrower general circuits."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from matchgates import randgen
-from matchgates.algebra import rot2
-from matchgates.circuits import GateApp, MatchgateCircuit
+from matchgates import compress, randgen
+from matchgates.algebra import givens_factor, rot2
+from matchgates.circuits import GateApp, MatchgateCircuit, reals_from_complex
 from matchgates.compress import (
     MAX_LABEL_DISTANCE,
     ControlPattern,
     _mcx,
+    _rotation_core,
     _toffoli,
     align_conjugation,
     compress_circuit,
@@ -21,7 +26,7 @@ from matchgates.compress import (
     pad_to_power_of_two,
 )
 from matchgates.oracle import expectation_z, run_statevector
-from matchgates.simulate import simulate_expectation
+from matchgates.simulate import gate_rotations, simulate_expectation
 from matchgates.standardize import standardize
 
 from conftest import dense_unitary
@@ -59,13 +64,18 @@ def test_gray_index_range_is_checked():
 def test_plane_partners_stay_within_the_label_distance_budget():
     # Two-level rotations produced from 4x4 factors touch dimension pairs
     # (base+a, base+b) with a < b <= 4 over an even base; their Gray labels
-    # must stay within the bounded-distance alignment budget.
-    mu = 5
-    for base in range(0, (1 << mu) - 4 + 1, 2):
-        for a in range(1, 5):
-            for b in range(a + 1, 5):
-                la, lb = gray(base + a - 1, mu), gray(base + b - 1, mu)
-                assert sum(x != y for x, y in zip(la, lb)) <= MAX_LABEL_DISTANCE
+    # must stay within the bounded-distance alignment budget.  The four
+    # labels of a window vary only in the last bit and one other, which is
+    # what lets one AND of the other bits serve every factor of a matchgate.
+    for mu in range(2, 11):
+        for base in range(0, (1 << mu) - 4 + 1, 2):
+            labels = [gray(base + i, mu) for i in range(4)]
+            for a in range(4):
+                for b in range(a + 1, 4):
+                    la, lb = labels[a], labels[b]
+                    assert sum(x != y for x, y in zip(la, lb)) <= MAX_LABEL_DISTANCE
+            varying = [q for q in range(mu) if len({l[q] for l in labels}) > 1]
+            assert len(varying) == 2 and varying[-1] == mu - 1
 
 
 # ----- Binary <-> Gray relabeling circuit ------------------------------------
@@ -178,6 +188,16 @@ def test_multi_controlled_x_with_one_dirty_scratch_line():
         expected = _expected_controlled(pattern, x, r + 2)
         # Exact on every scratch state, i.e. the scratch line is restored.
         assert np.abs(u - expected).max() <= 1e-12
+
+
+def test_rotation_core_fires_on_either_value_of_its_second_control(rng):
+    for value in (0, 1):
+        theta = float(rng.uniform(-np.pi, np.pi))
+        gates = _rotation_core(3, 1, 2, theta, value)
+        assert len(gates) == 5
+        pattern = ControlPattern(2, ((1, value), (3, 1)))
+        expected = _expected_controlled(pattern, rot2(theta), 3)
+        assert np.abs(dense_unitary(gates, 3) - expected).max() <= 1e-12
 
 
 def test_zero_and_one_control_rotations_are_single_gates():
@@ -308,3 +328,86 @@ def test_compression_composes_with_the_standardizer(rng):
     want = simulate_expectation(c)
     got = expectation_z(run_statevector(out), 1)
     assert abs(want - got) <= 1e-8
+
+
+_IDENTITY_MG = reals_from_complex(np.eye(2)) * 2
+
+
+def test_a_two_line_window_needs_no_and():
+    # At n = 2 (mu = 2) the window shares no bit: the control line is the
+    # AND, and the work ancilla (line 4) stays untouched.
+    gates = (GateApp("mg", (1,), randgen.random_matchgate_params(np.random.default_rng(3))),)
+    c = MatchgateCircuit(2, gates, "00", measure_line=1)
+    out = compress_circuit(c)
+    assert out.width == 4
+    assert all(4 not in g.lines for g in out.gates)
+    assert abs(expectation_z(run_statevector(out), 1) - simulate_expectation(c)) <= 1e-12
+
+
+def test_one_and_pair_per_matchgate_with_factors_and_two_control_cores(rng):
+    n, mu = 8, 4
+    ancilla = mu + 2
+    gates = list(randgen.random_matchgate_circuit(n, 10, rng, "0" * n, 1).gates)
+    gates[3:3] = [GateApp("rot", (1,), (2.0, 0.0)), GateApp("mg", (n - 1,), _IDENTITY_MG)]
+    c = MatchgateCircuit(n, tuple(gates), "0" * n, measure_line=1)
+    planes = [givens_factor(r) for _, r in gate_rotations(c.gates)]
+    assert sum(not f for f in planes) >= 2  # the identity gates have no factors
+
+    ands, cores = [], []
+    window_and = compress._window_and
+
+    def and_spy(k, m):
+        ands.append(window_and(k, m))
+        return ands[-1]
+
+    def core_spy(c1, c2, t, theta, value=1):
+        cores.append((c1, c2, t))
+        return _rotation_core(c1, c2, t, theta, value)
+
+    with mock.patch.multiple(compress, _window_and=and_spy, _rotation_core=core_spy):
+        out = list(compress_gate_stream(c))
+    # One AND per matchgate with factors, per pass; every factor one core.
+    assert len(ands) == 2 * sum(1 for f in planes if f)
+    assert len(cores) == 2 * sum(len(f) for f in planes)
+    # Each AND is emitted twice (compute, uncompute), and nothing else
+    # targets the work ancilla.
+    to_ancilla = sum(1 for g in out if g.lines[-1] == ancilla)
+    assert to_ancilla == sum(2 * sum(g.lines[-1] == ancilla for g in a) for a, _ in ands)
+    # Every core has two controls: the ancilla and one window line.
+    for c1, c2, t in cores:
+        assert c1 == ancilla and c2 not in (1, ancilla, t) and 2 <= t <= mu + 1
+
+
+@st.composite
+def _standard_circuits(draw):
+    # Power-of-two widths from 2 to 16; every circuit touches the first and
+    # last window and may hold identity rotations, which have no factors.
+    n = draw(st.sampled_from([2, 4, 8, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = [1] + draw(st.lists(st.integers(1, n - 1), max_size=8)) + [n - 1]
+    gates = []
+    for k in lines:
+        kind = draw(st.sampled_from(["mg", "rot", "identity", "w", "gxx"]))
+        if kind == "mg":
+            gates.append(GateApp("mg", (k,), randgen.random_matchgate_params(rng)))
+        elif kind == "rot":
+            theta = draw(st.floats(-np.pi, np.pi))
+            gates.append(GateApp("rot", (k,), (float(draw(st.integers(1, 6))), theta)))
+        elif kind == "identity":
+            gates.append(GateApp("mg", (k,), _IDENTITY_MG))
+        else:
+            gates.append(GateApp(kind, (k,)))
+    return MatchgateCircuit(n, tuple(gates), "0" * n, measure_line=1, allow_idle=True)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_standard_circuits())
+@example(
+    MatchgateCircuit(
+        16, (GateApp("mg", (1,), _IDENTITY_MG), GateApp("w", (15,))), "0" * 16, 1, allow_idle=True
+    )
+)
+def test_compressed_readout_matches_the_fast_simulation(circuit):
+    out = compress_circuit(circuit)
+    got = expectation_z(run_statevector(out), 1)
+    assert abs(got - simulate_expectation(circuit)) <= 1e-9
