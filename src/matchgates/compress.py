@@ -28,7 +28,7 @@ conversion, one controlled block on the last data line, and conversion
 back.
 
 Everything is generated lazily; memory is O(mu^2) per emitted gate, plus
-the gates of a bounded number of windows kept between matchgates,
+the gates of a bounded number of windows one stream keeps for reuse,
 independent of the input length.
 """
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -302,9 +302,13 @@ def _window_bits(k: int, mu: int) -> list[int]:
     return varying
 
 
-# Gates kept between calls, per window: the AND of 64 windows and the
-# aligned planes of 1024, so the memory stays bounded at any width.
-@functools.lru_cache(maxsize=64)
+# Windows whose gates one compress stream keeps for reuse.  Building a
+# window's AND and aligned planes costs more than emitting them, and a
+# circuit's matchgates revisit their windows; the bound keeps the stream's
+# memory independent of the width.
+WINDOW_CACHE_SIZE = 64
+
+
 def _window_and(k: int, mu: int) -> tuple[tuple[GateApp, ...], int]:
     """The AND of matchgate k's window: its gates, and the line holding it.
 
@@ -325,7 +329,6 @@ def _window_and(k: int, mu: int) -> tuple[tuple[GateApp, ...], int]:
     return tuple(wraps + _mcx(controls, mu + 2, window) + wraps), mu + 2
 
 
-@functools.lru_cache(maxsize=1024)
 def _window_plane(
     k: int, a: int, b: int, mu: int
 ) -> tuple[tuple[GateApp, ...], int, int, int, bool]:
@@ -348,9 +351,21 @@ def _window_plane(
     return tuple(_shift_lines(conj, 1)), tau + 1, other + 1, value, flip
 
 
-def _rotation_pass(circuit: MatchgateCircuit, mu: int, invert: bool) -> Iterator[GateApp]:
+def _window(k: int, mu: int) -> tuple[tuple[GateApp, ...], int, dict]:
+    """Matchgate k's window: its AND gates, the line holding the AND, and
+    its six planes (a, b), a < b, as `_window_plane` gives them."""
+    gates, fired = _window_and(k, mu)
+    planes = {(a, b): _window_plane(k, a, b, mu) for a in range(1, 4) for b in range(a + 1, 5)}
+    return gates, fired, planes
+
+
+def _rotation_pass(
+    circuit: MatchgateCircuit, window: Callable[[int], tuple], invert: bool
+) -> Iterator[GateApp]:
     """Controlled R (or R^{-1} with `invert`), one matchgate at a time: its
-    window's AND computed once, every factor under it, the AND uncomputed."""
+    window's AND computed once, every factor under it, the AND uncomputed.
+
+    `window(k)` gives matchgate k's window as `_window` does."""
     for k, rot in gate_rotations(circuit.gates, last_first=invert):
         factors = algebra.givens_factor(rot)
         if not factors:
@@ -359,10 +374,10 @@ def _rotation_pass(circuit: MatchgateCircuit, mu: int, invert: bool) -> Iterator
             factors = [
                 algebra.PlaneRotation(f.a, f.b, -f.theta) for f in reversed(factors)
             ]
-        gates, fired = _window_and(k, mu)
+        gates, fired, planes = window(k)
         yield from gates
         for f in factors:
-            conj, target, other, value, flip = _window_plane(k, f.a, f.b, mu)
+            conj, target, other, value, flip = planes[f.a, f.b]
             theta = -f.theta if flip else f.theta
             yield from conj
             yield from _rotation_core(fired, other, target, theta, value)
@@ -387,14 +402,16 @@ def compress_gate_stream(circuit: MatchgateCircuit) -> Iterator[GateApp]:
     """Lazily emit the compressed circuit's gates.
 
     Iterates the input gate list twice (once reversed); per-gate working
-    state is O(mu^2).
+    state is O(mu^2), plus the gates of the last WINDOW_CACHE_SIZE windows
+    used, which both passes of this stream reuse.
     """
     n = _require_standard(circuit)
     mu = (2 * n).bit_length() - 1
+    window = functools.lru_cache(maxsize=WINDOW_CACHE_SIZE)(lambda k: _window(k, mu))
     yield GateApp("h", (1,))
-    yield from _rotation_pass(circuit, mu, invert=True)
+    yield from _rotation_pass(circuit, window, invert=True)
     yield from _pairing_pass(mu, invert=False)
-    yield from _rotation_pass(circuit, mu, invert=False)
+    yield from _rotation_pass(circuit, window, invert=False)
     yield from _pairing_pass(mu, invert=True)
     yield GateApp("h", (1,))
 

@@ -364,7 +364,10 @@ def test_one_and_pair_per_matchgate_with_factors_and_two_control_cores(rng):
         cores.append((c1, c2, t))
         return _rotation_core(c1, c2, t, theta, value)
 
-    with mock.patch.multiple(compress, _window_and=and_spy, _rotation_core=core_spy):
+    # With no window kept for reuse, every matchgate pass looks up its AND.
+    with mock.patch.multiple(
+        compress, _window_and=and_spy, _rotation_core=core_spy, WINDOW_CACHE_SIZE=0
+    ):
         out = list(compress_gate_stream(c))
     # One AND per matchgate with factors, per pass; every factor one core.
     assert len(ands) == 2 * sum(1 for f in planes if f)
@@ -378,11 +381,16 @@ def test_one_and_pair_per_matchgate_with_factors_and_two_control_cores(rng):
         assert c1 == ancilla and c2 not in (1, ancilla, t) and 2 <= t <= mu + 1
 
 
+_EXAMPLE_MG = randgen.random_matchgate_params(np.random.default_rng(32))
+
+
 @st.composite
 def _standard_circuits(draw):
-    # Power-of-two widths from 2 to 16; every circuit touches the first and
+    # Power-of-two widths from 2 to 32; every circuit touches the first and
     # last window and may hold identity rotations, which have no factors.
-    n = draw(st.sampled_from([2, 4, 8, 16]))
+    # From n = 32 (mu = 6) the window AND's five controls outnumber the
+    # borrowed lines, and _mcx splits.
+    n = draw(st.sampled_from([2, 4, 8, 16, 32]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lines = [1] + draw(st.lists(st.integers(1, n - 1), max_size=8)) + [n - 1]
     gates = []
@@ -407,7 +415,39 @@ def _standard_circuits(draw):
         16, (GateApp("mg", (1,), _IDENTITY_MG), GateApp("w", (15,))), "0" * 16, 1, allow_idle=True
     )
 )
+@example(
+    MatchgateCircuit(
+        32,
+        (
+            GateApp("mg", (1,), _EXAMPLE_MG),
+            GateApp("gxx", (31,)),
+            GateApp("mg", (16,), _EXAMPLE_MG),
+        ),
+        "0" * 32,
+        1,
+        allow_idle=True,
+    )
+)
 def test_compressed_readout_matches_the_fast_simulation(circuit):
     out = compress_circuit(circuit)
     got = expectation_z(run_statevector(out), 1)
     assert abs(got - simulate_expectation(circuit)) <= 1e-9
+
+
+def test_windows_past_the_cache_bound_are_rebuilt_exactly():
+    # Width 128 has 127 windows, more than one stream keeps for reuse.
+    # Visiting 65 windows and then the first again evicts it, so its gates
+    # are built a second time.
+    n = 128
+    rng = np.random.default_rng(11)
+    lines = list(range(1, 66)) + [1]
+    gates = tuple(GateApp("mg", (k,), randgen.random_matchgate_params(rng)) for k in lines)
+    c = MatchgateCircuit(n, gates, "0" * n, measure_line=1, allow_idle=True)
+    assert len(set(lines)) > compress.WINDOW_CACHE_SIZE
+    with mock.patch.object(compress, "_window", wraps=compress._window) as built:
+        out = compress_circuit(c)
+    assert built.call_count > len(set(lines))
+    with mock.patch.object(compress, "WINDOW_CACHE_SIZE", 0):
+        assert compress_circuit(c).gates == out.gates
+    got = expectation_z(run_statevector(out), 1)
+    assert abs(got - simulate_expectation(c)) <= 1e-9
