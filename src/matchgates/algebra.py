@@ -217,30 +217,33 @@ def givens_factor(r: np.ndarray, omit: float = OMIT_ANGLE) -> list[PlaneRotation
         raise ValueError("expected a square matrix")
     _check_special_orthogonal(r, TOL_ORTHOGONAL)
 
-    m = r.copy()
+    # Rows as lists of Python floats: at 4x4 and 8x8 numpy's per-call cost
+    # outweighs the arithmetic.
+    m = r.tolist()
     applied: list[tuple[int, int, float]] = []  # rotations pre-multiplied onto m
 
-    def rotate(a: int, b: int, phi: float) -> None:
-        c, s = np.cos(phi), np.sin(phi)
-        ra = m[a - 1].copy()
-        rb = m[b - 1].copy()
-        m[a - 1] = c * ra - s * rb
-        m[b - 1] = s * ra + c * rb
-        applied.append((a, b, phi))
+    def rotate(rows: list[list[float]], a: int, b: int, phi: float) -> None:
+        """rows <- plane_rotation(d, a, b, phi) @ rows, updating rows a and b in place."""
+        c, s = math.cos(phi), math.sin(phi)
+        ra, rb = rows[a - 1], rows[b - 1]
+        for k in range(d):
+            x, y = ra[k], rb[k]
+            ra[k] = c * x - s * y
+            rb[k] = s * x + c * y
 
     for j in range(1, d):
-        hits = 0
         for i in range(j + 1, d + 1):
-            if abs(m[i - 1, j - 1]) > omit:
-                phi = np.arctan2(-m[i - 1, j - 1], m[j - 1, j - 1])
-                rotate(j, i, phi)
-                m[i - 1, j - 1] = 0.0
-                hits += 1
-        if m[j - 1, j - 1] < 0.0:
+            if abs(m[i - 1][j - 1]) > omit:
+                phi = math.atan2(-m[i - 1][j - 1], m[j - 1][j - 1])
+                rotate(m, j, i, phi)
+                applied.append((j, i, phi))
+                m[i - 1][j - 1] = 0.0
+        if m[j - 1][j - 1] < 0.0:
             # Column already triangular but with a negative pivot: flip the
             # (j, j+1) plane by pi.  Only reachable when no elimination fired,
             # so the factor count stays within d(d-1)/2.
-            rotate(j, j + 1, np.pi)
+            rotate(m, j, j + 1, math.pi)
+            applied.append((j, j + 1, math.pi))
 
     # m is now upper triangular and orthogonal with positive diagonal, hence 1.
     factors = [
@@ -249,10 +252,10 @@ def givens_factor(r: np.ndarray, omit: float = OMIT_ANGLE) -> list[PlaneRotation
         if abs(phi) > omit
     ]
 
-    check = np.eye(d)
+    check = np.eye(d).tolist()
     for f in factors:
-        check = f.matrix(d) @ check
-    dev = np.abs(check - r).max()
+        rotate(check, f.a, f.b, f.theta)
+    dev = np.abs(np.array(check) - r).max()
     if not dev <= REPRODUCE_TOL:
         raise RuntimeError(f"givens factorization failed to reproduce input ({dev:.3g})")
     return factors

@@ -13,19 +13,32 @@ steps:
      and the extra rebit B is shared by all gates;
   3. the resulting real orthogonal operator on m+2 rebits, dimension
      2n = 2^{m+3}, is realized as the rotation of a width-n matchgate
-     circuit: it is factored into plane rotations, each of which lifts to a
-     short ladder of fermionic swaps around one local plane rotation gate.
+     circuit.  Rebit A is always the in-pair bit of a rotation dimension;
+     lines 1..m+1 are the bits of the line pair's index, in a *layout* that
+     changes as the circuit is emitted.  Before each realified gate one
+     fermionic-swap network (Kivlichan et al. 2018, arXiv:1711.04789)
+     moves the gate's rebits to the lowest pair-index bits: the `w` swaps
+     of an insertion sort of the pair permutation, one per inversion.  The
+     gate is then factored into plane rotations, each of which lifts to a
+     short ladder of fermionic swaps around one local plane rotation gate;
+     when A is a spectator the A=0 and A=1 planes sit on the same two pairs
+     and share one ladder.
 
 The output width is n = 2^{m+2} / 2 = 2^{m+1}, i.e. exactly 2^{m+1} lines.
-Exponential by design; guarded at EXPAND_MAX_WIDTH input qubits.
+Exponential by design; guarded at EXPAND_MAX_WIDTH input qubits, and at
+EXPAND_MAX_GATES emitted gates, counted exactly before any is emitted.
 
-Rebit register layout (width m + 2): lines 1..m carry the original qubits,
-line m+1 is the realification rebit B, line m+2 (least significant) is the
+Rebit register (width m + 2): lines 1..m carry the original qubits, line
+m+1 is the realification rebit B, line m+2 (least significant) is the
 gadget rebit A.  The matchgate circuit's rotation is assembled as
-V_hat^T . Z_A, where V_hat is the realified widened circuit and Z_A flips
-the sign of every odd rotation dimension pair; the transpose and the Z_A
-layer together make the matchgate readout reproduce <Z_1> exactly rather
-than up to sign.
+P V_hat^T . Z_A, where V_hat is the realified widened circuit, Z_A flips
+the sign of every odd rotation dimension pair, and P is the pair
+permutation of the final layout; the transpose and the Z_A layer together
+make the matchgate readout reproduce <Z_1> exactly rather than up to sign.
+The layout is never undone: a pair permutation moves whole pairs without
+signs and keeps pair 1 (index 0 in every layout) in place, so P leaves the
+rows of line 1's readout as they are, and it would equally leave the
+all-zero input's pairing matrix unchanged on the input side.
 """
 
 from __future__ import annotations
@@ -41,6 +54,7 @@ from .circuits import (
     GeneralCircuit,
     GuardError,
     MatchgateCircuit,
+    _gate,
     gate_matrices,
     read_gates,
     reals_from_complex,
@@ -48,10 +62,10 @@ from .circuits import (
 )
 
 EXPAND_MAX_WIDTH = 4
-# The guard under --force: 5 Haar gates at 8 qubits emit 1.0M gates (5 s, 210 MiB, 2-core VM).
+# The guard under --force: 5 Haar u2 gates at 8 qubits emit 110k gates (0.4 s, 44 MiB, 2-core VM).
 EXPAND_FORCED_MAX_WIDTH = 8
 # expand refuses, before emitting anything, a circuit that would emit more
-# gates than this: 10 Haar gates at 8 qubits emit 1.85M gates (6.4 s, 252 MiB peak RSS, 2-core VM).
+# gates than this: 80 Haar u2 gates at 8 qubits emit 1.95M gates (5.2 s, 217 MiB peak RSS, 2-core VM).
 EXPAND_MAX_GATES = 2_000_000
 
 # YT = iY: the real rotation by which realification represents multiplication
@@ -122,16 +136,51 @@ def realify_gate(u: np.ndarray, lines: tuple[int, ...]) -> RealGate:
     return RealGate(out, tuple(lines))
 
 
-def _permute_to_sorted(u: np.ndarray, lines: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reorder a gate's tensor factors so its line list is ascending."""
-    order = tuple(sorted(range(len(lines)), key=lambda i: lines[i]))
-    if order == tuple(range(len(lines))):
-        return u, lines
+def _permute_lines(u: np.ndarray, lines: tuple[int, ...], target: tuple[int, ...]) -> np.ndarray:
+    """Reorder a gate's tensor factors from the line order `lines` to `target`."""
+    order = [lines.index(q) for q in target]
+    if order == sorted(order):
+        return u
     j = len(lines)
-    t = u.reshape((2,) * (2 * j))
-    perm = list(order) + [j + o for o in order]
-    t = t.transpose(perm)
-    return t.reshape(2**j, 2**j), tuple(lines[i] for i in order)
+    t = u.reshape((2,) * (2 * j)).transpose(order + [j + o for o in order])
+    return t.reshape(2**j, 2**j)
+
+
+def pair_permutation(before: tuple[int, ...], after: tuple[int, ...]) -> np.ndarray:
+    """Where each line pair goes when the rebit lines, listed from the most
+    significant pair-index bit down, are reordered from `before` to `after`:
+    entry x is the new 0-based index of the pair now at index x."""
+    width = len(before)
+    x = np.arange(2**width)
+    out = np.zeros_like(x)
+    for old, q in enumerate(before):
+        new = after.index(q)
+        out |= (x >> (width - 1 - old) & 1) << (width - 1 - new)
+    return out
+
+
+def inversion_count(perm: np.ndarray) -> int:
+    """The pairs x < y with perm[x] > perm[y]: how many adjacent swaps sort perm."""
+    return int(np.count_nonzero(np.triu(perm[:, None] > perm[None, :])))
+
+
+def swap_network(perm: np.ndarray) -> list[int]:
+    """The lines k of the `w` gates that move the pair at index x to perm[x].
+
+    `w` on line k exchanges pairs k and k+1 (1-based) without signs.  The
+    swaps are the adjacent transpositions of an insertion sort of perm, one
+    per inversion.
+    """
+    order = perm.tolist()
+    lines: list[int] = []
+    for i in range(1, len(order)):
+        item, j = order[i], i
+        while j and order[j - 1] > item:
+            order[j] = order[j - 1]
+            lines.append(j)
+            j -= 1
+        order[j] = item
+    return lines
 
 
 def two_level_to_matchgates(a: int, b: int, rot: np.ndarray, n: int) -> list[GateApp]:
@@ -171,29 +220,6 @@ def two_level_to_matchgates(a: int, b: int, rot: np.ndarray, n: int) -> list[Gat
     return ladder + [core] + ladder[::-1]
 
 
-def _global_dim(local_dim: int, gate_lines: tuple[int, ...], spectators: tuple[int, ...], assignment: int, width: int) -> int:
-    """1-based rotation dimension of a basis label split across gate lines
-    (carrying the bits of local_dim - 1, MSB first) and spectator lines
-    (carrying the bits of `assignment`, MSB first, lines ascending)."""
-    j = len(gate_lines)
-    index = 0
-    for pos, line in enumerate(gate_lines):
-        bit = (local_dim - 1) >> (j - 1 - pos) & 1
-        index |= bit << (width - line)
-    ns = len(spectators)
-    for pos, line in enumerate(spectators):
-        bit = assignment >> (ns - 1 - pos) & 1
-        index |= bit << (width - line)
-    return index + 1
-
-
-def _ladder_lengths(da: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """Gates two_level_to_matchgates emits for each plane (da, db): one local
-    rotation, or a swap ladder of kb - ka - 1 gates each way around it."""
-    ka, kb = (da + 1) // 2, (db + 1) // 2
-    return np.where(kb <= ka + 1, 1, 2 * (kb - ka) - 1)
-
-
 def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH) -> MatchgateCircuit:
     """Compile an m-qubit general circuit to a 2^{m+1}-line matchgate circuit.
 
@@ -213,31 +239,46 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
         GeneralCircuit(m, tuple(prefix) + circuit.gates, "0" * m)
     )
 
-    rebits = m + 2  # + realification rebit B (line m+1) + gadget rebit A (last)
-    n = 2 ** (rebits - 1)
+    a_line, b_line = m + 2, m + 1
+    n = 2 ** (m + 1)
 
-    # V_hat^T: the realified gates, transposed, in reverse order.  Each is
-    # factored once into plane rotations; a factor acts on one plane per
-    # assignment of the spectator lines, whose bits add the same offset to
-    # both of its dimensions.
-    planes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (2x2 rotation, dims a, dims b)
+    # V_hat^T: the realified gates, transposed, in reverse order.  Before
+    # each gate the layout moves the gate's rebits (other than A) to the
+    # lowest pair-index bits, so the pairs split into blocks of 2^j adjacent
+    # pairs, one per assignment of the spectator lines, on which the gate
+    # acts alike.  Each gate is factored once into plane rotations and its
+    # factors lifted to the gates of the first block; the other blocks, which
+    # commute with it, get the same gates shifted.
+    layout = tuple(range(1, m + 2))  # rebit lines, most significant pair-index bit first
+    steps: list[tuple[np.ndarray, list[GateApp], int]] = []  # (pair moves, first block's gates, block size)
     matrices = gate_matrices(read_gates(widened.gates))
     for g, u in zip(reversed(widened.gates), reversed(matrices)):
-        lines = tuple(l if l <= m else m + 2 for l in g.lines) + (m + 1,)
+        lines = tuple(l if l <= m else a_line for l in g.lines) + (b_line,)
         rg = realify_gate(u, lines)
-        real, lines = _permute_to_sorted(rg.matrix.T, rg.lines)
-        spectators = tuple(q for q in range(1, rebits + 1) if q not in lines)
-        assignments = range(2 ** len(spectators))
-        offsets = np.array([_global_dim(1, (), spectators, s, rebits) - 1 for s in assignments])
+        moved = tuple(q for q in layout if q in lines)
+        after = tuple(q for q in layout if q not in lines) + moved
+        local = moved + ((a_line,) if a_line in lines else ())
+        real = _permute_lines(rg.matrix.T, rg.lines, local)
+        block = 2 ** len(moved)
+        gates = []
         for f in algebra.givens_factor(real):
-            # Sorted lines make the dim order monotone in the local order, so
-            # da < db as two_level_to_matchgates requires.
-            da = _global_dim(f.a, lines, (), 0, rebits) + offsets
-            db = _global_dim(f.b, lines, (), 0, rebits) + offsets
-            planes.append((algebra.rot2(f.theta), da, db))
+            rot = algebra.rot2(f.theta)
+            if a_line in lines:
+                gates += two_level_to_matchgates(f.a, f.b, rot, block)
+                continue
+            # A is a spectator: the A=0 and A=1 planes of a factor sit on the
+            # same two pairs, so one ladder serves both cores.
+            lo = two_level_to_matchgates(2 * f.a - 1, 2 * f.b - 1, rot, block)
+            hi = two_level_to_matchgates(2 * f.a, 2 * f.b, rot, block)
+            gates += lo[: len(lo) // 2 + 1] + hi[len(hi) // 2 :]
+        steps.append((pair_permutation(layout, after), gates, block))
+        layout = after
 
-    # The Z_A layer emits one local gate per pair; a plane emits a ladder.
-    emitted = n // 2 + sum(int(_ladder_lengths(da, db).sum()) for _, da, db in planes)
+    # The Z_A layer emits one local gate per pair; a gate its swap network
+    # and its first block's gates once per block.
+    emitted = n // 2 + sum(
+        inversion_count(moves) + n // block * len(gates) for moves, gates, block in steps
+    )
     if emitted > EXPAND_MAX_GATES:
         raise GuardError(f"expanding would emit {emitted} gates; guard is {EXPAND_MAX_GATES}")
 
@@ -247,9 +288,15 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
     pi_rot = algebra.rot2(math.pi)
     for t in range(1, n // 2 + 1):
         out.extend(two_level_to_matchgates(4 * t - 2, 4 * t, pi_rot, n))
-    for rot, da, db in planes:
-        for a, b in zip(da.tolist(), db.tolist()):
-            out.extend(two_level_to_matchgates(a, b, rot, n))
+    swaps = [GateApp("w", (k,)) for k in range(n)]  # swaps[k] is w on line k
+    for moves, gates, block in steps:
+        out.extend([swaps[k] for k in swap_network(moves)])
+        out.extend(gates)
+        shifted = [(g.lines[0], None if g.kind == "w" else g.params) for g in gates]
+        for off in range(block, n, block):
+            out.extend([
+                swaps[k + off] if p is None else _gate("rot", (k + off,), p) for k, p in shifted
+            ])
 
     result = MatchgateCircuit(n, tuple(out), "0" * n, 1)
     validate_or_raise(result)

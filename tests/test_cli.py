@@ -174,10 +174,10 @@ def test_expand_guard_and_force(tmp_path, capsys):
 
 
 def test_expand_force_refuses_a_gate_count_over_the_guard(tmp_path, capsys, rng):
-    # 50 two-qubit gates at 8 qubits would emit about 20M gates: refused
+    # 100 two-qubit gates at 8 qubits would emit about 2.7M gates: refused
     # from the count, before any is emitted.
     gates = []
-    for _ in range(50):
+    for _ in range(100):
         q = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         lines = tuple(int(x) + 1 for x in rng.choice(8, 2, replace=False))
         gates.append(circuits.GateApp("u2", lines, circuits.reals_from_complex(np.linalg.qr(q)[0])))

@@ -19,7 +19,10 @@ from matchgates.expand import (
     RealGate,
     append_w_gadget,
     expand_circuit,
+    inversion_count,
+    pair_permutation,
     realify_gate,
+    swap_network,
     two_level_to_matchgates,
 )
 from matchgates.oracle import expectation_z, run_statevector, verify_equivalent
@@ -180,6 +183,41 @@ def test_two_level_validates_dimensions():
         two_level_to_matchgates(1, 2, np.array([[0.0, 1.0], [1.0, 0.0]]), 4)
 
 
+# ----- Fermionic swap networks ------------------------------------------------
+
+
+def _pair_permutation_matrix(perm: np.ndarray) -> np.ndarray:
+    """The unsigned SO(2n) permutation moving pair x (dims 2x+1, 2x+2) to perm[x]."""
+    n = len(perm)
+    out = np.zeros((2 * n, 2 * n))
+    for x, y in enumerate(perm.tolist()):
+        out[2 * y, 2 * x] = out[2 * y + 1, 2 * x + 1] = 1.0
+    return out
+
+
+def test_swap_network_reproduces_a_random_pair_permutation(rng):
+    for n in (2, 3, 8, 13):
+        for _ in range(5):
+            perm = rng.permutation(n)
+            lines = swap_network(perm)
+            brute = sum(int(perm[x] > perm[y]) for x in range(n) for y in range(x + 1, n))
+            assert len(lines) == inversion_count(perm) == brute
+            got = _ladder_rotation([GateApp("w", (k,)) for k in lines], n)
+            assert np.array_equal(got, _pair_permutation_matrix(perm))
+
+
+def test_pair_permutation_moves_the_pair_index_bits(rng):
+    for width in (2, 3, 5):
+        before = tuple(rng.permutation(width) + 1)
+        after = tuple(rng.permutation(width) + 1)
+        perm = pair_permutation(before, after)
+        for x in range(2**width):
+            bits = {q: x >> (width - 1 - i) & 1 for i, q in enumerate(before)}
+            want = sum(bits[q] << (width - 1 - i) for i, q in enumerate(after))
+            assert perm[x] == want
+        assert perm[0] == 0  # pair 1 stays put
+
+
 # ----- Full expansion ----------------------------------------------------------
 
 
@@ -200,16 +238,45 @@ def test_expanded_width_is_exponential(rng):
 
 
 def test_expansion_reproduces_the_readout(rng):
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4, 5):
         for _ in range(3):
             bits = "".join(str(b) for b in rng.integers(0, 2, m))
+            bits = bits if "1" in bits else "1" + bits[1:]  # a non-zero input
             c = randgen.random_general_circuit(m, 6, rng, input_bits=bits)
             want = expectation_z(run_statevector(c), 1)
-            out = expand_circuit(c)
+            out = expand_circuit(c, width_guard=5)
+            assert out.width == 2 ** (m + 1)
             got = simulate_expectation(out)
-            assert abs(want - got) <= 1e-8
+            assert abs(want - got) <= 1e-12
             report = verify_equivalent(c, out, tol=1e-8, engine_b="mgsim")
             assert report.passed, report.line()
+
+
+def _balanced_circuit(m: int, rng) -> GeneralCircuit:
+    """20 gates (6 u2, 6 cu1, 4 u1, 2 h, 2 x) touching every line equally often."""
+    mix = (("u2", 6), ("cu1", 6), ("u1", 4), ("h", 2), ("x", 2))
+    kinds = [kind for kind, count in mix for _ in range(count)]
+    kinds = [kinds[i] for i in rng.permutation(len(kinds))]
+    arity = [2 if kind in ("u2", "cu1") else 1 for kind in kinds]
+    while True:
+        slots = iter(rng.permutation(np.resize(np.arange(1, m + 1), sum(arity))).tolist())
+        lines = [tuple(next(slots) for _ in range(a)) for a in arity]
+        if all(len(set(where)) == len(where) for where in lines):
+            break
+    gates = []
+    for kind, where in zip(kinds, lines):
+        if kind in ("h", "x"):
+            gates.append(GateApp(kind, where))
+        else:
+            u = randgen.haar_unitary(4 if kind == "u2" else 2, rng)
+            gates.append(GateApp(kind, where, reals_from_complex(u)))
+    return GeneralCircuit(m, tuple(gates), "0" * m)
+
+
+def test_expansion_size_per_input_gate_at_four_qubits():
+    c = _balanced_circuit(4, np.random.default_rng(410))
+    out = expand_circuit(c)
+    assert len(out.gates) <= 500 * len(c.gates), len(out.gates) / len(c.gates)
 
 
 def test_expansion_guard_and_override(rng):
