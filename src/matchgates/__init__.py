@@ -28,7 +28,6 @@ from .compress import (
     compress_gate_stream,
     gray,
     gray_converter_circuit,
-    lambda_r_decompose,
     pad_to_power_of_two,
 )
 from .expand import (
@@ -72,7 +71,6 @@ __all__ = [
     "compress_gate_stream",
     "gray",
     "gray_converter_circuit",
-    "lambda_r_decompose",
     "pad_to_power_of_two",
     "RealGate",
     "append_w_gadget",

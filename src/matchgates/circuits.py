@@ -510,6 +510,15 @@ def _chunk_violations(
     return [f"gate {first + i + 1} ({gates[first + i].kind}): {message}" for i, message in found]
 
 
+def _require_flavor(circuit: Circuit, flavor: str) -> None:
+    """Raise ValueError naming both flavors unless `circuit` is of `flavor`;
+    an invalid circuit of the other flavor raises ValidationError first."""
+    if circuit.flavor != flavor:
+        validate_or_raise(circuit)
+        named = {"mg": "an mg circuit", "qc": "a qc circuit"}
+        raise ValueError(f"expected {named[flavor]}, got {named[circuit.flavor]}")
+
+
 def mg_runs_last_first(circuit: MatchgateCircuit, size: int) -> Iterator[GateColumns]:
     """The gates of a matchgate circuit as validated runs of `size` gates,
     the last run first (the order reverse propagation consumes them in).
@@ -520,9 +529,7 @@ def mg_runs_last_first(circuit: MatchgateCircuit, size: int) -> Iterator[GateCol
     `validate_or_raise`, so an invalid circuit raises ValidationError with
     validate's messages, possibly after later runs were yielded.
     """
-    if circuit.flavor != "mg":
-        validate_or_raise(circuit)  # an invalid circuit is reported first
-        raise ValueError(f"expected an mg circuit, got a {circuit.flavor} circuit")
+    _require_flavor(circuit, "mg")
     if _header_violations(circuit):
         validate_or_raise(circuit)
     return _mg_runs_last_first(circuit, size)

@@ -46,6 +46,7 @@ from .circuits import (
     GateApp,
     GeneralCircuit,
     MatchgateCircuit,
+    _require_flavor,
     reals_from_complex,
     validate_or_raise,
 )
@@ -66,16 +67,6 @@ def gray(i: int, mu: int) -> str:
         raise ValueError(f"index {i} out of range for {mu} bits")
     g = i ^ (i >> 1)
     return format(g, f"0{mu}b")
-
-
-def gray_to_index(label: str) -> int:
-    """Inverse of gray: the index whose Gray label is `label`."""
-    g = int(label, 2)
-    i = 0
-    while g:
-        i ^= g
-        g >>= 1
-    return i
 
 
 def gray_converter_circuit(mu: int) -> list[GateApp]:
@@ -149,18 +140,15 @@ def _toffoli(c1: int, c2: int, t: int) -> list[GateApp]:
 
 
 def _mcx(controls: tuple[int, ...], target: int, pool: tuple[int, ...]) -> list[GateApp]:
-    """Multi-controlled X, exactly, borrowing `pool` lines as dirty scratch.
+    """X under r >= 2 controls, exactly, borrowing the non-empty `pool` of
+    lines as dirty scratch.
 
-    Scratch lines are restored to their incoming state whatever it was.  For
-    r controls the cost is O(r) Toffolis once pool is non-empty; with at
-    least r-2 scratch lines a single borrowed-ladder network is used, else
-    the problem splits in two with each half borrowing the other's controls.
+    Scratch lines are restored to their incoming state whatever it was.  The
+    cost is O(r) Toffolis: with at least r-2 scratch lines a single
+    borrowed-ladder network is used, else the problem splits in two with
+    each half borrowing the other's controls.
     """
     r = len(controls)
-    if r == 0:
-        return [GateApp("x", (target,))]
-    if r == 1:
-        return [GateApp("cu1", (controls[0], target), _X_PARAMS)]
     if r == 2:
         return _toffoli(controls[0], controls[1], target)
     if len(pool) >= r - 2:
@@ -175,8 +163,6 @@ def _mcx(controls: tuple[int, ...], target: int, pool: tuple[int, ...]) -> list[
             asc.extend(_toffoli(controls[i + 1], anc[i - 1], anc[i]))
         half = top + desc + base + asc
         return half + half
-    if not pool:
-        raise ValueError("need at least one scratch line for 3+ controls")
     s = pool[0]
     h = (r + 1) // 2
     first, second = controls[:h], controls[h:]
@@ -211,57 +197,9 @@ def _rotation_core(c1: int, c2: int, t: int, theta: float, c2_value: int = 1) ->
     ]
 
 
-def lambda_r_decompose(
-    pattern: ControlPattern, rot: np.ndarray, ancilla: int
-) -> list[GateApp]:
-    """Exact decomposition of a multi-controlled 2x2 real rotation.
-
-    `rot` must be [[c, -s], [s, c]]; `ancilla` is one scratch line distinct
-    from the controls and target, borrowed dirty: it may hold any state,
-    entangled or not, and is restored exactly whatever that state was.
-    Controls requiring value 0 are wrapped in X.  Zero, one and two controls
-    decompose directly (the two-control case via the standard five-gate
-    network); three or more use one rotation sandwich
-    R(theta/2) . MCX . R(-theta/2) . MCX, giving O(r) gates in the control
-    count r.
-    """
-    c, s = float(rot[0, 0]), float(rot[1, 0])
-    if (
-        rot.shape != (2, 2)
-        or not abs(rot[0, 1] + s) <= 1e-12
-        or not abs(rot[1, 1] - c) <= 1e-12
-        or not abs(c * c + s * s - 1.0) <= 1e-9
-    ):
-        raise ValueError("expected a 2x2 rotation [[c, -s], [s, c]]")
-    t = pattern.target
-    lines = tuple(l for l, _ in pattern.controls)
-    if ancilla == t or ancilla in lines:
-        raise ValueError("ancilla collides with the pattern's lines")
-    theta = math.atan2(s, c)
-    wraps = [GateApp("x", (l,)) for l, v in pattern.controls if v == 0]
-
-    r = len(lines)
-    if r == 0:
-        core = [GateApp("u1", (t,), _rot_params(theta))]
-    elif r == 1:
-        core = [GateApp("cu1", (lines[0], t), _rot_params(theta))]
-    elif r == 2:
-        core = _rotation_core(lines[0], lines[1], t, theta)
-    else:
-        # X R(phi) X = R(-phi), so MCX . R(-t/2) . MCX . R(t/2) applies
-        # R(theta) when all controls fire and cancels to identity otherwise.
-        mcx = _mcx(lines, t, (ancilla,))
-        core = (
-            [GateApp("u1", (t,), _rot_params(theta / 2.0))]
-            + mcx
-            + [GateApp("u1", (t,), _rot_params(-theta / 2.0))]
-            + mcx
-        )
-    return wraps + core + wraps[::-1]
-
-
 def pad_to_power_of_two(circuit: MatchgateCircuit) -> MatchgateCircuit:
     """Widen with idle all-zero lines until the width is a power of two."""
+    _require_flavor(circuit, "mg")
     validate_or_raise(circuit)
     n = circuit.width
     target = 1 << max(1, (n - 1).bit_length())
@@ -277,6 +215,7 @@ def pad_to_power_of_two(circuit: MatchgateCircuit) -> MatchgateCircuit:
 
 
 def _require_standard(circuit: MatchgateCircuit) -> int:
+    _require_flavor(circuit, "mg")
     validate_or_raise(circuit)
     n = circuit.width
     if circuit.input != "0" * n:

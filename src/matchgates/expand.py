@@ -55,6 +55,7 @@ from .circuits import (
     GuardError,
     MatchgateCircuit,
     _gate,
+    _require_flavor,
     gate_matrices,
     read_gates,
     reals_from_complex,
@@ -87,6 +88,7 @@ def append_w_gadget(circuit: GeneralCircuit) -> GeneralCircuit:
 
     Requires an all-zero input (fold basis inputs into x gates first).
     """
+    _require_flavor(circuit, "qc")
     validate_or_raise(circuit)
     if circuit.input.strip("0"):
         raise ValueError("gadget step expects an all-zero input")
@@ -226,6 +228,7 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
     The result runs on the all-zero input and reproduces the source
     circuit's <Z_1> (on its basis input) as its own <Z_1>.
     """
+    _require_flavor(circuit, "qc")
     validate_or_raise(circuit)
     m = circuit.width
     if m > width_guard:
@@ -298,6 +301,4 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
                 swaps[k + off] if p is None else _gate("rot", (k + off,), p) for k, p in shifted
             ])
 
-    result = MatchgateCircuit(n, tuple(out), "0" * n, 1)
-    validate_or_raise(result)
-    return result
+    return MatchgateCircuit(n, tuple(out), "0" * n, 1)

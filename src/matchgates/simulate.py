@@ -24,6 +24,7 @@ from .circuits import (
     GateColumns,
     GuardError,
     MatchgateCircuit,
+    _require_flavor,
     mg_runs_last_first,
     read_gates,
     validate_or_raise,
@@ -218,6 +219,7 @@ def simulate_expectation(circuit: MatchgateCircuit, k: int | None = None) -> flo
     The circuit is validated as it is read; an invalid one raises
     ValidationError with the messages of `validate`.
     """
+    _require_flavor(circuit, "mg")
     if k is None:
         k = circuit.measure_line
     if not 1 <= k <= circuit.width:
@@ -242,6 +244,7 @@ def simulate_expectation_reference(circuit: MatchgateCircuit, k: int | None = No
 
 def circuit_rotation(circuit: MatchgateCircuit) -> np.ndarray:
     """The full SO(2n) rotation R = R_N ... R_1 of the circuit."""
+    _require_flavor(circuit, "mg")
     validate_or_raise(circuit)
     if circuit.width > REFERENCE_MAX_WIDTH:
         raise GuardError(

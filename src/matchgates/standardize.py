@@ -17,7 +17,7 @@ The gate overhead is at most STANDARD_SIZE_CONSTANT * n^2 + n.
 
 from __future__ import annotations
 
-from .circuits import GateApp, MatchgateCircuit, validate_or_raise
+from .circuits import GateApp, MatchgateCircuit, _require_flavor, validate_or_raise
 
 STANDARD_SIZE_CONSTANT = 2
 
@@ -28,6 +28,7 @@ def standardize(circuit: MatchgateCircuit) -> MatchgateCircuit:
     The output distribution on line 1 of the result equals the input
     circuit's distribution on its measure line.
     """
+    _require_flavor(circuit, "mg")
     validate_or_raise(circuit)
     n = circuit.width
     k = circuit.measure_line
@@ -57,10 +58,8 @@ def standardize(circuit: MatchgateCircuit) -> MatchgateCircuit:
     suffix = [GateApp("w", (j,)) for j in range(k - 1, 0, -1)]
 
     gates = tuple(prefix + swaps + list(circuit.gates) + suffix)
-    out = MatchgateCircuit(width, gates, "0" * width, 1, idle)
-    validate_or_raise(out)
     added = len(gates) - len(circuit.gates)
     bound = STANDARD_SIZE_CONSTANT * n * n + n
     if added > bound:
         raise RuntimeError(f"standardizer emitted {added} extra gates, bound {bound}")
-    return out
+    return MatchgateCircuit(width, gates, "0" * width, 1, idle)

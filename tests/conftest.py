@@ -21,12 +21,19 @@ def embed(u: np.ndarray, lines: tuple[int, ...], width: int) -> np.ndarray:
 
 
 def dense_unitary(gates, width: int, flavor: str = "qc") -> np.ndarray:
-    """Compose a gate list into one dense 2^width unitary (tests only)."""
-    out = np.eye(2**width, dtype=complex)
+    """Compose a gate list into one dense 2^width unitary (tests only).
+
+    The columns are carried as one tensor with an axis per line, line 1
+    first, and each gate contracts only the axes of its own lines.
+    """
+    out = np.eye(2**width, dtype=complex).reshape((2,) * width + (2**width,))
     for g in gates:
         lines = g.lines if flavor == "qc" else (g.lines[0], g.lines[0] + 1)
-        out = embed(gate_matrix(g), lines, width) @ out
-    return out
+        k = len(lines)
+        u = gate_matrix(g).reshape((2,) * (2 * k))
+        axes = [l - 1 for l in lines]
+        out = np.moveaxis(np.tensordot(u, out, (list(range(k, 2 * k)), axes)), range(k), axes)
+    return out.reshape(2**width, 2**width)
 
 
 @pytest.fixture

@@ -23,7 +23,6 @@ from matchgates.algebra import (
     rotation_of_matchgate,
     split_matchgate,
 )
-from matchgates.compress import ControlPattern, lambda_r_decompose
 from matchgates.expand import RealGate, realify_gate, two_level_to_matchgates
 
 
@@ -203,7 +202,6 @@ NAN4 = np.full((4, 4), np.nan)
         lambda: make_matchgate(NAN2, NAN2),
         lambda: RealGate(NAN4, (1, 2)),
         lambda: realify_gate(NAN2, (1, 2)),
-        lambda: lambda_r_decompose(ControlPattern(1, ()), NAN2, ancilla=2),
         lambda: two_level_to_matchgates(1, 4, NAN2, 2),
     ],
     ids=[
@@ -212,7 +210,6 @@ NAN4 = np.full((4, 4), np.nan)
         "make_matchgate",
         "RealGate",
         "realify_gate",
-        "lambda_r_decompose",
         "two_level_to_matchgates",
     ],
 )

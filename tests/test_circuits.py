@@ -26,7 +26,15 @@ from matchgates.circuits import (
     validate,
     validate_or_raise,
 )
-from matchgates.simulate import simulate_expectation
+from matchgates.compress import compress_circuit, compress_gate_stream, pad_to_power_of_two
+from matchgates.expand import append_w_gadget, expand_circuit
+from matchgates.simulate import (
+    circuit_rotation,
+    output_distribution,
+    simulate_expectation,
+    simulate_expectation_reference,
+)
+from matchgates.standardize import standardize
 
 
 def _mg_params_identity() -> tuple[float, ...]:
@@ -1009,3 +1017,98 @@ def test_errors_in_commented_text_keep_the_line_parsers_line():
 def test_generated_circuit_prints_as_its_text_reads_back(rng):
     circuit = randgen.random_matchgate_circuit(5, 40, rng)
     assert repr(circuit) == repr(reference_parse(serialize_circuit(circuit)))
+
+
+# ----- Compiler outputs and circuit flavors -----------------------------------
+
+
+_QC2 = GeneralCircuit(2, (GateApp("h", (1,)),), "01")
+_QC3 = GeneralCircuit(3, (GateApp("h", (1,)),), "001")
+_MG = MatchgateCircuit(2, (GateApp("w", (1,)),), "10")
+
+
+@pytest.mark.parametrize(
+    "call, circuit",
+    [
+        (standardize, _QC3),
+        (compress_circuit, _QC2),
+        (lambda c: list(compress_gate_stream(c)), _QC2),
+        (simulate_expectation, _QC3),
+        (output_distribution, _QC3),
+        (circuit_rotation, _QC3),
+        (simulate_expectation_reference, _QC3),
+        (pad_to_power_of_two, _QC2),
+        (pad_to_power_of_two, _QC3),
+        (expand_circuit, _MG),
+        (append_w_gadget, _MG),
+    ],
+    ids=[
+        "standardize",
+        "compress_circuit",
+        "compress_gate_stream",
+        "simulate_expectation",
+        "output_distribution",
+        "circuit_rotation",
+        "simulate_expectation_reference",
+        "pad_to_power_of_two-width2",
+        "pad_to_power_of_two-width3",
+        "expand_circuit",
+        "append_w_gadget",
+    ],
+)
+def test_single_flavor_functions_name_the_flavor_they_expect(call, circuit):
+    expected = "a qc circuit, got an mg" if circuit.flavor == "mg" else "an mg circuit, got a qc"
+    with pytest.raises(ValueError, match=f"^expected {expected} circuit$"):
+        call(circuit)
+
+
+@st.composite
+def _mg_instances(draw, odd: bool, allow_idle: bool):
+    # Any width, input of the given weight parity and gate mix; without
+    # allow_idle the gates cover every line.
+    n = draw(st.integers(2, 6))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if sum(bits) % 2 != odd:
+        bits[draw(st.integers(0, n - 1))] ^= 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = draw(st.lists(st.integers(1, n - 1), max_size=6))
+    if not allow_idle:
+        lines += range(1, n)
+    gates = []
+    for k in lines:
+        kind = draw(st.sampled_from(["mg", "rot", "w", "gxx"]))
+        if kind == "mg":
+            gates.append(GateApp("mg", (k,), randgen.random_matchgate_params(rng)))
+        elif kind == "rot":
+            theta = draw(st.floats(-np.pi, np.pi))
+            gates.append(GateApp("rot", (k,), (float(draw(st.integers(1, 6))), theta)))
+        else:
+            gates.append(GateApp(kind, (k,)))
+    text = "".join(map(str, bits))
+    return MatchgateCircuit(n, tuple(gates), text, allow_idle=allow_idle)
+
+
+@pytest.mark.parametrize("allow_idle", [False, True])
+@pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_standardize_pad_and_compress_build_valid_circuits(odd, allow_idle, data):
+    circuit = data.draw(_mg_instances(odd, allow_idle))
+    for k in range(1, circuit.width + 1):
+        standard = standardize(
+            MatchgateCircuit(circuit.width, circuit.gates, circuit.input, k, allow_idle)
+        )
+        assert validate(standard) == []
+        padded = pad_to_power_of_two(standard)
+        assert validate(padded) == []
+        assert validate(compress_circuit(padded)) == []
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 3), data=st.data())
+def test_expand_builds_valid_circuits(m, seed, size, data):
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m).filter(any))
+    rng = np.random.default_rng(seed)
+    circuit = randgen.random_general_circuit(m, size, rng, "".join(map(str, bits)))
+    assert validate(expand_circuit(circuit)) == []
