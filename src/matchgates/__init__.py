@@ -16,6 +16,7 @@ from .circuits import (
     GuardError,
     MatchgateCircuit,
     ParseError,
+    UsageError,
     ValidationError,
     parse_circuit,
     serialize_circuit,
@@ -61,6 +62,7 @@ __all__ = [
     "GuardError",
     "MatchgateCircuit",
     "ParseError",
+    "UsageError",
     "ValidationError",
     "parse_circuit",
     "serialize_circuit",

@@ -36,6 +36,7 @@ __all__ = [
     "ParseError",
     "ValidationError",
     "GuardError",
+    "UsageError",
     "GateApp",
     "MatchgateCircuit",
     "GeneralCircuit",
@@ -73,6 +74,12 @@ class ValidationError(CircuitError):
 
 class GuardError(CircuitError):
     """A request beyond a hard resource guard (width, cost)."""
+
+
+class UsageError(CircuitError, ValueError):
+    """A valid circuit or argument that the call does not take: the other
+    flavor, a line off the circuit, a form the call needs but the circuit
+    lacks, a width too small to generate."""
 
 
 # kind -> (flavor, number of line arguments, number of real parameters)
@@ -312,12 +319,11 @@ def _gate_apps(cols: GateColumns) -> tuple[GateApp, ...]:
 
 
 def _gate_chunks(
-    circuit: Circuit, size: int, last_first: bool = False
+    gates: Sequence[GateApp], size: int, last_first: bool = False
 ) -> Iterator[tuple[int, GateColumns]]:
     """(index of the first gate, columns) of each run of `size` gates, in
     circuit order or the last run first: slices of a parsed circuit's table,
-    or read from `gates` for a circuit built in code."""
-    gates = circuit.gates
+    or read from the GateApps of a circuit built in code."""
     starts = range(0, len(gates), size)
     for lo in reversed(starts) if last_first else starts:
         if isinstance(gates, _ParsedGates):
@@ -511,12 +517,20 @@ def _chunk_violations(
 
 
 def _require_flavor(circuit: Circuit, flavor: str) -> None:
-    """Raise ValueError naming both flavors unless `circuit` is of `flavor`;
+    """Raise UsageError naming both flavors unless `circuit` is of `flavor`;
     an invalid circuit of the other flavor raises ValidationError first."""
     if circuit.flavor != flavor:
         validate_or_raise(circuit)
         named = {"mg": "an mg circuit", "qc": "a qc circuit"}
-        raise ValueError(f"expected {named[flavor]}, got {named[circuit.flavor]}")
+        raise UsageError(f"expected {named[flavor]}, got {named[circuit.flavor]}")
+
+
+def _require_line(circuit: Circuit, k: int) -> None:
+    """Raise UsageError unless line `k` is on the circuit; an invalid
+    circuit raises ValidationError first."""
+    if not 1 <= k <= circuit.width:
+        validate_or_raise(circuit)
+        raise UsageError(f"line {k} out of range 1..{circuit.width}")
 
 
 def mg_runs_last_first(circuit: MatchgateCircuit, size: int) -> Iterator[GateColumns]:
@@ -539,7 +553,7 @@ def _mg_runs_last_first(circuit: MatchgateCircuit, size: int) -> Iterator[GateCo
     width = circuit.width
     checked = getattr(circuit, "_valid", False)
     touched = np.zeros(width + 2, dtype=bool)
-    for lo, cols in _gate_chunks(circuit, size, last_first=True):
+    for lo, cols in _gate_chunks(circuit.gates, size, last_first=True):
         if not checked and _chunk_violations(circuit, lo, cols, touched):
             validate_or_raise(circuit)
         yield cols
@@ -582,7 +596,7 @@ def validate(circuit: Circuit) -> list[str]:
         return out
     idle_check = circuit.flavor == "mg" and not circuit.allow_idle
     touched = np.zeros(width + 2, dtype=bool) if idle_check else None
-    for lo, cols in _gate_chunks(circuit, _VALIDATE_CHUNK):
+    for lo, cols in _gate_chunks(circuit.gates, _VALIDATE_CHUNK):
         out += _chunk_violations(circuit, lo, cols, touched)
     if idle_check:
         idle = (np.flatnonzero(~touched[1 : width + 1]) + 1).tolist()

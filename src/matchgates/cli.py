@@ -54,19 +54,12 @@ def _nonnegative(kind):
     return number
 
 
-def _require(flavor: str, circuit, what: str):
-    if circuit.flavor != flavor:
-        raise ValidationError([f"{what} expects a {flavor} circuit"])
-    return circuit
-
-
 def cmd_simulate(args) -> int:
-    circuit = _require("mg", _load(args.circuit), "simulate")
-    line = circuit.measure_line
+    circuit = _load(args.circuit)
     if args.method == "fast":
-        z = simulate.simulate_expectation(circuit, line)
+        z = simulate.simulate_expectation(circuit)
     else:
-        z = simulate.simulate_expectation_reference(circuit, line)
+        z = simulate.simulate_expectation_reference(circuit)
     p0, p1 = simulate.distribution_from_expectation(z)
     print(f"z={z:.15g} p0={p0:.15g} p1={p1:.15g}")
     return EXIT_OK
@@ -82,7 +75,7 @@ def _summary(before, after) -> str:
 
 
 def cmd_standardize(args) -> int:
-    circuit = _require("mg", _load(args.circuit), "standardize")
+    circuit = _load(args.circuit)
     out = standardize(circuit)
     _store(args.output, out)
     added = len(out.gates) - len(circuit.gates)
@@ -91,20 +84,8 @@ def cmd_standardize(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    circuit = _require("mg", _load(args.circuit), "compress")
-    prepped = circuit
-    if args.strict:
-        n = circuit.width
-        if (
-            circuit.input != "0" * n
-            or circuit.measure_line != 1
-            or n & (n - 1)
-        ):
-            raise ValidationError(
-                ["--strict: input must already be standardized to a power-of-two width"]
-            )
-    else:
-        prepped = compress_mod.pad_to_power_of_two(standardize(circuit))
+    circuit = _load(args.circuit)
+    prepped = circuit if args.strict else compress_mod.pad_to_power_of_two(standardize(circuit))
     out = compress_mod.compress_circuit(prepped)
     _store(args.output, out)
     print(_summary(circuit, out))
@@ -112,7 +93,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    circuit = _require("qc", _load(args.circuit), "expand")
+    circuit = _load(args.circuit)
     guard = expand_mod.EXPAND_FORCED_MAX_WIDTH if args.force else expand_mod.EXPAND_MAX_WIDTH
     out = expand_mod.expand_circuit(circuit, width_guard=guard)
     _store(args.output, out)
@@ -123,12 +104,7 @@ def cmd_expand(args) -> int:
 def cmd_verify(args) -> int:
     ca = _load(args.circuit_a)
     cb = _load(args.circuit_b)
-    if args.lhs == "mgsim":
-        _require("mg", ca, "verify --lhs mgsim")
     line_a, line_b = args.lines if args.lines else (None, None)
-    for circuit, line in ((ca, line_a), (cb, line_b)):
-        if line is not None and not 1 <= line <= circuit.width:
-            raise ValidationError([f"--lines: line {line} out of range 1..{circuit.width}"])
     report = oracle.verify_equivalent(
         ca,
         cb,
@@ -143,9 +119,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen_random(args) -> int:
-    least = 2 if args.flavor == "mg" else 1
-    if args.width < least:
-        raise ValidationError([f"{args.flavor} circuits need width >= {least}, got {args.width}"])
     rng = np.random.default_rng(args.seed)
     if args.flavor == "mg":
         circuit = randgen.random_matchgate_circuit(

@@ -46,6 +46,7 @@ from .circuits import (
     GateApp,
     GeneralCircuit,
     MatchgateCircuit,
+    UsageError,
     _require_flavor,
     reals_from_complex,
     validate_or_raise,
@@ -219,11 +220,11 @@ def _require_standard(circuit: MatchgateCircuit) -> int:
     validate_or_raise(circuit)
     n = circuit.width
     if circuit.input != "0" * n:
-        raise ValueError("compress needs an all-zero input (standardize first)")
+        raise UsageError("compress needs an all-zero input (standardize first)")
     if circuit.measure_line != 1:
-        raise ValueError("compress needs measure line 1 (standardize first)")
+        raise UsageError("compress needs measure line 1 (standardize first)")
     if n & (n - 1):
-        raise ValueError("compress needs a power-of-two width (pad first)")
+        raise UsageError("compress needs a power-of-two width (pad first)")
     return n
 
 

@@ -19,6 +19,7 @@ from .circuits import (
     GuardError,
     MatchgateCircuit,
     _gate_chunks,
+    _require_line,
     gate_matrices,
     validate_or_raise,
 )
@@ -108,7 +109,7 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
         slot = lambda key: _slot_view(state, key, width)
         apply = lambda u, view: _apply_viewed(u, view, scratch)
     slots: dict[tuple[int, ...], np.ndarray] = {}
-    for _, cols in _gate_chunks(circuit, _ORACLE_CHUNK):
+    for _, cols in _gate_chunks(circuit.gates, _ORACLE_CHUNK):
         if circuit.flavor == "qc":
             keys = cols.line_tuples()
         else:
@@ -202,6 +203,8 @@ def verify_equivalent(
     """Compare <Z> readouts of two circuits on their chosen lines.
 
     Lines default to the measure line for mg circuits and line 1 otherwise.
+    Both lines are checked before either engine runs: UsageError for one
+    off its circuit.
     """
 
     def default_line(c: Circuit) -> int:
@@ -209,6 +212,8 @@ def verify_equivalent(
 
     la = line_a if line_a is not None else default_line(circuit_a)
     lb = line_b if line_b is not None else default_line(circuit_b)
+    _require_line(circuit_a, la)
+    _require_line(circuit_b, lb)
     lhs = _readout(circuit_a, la, engine_a)
     rhs = _readout(circuit_b, lb, engine_b)
     diff = abs(lhs - rhs)

@@ -9,6 +9,7 @@ from .circuits import (
     GateApp,
     GeneralCircuit,
     MatchgateCircuit,
+    UsageError,
     reals_from_complex,
 )
 
@@ -80,7 +81,7 @@ def random_matchgate_circuit(
     gates) the first gates sweep every pair once so no line stays idle.
     """
     if width < 2:
-        raise ValueError("matchgate circuits need width >= 2")
+        raise UsageError(f"matchgate circuits need width >= 2, got {width}")
     positions = list(rng.permutation(width - 1) + 1) if cover else []
     while len(positions) < size:
         positions.append(int(rng.integers(1, width)))
@@ -126,7 +127,7 @@ def random_general_circuit(
     "haar" draws only Haar-random one/two-qubit unitaries (u1, u2, cu1).
     """
     if width < 1:
-        raise ValueError("circuits need width >= 1")
+        raise UsageError(f"circuits need width >= 1, got {width}")
     gates = tuple(_random_qc_gate(width, rng, kinds) for _ in range(size))
     inp = input_bits if input_bits is not None else "0" * width
     return GeneralCircuit(width, gates, inp)

@@ -24,9 +24,10 @@ from .circuits import (
     GateColumns,
     GuardError,
     MatchgateCircuit,
+    _gate_chunks,
     _require_flavor,
+    _require_line,
     mg_runs_last_first,
-    read_gates,
     validate_or_raise,
 )
 
@@ -139,9 +140,7 @@ def gate_rotations(
     The gates must be valid mg-flavor gates.  They are read _ROTATION_RUN at
     a time through the batched closed form of the fast path.
     """
-    starts = range(0, len(gates), _ROTATION_RUN)
-    for lo in reversed(starts) if last_first else starts:
-        cols = read_gates(gates[lo : lo + _ROTATION_RUN])
+    for _, cols in _gate_chunks(gates, _ROTATION_RUN, last_first):
         run = zip(cols.lines.tolist(), _transposed_rotations(cols).transpose(0, 2, 1))
         yield from reversed(list(run)) if last_first else run
 
@@ -220,11 +219,8 @@ def simulate_expectation(circuit: MatchgateCircuit, k: int | None = None) -> flo
     ValidationError with the messages of `validate`.
     """
     _require_flavor(circuit, "mg")
-    if k is None:
-        k = circuit.measure_line
-    if not 1 <= k <= circuit.width:
-        validate_or_raise(circuit)  # an invalid circuit is reported first
-        raise ValueError(f"line {k} out of range 1..{circuit.width}")
+    k = circuit.measure_line if k is None else k
+    _require_line(circuit, k)
     x = _pair_columns(circuit, k)
     bits = _parse_bits(circuit.input)
     sv = _apply_s_sparse(x[:, 0], bits)
@@ -233,11 +229,10 @@ def simulate_expectation(circuit: MatchgateCircuit, k: int | None = None) -> flo
 
 def simulate_expectation_reference(circuit: MatchgateCircuit, k: int | None = None) -> float:
     """Reference path: accumulate the dense 2n x 2n rotation, then read one entry."""
+    _require_flavor(circuit, "mg")
+    k = circuit.measure_line if k is None else k
+    _require_line(circuit, k)
     r = circuit_rotation(circuit)
-    if k is None:
-        k = circuit.measure_line
-    if not 1 <= k <= circuit.width:
-        raise ValueError(f"line {k} out of range 1..{circuit.width}")
     s = s_matrix(circuit.input)
     return float(r[2 * k - 1] @ s @ r[2 * k - 2])
 

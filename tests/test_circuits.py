@@ -1062,6 +1062,44 @@ def test_single_flavor_functions_name_the_flavor_they_expect(call, circuit):
         call(circuit)
 
 
+_W12 = (GateApp("w", (1,)), GateApp("w", (2,)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: standardize(_QC3), "expected an mg circuit, got a qc circuit"),
+        (lambda: expand_circuit(_MG), "expected a qc circuit, got an mg circuit"),
+        (lambda: simulate_expectation(_MG, 3), "line 3 out of range 1..2"),
+        (lambda: simulate_expectation_reference(_MG, 0), "line 0 out of range 1..2"),
+        (lambda: compress_circuit(_MG), r"compress needs an all-zero input \(standardize first\)"),
+        (
+            lambda: compress_circuit(MatchgateCircuit(2, _MG.gates, "00", 2)),
+            r"compress needs measure line 1 \(standardize first\)",
+        ),
+        (
+            lambda: compress_circuit(MatchgateCircuit(3, _W12, "000")),
+            r"compress needs a power-of-two width \(pad first\)",
+        ),
+        (
+            lambda: randgen.random_matchgate_circuit(1, 3, np.random.default_rng(0)),
+            "matchgate circuits need width >= 2, got 1",
+        ),
+        (
+            lambda: randgen.random_general_circuit(0, 3, np.random.default_rng(0)),
+            "circuits need width >= 1, got 0",
+        ),
+    ],
+)
+def test_caller_errors_raise_one_class(call, message):
+    # A valid circuit or argument that the call does not take: a
+    # CircuitError, which the CLI maps to exit 2, and a ValueError.
+    with pytest.raises(circuits.UsageError, match=f"^{message}$") as err:
+        call()
+    assert isinstance(err.value, circuits.CircuitError)
+    assert isinstance(err.value, ValueError)
+
+
 @st.composite
 def _mg_instances(draw, odd: bool, allow_idle: bool):
     # Any width, input of the given weight parity and gate mix; without

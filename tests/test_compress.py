@@ -413,3 +413,16 @@ def test_windows_past_the_cache_bound_are_rebuilt_exactly():
         assert compress_circuit(c).gates == out.gates
     got = expectation_z(run_statevector(out), 1)
     assert abs(got - simulate_expectation(c)) <= 1e-9
+
+
+def test_compressing_a_parsed_circuit_reads_its_table(rng, monkeypatch):
+    from matchgates import circuits
+
+    built = pad_to_power_of_two(standardize(randgen.random_matchgate_circuit(6, 40, rng, "010110", 4)))
+    parsed = circuits.parse_circuit(circuits.serialize_circuit(built))
+
+    def refuse(cols):
+        raise AssertionError("the parsed gates were turned into GateApps")
+
+    monkeypatch.setattr(circuits, "_gate_apps", refuse)
+    assert compress_circuit(parsed).gates == compress_circuit(built).gates

@@ -168,6 +168,26 @@ def test_verify_equivalent_reports_match_and_mismatch(rng):
     assert "pass=false" in report.line()
 
 
+@pytest.mark.parametrize("engine_a", ["oracle", "mgsim"])
+@pytest.mark.parametrize("line_a, line_b", [(0, 1), (5, 1), (1, 0), (1, 4)])
+def test_verify_equivalent_checks_both_lines_before_either_engine(
+    rng, monkeypatch, engine_a, line_a, line_b
+):
+    from matchgates import simulate
+    from matchgates.circuits import UsageError
+
+    def refuse(*args):
+        raise AssertionError("an engine ran")
+
+    monkeypatch.setattr(oracle, "run_statevector", refuse)
+    monkeypatch.setattr(simulate, "simulate_expectation", refuse)
+    a = randgen.random_matchgate_circuit(4, 12, rng)
+    b = randgen.random_general_circuit(3, 12, rng)
+    bad, width = (line_a, 4) if line_a != 1 else (line_b, 3)
+    with pytest.raises(UsageError, match=f"^line {bad} out of range 1..{width}$"):
+        verify_equivalent(a, b, line_a=line_a, line_b=line_b, engine_a=engine_a)
+
+
 def test_apply_dense_gate_leaves_its_input_alone(rng):
     state = randgen.haar_unitary(8, rng)[:, 0]
     before = state.copy()

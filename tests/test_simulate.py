@@ -241,3 +241,33 @@ def test_nan_expectation_raises_instead_of_a_distribution(monkeypatch):
     c = MatchgateCircuit(2, (GateApp("w", (1,), ()),), "00")
     with pytest.raises(RuntimeError):
         output_distribution(c)
+
+
+def test_reference_path_checks_the_line_before_the_rotation(monkeypatch):
+    from matchgates import simulate
+    from matchgates.circuits import UsageError, ValidationError
+
+    def refuse(circuit):
+        raise AssertionError("the rotation was built")
+
+    monkeypatch.setattr(simulate, "circuit_rotation", refuse)
+    good = MatchgateCircuit(2, (GateApp("w", (1,), ()),), "00")
+    for k in (0, 3):
+        with pytest.raises(UsageError, match=f"^line {k} out of range 1..2$"):
+            simulate_expectation_reference(good, k)
+    bad = MatchgateCircuit(2, (GateApp("w", (2,), ()),), "00")  # an invalid circuit is reported first
+    with pytest.raises(ValidationError):
+        simulate_expectation_reference(bad, 3)
+
+
+def test_rotations_of_a_parsed_circuit_read_its_table(rng, monkeypatch):
+    from matchgates import circuits
+
+    built = randgen.random_matchgate_circuit(9, 300, rng)
+    parsed = circuits.parse_circuit(circuits.serialize_circuit(built))
+
+    def refuse(cols):
+        raise AssertionError("the parsed gates were turned into GateApps")
+
+    monkeypatch.setattr(circuits, "_gate_apps", refuse)
+    assert np.array_equal(circuit_rotation(parsed), circuit_rotation(built))
