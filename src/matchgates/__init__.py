@@ -23,8 +23,6 @@ from .circuits import (
     validate,
 )
 from .compress import (
-    ControlPattern,
-    align_conjugation,
     compress_circuit,
     compress_gate_stream,
     gray,
@@ -67,8 +65,6 @@ __all__ = [
     "parse_circuit",
     "serialize_circuit",
     "validate",
-    "ControlPattern",
-    "align_conjugation",
     "compress_circuit",
     "compress_gate_stream",
     "gray",

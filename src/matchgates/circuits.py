@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import itemgetter
 from collections.abc import Sequence
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -205,6 +205,7 @@ class GeneralCircuit:
 
 
 Circuit = MatchgateCircuit | GeneralCircuit
+C = TypeVar("C", MatchgateCircuit, GeneralCircuit)
 
 
 def complex_from_reals(params: tuple[float, ...] | list[float]) -> np.ndarray:
@@ -617,7 +618,17 @@ def validate_or_raise(circuit: Circuit) -> None:
     violations = validate(circuit)
     if violations:
         raise ValidationError(violations)
+    _mark_valid(circuit)
+
+
+def _mark_valid(circuit: C) -> C:
+    """Record `circuit` as passing `validate`, as `validate_or_raise` does.
+
+    For a circuit a library function built from one it had just validated,
+    by steps that keep every invariant, so no later call checks it again.
+    """
     object.__setattr__(circuit, "_valid", True)
+    return circuit
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--lhs",
-        choices=("oracle", "mgsim"),
+        choices=oracle.ENGINES,
         default="oracle",
         help="engine for the first circuit (the second always uses the oracle)",
     )

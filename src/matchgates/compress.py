@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -47,6 +46,7 @@ from .circuits import (
     GeneralCircuit,
     MatchgateCircuit,
     UsageError,
+    _mark_valid,
     _require_flavor,
     reals_from_complex,
     validate_or_raise,
@@ -84,49 +84,6 @@ def gray_converter_circuit(mu: int) -> list[GateApp]:
 
 def _shift_lines(gates: list[GateApp], offset: int) -> list[GateApp]:
     return [GateApp(g.kind, tuple(l + offset for l in g.lines), g.params) for g in gates]
-
-
-@dataclass(frozen=True)
-class ControlPattern:
-    """A multi-controlled action: fire iff every (line, value) control agrees.
-
-    `target` is the line the two-level rotation acts on; `controls` lists
-    (line, required bit) pairs sorted by line.
-    """
-
-    target: int
-    controls: tuple[tuple[int, int], ...]
-
-
-def align_conjugation(label_a: str, label_b: str) -> tuple[list[GateApp], ControlPattern]:
-    """Conjugation making two bit labels differ only in one position.
-
-    Labels are equal-length bit strings (bit p of the label is "line" p of
-    the returned gates).  The gates (x and controlled-X, self-inverse as a
-    sequence when reversed) map label_a and label_b to partner states
-    differing only at pattern.target, with every other bit pinned to the
-    control values in the pattern.  label_a keeps its original bit at the
-    target position.
-    """
-    mu = len(label_a)
-    if len(label_b) != mu or label_a == label_b:
-        raise ValueError("labels must have equal length and differ")
-    diff = [p for p in range(mu) if label_a[p] != label_b[p]]
-    tau = diff[0]
-    rest = diff[1:]
-    low = label_a if label_a[tau] == "0" else label_b  # the label with tau-bit 0
-    gates: list[GateApp] = []
-    for d in rest:
-        if low[d] == "1":
-            gates.append(GateApp("x", (d + 1,)))
-    for d in rest:
-        gates.append(GateApp("cu1", (tau + 1, d + 1), _X_PARAMS))
-    controls = []
-    for p in range(mu):
-        if p == tau:
-            continue
-        controls.append((p + 1, 0 if p in rest else int(label_a[p])))
-    return gates, ControlPattern(tau + 1, tuple(sorted(controls)))
 
 
 def _toffoli(c1: int, c2: int, t: int) -> list[GateApp]:
@@ -206,13 +163,14 @@ def pad_to_power_of_two(circuit: MatchgateCircuit) -> MatchgateCircuit:
     target = 1 << max(1, (n - 1).bit_length())
     if target == n:
         return circuit
-    return MatchgateCircuit(
+    padded = MatchgateCircuit(
         target,
         circuit.gates,
         circuit.input + "0" * (target - n),
         circuit.measure_line,
         allow_idle=True,
     )
+    return _mark_valid(padded)
 
 
 def _require_standard(circuit: MatchgateCircuit) -> int:
@@ -270,32 +228,44 @@ def _window_and(k: int, mu: int) -> tuple[tuple[GateApp, ...], int]:
 
 
 def _window_plane(
-    k: int, a: int, b: int, mu: int
+    k: int, a: int, b: int, q: int, mu: int
 ) -> tuple[tuple[GateApp, ...], int, int, int, bool]:
-    """Plane (a, b) of matchgate k's window, as register lines: the
-    align_conjugation gates, the target, the other window line and the
+    """Plane (a, b) of matchgate k's window, as register lines: the gates
+    that align its two labels, the target, the other window line and the
     value it must hold, and whether the rotation's sign flips.
 
-    Aligned, the plane's two Gray labels differ only at the target, a window
-    bit; the pattern pins the shared bits, which the AND holds, and the
-    other window bit, so a factor is a rotation under two controls.
+    The window's labels vary only in bit q and the last bit, so two of them
+    differ in one or both.  In one, they already differ only at that
+    target, and the other window bit holds label a's value.  In both, an x
+    (when the label with bit q = 0 has last bit 1) and a controlled-X from
+    bit q onto the last bit leave them differing only at target q, with
+    last bit 0.  The shared bits, which the AND holds, are never touched, so
+    a factor is a rotation under two controls.
     """
-    la = gray(2 * k - 3 + a, mu)
-    conj, pattern = align_conjugation(la, gray(2 * k - 3 + b, mu))
-    tau = pattern.target  # 1-based label bit, on data line tau + 1
-    other = next(q + 1 for q in _window_bits(k, mu) if q + 1 != tau)
+    la, lb = gray(2 * k - 3 + a, mu), gray(2 * k - 3 + b, mu)
+    last = mu - 1
+    # Label bit p sits on data line p + 2.
+    if la[q] != lb[q] and la[last] != lb[last]:
+        low = la if la[q] == "0" else lb
+        wrap = (GateApp("x", (last + 2,)),) if low[last] == "1" else ()
+        conj = wrap + (GateApp("cu1", (q + 2, last + 2), _X_PARAMS),)
+        target, other, value = q, last, 0
+    else:
+        target, other = (q, last) if la[q] != lb[q] else (last, q)
+        conj, value = (), int(la[other])
     # la keeps its own bit at the target: if that bit is 0 the basis (|0>, |1>)
     # is (dim a, dim b) and the block is R(theta), else the inverse rotation.
-    flip = la[tau - 1] == "1"
-    value = dict(pattern.controls)[other]
-    return tuple(_shift_lines(conj, 1)), tau + 1, other + 1, value, flip
+    return conj, target + 2, other + 2, value, la[target] == "1"
 
 
 def _window(k: int, mu: int) -> tuple[tuple[GateApp, ...], int, dict]:
     """Matchgate k's window: its AND gates, the line holding the AND, and
     its six planes (a, b), a < b, as `_window_plane` gives them."""
     gates, fired = _window_and(k, mu)
-    planes = {(a, b): _window_plane(k, a, b, mu) for a in range(1, 4) for b in range(a + 1, 5)}
+    q = _window_bits(k, mu)[0]
+    planes = {
+        (a, b): _window_plane(k, a, b, q, mu) for a in range(1, 4) for b in range(a + 1, 5)
+    }
     return gates, fired, planes
 
 

@@ -55,6 +55,7 @@ from .circuits import (
     GuardError,
     MatchgateCircuit,
     _gate,
+    _mark_valid,
     _require_flavor,
     gate_matrices,
     read_gates,
@@ -185,20 +186,17 @@ def swap_network(perm: np.ndarray) -> list[int]:
     return lines
 
 
-def two_level_to_matchgates(a: int, b: int, rot: np.ndarray, n: int) -> list[GateApp]:
-    """Matchgates realizing a plane rotation of dimensions (a, b) of SO(2n).
+def two_level_to_matchgates(a: int, b: int, theta: float, n: int) -> list[GateApp]:
+    """Matchgates realizing the rotation by theta in plane (a, b) of SO(2n).
 
-    `rot` is the 2x2 block [[c, -s], [s, c]] (dimension a first).  When both
-    dimensions fall inside one line pair's window a single local rotation
-    gate suffices; otherwise a ladder of fermionic swaps walks dimension b
-    down into a's window and back out.
+    When both dimensions fall inside one line pair's window a single local
+    rotation gate suffices; otherwise a ladder of fermionic swaps walks
+    dimension b down into a's window and back out.
     """
     if not 1 <= a < b <= 2 * n:
         raise ValueError(f"bad dimension pair ({a}, {b}) for {n} lines")
-    c, s = float(rot[0, 0]), float(rot[1, 0])
-    if not (abs(rot[0, 1] + s) <= 1e-12 and abs(rot[1, 1] - c) <= 1e-12):
-        raise ValueError("expected a 2x2 rotation [[c, -s], [s, c]]")
-    theta = math.atan2(s, c)
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta}")
 
     def local_rot(k: int, la: int, lb: int) -> GateApp:
         plane = algebra.PLANES.index((la, lb)) + 1
@@ -239,7 +237,7 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
     # Fold the basis input into x gates, then append the readout gadget.
     prefix = [GateApp("x", (q + 1,)) for q, c in enumerate(circuit.input) if c == "1"]
     widened = append_w_gadget(
-        GeneralCircuit(m, tuple(prefix) + circuit.gates, "0" * m)
+        _mark_valid(GeneralCircuit(m, tuple(prefix) + circuit.gates, "0" * m))
     )
 
     a_line, b_line = m + 2, m + 1
@@ -265,14 +263,13 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
         block = 2 ** len(moved)
         gates = []
         for f in algebra.givens_factor(real):
-            rot = algebra.rot2(f.theta)
             if a_line in lines:
-                gates += two_level_to_matchgates(f.a, f.b, rot, block)
+                gates += two_level_to_matchgates(f.a, f.b, f.theta, block)
                 continue
             # A is a spectator: the A=0 and A=1 planes of a factor sit on the
             # same two pairs, so one ladder serves both cores.
-            lo = two_level_to_matchgates(2 * f.a - 1, 2 * f.b - 1, rot, block)
-            hi = two_level_to_matchgates(2 * f.a, 2 * f.b, rot, block)
+            lo = two_level_to_matchgates(2 * f.a - 1, 2 * f.b - 1, f.theta, block)
+            hi = two_level_to_matchgates(2 * f.a, 2 * f.b, f.theta, block)
             gates += lo[: len(lo) // 2 + 1] + hi[len(hi) // 2 :]
         steps.append((pair_permutation(layout, after), gates, block))
         layout = after
@@ -288,9 +285,8 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
     # The Z_A layer: sign-flip of both dimensions of every odd-indexed pair,
     # written as pi-rotations in the planes (4t-2, 4t).
     out: list[GateApp] = []
-    pi_rot = algebra.rot2(math.pi)
     for t in range(1, n // 2 + 1):
-        out.extend(two_level_to_matchgates(4 * t - 2, 4 * t, pi_rot, n))
+        out.extend(two_level_to_matchgates(4 * t - 2, 4 * t, math.pi, n))
     swaps = [GateApp("w", (k,)) for k in range(n)]  # swaps[k] is w on line k
     for moves, gates, block in steps:
         out.extend([swaps[k] for k in swap_network(moves)])

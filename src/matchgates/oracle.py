@@ -18,6 +18,7 @@ from .circuits import (
     Circuit,
     GuardError,
     MatchgateCircuit,
+    UsageError,
     _gate_chunks,
     _require_line,
     gate_matrices,
@@ -181,14 +182,15 @@ class VerifyReport:
         )
 
 
+ENGINES = ("oracle", "mgsim")
+
+
 def _readout(circuit: Circuit, line: int, engine: str) -> float:
     if engine == "mgsim":
         from . import simulate
 
         return simulate.simulate_expectation(circuit, line)
-    if engine == "oracle":
-        return expectation_z(run_statevector(circuit), line)
-    raise ValueError(f"unknown engine {engine!r}")
+    return expectation_z(run_statevector(circuit), line)
 
 
 def verify_equivalent(
@@ -203,9 +205,12 @@ def verify_equivalent(
     """Compare <Z> readouts of two circuits on their chosen lines.
 
     Lines default to the measure line for mg circuits and line 1 otherwise.
-    Both lines are checked before either engine runs: UsageError for one
-    off its circuit.
+    Both engines and both lines are checked before either engine runs:
+    UsageError for an engine not in ENGINES or a line off its circuit.
     """
+    for engine in (engine_a, engine_b):
+        if engine not in ENGINES:
+            raise UsageError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
 
     def default_line(c: Circuit) -> int:
         return c.measure_line if isinstance(c, MatchgateCircuit) else 1

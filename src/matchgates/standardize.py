@@ -17,7 +17,7 @@ The gate overhead is at most STANDARD_SIZE_CONSTANT * n^2 + n.
 
 from __future__ import annotations
 
-from .circuits import GateApp, MatchgateCircuit, _require_flavor, validate_or_raise
+from .circuits import GateApp, MatchgateCircuit, _mark_valid, _require_flavor, validate_or_raise
 
 STANDARD_SIZE_CONSTANT = 2
 
@@ -62,4 +62,4 @@ def standardize(circuit: MatchgateCircuit) -> MatchgateCircuit:
     bound = STANDARD_SIZE_CONSTANT * n * n + n
     if added > bound:
         raise RuntimeError(f"standardizer emitted {added} extra gates, bound {bound}")
-    return MatchgateCircuit(width, gates, "0" * width, 1, idle)
+    return _mark_valid(MatchgateCircuit(width, gates, "0" * width, 1, idle))

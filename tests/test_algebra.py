@@ -1,5 +1,7 @@
 """Matchgate blocks, Majorana operators, rotations, and Givens factorization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -202,7 +204,7 @@ NAN4 = np.full((4, 4), np.nan)
         lambda: make_matchgate(NAN2, NAN2),
         lambda: RealGate(NAN4, (1, 2)),
         lambda: realify_gate(NAN2, (1, 2)),
-        lambda: two_level_to_matchgates(1, 4, NAN2, 2),
+        lambda: two_level_to_matchgates(1, 4, math.nan, 2),
     ],
     ids=[
         "givens_factor",

@@ -1126,6 +1126,18 @@ def _mg_instances(draw, odd: bool, allow_idle: bool):
     return MatchgateCircuit(n, tuple(gates), text, allow_idle=allow_idle)
 
 
+def test_compilers_validate_only_their_input(rng):
+    # standardize, pad_to_power_of_two and expand_circuit mark what they
+    # build from a validated input as validated: one validate per pipeline.
+    mg = randgen.random_matchgate_circuit(6, 20, rng, "011010", 3)
+    qc = randgen.random_general_circuit(3, 6, rng, "101")
+    with mock.patch.object(circuits, "validate", wraps=circuits.validate) as checked:
+        compress_circuit(pad_to_power_of_two(standardize(mg)))
+        assert checked.call_count == 1
+        expand_circuit(qc)
+        assert checked.call_count == 2
+
+
 @pytest.mark.parametrize("allow_idle", [False, True])
 @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
 @settings(max_examples=25, derandomize=True, deadline=None)

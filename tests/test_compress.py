@@ -11,12 +11,14 @@ from matchgates import compress, randgen
 from matchgates.algebra import givens_factor, rot2
 from matchgates.circuits import GateApp, MatchgateCircuit, gate_matrix, reals_from_complex
 from matchgates.compress import (
+    _X_PARAMS,
     MAX_LABEL_DISTANCE,
-    ControlPattern,
     _mcx,
     _rotation_core,
+    _shift_lines,
     _toffoli,
-    align_conjugation,
+    _window,
+    _window_bits,
     compress_circuit,
     compress_gate_stream,
     gray,
@@ -100,63 +102,61 @@ def test_converter_composed_with_its_reverse_is_identity():
     assert np.abs(u - np.eye(1 << mu)).max() <= 1e-12
 
 
-# ----- Alignment conjugation --------------------------------------------------
+# ----- Window planes ----------------------------------------------------------
 
 
-def test_alignment_of_distance_one_labels_needs_no_gates():
-    gates, pattern = align_conjugation("0100", "0110")
-    assert gates == []
-    assert pattern.target == 3
-    assert pattern.controls == ((1, 0), (2, 1), (4, 0))
+def test_window_plane_example():
+    # mu = 3, window 2: labels 011, 010, 110, 111 vary in bits 1 and 3 (data
+    # lines 2 and 4).  Plane (1, 4) differs in bit 1 only, plane (1, 2) in
+    # bit 3 only, where label a has a 1; plane (1, 3) differs in both, and
+    # its bit-1-zero label 011 has last bit 1.
+    _, _, planes = _window(2, 3)
+    assert planes[1, 4] == ((), 2, 4, 1, False)
+    assert planes[1, 2] == ((), 4, 2, 0, True)
+    cx = GateApp("cu1", (2, 4), _X_PARAMS)
+    assert planes[1, 3] == ((GateApp("x", (4,)), cx), 2, 4, 0, False)
+    assert planes[2, 4] == ((cx,), 2, 4, 0, False)
 
 
-def test_alignment_four_bit_example():
-    gates, pattern = align_conjugation("0101", "1000")
-    assert gates == [
-        GateApp("x", (2,)),
-        GateApp("x", (4,)),
-        GateApp("cu1", (1, 2), gates[2].params),
-        GateApp("cu1", (1, 4), gates[3].params),
-    ]
-    assert pattern == ControlPattern(1, ((2, 0), (3, 0), (4, 0)))
-
-
-def test_alignment_conjugation_behaves_on_basis_states(rng):
-    mu = 4
-    for _ in range(40):
-        ia, ib = rng.choice(1 << mu, size=2, replace=False)
-        la, lb = format(ia, f"0{mu}b"), format(ib, f"0{mu}b")
-        gates, pattern = align_conjugation(la, lb)
-        u = dense_unitary(gates, mu)
-        for label in (la, lb):
-            col = u[:, int(label, 2)]
-            hit = int(np.argmax(np.abs(col)))
-            assert col[hit] == pytest.approx(1.0)  # permutation, no signs
-            out = format(hit, f"0{mu}b")
-            # Target bit keeps the label's own value; every control is met.
-            assert out[pattern.target - 1] == label[pattern.target - 1]
-            for line, val in pattern.controls:
-                assert out[line - 1] == str(val)
-
-
-def test_alignment_rejects_degenerate_labels():
-    with pytest.raises(ValueError):
-        align_conjugation("0101", "0101")
-    with pytest.raises(ValueError):
-        align_conjugation("01", "011")
+@pytest.mark.parametrize("mu", range(2, 7))
+def test_window_planes_align_their_labels(mu):
+    # Every plane of every window: the conjugation is a signless permutation
+    # of the data register that maps the plane's two labels to partners
+    # differing only at the target, each keeping its own target bit, with
+    # the other window bit at the required value and the shared bits as
+    # they were.  The sign flips iff label a has target bit 1.
+    for k in range(1, 1 << (mu - 1)):
+        window = [q + 2 for q in _window_bits(k, mu)]
+        for (a, b), (conj, target, other, value, flip) in _window(k, mu)[2].items():
+            assert sorted((target, other)) == window
+            assert {l for g in conj for l in g.lines} <= set(window)
+            u = dense_unitary(_shift_lines(list(conj), -1), mu)
+            perm = np.argmax(np.abs(u), axis=0)
+            assert np.array_equal(u, np.eye(1 << mu)[:, perm])
+            la, lb = gray(2 * k - 3 + a, mu), gray(2 * k - 3 + b, mu)
+            oa, ob = (format(int(perm[int(l, 2)]), f"0{mu}b") for l in (la, lb))
+            assert [p for p in range(mu) if oa[p] != ob[p]] == [target - 2]
+            for label, out in ((la, oa), (lb, ob)):
+                assert out[target - 2] == label[target - 2]
+                assert out[other - 2] == str(value)
+                for p in range(mu):
+                    if p + 2 not in window:
+                        assert out[p] == label[p]
+            assert flip == (la[target - 2] == "1")
 
 
 # ----- Multi-controlled rotations ---------------------------------------------
 
 
-def _expected_controlled(pattern: ControlPattern, rot: np.ndarray, width: int):
-    """Dense controlled-rotation on `width` lines, ancilla untouched."""
+def _expected_controlled(target: int, controls, rot: np.ndarray, width: int):
+    """Dense rotation on line `target` of `width` lines, applied iff every
+    (line, value) pair in `controls` holds."""
     dim = 1 << width
     out = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):
         bits = format(i, f"0{width}b")
-        if all(bits[l - 1] == str(v) for l, v in pattern.controls):
-            t = pattern.target - 1
+        if all(bits[l - 1] == str(v) for l, v in controls):
+            t = target - 1
             for new_bit in (0, 1):
                 j = int(bits[:t] + str(new_bit) + bits[t + 1 :], 2)
                 out[j, i] += rot[new_bit, int(bits[t])]
@@ -179,9 +179,8 @@ def test_multi_controlled_x_with_one_dirty_scratch_line():
         scratch = r + 2
         gates = _mcx(controls, target, (scratch,))
         u = dense_unitary(gates, r + 2)
-        pattern = ControlPattern(target, tuple((c, 1) for c in controls))
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        expected = _expected_controlled(pattern, x, r + 2)
+        expected = _expected_controlled(target, [(c, 1) for c in controls], x, r + 2)
         # Exact on every scratch state, i.e. the scratch line is restored.
         assert np.abs(u - expected).max() <= 1e-12
 
@@ -193,9 +192,8 @@ def test_multi_controlled_x_with_two_dirty_scratch_lines(r, rng):
     perm = tuple(int(p) for p in rng.permutation(width) + 1)
     controls, target, pool = perm[:r], perm[r], perm[r + 1 :]
     gates = _mcx(controls, target, pool)
-    pattern = ControlPattern(target, tuple(sorted((c, 1) for c in controls)))
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    expected = _expected_controlled(pattern, x, width)
+    expected = _expected_controlled(target, [(c, 1) for c in controls], x, width)
     assert np.abs(dense_unitary(gates, width) - expected).max() <= 1e-12
     # A random state entangles the scratch lines with every other line; the
     # gates, applied one by one, flip the target and restore the scratch.
@@ -212,8 +210,7 @@ def test_rotation_core_fires_on_either_value_of_its_second_control(rng):
         theta = float(rng.uniform(-np.pi, np.pi))
         gates = _rotation_core(3, 1, 2, theta, value)
         assert len(gates) == 5
-        pattern = ControlPattern(2, ((1, value), (3, 1)))
-        expected = _expected_controlled(pattern, rot2(theta), 3)
+        expected = _expected_controlled(2, [(1, value), (3, 1)], rot2(theta), 3)
         assert np.abs(dense_unitary(gates, 3) - expected).max() <= 1e-12
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchgates import randgen
 from matchgates.algebra import plane_rotation
@@ -133,27 +135,21 @@ def _ladder_rotation(gates, n: int) -> np.ndarray:
 
 
 def test_adjacent_dimensions_need_one_gate():
-    gates = two_level_to_matchgates(1, 2, np.array([[0.0, -1.0], [1.0, 0.0]]), 4)
+    gates = two_level_to_matchgates(1, 2, np.pi / 2, 4)
     assert len(gates) == 1
     assert gates[0].kind == "rot" and gates[0].lines == (1,)
 
 
 def test_same_window_dimensions_need_one_gate():
     theta = 0.6
-    rot = np.array(
-        [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-    )
-    gates = two_level_to_matchgates(1, 4, rot, 2)
+    gates = two_level_to_matchgates(1, 4, theta, 2)
     assert len(gates) == 1
     assert np.abs(_ladder_rotation(gates, 2) - plane_rotation(4, 1, 4, theta)).max() <= 1e-12
 
 
 def test_distant_dimensions_ride_the_swap_ladder():
     theta = -1.2
-    rot = np.array(
-        [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-    )
-    gates = two_level_to_matchgates(1, 6, rot, 3)
+    gates = two_level_to_matchgates(1, 6, theta, 3)
     kinds = [g.kind for g in gates]
     assert kinds == ["w", "rot", "w"]
     assert gates[0].lines == (2,) and gates[2].lines == (2,)
@@ -165,22 +161,19 @@ def test_every_dimension_pair_reproduces_its_plane_rotation(rng):
     for _ in range(25):
         a, b = sorted(rng.choice(2 * n, size=2, replace=False) + 1)
         theta = float(rng.uniform(-np.pi, np.pi))
-        rot = np.array(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-        )
-        gates = two_level_to_matchgates(int(a), int(b), rot, n)
+        gates = two_level_to_matchgates(int(a), int(b), theta, n)
         got = _ladder_rotation(gates, n)
         assert np.abs(got - plane_rotation(2 * n, int(a), int(b), theta)).max() <= 1e-12
 
 
 def test_two_level_validates_dimensions():
-    rot = np.eye(2)
     with pytest.raises(ValueError):
-        two_level_to_matchgates(2, 2, rot, 4)
+        two_level_to_matchgates(2, 2, 0.5, 4)
     with pytest.raises(ValueError):
-        two_level_to_matchgates(1, 9, rot, 4)
-    with pytest.raises(ValueError):
-        two_level_to_matchgates(1, 2, np.array([[0.0, 1.0], [1.0, 0.0]]), 4)
+        two_level_to_matchgates(1, 9, 0.5, 4)
+    for theta in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            two_level_to_matchgates(1, 2, theta, 4)
 
 
 # ----- Fermionic swap networks ------------------------------------------------
@@ -250,6 +243,22 @@ def test_expansion_reproduces_the_readout(rng):
             assert abs(want - got) <= 1e-12
             report = verify_equivalent(c, out, tol=1e-8, engine_b="mgsim")
             assert report.passed, report.line()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 8),
+    kinds=st.sampled_from(["mixed", "haar"]),
+    data=st.data(),
+)
+def test_expanded_readout_matches_the_oracle(m, seed, size, kinds, data):
+    bits = data.draw(st.text("01", min_size=m, max_size=m))
+    rng = np.random.default_rng(seed)
+    c = randgen.random_general_circuit(m, size, rng, bits, kinds)
+    want = expectation_z(run_statevector(c), 1)
+    assert abs(simulate_expectation(expand_circuit(c)) - want) <= 1e-9
 
 
 def _balanced_circuit(m: int, rng) -> GeneralCircuit:

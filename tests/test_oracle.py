@@ -188,6 +188,17 @@ def test_verify_equivalent_checks_both_lines_before_either_engine(
         verify_equivalent(a, b, line_a=line_a, line_b=line_b, engine_a=engine_a)
 
 
+@pytest.mark.parametrize("engines", [("oracle", "bogus"), ("bogus", "mgsim"), ("Oracle", "oracle")])
+def test_verify_equivalent_checks_both_engines_before_either_runs(rng, engines):
+    from matchgates.circuits import UsageError
+
+    c = randgen.random_general_circuit(3, 12, rng)
+    with mock.patch.object(oracle, "run_statevector", wraps=oracle.run_statevector) as run:
+        with pytest.raises(UsageError, match="unknown engine"):
+            verify_equivalent(c, c, engine_a=engines[0], engine_b=engines[1])
+    assert run.call_count == 0
+
+
 def test_apply_dense_gate_leaves_its_input_alone(rng):
     state = randgen.haar_unitary(8, rng)[:, 0]
     before = state.copy()

@@ -31,3 +31,17 @@ def test_only_the_oracle_calls_the_trace_formula():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "rotation_of_matchgate"
     ]
     assert SOURCES and not found, found
+
+
+def test_only_givens_factor_recovers_angles():
+    # Compilers carry each plane rotation as (a, b, theta) from the one
+    # factorization that computes theta; none rebuilds it from a 2x2 block.
+    found = {
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in SOURCES
+        for top in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("atan2", "arctan2")
+    }
+    assert found == {"algebra.givens_factor"}, found
