@@ -105,14 +105,36 @@ def test_converter_composed_with_its_reverse_is_identity():
 # ----- Window planes ----------------------------------------------------------
 
 
-def test_window_plane_example():
+def test_alignment_of_distance_one_labels_needs_no_gates():
     # mu = 3, window 2: labels 011, 010, 110, 111 vary in bits 1 and 3 (data
     # lines 2 and 4).  Plane (1, 4) differs in bit 1 only, plane (1, 2) in
-    # bit 3 only, where label a has a 1; plane (1, 3) differs in both, and
-    # its bit-1-zero label 011 has last bit 1.
+    # bit 3 only, where label a has a 1.
     _, _, planes = _window(2, 3)
     assert planes[1, 4] == ((), 2, 4, 1, False)
     assert planes[1, 2] == ((), 4, 2, 0, True)
+    # Every plane of every window whose labels differ in one bit: no gates,
+    # that bit is the target, and the other window bit holds label a's value.
+    for mu in range(2, 7):
+        for k in range(1, 1 << (mu - 1)):
+            for (a, b), (conj, target, other, value, _) in _window(k, mu)[2].items():
+                la, lb = gray(2 * k - 3 + a, mu), gray(2 * k - 3 + b, mu)
+                differ = [p + 2 for p in range(mu) if la[p] != lb[p]]
+                if len(differ) == 1:
+                    assert conj == ()
+                    assert target == differ[0]
+                    assert value == int(la[other - 2])
+
+
+def test_alignment_four_bit_example():
+    # mu = 4, window 4: labels 0101, 0100, 1100, 1101 vary in bits 1 and 4
+    # (data lines 2 and 5).  Planes (1, 3) and (2, 4) differ in both; an x
+    # on line 5 first when the label with bit 1 = 0 (0101) has last bit 1.
+    _, _, planes = _window(4, 4)
+    cx = GateApp("cu1", (2, 5), _X_PARAMS)
+    assert planes[1, 3] == ((GateApp("x", (5,)), cx), 2, 5, 0, False)
+    assert planes[2, 4] == ((cx,), 2, 5, 0, False)
+    # mu = 3, window 2: label 011 of plane (1, 3) has last bit 1.
+    _, _, planes = _window(2, 3)
     cx = GateApp("cu1", (2, 4), _X_PARAMS)
     assert planes[1, 3] == ((GateApp("x", (4,)), cx), 2, 4, 0, False)
     assert planes[2, 4] == ((cx,), 2, 4, 0, False)
