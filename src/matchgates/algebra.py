@@ -204,7 +204,9 @@ def _check_special_orthogonal(r: np.ndarray, tol: float) -> None:
 
 
 def givens_factor(r: np.ndarray, omit: float = OMIT_ANGLE) -> list[PlaneRotation]:
-    """Factor a d x d special-orthogonal matrix into plane rotations.
+    """Factor a d x d special-orthogonal matrix into rotations in adjacent
+    planes (a, a+1): each column is cleared bottom-up, every entry against
+    the row just above it (the triangle of Reck et al. 1994, PRL 73, 58).
 
     Returns at most d(d-1)/2 factors in application order, i.e.
     r = F_K @ ... @ F_1 for the returned list [F_1, ..., F_K].  Angles lie in
@@ -232,11 +234,11 @@ def givens_factor(r: np.ndarray, omit: float = OMIT_ANGLE) -> list[PlaneRotation
             rb[k] = s * x + c * y
 
     for j in range(1, d):
-        for i in range(j + 1, d + 1):
+        for i in range(d, j, -1):
             if abs(m[i - 1][j - 1]) > omit:
-                phi = math.atan2(-m[i - 1][j - 1], m[j - 1][j - 1])
-                rotate(m, j, i, phi)
-                applied.append((j, i, phi))
+                phi = math.atan2(-m[i - 1][j - 1], m[i - 2][j - 1])
+                rotate(m, i - 1, i, phi)
+                applied.append((i - 1, i, phi))
                 m[i - 1][j - 1] = 0.0
         if m[j - 1][j - 1] < 0.0:
             # Column already triangular but with a negative pivot: flip the

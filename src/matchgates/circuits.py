@@ -125,9 +125,10 @@ def _gate(kind: str, lines: tuple[int, ...], params: tuple[float, ...]) -> GateA
 
 
 class _ParsedGates(Sequence):
-    """The gates of a parsed circuit: its GateColumns `table`, read by
-    `validate` and the simulation, behind a read-only sequence that equals
-    the GateApp tuple.  Any use but len() builds that tuple once."""
+    """The gates of a parsed or standardized circuit: its GateColumns
+    `table`, read by `validate`, the simulation and compress, behind a
+    read-only sequence that equals the GateApp tuple.  Any use but len()
+    builds that tuple once."""
 
     __slots__ = ("table", "_built")
 
@@ -305,6 +306,13 @@ def read_gates(gates: tuple[GateApp, ...]) -> GateColumns:
         line_col = np.clip(big, -(2**62), 2**62).astype(np.int64)
     param_col = np.fromiter(chain.from_iterable(params), float, nparams.sum())
     return _columns(kinds, nlines, nparams, line_col, param_col)
+
+
+def _joined(*runs: Sequence[GateApp]) -> _ParsedGates:
+    """Runs of gates end to end, as one table; a parsed run's table is read as
+    it is, never built into GateApps."""
+    tables = [g.table if isinstance(g, _ParsedGates) else read_gates(g) for g in runs]
+    return _ParsedGates(_columns(*map(np.concatenate, zip(*(t[:5] for t in tables)))))
 
 
 def _cut(flat: list, at: np.ndarray, counts: np.ndarray) -> list[tuple]:

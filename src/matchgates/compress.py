@@ -46,6 +46,7 @@ from .circuits import (
     GeneralCircuit,
     MatchgateCircuit,
     UsageError,
+    _gate,
     _mark_valid,
     _require_flavor,
     reals_from_complex,
@@ -145,13 +146,13 @@ def _rotation_core(c1: int, c2: int, t: int, theta: float, c2_value: int = 1) ->
     half = _rot_params(theta / 2.0)
     nhalf = _rot_params(-theta / 2.0)
     first, second = (half, nhalf) if c2_value else (nhalf, half)
-    cx = GateApp("cu1", (c1, c2), _X_PARAMS)
+    cx = _gate("cu1", (c1, c2), _X_PARAMS)
     return [
-        GateApp("cu1", (c2, t), first),
+        _gate("cu1", (c2, t), first),
         cx,
-        GateApp("cu1", (c2, t), second),
+        _gate("cu1", (c2, t), second),
         cx,
-        GateApp("cu1", (c1, t), half),
+        _gate("cu1", (c1, t), half),
     ]
 
 

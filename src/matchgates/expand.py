@@ -19,10 +19,11 @@ steps:
      fermionic-swap network (Kivlichan et al. 2018, arXiv:1711.04789)
      moves the gate's rebits to the lowest pair-index bits: the `w` swaps
      of an insertion sort of the pair permutation, one per inversion.  The
-     gate is then factored into plane rotations, each of which lifts to a
-     short ladder of fermionic swaps around one local plane rotation gate;
-     when A is a spectator the A=0 and A=1 planes sit on the same two pairs
-     and share one ladder.
+     gate is then factored into rotations in adjacent planes (a, a+1)
+     (`algebra.givens_factor`), and each lifts to local `rot` gates with no
+     swap of its own: with A in the gate a plane is one `rot` inside one
+     line window, and with A a spectator it is two, planes (1,3) and (2,4)
+     of the window of pairs a and a+1.
 
 The output width is n = 2^{m+2} / 2 = 2^{m+1}, i.e. exactly 2^{m+1} lines.
 Exponential by design; guarded at EXPAND_MAX_WIDTH input qubits, and at
@@ -64,10 +65,10 @@ from .circuits import (
 )
 
 EXPAND_MAX_WIDTH = 4
-# The guard under --force: 5 Haar u2 gates at 8 qubits emit 110k gates (0.4 s, 44 MiB, 2-core VM).
+# The guard under --force: 5 Haar u2 gates at 8 qubits emit 134k gates (0.5 s, 44 MiB, 2-core VM).
 EXPAND_FORCED_MAX_WIDTH = 8
 # expand refuses, before emitting anything, a circuit that would emit more
-# gates than this: 80 Haar u2 gates at 8 qubits emit 1.95M gates (5.2 s, 217 MiB peak RSS, 2-core VM).
+# gates than this: 100 Haar u2 gates at 8 qubits emit 1.97M gates (4.0 s, 223 MiB peak RSS, 2-core VM).
 EXPAND_MAX_GATES = 2_000_000
 
 # YT = iY: the real rotation by which realification represents multiplication
@@ -187,37 +188,24 @@ def swap_network(perm: np.ndarray) -> list[int]:
 
 
 def two_level_to_matchgates(a: int, b: int, theta: float, n: int) -> list[GateApp]:
-    """Matchgates realizing the rotation by theta in plane (a, b) of SO(2n).
+    """The one local `rot` gate, as a list, realizing the rotation by theta
+    in plane (a, b) of SO(2n).
 
-    When both dimensions fall inside one line pair's window a single local
-    rotation gate suffices; otherwise a ladder of fermionic swaps walks
-    dimension b down into a's window and back out.
+    Both dimensions must lie in one line window, the dimensions 2k-1 .. 2k+2
+    of some line pair (k, k+1); a plane in no window raises ValueError.
     """
     if not 1 <= a < b <= 2 * n:
         raise ValueError(f"bad dimension pair ({a}, {b}) for {n} lines")
     if not math.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta}")
-
-    def local_rot(k: int, la: int, lb: int) -> GateApp:
-        plane = algebra.PLANES.index((la, lb)) + 1
-        # The rot gate's own convention carries [la, lb] = +sin, so realizing
-        # plane_rotation(la, lb, theta) needs the opposite angle.
-        return GateApp("rot", (k,), (float(plane), -theta))
-
-    ka = (a + 1) // 2
-    kb = (b + 1) // 2
-    if kb <= ka + 1:
-        k = min(ka, n - 1)
-        off = 2 * k - 2
-        return [local_rot(k, a - off, b - off)]
-
-    # Swap ladder: W on (k, k+1) exchanges dimension pairs without signs, so
-    # dimension b rides up from pair kb to pair ka+1, rotates, and rides back.
-    ladder = [GateApp("w", (k,)) for k in range(kb - 1, ka, -1)]
-    b_up = 2 * ka + 1 if b % 2 == 1 else 2 * ka + 2
-    off = 2 * ka - 2
-    core = local_rot(ka, a - off, b_up - off)
-    return ladder + [core] + ladder[::-1]
+    k = min((a + 1) // 2, n - 1)
+    if (b + 1) // 2 > k + 1:
+        raise ValueError(f"dimension pair ({a}, {b}) lies in no one line window")
+    off = 2 * k - 2
+    plane = algebra.PLANES.index((a - off, b - off)) + 1
+    # The rot gate's own convention carries [la, lb] = +sin, so realizing
+    # plane_rotation(la, lb, theta) needs the opposite angle.
+    return [GateApp("rot", (k,), (float(plane), -theta))]
 
 
 def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH) -> MatchgateCircuit:
@@ -265,12 +253,11 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
         for f in algebra.givens_factor(real):
             if a_line in lines:
                 gates += two_level_to_matchgates(f.a, f.b, f.theta, block)
-                continue
-            # A is a spectator: the A=0 and A=1 planes of a factor sit on the
-            # same two pairs, so one ladder serves both cores.
-            lo = two_level_to_matchgates(2 * f.a - 1, 2 * f.b - 1, f.theta, block)
-            hi = two_level_to_matchgates(2 * f.a, 2 * f.b, f.theta, block)
-            gates += lo[: len(lo) // 2 + 1] + hi[len(hi) // 2 :]
+            else:
+                # A is a spectator: the factor acts alike on the A=0 and A=1
+                # dimensions of pairs a and a+1, planes (1,3) and (2,4) of one window.
+                gates += two_level_to_matchgates(2 * f.a - 1, 2 * f.b - 1, f.theta, block)
+                gates += two_level_to_matchgates(2 * f.a, 2 * f.b, f.theta, block)
         steps.append((pair_permutation(layout, after), gates, block))
         layout = after
 
@@ -291,10 +278,7 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
     for moves, gates, block in steps:
         out.extend([swaps[k] for k in swap_network(moves)])
         out.extend(gates)
-        shifted = [(g.lines[0], None if g.kind == "w" else g.params) for g in gates]
         for off in range(block, n, block):
-            out.extend([
-                swaps[k + off] if p is None else _gate("rot", (k + off,), p) for k, p in shifted
-            ])
+            out.extend([_gate("rot", (g.lines[0] + off,), g.params) for g in gates])
 
     return MatchgateCircuit(n, tuple(out), "0" * n, 1)

@@ -17,7 +17,7 @@ The gate overhead is at most STANDARD_SIZE_CONSTANT * n^2 + n.
 
 from __future__ import annotations
 
-from .circuits import GateApp, MatchgateCircuit, _mark_valid, _require_flavor, validate_or_raise
+from .circuits import GateApp, MatchgateCircuit, _joined, _mark_valid, _require_flavor, validate_or_raise
 
 STANDARD_SIZE_CONSTANT = 2
 
@@ -57,7 +57,7 @@ def standardize(circuit: MatchgateCircuit) -> MatchgateCircuit:
 
     suffix = [GateApp("w", (j,)) for j in range(k - 1, 0, -1)]
 
-    gates = tuple(prefix + swaps + list(circuit.gates) + suffix)
+    gates = _joined(prefix + swaps, circuit.gates, suffix)
     added = len(gates) - len(circuit.gates)
     bound = STANDARD_SIZE_CONSTANT * n * n + n
     if added > bound:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchgates import randgen
 from matchgates.algebra import (
@@ -14,6 +16,7 @@ from matchgates.algebra import (
     PAULI_Y,
     PAULI_Z,
     PLANES,
+    REPRODUCE_TOL,
     PlaneRotation,
     givens_factor,
     is_matchgate,
@@ -147,24 +150,50 @@ def test_local_op_basis_and_plane_table():
     assert PLANES == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 
-def test_givens_factor_reproduces_random_rotations(rng):
-    for d in (2, 3, 4, 6, 8):
-        r = randgen.random_so(d, rng)
-        factors = givens_factor(r)
-        assert len(factors) <= d * (d - 1) // 2
-        check = np.eye(d)
-        for f in factors:
-            check = f.matrix(d) @ check
-        assert np.abs(check - r).max() <= 1e-10
+def _block_diagonal_so(d: int, rng) -> np.ndarray:
+    """A -1 block on dimensions 1, 2, then -1 blocks and random rotations:
+    columns whose only non-zero entry is a negative pivot."""
+    r, at = np.eye(d), 2
+    r[:2, :2] = -np.eye(2)
+    while at < d - 1:  # a last single dimension stays 1
+        size = min(int(rng.integers(2, 4)), d - at)
+        block = -np.eye(2) if size == 2 and rng.integers(2) else randgen.random_so(size, rng)
+        r[at : at + size, at : at + size] = block
+        at += size
+    return r
 
 
-def test_givens_factor_angles_are_bounded():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        r = randgen.random_so(5, rng)
-        for f in givens_factor(r):
-            assert np.isfinite(f.theta)
-            assert abs(f.theta) <= np.pi + 1e-12
+def _signed_permutation(d: int, rng) -> np.ndarray:
+    r = np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], d)
+    if np.linalg.det(r) < 0:
+        r[:, 0] *= -1.0
+    return r
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    d=st.integers(2, 8),
+    kind=st.sampled_from(["random", "identity", "signed permutation", "block diagonal"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_givens_factor_gives_adjacent_planes_that_reproduce_the_input(d, kind, seed):
+    rng = np.random.default_rng(seed)
+    r = {
+        "random": lambda: randgen.random_so(d, rng),
+        "identity": lambda: np.eye(d),
+        "signed permutation": lambda: _signed_permutation(d, rng),
+        "block diagonal": lambda: _block_diagonal_so(d, rng),
+    }[kind]()
+    factors = givens_factor(r)
+    assert all(f.b == f.a + 1 for f in factors)
+    assert len(factors) <= d * (d - 1) // 2
+    assert all(-math.pi <= f.theta <= math.pi for f in factors)
+    if kind == "block diagonal":  # the negative pivot of dimension 1 is flipped by pi
+        assert any(f.a == 1 and abs(f.theta) == math.pi for f in factors)
+    check = np.eye(d)
+    for f in factors:
+        check = f.matrix(d) @ check
+    assert np.abs(check - r).max() <= REPRODUCE_TOL
 
 
 def test_givens_factor_handles_sign_pairs():

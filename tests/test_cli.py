@@ -158,6 +158,15 @@ def test_expand_reaches_the_exponential_width(tmp_path, capsys):
     assert run_cli("verify", str(f), str(out), "--tol", "1e-8") == 0
 
 
+def test_readme_expand_demo_emits_170_gates(tmp_path, capsys):
+    f, out = tmp_path / "demo_small.qc", tmp_path / "demo_wide.mg"
+    assert run_cli("gen-random", "qc", "2", "4", str(f), "--seed", "7") == 0
+    capsys.readouterr()
+    assert run_cli("expand", str(f), str(out)) == 0
+    assert "out_gates=170 ratio=42.5" in capsys.readouterr().out
+    assert run_cli("verify", str(out), str(f), "--lhs", "mgsim") == 0
+
+
 def test_expand_guard_and_force(tmp_path, capsys):
     f = tmp_path / "wide.qc"
     out = tmp_path / "wide.mg"
@@ -174,10 +183,10 @@ def test_expand_guard_and_force(tmp_path, capsys):
 
 
 def test_expand_force_refuses_a_gate_count_over_the_guard(tmp_path, capsys, rng):
-    # 100 two-qubit gates at 8 qubits would emit about 2.7M gates: refused
+    # 140 two-qubit gates at 8 qubits would emit about 2.7M gates: refused
     # from the count, before any is emitted.
     gates = []
-    for _ in range(100):
+    for _ in range(140):
         q = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         lines = tuple(int(x) + 1 for x in rng.choice(8, 2, replace=False))
         gates.append(circuits.GateApp("u2", lines, circuits.reals_from_complex(np.linalg.qr(q)[0])))

@@ -1,5 +1,7 @@
 """Compilation of general circuits into exponentially wider matchgate circuits."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,7 +128,7 @@ def test_append_w_gadget_requires_zero_input():
         append_w_gadget(c)
 
 
-# ----- Plane rotations as matchgate ladders -----------------------------------
+# ----- Plane rotations as local matchgates ------------------------------------
 
 
 def _ladder_rotation(gates, n: int) -> np.ndarray:
@@ -147,23 +149,19 @@ def test_same_window_dimensions_need_one_gate():
     assert np.abs(_ladder_rotation(gates, 2) - plane_rotation(4, 1, 4, theta)).max() <= 1e-12
 
 
-def test_distant_dimensions_ride_the_swap_ladder():
-    theta = -1.2
-    gates = two_level_to_matchgates(1, 6, theta, 3)
-    kinds = [g.kind for g in gates]
-    assert kinds == ["w", "rot", "w"]
-    assert gates[0].lines == (2,) and gates[2].lines == (2,)
-    assert np.abs(_ladder_rotation(gates, 3) - plane_rotation(6, 1, 6, theta)).max() <= 1e-12
-
-
 def test_every_dimension_pair_reproduces_its_plane_rotation(rng):
     n = 4
-    for _ in range(25):
-        a, b = sorted(rng.choice(2 * n, size=2, replace=False) + 1)
-        theta = float(rng.uniform(-np.pi, np.pi))
-        gates = two_level_to_matchgates(int(a), int(b), theta, n)
-        got = _ladder_rotation(gates, n)
-        assert np.abs(got - plane_rotation(2 * n, int(a), int(b), theta)).max() <= 1e-12
+    for a in range(1, 2 * n):
+        for b in range(a + 1, 2 * n + 1):
+            theta = float(rng.uniform(-np.pi, np.pi))
+            if not any(2 * k - 1 <= a and b <= 2 * k + 2 for k in range(1, n)):
+                with pytest.raises(ValueError, match="no one line window"):
+                    two_level_to_matchgates(a, b, theta, n)
+                continue
+            gates = two_level_to_matchgates(a, b, theta, n)
+            assert [g.kind for g in gates] == ["rot"]
+            got = _ladder_rotation(gates, n)
+            assert np.abs(got - plane_rotation(2 * n, a, b, theta)).max() <= 1e-12
 
 
 def test_two_level_validates_dimensions():
@@ -259,6 +257,25 @@ def test_expanded_readout_matches_the_oracle(m, seed, size, kinds, data):
     c = randgen.random_general_circuit(m, size, rng, bits, kinds)
     want = expectation_z(run_statevector(c), 1)
     assert abs(simulate_expectation(expand_circuit(c)) - want) <= 1e-9
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8))
+def test_expansion_emits_no_swap_but_its_networks(m, seed, size):
+    from matchgates import expand
+
+    c = randgen.random_general_circuit(m, size, np.random.default_rng(seed), "0" * m, "haar")
+    networks = []
+
+    def network_spy(perm):
+        networks.append(swap_network(perm))
+        return networks[-1]
+
+    with mock.patch.object(expand, "swap_network", network_spy):
+        out = expand_circuit(c)
+    assert len(networks) == size + 1  # one per gate and one for the gadget
+    assert sum(g.kind == "w" for g in out.gates) == sum(map(len, networks))
 
 
 def _balanced_circuit(m: int, rng) -> GeneralCircuit:

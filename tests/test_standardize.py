@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from matchgates import randgen
+from matchgates import circuits, randgen
 from matchgates.circuits import GateApp, MatchgateCircuit
+from matchgates.compress import compress_circuit, pad_to_power_of_two
 from matchgates.oracle import verify_equivalent
 from matchgates.simulate import simulate_expectation
 from matchgates.standardize import STANDARD_SIZE_CONSTANT, standardize
@@ -78,3 +79,16 @@ def test_idempotent_on_its_own_output(rng):
     c = randgen.random_matchgate_circuit(4, 12, rng, input_bits="1010", measure_line=3)
     std = standardize(c)
     assert standardize(std) == std
+
+
+def test_standardizing_a_parsed_circuit_reads_its_table(rng, monkeypatch):
+    built = randgen.random_matchgate_circuit(6, 40, rng, input_bits="010110", measure_line=4)
+    parsed = circuits.parse_circuit(circuits.serialize_circuit(built))
+    want = circuits.serialize_circuit(compress_circuit(pad_to_power_of_two(standardize(built))))
+
+    def refuse(cols):
+        raise AssertionError("the parsed gates were turned into GateApps")
+
+    monkeypatch.setattr(circuits, "_gate_apps", refuse)
+    std = standardize(parsed)
+    assert circuits.serialize_circuit(compress_circuit(pad_to_power_of_two(std))) == want
