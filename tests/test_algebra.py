@@ -196,6 +196,26 @@ def test_givens_factor_gives_adjacent_planes_that_reproduce_the_input(d, kind, s
     assert np.abs(check - r).max() <= REPRODUCE_TOL
 
 
+def test_givens_factor_reproduces_random_rotations(rng):
+    for d in (2, 3, 4, 6, 8):
+        r = randgen.random_so(d, rng)
+        factors = givens_factor(r)
+        assert len(factors) <= d * (d - 1) // 2
+        check = np.eye(d)
+        for f in factors:
+            check = f.matrix(d) @ check
+        assert np.abs(check - r).max() <= 1e-10
+
+
+def test_givens_factor_angles_are_bounded():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        r = randgen.random_so(5, rng)
+        for f in givens_factor(r):
+            assert np.isfinite(f.theta)
+            assert abs(f.theta) <= np.pi + 1e-12
+
+
 def test_givens_factor_handles_sign_pairs():
     # Diagonal sign patterns with det +1 need the pi-rotation fallback.
     r = np.diag([-1.0, -1.0, 1.0, 1.0])
