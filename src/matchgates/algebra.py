@@ -196,14 +196,22 @@ def rotation_generator_exponential(plane: int, theta: float) -> np.ndarray:
 
 
 def _check_special_orthogonal(r: np.ndarray, tol: float) -> None:
-    dev = unitary_deviation(r)
-    if not dev <= tol:
-        raise ValueError(f"matrix is not orthogonal (deviation {dev:.3g})")
-    if np.linalg.det(r) < 0.0:
-        raise ValueError("matrix has determinant -1, not a rotation")
+    """ValueError unless r, one (d, d) matrix or a (B, d, d) stack of them,
+    is special orthogonal; a stack names its first bad matrix."""
+    dev = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(r.shape[-1])).max(axis=(-2, -1))
+    name = "matrix" if r.ndim == 2 else "matrix {} of the stack"
+    bad = np.flatnonzero(~(dev <= tol))  # NaN fails
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{name.format(i)} is not orthogonal (deviation {dev.flat[i]:.3g})")
+    bad = np.flatnonzero(np.linalg.det(r) < 0.0)
+    if bad.size:
+        raise ValueError(f"{name.format(bad[0])} has determinant -1, not a rotation")
 
 
-def givens_factor(r: np.ndarray, omit: float = OMIT_ANGLE) -> list[PlaneRotation]:
+def givens_factor(
+    r: np.ndarray, omit: float = OMIT_ANGLE
+) -> list[PlaneRotation] | list[list[PlaneRotation]]:
     """Factor a d x d special-orthogonal matrix into rotations in adjacent
     planes (a, a+1): each column is cleared bottom-up, every entry against
     the row just above it (the triangle of Reck et al. 1994, PRL 73, 58).
@@ -212,55 +220,71 @@ def givens_factor(r: np.ndarray, omit: float = OMIT_ANGLE) -> list[PlaneRotation
     r = F_K @ ... @ F_1 for the returned list [F_1, ..., F_K].  Angles lie in
     [-pi, pi]; factors with |theta| <= omit are dropped.  The factorization is
     checked to reproduce r to within 1e-10 (max entry), else RuntimeError.
+
+    A (B, d, d) stack gives one such list per matrix, and every matrix is
+    checked.  The stack is factored at once, one numpy step per plane of the
+    elimination order, so a stack costs far less per matrix than one call
+    per matrix: callers with many matrices pass them together.
     """
     r = np.asarray(r, dtype=float)
-    d = r.shape[0]
-    if r.shape != (d, d) or d < 1:
-        raise ValueError("expected a square matrix")
+    stack = r[None] if r.ndim == 2 else r
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise ValueError("expected a square matrix or a stack of them")
     _check_special_orthogonal(r, TOL_ORTHOGONAL)
+    count, d = stack.shape[:2]
 
-    # Rows as lists of Python floats: at 4x4 and 8x8 numpy's per-call cost
-    # outweighs the arithmetic.
-    m = r.tolist()
-    applied: list[tuple[int, int, float]] = []  # rotations pre-multiplied onto m
+    def rotate(rows: np.ndarray, a: int, phi: np.ndarray) -> None:
+        """rows[t] <- plane_rotation(d, a, a + 1, phi[t]) @ rows[t], for every t."""
+        c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
+        x, y = rows[:, a - 1], rows[:, a]
+        rows[:, a - 1], rows[:, a] = c * x - s * y, s * x + c * y
 
-    def rotate(rows: list[list[float]], a: int, b: int, phi: float) -> None:
-        """rows <- plane_rotation(d, a, b, phi) @ rows, updating rows a and b in place."""
-        c, s = math.cos(phi), math.sin(phi)
-        ra, rb = rows[a - 1], rows[b - 1]
-        for k in range(d):
-            x, y = ra[k], rb[k]
-            ra[k] = c * x - s * y
-            rb[k] = s * x + c * y
-
+    # Each step rotates every matrix in one plane (a, a+1), by 0 where the
+    # step does not fire for that matrix.
+    m = stack.copy()
+    planes: list[int] = []
+    phis: list[np.ndarray] = []
     for j in range(1, d):
         for i in range(d, j, -1):
-            if abs(m[i - 1][j - 1]) > omit:
-                phi = math.atan2(-m[i - 1][j - 1], m[i - 2][j - 1])
-                rotate(m, i - 1, i, phi)
-                applied.append((i - 1, i, phi))
-                m[i - 1][j - 1] = 0.0
-        if m[j - 1][j - 1] < 0.0:
+            x = m[:, i - 1, j - 1]
+            fire = np.abs(x) > omit
+            if fire.any():
+                phi = np.where(fire, np.arctan2(-x, m[:, i - 2, j - 1]), 0.0)
+                rotate(m, i - 1, phi)
+                m[fire, i - 1, j - 1] = 0.0
+                planes.append(i - 1)
+                phis.append(phi)
+        flip = m[:, j - 1, j - 1] < 0.0
+        if flip.any():
             # Column already triangular but with a negative pivot: flip the
             # (j, j+1) plane by pi.  Only reachable when no elimination fired,
             # so the factor count stays within d(d-1)/2.
-            rotate(m, j, j + 1, math.pi)
-            applied.append((j, j + 1, math.pi))
+            phi = np.where(flip, math.pi, 0.0)
+            rotate(m, j, phi)
+            planes.append(j)
+            phis.append(phi)
 
-    # m is now upper triangular and orthogonal with positive diagonal, hence 1.
-    factors = [
-        PlaneRotation(a, b, -phi)
-        for a, b, phi in reversed(applied)
-        if abs(phi) > omit
-    ]
+    # m is now upper triangular and orthogonal with positive diagonal, hence 1:
+    # the inverse steps, last first, are the factors.
+    planes.reverse()
+    thetas = -np.stack(phis[::-1], axis=1) if phis else np.zeros((count, 0))
+    kept = np.abs(thetas) > omit
+    thetas[~kept] = 0.0
+    check = np.broadcast_to(np.eye(d), stack.shape).copy()
+    for step, a in enumerate(planes):
+        if kept[:, step].any():
+            rotate(check, a, thetas[:, step])
+    dev = np.abs(check - stack).max(axis=(1, 2))
+    bad = np.flatnonzero(~(dev <= REPRODUCE_TOL))
+    if bad.size:
+        raise RuntimeError(f"givens factorization failed to reproduce input ({dev[bad[0]]:.3g})")
 
-    check = np.eye(d).tolist()
-    for f in factors:
-        rotate(check, f.a, f.b, f.theta)
-    dev = np.abs(np.array(check) - r).max()
-    if not dev <= REPRODUCE_TOL:
-        raise RuntimeError(f"givens factorization failed to reproduce input ({dev:.3g})")
-    return factors
+    factors: list[list[PlaneRotation]] = [[] for _ in range(count)]
+    rows, steps = np.nonzero(kept)
+    for row, step, theta in zip(rows.tolist(), steps.tolist(), thetas[rows, steps].tolist()):
+        a = planes[step]
+        factors[row].append(PlaneRotation(a, a + 1, theta))
+    return factors if r.ndim == 3 else factors[0]
 
 
 def matchgate_of_rotation(r: np.ndarray, tol: float = TOL_ORTHOGONAL) -> np.ndarray:

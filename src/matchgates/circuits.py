@@ -643,8 +643,8 @@ def _mark_valid(circuit: C) -> C:
 # text format
 
 
-# serialize_circuit keeps at most this many formatted gates, so a circuit
-# whose gates never repeat is written in flat memory.
+# serialize_circuit keeps at most this many formatted gates per cache tier,
+# so a circuit whose gates never repeat is written in flat memory.
 _GATE_CACHE_SIZE = 1024
 
 
@@ -680,9 +680,12 @@ def serialize_circuit(circuit: Circuit) -> str:
     Every float is written with repr(), so the text is fixed by the circuit's
     values bit for bit (-0.0 stays -0.0).  Each distinct gate is formatted
     once per call and its repeats are written from that text: the compilers
-    emit a few hundred distinct gates many thousand times.  The cache key
-    holds the parameters' packed bytes, since a float key would let 0.0
-    stand in for -0.0.
+    emit a few hundred distinct gates many thousand times, mostly as the
+    same few thousand GateApp objects.  So a gate's text is looked up first
+    by the object itself (its id, with the object held while cached, so the
+    id cannot be reused by another), then by its value: a key holding the
+    parameters' packed bytes, since a float key would let 0.0 stand in for
+    -0.0.
     """
     head = [f"circuit {circuit.flavor}", f"width={circuit.width}", f"input={circuit.input}"]
     if circuit.flavor == "mg":
@@ -690,19 +693,28 @@ def serialize_circuit(circuit: Circuit) -> str:
         if circuit.allow_idle:
             head.append("idle=1")
     lines = [" ".join(head)]
+    by_id: dict[int, str] = {}
+    held: list[GateApp] = []  # the objects whose ids by_id holds
     texts: dict[tuple[str, tuple[int, ...], bytes], str] = {}
     packers: dict[int, Callable[..., bytes]] = {}  # by parameter count
     for index, g in enumerate(circuit.gates, start=1):
-        p = g.params
-        pack = packers.get(len(p))
-        if pack is None:
-            pack = packers[len(p)] = struct.Struct(f"{len(p)}d").pack
-        key = (g.kind, g.lines, pack(*p))
-        text = texts.get(key)
+        text = by_id.get(id(g))
         if text is None:
-            if len(texts) == _GATE_CACHE_SIZE:
-                texts.clear()
-            text = texts[key] = _gate_text(index, g)
+            p = g.params
+            pack = packers.get(len(p))
+            if pack is None:
+                pack = packers[len(p)] = struct.Struct(f"{len(p)}d").pack
+            key = (g.kind, g.lines, pack(*p))
+            text = texts.get(key)
+            if text is None:
+                if len(texts) == _GATE_CACHE_SIZE:
+                    texts.clear()
+                text = texts[key] = _gate_text(index, g)
+            if len(by_id) == _GATE_CACHE_SIZE:
+                by_id.clear()
+                held.clear()
+            by_id[id(g)] = text
+            held.append(g)
         lines.append(text)
     return "\n".join(lines) + "\n"
 

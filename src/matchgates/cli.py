@@ -2,7 +2,8 @@
 
 Subcommands: simulate, standardize, compress, expand, verify, gen-random.
 Exit codes: 0 success, 1 internal error, 2 parse, validation or argument error,
-3 resource guard refusal, 4 verification mismatch.
+3 resource guard refusal, 4 verification mismatch.  With --debug (before the
+subcommand) an internal error prints its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="matchgates",
         description="Simulate, standardize and cross-compile matchgate circuits.",
     )
+    parser.add_argument(
+        "--debug",
+        action="store_true",
+        help="on an internal error (exit 1), print its traceback on stderr",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="matchgate readout in polynomial time")
@@ -215,8 +222,11 @@ def main(argv: list[str] | None = None) -> int:
     except CircuitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except Exception as exc:  # pragma: no cover - internal failures
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        if args.debug:
+            traceback.print_exc()
+        else:
+            print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -13,7 +13,7 @@ Register layout (width mu + 2):
   lines 2 .. mu+1   data, Gray-label bit 1 (most significant) .. bit mu
   line mu+2         work ancilla, starts and ends in |0>
 
-Controlled-V is streamed gate by gate.  Matchgate k acts on the window of
+Controlled-V is streamed in runs of gates.  Matchgate k acts on the window of
 dimensions 2k-1 .. 2k+2, whose four Gray labels agree on every bit but the
 last and one other.  So for each matchgate, once per pass, one AND of the
 control line and the window's shared bits is computed into the work
@@ -27,15 +27,20 @@ exactly to the cu1/u1/x gate set.  S contributes Gray-to-binary
 conversion, one controlled block on the last data line, and conversion
 back.
 
-Everything is generated lazily; memory is O(mu^2) per emitted gate, plus
-the gates of a bounded number of windows one stream keeps for reuse,
-independent of the input length.
+Everything is generated lazily, a run of 64 matchgates at a time
+(`simulate._ROTATION_RUN`): the rotations of a run are Givens-factored in
+one call, and each window's AND and each factor's core reach the output as
+one run of gates.  Memory
+is O(mu^2) per matchgate of the current run, plus the gates of a bounded
+number of windows one stream keeps for reuse, independent of the input
+length.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
@@ -52,7 +57,7 @@ from .circuits import (
     reals_from_complex,
     validate_or_raise,
 )
-from .simulate import gate_rotations
+from .simulate import rotation_runs
 
 MAX_LABEL_DISTANCE = 2
 
@@ -136,7 +141,9 @@ def _rot_params(theta: float) -> tuple[float, ...]:
     return (c, 0.0, -s, 0.0, s, 0.0, c, 0.0)
 
 
-def _rotation_core(c1: int, c2: int, t: int, theta: float, c2_value: int = 1) -> list[GateApp]:
+def _rotation_core(
+    c1: int, c2: int, t: int, theta: float, c2_value: int = 1
+) -> tuple[GateApp, ...]:
     """Rotation by theta on line t iff line c1 is 1 and line c2 is `c2_value`.
 
     The exact five-gate network: rotations by +-theta/2 under c2, under
@@ -147,13 +154,13 @@ def _rotation_core(c1: int, c2: int, t: int, theta: float, c2_value: int = 1) ->
     nhalf = _rot_params(-theta / 2.0)
     first, second = (half, nhalf) if c2_value else (nhalf, half)
     cx = _gate("cu1", (c1, c2), _X_PARAMS)
-    return [
+    return (
         _gate("cu1", (c2, t), first),
         cx,
         _gate("cu1", (c2, t), second),
         cx,
         _gate("cu1", (c1, t), half),
-    ]
+    )
 
 
 def pad_to_power_of_two(circuit: MatchgateCircuit) -> MatchgateCircuit:
@@ -272,59 +279,65 @@ def _window(k: int, mu: int) -> tuple[tuple[GateApp, ...], int, dict]:
 
 def _rotation_pass(
     circuit: MatchgateCircuit, window: Callable[[int], tuple], invert: bool
-) -> Iterator[GateApp]:
-    """Controlled R (or R^{-1} with `invert`), one matchgate at a time: its
-    window's AND computed once, every factor under it, the AND uncomputed.
+) -> Iterator[tuple[GateApp, ...]]:
+    """Controlled R (or R^{-1} with `invert`) as runs of gates, one matchgate
+    at a time: its window's AND, one run per factor, the AND again to
+    uncompute it.
 
-    `window(k)` gives matchgate k's window as `_window` does."""
-    for k, rot in gate_rotations(circuit.gates, last_first=invert):
-        factors = algebra.givens_factor(rot)
-        if not factors:
-            continue
-        if invert:
-            factors = [
-                algebra.PlaneRotation(f.a, f.b, -f.theta) for f in reversed(factors)
-            ]
-        gates, fired, planes = window(k)
-        yield from gates
-        for f in factors:
-            conj, target, other, value, flip = planes[f.a, f.b]
-            theta = -f.theta if flip else f.theta
-            yield from conj
-            yield from _rotation_core(fired, other, target, theta, value)
-            yield from reversed(conj)
-        yield from gates
+    The rotations of each run of _ROTATION_RUN matchgates are factored in
+    one call.  R^{-1} takes each matchgate's factors in reverse with their
+    angles negated.  `window(k)` gives matchgate k's window as `_window` does.
+    """
+    for lines, rots in rotation_runs(circuit.gates, last_first=invert):
+        for k, factors in zip(lines, algebra.givens_factor(rots)):
+            if not factors:
+                continue
+            gates, fired, planes = window(k)
+            yield gates
+            for f in reversed(factors) if invert else factors:
+                conj, target, other, value, flip = planes[f.a, f.b]
+                theta = -f.theta if flip != invert else f.theta
+                core = _rotation_core(fired, other, target, theta, value)
+                yield (*conj, *core, *conj[::-1])
+            yield gates
 
 
-def _pairing_pass(mu: int, invert: bool) -> Iterator[GateApp]:
+def _pairing_run(mu: int, invert: bool) -> tuple[GateApp, ...]:
     """Controlled S (or S^{-1}): binary relabeling, one controlled block, undo.
 
     In binary labels S acts on each dimension pair (2k-1, 2k), i.e. on the
     least significant label bit, as [[0, -1], [1, 0]]: the rotation by pi/2.
     """
     to_gray = _shift_lines(gray_converter_circuit(mu), 1)  # data lines 2..mu+1
-    yield from to_gray[::-1]  # gray labels -> binary labels
     angle = -math.pi / 2.0 if invert else math.pi / 2.0
-    yield GateApp("cu1", (1, mu + 1), _rot_params(angle))
-    yield from to_gray  # back to gray labels
+    # gray labels -> binary labels, the block, back to gray labels
+    return (*to_gray[::-1], GateApp("cu1", (1, mu + 1), _rot_params(angle)), *to_gray)
+
+
+def _gate_runs(circuit: MatchgateCircuit) -> Iterator[tuple[GateApp, ...]]:
+    """The compressed circuit's gates, as runs: the interference frame
+    around controlled R^{-1}, S, R and S^{-1}."""
+    n = _require_standard(circuit)
+    mu = (2 * n).bit_length() - 1
+    window = functools.lru_cache(maxsize=WINDOW_CACHE_SIZE)(lambda k: _window(k, mu))
+    frame = (GateApp("h", (1,)),)
+    yield frame
+    yield from _rotation_pass(circuit, window, invert=True)
+    yield _pairing_run(mu, invert=False)
+    yield from _rotation_pass(circuit, window, invert=False)
+    yield _pairing_run(mu, invert=True)
+    yield frame
 
 
 def compress_gate_stream(circuit: MatchgateCircuit) -> Iterator[GateApp]:
     """Lazily emit the compressed circuit's gates.
 
-    Iterates the input gate list twice (once reversed); per-gate working
-    state is O(mu^2), plus the gates of the last WINDOW_CACHE_SIZE windows
-    used, which both passes of this stream reuse.
+    Iterates the input gate list twice (once reversed), _ROTATION_RUN
+    gates at a time.  Working state is one run's rotations and factor
+    lists and one factor's gates, plus the gates of the last
+    WINDOW_CACHE_SIZE windows used, which both passes of this stream reuse.
     """
-    n = _require_standard(circuit)
-    mu = (2 * n).bit_length() - 1
-    window = functools.lru_cache(maxsize=WINDOW_CACHE_SIZE)(lambda k: _window(k, mu))
-    yield GateApp("h", (1,))
-    yield from _rotation_pass(circuit, window, invert=True)
-    yield from _pairing_pass(mu, invert=False)
-    yield from _rotation_pass(circuit, window, invert=False)
-    yield from _pairing_pass(mu, invert=True)
-    yield GateApp("h", (1,))
+    yield from chain.from_iterable(_gate_runs(circuit))
 
 
 def compress_circuit(circuit: MatchgateCircuit) -> GeneralCircuit:
@@ -333,6 +346,6 @@ def compress_circuit(circuit: MatchgateCircuit) -> GeneralCircuit:
     The output's <Z_1> on the all-zero input equals the input circuit's
     <Z_1>.  Requires all-zero input, measure line 1, power-of-two width.
     """
-    gates = tuple(compress_gate_stream(circuit))
+    gates = tuple(chain.from_iterable(_gate_runs(circuit)))
     mu = (2 * circuit.width).bit_length() - 1
     return GeneralCircuit(mu + 2, gates, "0" * (mu + 2))

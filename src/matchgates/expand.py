@@ -235,11 +235,13 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
     # each gate the layout moves the gate's rebits (other than A) to the
     # lowest pair-index bits, so the pairs split into blocks of 2^j adjacent
     # pairs, one per assignment of the spectator lines, on which the gate
-    # acts alike.  Each gate is factored once into plane rotations and its
-    # factors lifted to the gates of the first block; the other blocks, which
-    # commute with it, get the same gates shifted.
+    # acts alike.  Each gate is factored once into plane rotations, all gates
+    # of one matrix size in one call, and its factors lifted to the gates of
+    # the first block; the other blocks, which commute with it, get the same
+    # gates shifted.
     layout = tuple(range(1, m + 2))  # rebit lines, most significant pair-index bit first
-    steps: list[tuple[np.ndarray, list[GateApp], int]] = []  # (pair moves, first block's gates, block size)
+    plan: list[tuple[np.ndarray, bool, int]] = []  # (pair moves, A in the gate, block size)
+    reals: list[np.ndarray] = []
     matrices = gate_matrices(read_gates(widened.gates))
     for g, u in zip(reversed(widened.gates), reversed(matrices)):
         lines = tuple(l if l <= m else a_line for l in g.lines) + (b_line,)
@@ -247,19 +249,27 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
         moved = tuple(q for q in layout if q in lines)
         after = tuple(q for q in layout if q not in lines) + moved
         local = moved + ((a_line,) if a_line in lines else ())
-        real = _permute_lines(rg.matrix.T, rg.lines, local)
-        block = 2 ** len(moved)
+        reals.append(_permute_lines(rg.matrix.T, rg.lines, local))
+        plan.append((pair_permutation(layout, after), a_line in lines, 2 ** len(moved)))
+        layout = after
+    factors: list[list[algebra.PlaneRotation]] = [[] for _ in reals]
+    for d in {len(real) for real in reals}:
+        same = [i for i, real in enumerate(reals) if len(real) == d]
+        for i, fs in zip(same, algebra.givens_factor(np.stack([reals[i] for i in same]))):
+            factors[i] = fs
+
+    steps: list[tuple[np.ndarray, list[GateApp], int]] = []  # (pair moves, first block's gates, block size)
+    for (moves, with_a, block), fs in zip(plan, factors):
         gates = []
-        for f in algebra.givens_factor(real):
-            if a_line in lines:
+        for f in fs:
+            if with_a:
                 gates += two_level_to_matchgates(f.a, f.b, f.theta, block)
             else:
                 # A is a spectator: the factor acts alike on the A=0 and A=1
                 # dimensions of pairs a and a+1, planes (1,3) and (2,4) of one window.
                 gates += two_level_to_matchgates(2 * f.a - 1, 2 * f.b - 1, f.theta, block)
                 gates += two_level_to_matchgates(2 * f.a, 2 * f.b, f.theta, block)
-        steps.append((pair_permutation(layout, after), gates, block))
-        layout = after
+        steps.append((moves, gates, block))
 
     # The Z_A layer emits one local gate per pair; a gate its swap network
     # and its first block's gates once per block.

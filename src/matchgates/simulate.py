@@ -64,7 +64,7 @@ def _parse_bits(x) -> np.ndarray:
 
 
 _MG_CHUNK = 4096
-# Gates per run that gate_rotations reads, so that a streaming consumer's
+# Gates per run that rotation_runs reads, so that a streaming consumer's
 # scratch memory stays small and flat in the gate count.
 _ROTATION_RUN = 64
 # Fewest gates in a layer that _propagate applies as one batch.
@@ -131,18 +131,28 @@ def _transposed_rotations(cols: GateColumns) -> np.ndarray:
     return rots
 
 
+def rotation_runs(
+    gates: tuple[GateApp, ...], last_first: bool = False
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """(lower lines k, (C, 4, 4) rotations R) of each run of _ROTATION_RUN
+    gates, R acting on dimensions 2k-1 .. 2k+2, in circuit order or, with
+    `last_first`, in reverse: the last run first, its gates last first.
+
+    The gates must be valid mg-flavor gates.  Each run is read through the
+    batched closed form of the fast path.
+    """
+    for _, cols in _gate_chunks(gates, _ROTATION_RUN, last_first):
+        lines, rots = cols.lines.tolist(), _transposed_rotations(cols).transpose(0, 2, 1)
+        yield (lines[::-1], rots[::-1]) if last_first else (lines, rots)
+
+
 def gate_rotations(
     gates: tuple[GateApp, ...], last_first: bool = False
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """(lower line k, 4x4 rotation R) of each gate, acting on dimensions
-    2k-1 .. 2k+2, in circuit order or, with `last_first`, in reverse.
-
-    The gates must be valid mg-flavor gates.  They are read _ROTATION_RUN at
-    a time through the batched closed form of the fast path.
-    """
-    for _, cols in _gate_chunks(gates, _ROTATION_RUN, last_first):
-        run = zip(cols.lines.tolist(), _transposed_rotations(cols).transpose(0, 2, 1))
-        yield from reversed(list(run)) if last_first else run
+    """(lower line k, 4x4 rotation R) of each gate, one at a time, in the
+    order of `rotation_runs`."""
+    for lines, rots in rotation_runs(gates, last_first):
+        yield from zip(lines, rots)
 
 
 def _propagate(

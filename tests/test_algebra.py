@@ -15,6 +15,7 @@ from matchgates.algebra import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    OMIT_ANGLE,
     PLANES,
     REPRODUCE_TOL,
     PlaneRotation,
@@ -196,6 +197,61 @@ def test_givens_factor_gives_adjacent_planes_that_reproduce_the_input(d, kind, s
     assert np.abs(check - r).max() <= REPRODUCE_TOL
 
 
+_SO_KINDS = ["random", "identity", "signed permutation", "block diagonal"]
+
+
+def reference_givens_factor(r: np.ndarray) -> list[tuple[int, int, float]]:
+    """The one-matrix Python-float loop that `givens_factor` replaced, kept as
+    its oracle: the same elimination order, pi flip and omitted angles."""
+    d = len(r)
+    m = r.tolist()
+    applied = []
+
+    def rotate(a, phi):
+        c, s = math.cos(phi), math.sin(phi)
+        ra, rb = m[a - 1], m[a]
+        for k in range(d):
+            ra[k], rb[k] = c * ra[k] - s * rb[k], s * ra[k] + c * rb[k]
+
+    for j in range(1, d):
+        for i in range(d, j, -1):
+            if abs(m[i - 1][j - 1]) > OMIT_ANGLE:
+                phi = math.atan2(-m[i - 1][j - 1], m[i - 2][j - 1])
+                rotate(i - 1, phi)
+                applied.append((i - 1, phi))
+                m[i - 1][j - 1] = 0.0
+        if m[j - 1][j - 1] < 0.0:
+            rotate(j, math.pi)
+            applied.append((j, math.pi))
+    return [(a, a + 1, -phi) for a, phi in reversed(applied) if abs(phi) > OMIT_ANGLE]
+
+
+def _so_of_kind(kind: str, d: int, rng) -> np.ndarray:
+    return {
+        "random": lambda: randgen.random_so(d, rng),
+        "identity": lambda: np.eye(d),
+        "signed permutation": lambda: _signed_permutation(d, rng),
+        "block diagonal": lambda: _block_diagonal_so(d, rng),
+    }[kind]()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    d=st.integers(2, 8),
+    kinds=st.lists(st.sampled_from(_SO_KINDS), max_size=70),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_givens_factor_of_a_stack_factors_each_matrix_alone(d, kinds, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.array([_so_of_kind(kind, d, rng) for kind in kinds]).reshape(-1, d, d)
+    got = givens_factor(stack)
+    assert len(got) == len(kinds)
+    for r, factors in zip(stack, got):
+        for alone in (givens_factor(r), [PlaneRotation(*f) for f in reference_givens_factor(r)]):
+            assert [(f.a, f.b) for f in factors] == [(f.a, f.b) for f in alone]
+            assert all(abs(f.theta - g.theta) <= 1e-12 for f, g in zip(factors, alone))
+
+
 def test_givens_factor_reproduces_random_rotations(rng):
     for d in (2, 3, 4, 6, 8):
         r = randgen.random_so(d, rng)
@@ -267,6 +323,21 @@ NAN4 = np.full((4, 4), np.nan)
 def test_tolerance_checks_reject_nan(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_givens_factor_of_a_stack_checks_every_matrix():
+    rng = np.random.default_rng(8)
+    assert givens_factor(np.zeros((0, 4, 4))) == []
+    r = randgen.random_so(4, rng)
+    assert all(isinstance(f, PlaneRotation) for f in givens_factor(r))  # 2-D: one list
+    stack = np.stack([randgen.random_so(4, rng) for _ in range(5)])
+    for bad in (NAN4, np.diag([1.0, 1.0, 1.0, -1.0])):
+        planted = stack.copy()
+        planted[3] = bad
+        with pytest.raises(ValueError, match="^matrix 3 of the stack "):
+            givens_factor(planted)
+    with pytest.raises(ValueError, match="square"):
+        givens_factor(np.zeros((2, 4, 3)))
 
 
 def test_nan_gate_is_not_a_matchgate():

@@ -492,6 +492,31 @@ def test_serialize_keeps_the_sign_of_zero_in_repeated_blocks():
     assert text == reference_serialize(circuit)
 
 
+def test_serialize_by_gate_object_writes_what_each_gate_alone_would():
+    # One object many times, distinct objects of equal value, objects that
+    # differ only in the sign of a zero, and more shared objects than either
+    # cache tier keeps, each met again after both tiers were cleared.
+    m = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+    shared = GateApp("u1", (1,), m)
+    signed = GateApp("u1", (1,), m[:3] + (-0.0,) + m[4:])
+    angles = np.linspace(0.0, 1.0, 2 * circuits._GATE_CACHE_SIZE + 3).tolist()
+    many = [GateApp("cu1", (1, 2), reals_from_complex(algebra.rot2(t))) for t in angles]
+    gates = []
+    for i, g in enumerate(many):
+        gates += [shared, g, GateApp("u1", (1,), m), signed, many[i // 2]]
+    circuit = GeneralCircuit(2, tuple(gates), "00")
+    text = serialize_circuit(circuit)
+    assert text.splitlines()[1:] == [circuits._gate_text(i, g) for i, g in enumerate(gates, 1)]
+    assert text == reference_serialize(circuit)
+    # A bad gate is reported under its first index, also once the tiers hold
+    # the texts of the gates around it.
+    bad = GateApp("u1", (1,), m[:7])
+    at = len(gates) + 1
+    message = f"gate {at} (u1): expected 8 parameter(s), got 7"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        serialize_circuit(GeneralCircuit(2, tuple(gates) + (bad, shared, bad), "00"))
+
+
 @pytest.mark.parametrize("plane", [2.5, math.nan, math.inf])
 def test_serialize_refuses_a_non_integral_rot_plane(plane):
     # Truncating 2.5 to 2 would turn an invalid circuit into a valid one.

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from matchgates import circuits, simulate
+from matchgates import circuits, cli, simulate
 from matchgates.cli import main
 from matchgates.circuits import parse_circuit
 
@@ -370,3 +370,27 @@ def test_installed_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "z=-1 p0=0 p1=1"
+
+
+def test_debug_prints_the_traceback_of_an_internal_error(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "c.mg"
+    f.write_text(GXX_CIRCUIT)
+
+    def broken(args):
+        raise RuntimeError("planted fault")
+
+    monkeypatch.setattr(cli, "cmd_simulate", broken)
+    assert run_cli("simulate", str(f)) == 1
+    assert capsys.readouterr().err == "internal error: planted fault\n"
+    assert run_cli("--debug", "simulate", str(f)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "in broken" in err and err.endswith("RuntimeError: planted fault\n")
+    assert "internal error" not in err
+    # Other failures keep their exit code and message under --debug.
+    argv = ("standardize", str(tmp_path / "missing.mg"), str(tmp_path / "out.mg"))
+    assert run_cli(*argv) == 2
+    plain = capsys.readouterr().err
+    assert plain.startswith("io error:")
+    assert run_cli("--debug", *argv) == 2
+    assert capsys.readouterr().err == plain

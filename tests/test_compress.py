@@ -1,5 +1,6 @@
 """Compilation of matchgate circuits into exponentially narrower general circuits."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matchgates import compress, randgen
+from matchgates import algebra, compress, randgen
 from matchgates.algebra import givens_factor, rot2
 from matchgates.circuits import GateApp, MatchgateCircuit, gate_matrix, reals_from_complex
 from matchgates.compress import (
@@ -26,7 +27,7 @@ from matchgates.compress import (
     pad_to_power_of_two,
 )
 from matchgates.oracle import apply_dense_gate, expectation_z, run_statevector
-from matchgates.simulate import gate_rotations, simulate_expectation
+from matchgates.simulate import _ROTATION_RUN, gate_rotations, simulate_expectation
 from matchgates.standardize import standardize
 
 from conftest import dense_unitary
@@ -281,6 +282,23 @@ def test_gate_stream_matches_the_one_shot_compiler(rng):
     assert streamed == compress_circuit(c).gates
     assert streamed[0] == GateApp("h", (1,))
     assert streamed[-1] == GateApp("h", (1,))
+
+
+def test_gate_stream_factors_one_run_of_rotations_at_a_time(rng):
+    c = randgen.random_matchgate_circuit(8, 2000, rng, input_bits="0" * 8, measure_line=1)
+    stacks = []
+    with mock.patch.object(
+        algebra, "givens_factor", side_effect=lambda r: stacks.append(len(r)) or givens_factor(r)
+    ):
+        stream = compress_gate_stream(c)
+        first = list(itertools.islice(stream, 200))
+        assert len(first) == 200 and len(stacks) <= 1
+        rest = list(stream)
+    # Each pass factors the rotations _ROTATION_RUN matchgates at a time; the
+    # inverse pass reads the short last run first.
+    runs, left = divmod(2000, _ROTATION_RUN)
+    assert stacks == [left] + [_ROTATION_RUN] * (2 * runs) + [left]
+    assert tuple(first + rest) == compress_circuit(c).gates
 
 
 def test_trivial_rotations_compile_to_the_bare_interference_frame():
