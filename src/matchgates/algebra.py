@@ -152,6 +152,8 @@ def rotation_of_matchgate(g: np.ndarray) -> np.ndarray:
     R[j, l] = (1/4) Re tr( (g^dag c'_j g) c'_l ).
     """
     g = np.asarray(g, dtype=complex)
+    if not np.isfinite(g).all():
+        raise ValueError("matchgate has a non-finite entry")
     r = np.zeros((4, 4))
     for j in range(4):
         m = g.conj().T @ LOCAL_OPS[j] @ g
@@ -164,6 +166,8 @@ def plane_rotation(d: int, a: int, b: int, theta: float) -> np.ndarray:
     """Dense d x d rotation by theta in the (a, b) plane (1-based, a < b)."""
     if not 1 <= a < b <= d:
         raise ValueError(f"bad plane ({a}, {b}) for dimension {d}")
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta}")
     r = np.eye(d)
     plane = slice(a - 1, b, b - a)  # indices a - 1 and b - 1
     r[plane, plane] = rot2(theta)
@@ -191,6 +195,8 @@ def rotation_generator_exponential(plane: int, theta: float) -> np.ndarray:
     """
     if not 1 <= plane <= 6:
         raise ValueError(f"plane index {plane} out of range 1..6")
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta}")
     half = theta / 2.0
     return np.cos(half) * np.eye(4) + np.sin(half) * PLANE_PRODUCTS[plane - 1]
 

@@ -18,14 +18,14 @@ dimensions 2k-1 .. 2k+2, whose four Gray labels agree on every bit but the
 last and one other.  So for each matchgate, once per pass, one AND of the
 control line and the window's shared bits is computed into the work
 ancilla, borrowing the two window lines as dirty scratch (at mu = 2 the
-window shares no bit, and the control line itself is the AND).  Each plane
-rotation of the matchgate's Givens factors is then a short conjugation
-that aligns its two labels, a rotation controlled by the ancilla and the
-other window bit (an exact five-gate network), and the conjugation undone.
-The same AND gates then uncompute the ancilla.  Everything is decomposed
-exactly to the cu1/u1/x gate set.  S contributes Gray-to-binary
-conversion, one controlled block on the last data line, and conversion
-back.
+window shares no bit, and the control line itself is the AND).  The
+matchgate's Givens factors lie in the window's three adjacent planes, whose
+two labels differ in one window bit, so each factor is a rotation on that
+bit's line controlled by the ancilla and the other window bit (an exact
+five-gate network).  The same AND gates then uncompute the ancilla.
+Everything is decomposed exactly to the cu1/u1/x gate set.  S contributes
+Gray-to-binary conversion, one controlled block on the last data line, and
+conversion back.
 
 Everything is generated lazily, a run of 64 matchgates at a time
 (`simulate._ROTATION_RUN`): the rotations of a run are Givens-factored in
@@ -58,8 +58,6 @@ from .circuits import (
     validate_or_raise,
 )
 from .simulate import rotation_runs
-
-MAX_LABEL_DISTANCE = 2
 
 _X_PARAMS = reals_from_complex(algebra.PAULI_X)
 # Square root of X and its inverse: the exact 5-gate two-control building block.
@@ -203,15 +201,15 @@ def _window_bits(k: int, mu: int) -> list[int]:
     """
     labels = [gray(i, mu) for i in range(2 * k - 2, 2 * k + 2)]
     varying = [q for q in range(mu) if len({label[q] for label in labels}) > 1]
-    if len(varying) > MAX_LABEL_DISTANCE or varying[-1] != mu - 1:
+    if len(varying) != 2 or varying[-1] != mu - 1:
         raise RuntimeError(f"Gray labels of window {k} vary in bits {varying}")
     return varying
 
 
 # Windows whose gates one compress stream keeps for reuse.  Building a
-# window's AND and aligned planes costs more than emitting them, and a
-# circuit's matchgates revisit their windows; the bound keeps the stream's
-# memory independent of the width.
+# window's AND and planes costs more than emitting them, and a circuit's
+# matchgates revisit their windows; the bound keeps the stream's memory
+# independent of the width.
 WINDOW_CACHE_SIZE = 64
 
 
@@ -235,46 +233,32 @@ def _window_and(k: int, mu: int) -> tuple[tuple[GateApp, ...], int]:
     return tuple(wraps + _mcx(controls, mu + 2, window) + wraps), mu + 2
 
 
-def _window_plane(
-    k: int, a: int, b: int, q: int, mu: int
-) -> tuple[tuple[GateApp, ...], int, int, int, bool]:
-    """Plane (a, b) of matchgate k's window, as register lines: the gates
-    that align its two labels, the target, the other window line and the
-    value it must hold, and whether the rotation's sign flips.
+def _window_plane(k: int, a: int, q: int, mu: int) -> tuple[int, int, int, bool]:
+    """Plane (a, a + 1) of matchgate k's window, as register lines: the
+    target, the other window line and the value it must hold, and whether
+    the rotation's sign flips.
 
-    The window's labels vary only in bit q and the last bit, so two of them
-    differ in one or both.  In one, they already differ only at that
-    target, and the other window bit holds label a's value.  In both, an x
-    (when the label with bit q = 0 has last bit 1) and a controlled-X from
-    bit q onto the last bit leave them differing only at target q, with
-    last bit 0.  The shared bits, which the AND holds, are never touched, so
-    a factor is a rotation under two controls.
+    The window's labels vary only in bit q and the last bit, and adjacent
+    Gray labels differ in one bit: the last for planes (1, 2) and (3, 4),
+    bit q for plane (2, 3).  That bit is the target, and the other window
+    bit must hold label a's value.  The shared bits, which the AND holds,
+    are never touched, so a factor is a rotation under two controls.
     """
-    la, lb = gray(2 * k - 3 + a, mu), gray(2 * k - 3 + b, mu)
     last = mu - 1
-    # Label bit p sits on data line p + 2.
-    if la[q] != lb[q] and la[last] != lb[last]:
-        low = la if la[q] == "0" else lb
-        wrap = (GateApp("x", (last + 2,)),) if low[last] == "1" else ()
-        conj = wrap + (GateApp("cu1", (q + 2, last + 2), _X_PARAMS),)
-        target, other, value = q, last, 0
-    else:
-        target, other = (q, last) if la[q] != lb[q] else (last, q)
-        conj, value = (), int(la[other])
-    # la keeps its own bit at the target: if that bit is 0 the basis (|0>, |1>)
-    # is (dim a, dim b) and the block is R(theta), else the inverse rotation.
-    return conj, target + 2, other + 2, value, la[target] == "1"
+    target, other = (q, last) if a == 2 else (last, q)
+    la = gray(2 * k - 3 + a, mu)
+    # Label bit p sits on data line p + 2.  la keeps its own bit at the
+    # target: if that bit is 0 the basis (|0>, |1>) is (dim a, dim a + 1)
+    # and the block is R(theta), else the inverse rotation.
+    return target + 2, other + 2, int(la[other]), la[target] == "1"
 
 
 def _window(k: int, mu: int) -> tuple[tuple[GateApp, ...], int, dict]:
     """Matchgate k's window: its AND gates, the line holding the AND, and
-    its six planes (a, b), a < b, as `_window_plane` gives them."""
+    its three adjacent planes (a, a + 1), as `_window_plane` gives them."""
     gates, fired = _window_and(k, mu)
     q = _window_bits(k, mu)[0]
-    planes = {
-        (a, b): _window_plane(k, a, b, q, mu) for a in range(1, 4) for b in range(a + 1, 5)
-    }
-    return gates, fired, planes
+    return gates, fired, {(a, a + 1): _window_plane(k, a, q, mu) for a in (1, 2, 3)}
 
 
 def _rotation_pass(
@@ -286,7 +270,8 @@ def _rotation_pass(
 
     The rotations of each run of _ROTATION_RUN matchgates are factored in
     one call.  R^{-1} takes each matchgate's factors in reverse with their
-    angles negated.  `window(k)` gives matchgate k's window as `_window` does.
+    angles negated.  `window(k)` gives matchgate k's window as `_window` does;
+    a factor outside its three adjacent planes raises KeyError.
     """
     for lines, rots in rotation_runs(circuit.gates, last_first=invert):
         for k, factors in zip(lines, algebra.givens_factor(rots)):
@@ -295,10 +280,9 @@ def _rotation_pass(
             gates, fired, planes = window(k)
             yield gates
             for f in reversed(factors) if invert else factors:
-                conj, target, other, value, flip = planes[f.a, f.b]
+                target, other, value, flip = planes[f.a, f.b]
                 theta = -f.theta if flip != invert else f.theta
-                core = _rotation_core(fired, other, target, theta, value)
-                yield (*conj, *core, *conj[::-1])
+                yield _rotation_core(fired, other, target, theta, value)
             yield gates
 
 

@@ -130,7 +130,10 @@ def expectation_z(state: np.ndarray, k: int) -> float:
         raise ValueError(f"line {k} out of range 1..{width}")
     probs = np.abs(state) ** 2
     blocks = probs.reshape(2 ** (k - 1), 2, -1)
-    return float(blocks[:, 0, :].sum() - blocks[:, 1, :].sum())
+    z = float(blocks[:, 0, :].sum() - blocks[:, 1, :].sum())
+    if not np.isfinite(z):
+        raise ValueError("state has a non-finite amplitude")
+    return z
 
 
 def adjoint_action_check(g: np.ndarray, k: int, n: int) -> float:

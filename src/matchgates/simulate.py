@@ -60,7 +60,10 @@ def _parse_bits(x) -> np.ndarray:
         if set(x) - {"0", "1"}:
             raise ValueError(f"input must be a bit string, got {x!r}")
         return np.array([int(c) for c in x], dtype=float)
-    return np.asarray(x, dtype=float)
+    bits = np.asarray(x, dtype=float)
+    if not np.isin(bits, (0.0, 1.0)).all():
+        raise ValueError(f"input bits must be 0 or 1, got {x!r}")
+    return bits
 
 
 _MG_CHUNK = 4096

@@ -26,10 +26,13 @@ from matchgates.algebra import (
     matchgate_of_rotation,
     plane_rotation,
     rot2,
+    rotation_generator_exponential,
     rotation_of_matchgate,
     split_matchgate,
 )
 from matchgates.expand import RealGate, realify_gate, two_level_to_matchgates
+from matchgates.oracle import expectation_z
+from matchgates.simulate import s_matrix
 
 
 def test_make_matchgate_places_blocks_on_parity_subspaces():
@@ -310,6 +313,13 @@ NAN4 = np.full((4, 4), np.nan)
         lambda: RealGate(NAN4, (1, 2)),
         lambda: realify_gate(NAN2, (1, 2)),
         lambda: two_level_to_matchgates(1, 4, math.nan, 2),
+        lambda: plane_rotation(4, 1, 2, math.nan),
+        lambda: plane_rotation(4, 1, 2, math.inf),
+        lambda: rotation_of_matchgate(NAN4),
+        lambda: rotation_generator_exponential(1, math.nan),
+        lambda: expectation_z(np.full(4, np.nan), 1),
+        lambda: s_matrix(np.array([np.nan, 0.0])),
+        lambda: s_matrix(np.array([0.5, 0.0])),
     ],
     ids=[
         "givens_factor",
@@ -318,6 +328,13 @@ NAN4 = np.full((4, 4), np.nan)
         "RealGate",
         "realify_gate",
         "two_level_to_matchgates",
+        "plane_rotation",
+        "plane_rotation_inf",
+        "rotation_of_matchgate",
+        "rotation_generator_exponential",
+        "expectation_z",
+        "s_matrix",
+        "s_matrix_half",
     ],
 )
 def test_tolerance_checks_reject_nan(call):

@@ -13,7 +13,6 @@ from matchgates.algebra import givens_factor, rot2
 from matchgates.circuits import GateApp, MatchgateCircuit, gate_matrix, reals_from_complex
 from matchgates.compress import (
     _X_PARAMS,
-    MAX_LABEL_DISTANCE,
     _mcx,
     _rotation_core,
     _shift_lines,
@@ -61,18 +60,16 @@ def test_gray_index_range_is_checked():
 
 
 def test_plane_partners_stay_within_the_label_distance_budget():
-    # Two-level rotations produced from 4x4 factors touch dimension pairs
-    # (base+a, base+b) with a < b <= 4 over an even base; their Gray labels
-    # must stay within the bounded-distance alignment budget.  The four
-    # labels of a window vary only in the last bit and one other, which is
-    # what lets one AND of the other bits serve every factor of a matchgate.
+    # Givens factors of a 4x4 block touch adjacent dimension pairs
+    # (base+a, base+a+1) over an even base; their Gray labels differ in
+    # exactly one bit.  The four labels of a window vary only in the last
+    # bit and one other, which is what lets one AND of the other bits
+    # serve every factor of a matchgate.
     for mu in range(2, 11):
         for base in range(0, (1 << mu) - 4 + 1, 2):
             labels = [gray(base + i, mu) for i in range(4)]
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    la, lb = labels[a], labels[b]
-                    assert sum(x != y for x, y in zip(la, lb)) <= MAX_LABEL_DISTANCE
+            for la, lb in zip(labels, labels[1:]):
+                assert sum(x != y for x, y in zip(la, lb)) == 1
             varying = [q for q in range(mu) if len({l[q] for l in labels}) > 1]
             assert len(varying) == 2 and varying[-1] == mu - 1
 
@@ -106,66 +103,70 @@ def test_converter_composed_with_its_reverse_is_identity():
 # ----- Window planes ----------------------------------------------------------
 
 
-def test_alignment_of_distance_one_labels_needs_no_gates():
+def test_alignment_of_distance_one_labels_needs_no_gates(rng):
     # mu = 3, window 2: labels 011, 010, 110, 111 vary in bits 1 and 3 (data
-    # lines 2 and 4).  Plane (1, 4) differs in bit 1 only, plane (1, 2) in
-    # bit 3 only, where label a has a 1.
+    # lines 2 and 4).  Plane (2, 3) differs in bit 1 only, planes (1, 2) and
+    # (3, 4) in bit 3 only; label a of (1, 2) has a 1 there.
     _, _, planes = _window(2, 3)
-    assert planes[1, 4] == ((), 2, 4, 1, False)
-    assert planes[1, 2] == ((), 4, 2, 0, True)
-    # Every plane of every window whose labels differ in one bit: no gates,
-    # that bit is the target, and the other window bit holds label a's value.
-    for mu in range(2, 7):
-        for k in range(1, 1 << (mu - 1)):
-            for (a, b), (conj, target, other, value, _) in _window(k, mu)[2].items():
-                la, lb = gray(2 * k - 3 + a, mu), gray(2 * k - 3 + b, mu)
-                differ = [p + 2 for p in range(mu) if la[p] != lb[p]]
-                if len(differ) == 1:
-                    assert conj == ()
-                    assert target == differ[0]
-                    assert value == int(la[other - 2])
+    assert planes[1, 2] == (4, 2, 0, True)
+    assert planes[2, 3] == (2, 4, 0, False)
+    # So a factor emits its five-gate core and nothing else: the output is
+    # the frame, the two pairing runs, and per matchgate with factors and
+    # pass its AND twice and five gates per factor.
+    n, mu = 8, 4
+    c = randgen.random_matchgate_circuit(n, 12, rng, "0" * n, 1)
+    per_pass = 0
+    for k, r in gate_rotations(c.gates):
+        factors = givens_factor(r)
+        if factors:
+            per_pass += 2 * len(compress._window_and(k, mu)[0]) + 5 * len(factors)
+    pairing = len(compress._pairing_run(mu, invert=False))
+    assert len(compress_circuit(c).gates) == 2 + 2 * pairing + 2 * per_pass
 
 
 def test_alignment_four_bit_example():
-    # mu = 4, window 4: labels 0101, 0100, 1100, 1101 vary in bits 1 and 4
-    # (data lines 2 and 5).  Planes (1, 3) and (2, 4) differ in both; an x
-    # on line 5 first when the label with bit 1 = 0 (0101) has last bit 1.
-    _, _, planes = _window(4, 4)
-    cx = GateApp("cu1", (2, 5), _X_PARAMS)
-    assert planes[1, 3] == ((GateApp("x", (5,)), cx), 2, 5, 0, False)
-    assert planes[2, 4] == ((cx,), 2, 5, 0, False)
-    # mu = 3, window 2: label 011 of plane (1, 3) has last bit 1.
+    # The three planes as (target, other, value, flip).  mu = 3, window 2:
+    # labels 011, 010, 110, 111 on data lines 2..4.
     _, _, planes = _window(2, 3)
-    cx = GateApp("cu1", (2, 4), _X_PARAMS)
-    assert planes[1, 3] == ((GateApp("x", (4,)), cx), 2, 4, 0, False)
-    assert planes[2, 4] == ((cx,), 2, 4, 0, False)
+    assert planes == {(1, 2): (4, 2, 0, True), (2, 3): (2, 4, 0, False), (3, 4): (4, 2, 1, False)}
+    # mu = 4, window 4: labels 0101, 0100, 1100, 1101 vary in bits 1 and 4
+    # (data lines 2 and 5).
+    _, _, planes = _window(4, 4)
+    assert planes == {(1, 2): (5, 2, 0, True), (2, 3): (2, 5, 0, False), (3, 4): (5, 2, 1, False)}
 
 
 @pytest.mark.parametrize("mu", range(2, 7))
 def test_window_planes_align_their_labels(mu):
-    # Every plane of every window: the conjugation is a signless permutation
-    # of the data register that maps the plane's two labels to partners
-    # differing only at the target, each keeping its own target bit, with
-    # the other window bit at the required value and the shared bits as
-    # they were.  The sign flips iff label a has target bit 1.
+    # Every window keeps exactly its three adjacent planes.  In each, the
+    # two labels differ only at the target, a window line, and the other
+    # window line holds label a's value.  The sign flips iff label a has
+    # target bit 1.
     for k in range(1, 1 << (mu - 1)):
         window = [q + 2 for q in _window_bits(k, mu)]
-        for (a, b), (conj, target, other, value, flip) in _window(k, mu)[2].items():
+        planes = _window(k, mu)[2]
+        assert set(planes) == {(1, 2), (2, 3), (3, 4)}
+        for (a, b), (target, other, value, flip) in planes.items():
             assert sorted((target, other)) == window
-            assert {l for g in conj for l in g.lines} <= set(window)
-            u = dense_unitary(_shift_lines(list(conj), -1), mu)
-            perm = np.argmax(np.abs(u), axis=0)
-            assert np.array_equal(u, np.eye(1 << mu)[:, perm])
             la, lb = gray(2 * k - 3 + a, mu), gray(2 * k - 3 + b, mu)
-            oa, ob = (format(int(perm[int(l, 2)]), f"0{mu}b") for l in (la, lb))
-            assert [p for p in range(mu) if oa[p] != ob[p]] == [target - 2]
-            for label, out in ((la, oa), (lb, ob)):
-                assert out[target - 2] == label[target - 2]
-                assert out[other - 2] == str(value)
-                for p in range(mu):
-                    if p + 2 not in window:
-                        assert out[p] == label[p]
+            assert [p for p in range(mu) if la[p] != lb[p]] == [target - 2]
+            assert int(la[other - 2]) == value
             assert flip == (la[target - 2] == "1")
+
+
+def test_a_factor_in_a_non_adjacent_plane_raises(rng):
+    # Three _window_plane calls per window built, and a factor outside
+    # the three adjacent planes is refused before any gate is built for it.
+    c = randgen.random_matchgate_circuit(4, 3, rng, "0000", 1)
+    with mock.patch.object(compress, "_window_plane", wraps=compress._window_plane) as plane:
+        with mock.patch.object(compress, "_window", wraps=compress._window) as built:
+            compress_circuit(c)
+    assert plane.call_count == 3 * built.call_count > 0
+    skew = [[algebra.PlaneRotation(1, 3, 0.3)]] * _ROTATION_RUN
+    with mock.patch.object(compress.algebra, "givens_factor", lambda rots: skew[: len(rots)]):
+        with mock.patch.object(compress, "_rotation_core", wraps=compress._rotation_core) as core:
+            with pytest.raises(KeyError):
+                compress_circuit(c)
+    assert core.call_count == 0
 
 
 # ----- Multi-controlled rotations ---------------------------------------------
