@@ -47,8 +47,13 @@ LOCAL_OPS = (
 # The six planes of SO(4), in the order used by the text format's `rot` gate.
 PLANES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
-# Products c'_a c'_b for each plane; each squares to -1.
-PLANE_PRODUCTS = tuple(LOCAL_OPS[a - 1] @ LOCAL_OPS[b - 1] for a, b in PLANES)
+# Products c'_a c'_b for each plane, stacked (6, 4, 4); each squares to -1.
+PLANE_PRODUCTS = np.stack([LOCAL_OPS[a - 1] @ LOCAL_OPS[b - 1] for a, b in PLANES])
+
+# Row and column in G(A, B) of its 8 block entries a00, a01, a10, a11, b00,
+# b01, b10, b11: A on |00>, |11> (indices 0, 3), B on |01>, |10> (1, 2).
+MG_ROWS = (0, 0, 3, 3, 1, 1, 2, 2)
+MG_COLS = (0, 3, 0, 3, 1, 2, 1, 2)
 
 # Fermionic swap W = G(Z, X): real, symmetric, W^2 = 1.  Its rotation is the
 # unsigned permutation exchanging (1, 2) with (3, 4).
@@ -66,10 +71,23 @@ FERMIONIC_SWAP = np.array(
 GXX = np.kron(PAULI_X, PAULI_X)
 
 
-def unitary_deviation(m: np.ndarray) -> float:
-    """max |M^dag M - 1|: 0 for a unitary (or real orthogonal) matrix, NaN
-    for a matrix holding NaN, so a check must read `not dev <= tol`."""
-    return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
+def unitary_deviation(m: np.ndarray) -> float | np.ndarray:
+    """max |M^dag M - 1| of one (d, d) matrix, or of each matrix in a (k, d, d)
+    stack: 0 for a unitary (or real orthogonal) matrix, NaN for a matrix
+    holding NaN or whose product overflows, so a check must read
+    `not dev <= tol`.  A stack of 2x2 matrices takes the closed form, several
+    times faster than matmul."""
+    if m.ndim == 2:
+        return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
+    if m.shape[1] != 2:
+        return np.abs(m.conj().swapaxes(1, 2) @ m - np.eye(m.shape[1])).max(axis=(1, 2))
+    p, q, r, s = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    # The entries of M^dag M - 1: two diagonal, one off-diagonal pair.
+    dev = np.maximum(
+        np.abs((p.conj() * p + r.conj() * r).real - 1.0),
+        np.abs((q.conj() * q + s.conj() * s).real - 1.0),
+    )
+    return np.maximum(dev, np.abs(p.conj() * q + r.conj() * s))
 
 
 def rot2(theta: float) -> np.ndarray:
@@ -78,11 +96,11 @@ def rot2(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def make_matchgate(a: np.ndarray, b: np.ndarray, tol: float = TOL_DET_MATCH) -> np.ndarray:
+def make_matchgate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Assemble G(A, B) from the even-subspace block A and odd block B.
 
     Raises ValueError if either block is not unitary or the determinants
-    disagree beyond `tol`.
+    disagree beyond TOL_DET_MATCH.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -93,25 +111,20 @@ def make_matchgate(a: np.ndarray, b: np.ndarray, tol: float = TOL_DET_MATCH) -> 
         if not dev <= TOL_UNITARY:
             raise ValueError(f"block {name} is not unitary (deviation {dev:.3g})")
     gap = abs(np.linalg.det(a) - np.linalg.det(b))
-    if not gap <= tol:
+    if not gap <= TOL_DET_MATCH:
         raise ValueError(f"determinant mismatch between blocks ({gap:.3g})")
     g = np.zeros((4, 4), dtype=complex)
-    g[0, 0], g[0, 3] = a[0, 0], a[0, 1]
-    g[3, 0], g[3, 3] = a[1, 0], a[1, 1]
-    g[1, 1], g[1, 2] = b[0, 0], b[0, 1]
-    g[2, 1], g[2, 2] = b[1, 0], b[1, 1]
+    g[MG_ROWS, MG_COLS] = np.concatenate([a.ravel(), b.ravel()])
     return g
 
 
 def split_matchgate(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Extract the (A, B) blocks of a 4x4 matrix laid out as a matchgate."""
-    g = np.asarray(g, dtype=complex)
-    a = np.array([[g[0, 0], g[0, 3]], [g[3, 0], g[3, 3]]])
-    b = np.array([[g[1, 1], g[1, 2]], [g[2, 1], g[2, 2]]])
-    return a, b
+    z = np.asarray(g, dtype=complex)[MG_ROWS, MG_COLS]
+    return z[:4].reshape(2, 2), z[4:].reshape(2, 2)
 
 
-def is_matchgate(g: np.ndarray, tol: float = TOL_DET_MATCH) -> bool:
+def is_matchgate(g: np.ndarray) -> bool:
     """True if g is unitary, supported on the two parity blocks, det A = det B."""
     g = np.asarray(g, dtype=complex)
     if g.shape != (4, 4):
@@ -119,12 +132,11 @@ def is_matchgate(g: np.ndarray, tol: float = TOL_DET_MATCH) -> bool:
     if not unitary_deviation(g) <= TOL_UNITARY:
         return False
     mask = np.ones((4, 4), dtype=bool)
-    for i, j in ((0, 0), (0, 3), (3, 0), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2)):
-        mask[i, j] = False
-    if not np.abs(g[mask]).max() <= tol:
+    mask[MG_ROWS, MG_COLS] = False
+    if not np.abs(g[mask]).max() <= TOL_DET_MATCH:
         return False
     a, b = split_matchgate(g)
-    return bool(abs(np.linalg.det(a) - np.linalg.det(b)) <= tol)
+    return bool(abs(np.linalg.det(a) - np.linalg.det(b)) <= TOL_DET_MATCH)
 
 
 def jordan_wigner(n: int, j: int) -> np.ndarray:
@@ -186,27 +198,34 @@ class PlaneRotation:
         return plane_rotation(d, self.a, self.b, self.theta)
 
 
-def rotation_generator_exponential(plane: int, theta: float) -> np.ndarray:
-    """exp(+(theta/2) c'_a c'_b) for the given plane index (1..6).
+def rotation_generator_exponential(
+    plane: int | np.ndarray, theta: float | np.ndarray
+) -> np.ndarray:
+    """exp(+(theta/2) c'_a c'_b) for the given plane index (1..6), or one such
+    4x4 matrix per entry of same-shaped arrays of planes and angles.
 
     Closed form: cos(theta/2) 1 + sin(theta/2) c'_a c'_b, since the product
     squares to -1.  Its induced rotation moves e_a toward +e_b by theta under
-    the transpose-side convention, i.e. R[a, b] = +sin(theta).
+    the transpose-side convention, i.e. R[a, b] = +sin(theta).  ValueError
+    unless every plane is an integer in 1..6 and every angle is finite.
     """
-    if not 1 <= plane <= 6:
-        raise ValueError(f"plane index {plane} out of range 1..6")
-    if not math.isfinite(theta):
-        raise ValueError(f"rotation angle must be finite, got {theta}")
-    half = theta / 2.0
-    return np.cos(half) * np.eye(4) + np.sin(half) * PLANE_PRODUCTS[plane - 1]
+    plane, theta = np.asarray(plane), np.asarray(theta, dtype=float)
+    bad = ~((plane == np.trunc(plane)) & (plane >= 1) & (plane <= 6))
+    if bad.any():
+        raise ValueError(f"plane index must be an integer in 1..6, got {plane[bad].flat[0]}")
+    bad = ~np.isfinite(theta)
+    if bad.any():
+        raise ValueError(f"rotation angle must be finite, got {theta[bad].flat[0]}")
+    half = (theta / 2.0)[..., None, None]
+    return np.cos(half) * np.eye(4) + np.sin(half) * PLANE_PRODUCTS[plane.astype(np.intp) - 1]
 
 
-def _check_special_orthogonal(r: np.ndarray, tol: float) -> None:
+def _check_special_orthogonal(r: np.ndarray) -> None:
     """ValueError unless r, one (d, d) matrix or a (B, d, d) stack of them,
     is special orthogonal; a stack names its first bad matrix."""
-    dev = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(r.shape[-1])).max(axis=(-2, -1))
+    dev = np.asarray(unitary_deviation(r))
     name = "matrix" if r.ndim == 2 else "matrix {} of the stack"
-    bad = np.flatnonzero(~(dev <= tol))  # NaN fails
+    bad = np.flatnonzero(~(dev <= TOL_ORTHOGONAL))  # NaN fails
     if bad.size:
         i = bad[0]
         raise ValueError(f"{name.format(i)} is not orthogonal (deviation {dev.flat[i]:.3g})")
@@ -215,17 +234,16 @@ def _check_special_orthogonal(r: np.ndarray, tol: float) -> None:
         raise ValueError(f"{name.format(bad[0])} has determinant -1, not a rotation")
 
 
-def givens_factor(
-    r: np.ndarray, omit: float = OMIT_ANGLE
-) -> list[PlaneRotation] | list[list[PlaneRotation]]:
+def givens_factor(r: np.ndarray) -> list[PlaneRotation] | list[list[PlaneRotation]]:
     """Factor a d x d special-orthogonal matrix into rotations in adjacent
     planes (a, a+1): each column is cleared bottom-up, every entry against
     the row just above it (the triangle of Reck et al. 1994, PRL 73, 58).
 
     Returns at most d(d-1)/2 factors in application order, i.e.
     r = F_K @ ... @ F_1 for the returned list [F_1, ..., F_K].  Angles lie in
-    [-pi, pi]; factors with |theta| <= omit are dropped.  The factorization is
-    checked to reproduce r to within 1e-10 (max entry), else RuntimeError.
+    [-pi, pi]; factors with |theta| <= OMIT_ANGLE are dropped.  The
+    factorization is checked to reproduce r to within REPRODUCE_TOL (max
+    entry), else RuntimeError.
 
     A (B, d, d) stack gives one such list per matrix, and every matrix is
     checked.  The stack is factored at once, one numpy step per plane of the
@@ -236,7 +254,7 @@ def givens_factor(
     stack = r[None] if r.ndim == 2 else r
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
         raise ValueError("expected a square matrix or a stack of them")
-    _check_special_orthogonal(r, TOL_ORTHOGONAL)
+    _check_special_orthogonal(r)
     count, d = stack.shape[:2]
 
     def rotate(rows: np.ndarray, a: int, phi: np.ndarray) -> None:
@@ -253,7 +271,7 @@ def givens_factor(
     for j in range(1, d):
         for i in range(d, j, -1):
             x = m[:, i - 1, j - 1]
-            fire = np.abs(x) > omit
+            fire = np.abs(x) > OMIT_ANGLE
             if fire.any():
                 phi = np.where(fire, np.arctan2(-x, m[:, i - 2, j - 1]), 0.0)
                 rotate(m, i - 1, phi)
@@ -274,7 +292,7 @@ def givens_factor(
     # the inverse steps, last first, are the factors.
     planes.reverse()
     thetas = -np.stack(phis[::-1], axis=1) if phis else np.zeros((count, 0))
-    kept = np.abs(thetas) > omit
+    kept = np.abs(thetas) > OMIT_ANGLE
     thetas[~kept] = 0.0
     check = np.broadcast_to(np.eye(d), stack.shape).copy()
     for step, a in enumerate(planes):
@@ -293,7 +311,7 @@ def givens_factor(
     return factors if r.ndim == 3 else factors[0]
 
 
-def matchgate_of_rotation(r: np.ndarray, tol: float = TOL_ORTHOGONAL) -> np.ndarray:
+def matchgate_of_rotation(r: np.ndarray) -> np.ndarray:
     """A matchgate whose induced rotation equals the given SO(4) matrix.
 
     The inverse direction of rotation_of_matchgate, fixed up to global phase;
@@ -303,7 +321,6 @@ def matchgate_of_rotation(r: np.ndarray, tol: float = TOL_ORTHOGONAL) -> np.ndar
     r = np.asarray(r, dtype=float)
     if r.shape != (4, 4):
         raise ValueError("expected a 4x4 rotation")
-    _check_special_orthogonal(r, tol)
     g = np.eye(4, dtype=complex)
     for f in givens_factor(r):
         plane = PLANES.index((f.a, f.b)) + 1

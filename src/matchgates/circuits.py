@@ -342,29 +342,16 @@ def _gate_chunks(
 
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-_PLANE_PRODUCTS = np.array(algebra.PLANE_PRODUCTS)
 
 
 def _constant(m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda rows: np.repeat(m[None], len(rows), axis=0)
 
 
-def _rot_matrices(rows: np.ndarray) -> np.ndarray:
-    """cos(theta/2) 1 + sin(theta/2) c'_a c'_b, as in
-    `algebra.rotation_generator_exponential`."""
-    plane = rows[:, 0].astype(np.intp)
-    if ((plane < 1) | (plane > 6)).any():
-        raise ValueError("rot plane out of range 1..6")
-    half = (rows[:, 1] / 2.0)[:, None, None]
-    return np.cos(half) * np.eye(4) + np.sin(half) * _PLANE_PRODUCTS[plane - 1]
-
-
 def _mg_matrices(rows: np.ndarray) -> np.ndarray:
-    """G(A, B), laid out as `algebra.make_matchgate` lays it out."""
-    blocks = rows.view(complex).reshape(-1, 2, 2, 2)  # a, b of each gate
+    """G(A, B) of each row a00 .. b11, in the layout of `algebra.make_matchgate`."""
     g = np.zeros((len(rows), 4, 4), dtype=complex)
-    g[:, 0::3, 0::3] = blocks[:, 0]  # rows and columns 0 and 3
-    g[:, 1:3, 1:3] = blocks[:, 1]
+    g[:, algebra.MG_ROWS, algebra.MG_COLS] = rows.view(complex)
     return g
 
 
@@ -379,7 +366,7 @@ def _controlled_matrices(rows: np.ndarray) -> np.ndarray:
 _MATRICES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "w": _constant(algebra.FERMIONIC_SWAP),
     "gxx": _constant(algebra.GXX),
-    "rot": _rot_matrices,
+    "rot": lambda rows: algebra.rotation_generator_exponential(rows[:, 0], rows[:, 1]),
     "mg": _mg_matrices,
     "x": _constant(algebra.PAULI_X),
     "h": _constant(_HADAMARD),
@@ -395,8 +382,8 @@ def gate_matrices(cols: GateColumns) -> list[np.ndarray]:
 
     For `cu1` the full controlled 4x4 matrix is returned, control on the
     first listed line being the more significant factor.  ValueError for an
-    unknown kind, a parameter count that is not the kind's, or a rot plane
-    outside 1..6.
+    unknown kind, a parameter count that is not the kind's, a rot plane that
+    is not an integer in 1..6 or a non-finite rot angle.
     """
     kinds = cols.kinds
     if (kinds < 0).any():
@@ -423,20 +410,6 @@ def gate_matrix(gate: GateApp) -> np.ndarray:
     if gate.kind == "mg":
         algebra.make_matchgate(complex_from_reals(gate.params[:8]), complex_from_reals(gate.params[8:]))
     return m
-
-
-def _deviations(m: np.ndarray) -> np.ndarray:
-    """max |M^dag M - 1| of each matrix in a (k, d, d) stack, NaN where a product
-    overflows; 2x2 stacks take the closed form, several times faster than matmul."""
-    if m.shape[1] != 2:
-        return np.abs(m.conj().swapaxes(1, 2) @ m - np.eye(m.shape[1])).max(axis=(1, 2))
-    p, q, r, s = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
-    # The entries of M^dag M - 1: two diagonal, one off-diagonal pair.
-    dev = np.maximum(
-        np.abs((p.conj() * p + r.conj() * r).real - 1.0),
-        np.abs((q.conj() * q + s.conj() * s).real - 1.0),
-    )
-    return np.maximum(dev, np.abs(p.conj() * q + r.conj() * s))
 
 
 def _not_unitary(name: str, params: tuple[float, ...]) -> str:
@@ -507,7 +480,7 @@ def _chunk_violations(
             check("rot", ok, lambda g: f"plane must be an integer in 1..6, got {g.params[0]}")
             blocks = live.rows("mg").view(complex).reshape(-1, 2, 2)  # a, b, a, b, ...
             if len(blocks):
-                unitary = _deviations(blocks).reshape(-1, 2) <= algebra.TOL_UNITARY
+                unitary = algebra.unitary_deviation(blocks).reshape(-1, 2) <= algebra.TOL_UNITARY
                 check("mg", unitary[:, 0], lambda g: _not_unitary("block a", g.params[:8]))
                 check("mg", unitary[:, 1], lambda g: _not_unitary("block b", g.params[8:]))
                 dets = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
@@ -518,7 +491,7 @@ def _chunk_violations(
                 m = live.rows(kind).view(complex)
                 if len(m):
                     d = math.isqrt(m.shape[1])
-                    ok = _deviations(m.reshape(-1, d, d)) <= algebra.TOL_UNITARY
+                    ok = algebra.unitary_deviation(m.reshape(-1, d, d)) <= algebra.TOL_UNITARY
                     check(kind, ok, lambda g: _not_unitary("matrix", g.params))
     found.sort(key=lambda f: f[0])
     gates = circuit.gates

@@ -124,8 +124,11 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
 
 
 def expectation_z(state: np.ndarray, k: int) -> float:
-    """<Z_k> of a statevector (line 1 = most significant index bit)."""
-    width = int(np.log2(state.size))
+    """<Z_k> of a statevector (line 1 = most significant index bit).  ValueError
+    unless its size is a power of two >= 2."""
+    width = state.size.bit_length() - 1
+    if width < 1 or state.size != 1 << width:
+        raise ValueError(f"state size {state.size} is not a power of two >= 2")
     if not 1 <= k <= width:
         raise ValueError(f"line {k} out of range 1..{width}")
     probs = np.abs(state) ** 2

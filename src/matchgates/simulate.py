@@ -73,16 +73,12 @@ _ROTATION_RUN = 64
 # Fewest gates in a layer that _propagate applies as one batch.
 _MIN_BATCH = 4
 
-# Row and column in G(A, B) of the 8 block entries
-# z = (a00, a01, a10, a11, b00, b01, b10, b11).
-_ZROWS = [0, 0, 3, 3, 1, 1, 2, 2]
-_ZCOLS = [0, 3, 0, 3, 1, 2, 1, 2]
-
 
 def _rotation_map() -> np.ndarray:
     """The real (32, 16) map from the products conj(a_i) b_j to the flattened R^T.
 
-    R[j, l] = (1/4) Re sum_pq conj(z_p) z_q c'_j[row_p, row_q] c'_l[col_q, col_p]
+    R[j, l] = (1/4) Re sum_pq conj(z_p) z_q c'_j[row_p, row_q] c'_l[col_q, col_p],
+    over the 8 block entries z = (a00, .., b11) at `algebra.MG_ROWS`/`MG_COLS`,
     is the trace formula of rotation_of_matchgate with U's zeros dropped.
     Each c' flips parity, so only pairs with one entry in each block count,
     and the (b, a) pairs are the conjugates of the (a, b) ones.  Row
@@ -90,8 +86,8 @@ def _rotation_map() -> np.ndarray:
     so the map applies to the complex products viewed as interleaved reals.
     """
     c = np.stack(algebra.LOCAL_OPS)
-    left = c[:, _ZROWS][:, :, _ZROWS]  # [j, p, q]
-    right = c[:, _ZCOLS][:, :, _ZCOLS]  # [l, q, p]
+    left = c[:, algebra.MG_ROWS][:, :, algebra.MG_ROWS]  # [j, p, q]
+    right = c[:, algebra.MG_COLS][:, :, algebra.MG_COLS]  # [l, q, p]
     k = 0.25 * np.einsum("jpq,lqp->pqlj", left, right).reshape(8, 8, 16)
     ab, ba = k[:4, 4:], k[4:, :4].transpose(1, 0, 2)  # coefficients of w, conj(w)
     return np.stack([(ab + ba).real, (ba - ab).imag], axis=2).reshape(32, 16)
@@ -147,15 +143,6 @@ def rotation_runs(
     for _, cols in _gate_chunks(gates, _ROTATION_RUN, last_first):
         lines, rots = cols.lines.tolist(), _transposed_rotations(cols).transpose(0, 2, 1)
         yield (lines[::-1], rots[::-1]) if last_first else (lines, rots)
-
-
-def gate_rotations(
-    gates: tuple[GateApp, ...], last_first: bool = False
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(lower line k, 4x4 rotation R) of each gate, one at a time, in the
-    order of `rotation_runs`."""
-    for lines, rots in rotation_runs(gates, last_first):
-        yield from zip(lines, rots)
 
 
 def _propagate(
@@ -259,9 +246,10 @@ def circuit_rotation(circuit: MatchgateCircuit) -> np.ndarray:
             f"width {circuit.width} exceeds the reference-path guard of {REFERENCE_MAX_WIDTH}"
         )
     r = np.eye(2 * circuit.width)
-    for k, rot in gate_rotations(circuit.gates):
-        w = 2 * k - 2
-        r[w : w + 4, :] = rot @ r[w : w + 4, :]
+    for lines, rots in rotation_runs(circuit.gates):
+        for k, rot in zip(lines, rots):
+            w = 2 * k - 2
+            r[w : w + 4, :] = rot @ r[w : w + 4, :]
     return r
 
 

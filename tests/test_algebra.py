@@ -30,6 +30,7 @@ from matchgates.algebra import (
     rotation_of_matchgate,
     split_matchgate,
 )
+from matchgates.circuits import GateApp, gate_matrix
 from matchgates.expand import RealGate, realify_gate, two_level_to_matchgates
 from matchgates.oracle import expectation_z
 from matchgates.simulate import s_matrix
@@ -317,7 +318,12 @@ NAN4 = np.full((4, 4), np.nan)
         lambda: plane_rotation(4, 1, 2, math.inf),
         lambda: rotation_of_matchgate(NAN4),
         lambda: rotation_generator_exponential(1, math.nan),
+        lambda: rotation_generator_exponential(1.5, 0.3),
+        lambda: gate_matrix(GateApp("rot", (1,), (1.5, 0.3))),
+        lambda: gate_matrix(GateApp("rot", (1,), (1.0, math.nan))),
         lambda: expectation_z(np.full(4, np.nan), 1),
+        lambda: expectation_z(np.ones(6) / np.sqrt(6), 1),
+        lambda: expectation_z(np.zeros(0), 1),
         lambda: s_matrix(np.array([np.nan, 0.0])),
         lambda: s_matrix(np.array([0.5, 0.0])),
     ],
@@ -332,7 +338,12 @@ NAN4 = np.full((4, 4), np.nan)
         "plane_rotation_inf",
         "rotation_of_matchgate",
         "rotation_generator_exponential",
+        "rotation_generator_exponential_plane",
+        "gate_matrix_rot_plane",
+        "gate_matrix_rot_nan",
         "expectation_z",
+        "expectation_z_size_6",
+        "expectation_z_empty",
         "s_matrix",
         "s_matrix_half",
     ],

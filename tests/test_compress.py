@@ -26,7 +26,7 @@ from matchgates.compress import (
     pad_to_power_of_two,
 )
 from matchgates.oracle import apply_dense_gate, expectation_z, run_statevector
-from matchgates.simulate import _ROTATION_RUN, gate_rotations, simulate_expectation
+from matchgates.simulate import _ROTATION_RUN, rotation_runs, simulate_expectation
 from matchgates.standardize import standardize
 
 from conftest import dense_unitary
@@ -116,10 +116,11 @@ def test_alignment_of_distance_one_labels_needs_no_gates(rng):
     n, mu = 8, 4
     c = randgen.random_matchgate_circuit(n, 12, rng, "0" * n, 1)
     per_pass = 0
-    for k, r in gate_rotations(c.gates):
-        factors = givens_factor(r)
-        if factors:
-            per_pass += 2 * len(compress._window_and(k, mu)[0]) + 5 * len(factors)
+    for lines, rots in rotation_runs(c.gates):
+        for k, r in zip(lines, rots):
+            factors = givens_factor(r)
+            if factors:
+                per_pass += 2 * len(compress._window_and(k, mu)[0]) + 5 * len(factors)
     pairing = len(compress._pairing_run(mu, invert=False))
     assert len(compress_circuit(c).gates) == 2 + 2 * pairing + 2 * per_pass
 
@@ -350,7 +351,7 @@ def test_one_and_pair_per_matchgate_with_factors_and_two_control_cores(rng):
     gates = list(randgen.random_matchgate_circuit(n, 10, rng, "0" * n, 1).gates)
     gates[3:3] = [GateApp("rot", (1,), (2.0, 0.0)), GateApp("mg", (n - 1,), _IDENTITY_MG)]
     c = MatchgateCircuit(n, tuple(gates), "0" * n, measure_line=1)
-    planes = [givens_factor(r) for _, r in gate_rotations(c.gates)]
+    planes = [givens_factor(r) for _, rots in rotation_runs(c.gates) for r in rots]
     assert sum(not f for f in planes) >= 2  # the identity gates have no factors
 
     ands, cores = [], []

@@ -177,7 +177,9 @@ def test_closed_form_rotations_match_the_trace_formula(rng, monkeypatch):
     )
     monkeypatch.setattr(simulate, "_ROTATION_RUN", 7)  # 76 gates: runs end mid-circuit
     for last_first in (False, True):
-        rotations = list(simulate.gate_rotations(gates, last_first))
+        runs = list(simulate.rotation_runs(gates, last_first))
+        assert all(len(lines) == len(rots) <= 7 for lines, rots in runs)
+        rotations = [(k, r) for lines, rots in runs for k, r in zip(lines, rots)]
         assert len(rotations) == len(gates)
         for g, (k, r) in zip(gates[::-1] if last_first else gates, rotations):
             assert k == g.lines[0]
