@@ -119,8 +119,12 @@ def make_matchgate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def split_matchgate(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Extract the (A, B) blocks of a 4x4 matrix laid out as a matchgate."""
-    z = np.asarray(g, dtype=complex)[MG_ROWS, MG_COLS]
+    """Extract the (A, B) blocks of a 4x4 matrix laid out as a matchgate;
+    ValueError for any other shape."""
+    g = np.asarray(g, dtype=complex)
+    if g.shape != (4, 4):
+        raise ValueError(f"a matchgate is 4x4, got shape {g.shape}")
+    z = g[MG_ROWS, MG_COLS]
     return z[:4].reshape(2, 2), z[4:].reshape(2, 2)
 
 

@@ -14,7 +14,9 @@ real part before imaginary part for each entry.  Floats are serialized with
 repr(), which round-trips exactly.  The parser reads gate lines straight into
 one GateColumns table; a parsed circuit's `gates` is a sequence over that
 table that equals, hashes and prints as the GateApp tuple, built only when
-the gates themselves are read.
+the gates themselves are read.  A compressed circuit's `gates` is the same
+kind of sequence over the runs of gates compress emitted, and the
+serializer writes it run by run.
 """
 
 from __future__ import annotations
@@ -125,25 +127,48 @@ def _gate(kind: str, lines: tuple[int, ...], params: tuple[float, ...]) -> GateA
 
 
 class _ParsedGates(Sequence):
-    """The gates of a parsed or standardized circuit: its GateColumns
-    `table`, read by `validate`, the simulation and compress, behind a
-    read-only sequence that equals the GateApp tuple.  Any use but len()
-    builds that tuple once."""
+    """The gates of a parsed, standardized or compressed circuit, behind a
+    read-only sequence that equals the GateApp tuple.
 
-    __slots__ = ("table", "_built")
+    It holds either a GateColumns `table` (a parsed or standardized
+    circuit's), read by `validate`, the simulation and compress, or the
+    `runs` of GateApps a compiler emitted, which `serialize_circuit` writes
+    one distinct run at a time.  len() builds nothing; any other use of the
+    gates builds the flat tuple once, and `table` of runs is read from that
+    tuple when first asked for."""
 
-    def __init__(self, table: GateColumns):
-        self.table = table
+    __slots__ = ("_table", "_runs", "_len", "_built")
+
+    def __init__(
+        self, table: GateColumns | None = None, runs: tuple[Sequence[GateApp], ...] | None = None
+    ):
+        self._table = table
+        self._runs = runs
+        self._len = len(table.kinds) if runs is None else sum(map(len, runs))
         self._built: tuple[GateApp, ...] | None = None
+
+    @property
+    def table(self) -> GateColumns:
+        if self._table is None:
+            self._table = read_gates(self._gates)
+        return self._table
+
+    @property
+    def runs(self) -> tuple[Sequence[GateApp], ...]:
+        """The gates as runs end to end: the runs held, or else these gates as one."""
+        return (self,) if self._runs is None else self._runs
 
     @property
     def _gates(self) -> tuple[GateApp, ...]:
         if self._built is None:
-            self._built = _gate_apps(self.table)
+            if self._runs is None:
+                self._built = _gate_apps(self._table)
+            else:
+                self._built = tuple(chain.from_iterable(self._runs))
         return self._built
 
     def __len__(self) -> int:
-        return len(self.table.kinds)
+        return self._len
 
     def __getitem__(self, index):
         return self._gates[index]
@@ -651,45 +676,66 @@ def serialize_circuit(circuit: Circuit) -> str:
     """Render a circuit in the text format (always ends with a newline).
 
     Every float is written with repr(), so the text is fixed by the circuit's
-    values bit for bit (-0.0 stays -0.0).  Each distinct gate is formatted
-    once per call and its repeats are written from that text: the compilers
-    emit a few hundred distinct gates many thousand times, mostly as the
-    same few thousand GateApp objects.  So a gate's text is looked up first
-    by the object itself (its id, with the object held while cached, so the
-    id cannot be reused by another), then by its value: a key holding the
-    parameters' packed bytes, since a float key would let 0.0 stand in for
-    -0.0.
+    values bit for bit (-0.0 stays -0.0).  The gates are written run by run:
+    the runs a compiler emitted (`_ParsedGates.runs`), or the whole circuit
+    as one run.  Each distinct run object's text is built once per call and
+    its repeats are written from it; compress emits each window's AND as
+    the same run object every time.  Within a run each distinct gate is
+    formatted once per call and its repeats are written from that text: the
+    compilers emit a few hundred distinct gates many thousand times, mostly
+    as the same few thousand GateApp objects.  So a run's text and a gate's
+    are looked up first by the object itself (its id, with the object held
+    while cached, so the id cannot be reused by another), and a gate's then
+    by its value: a key holding the parameters' packed bytes, since a float
+    key would let 0.0 stand in for -0.0.
     """
     head = [f"circuit {circuit.flavor}", f"width={circuit.width}", f"input={circuit.input}"]
     if circuit.flavor == "mg":
         head.append(f"measure={circuit.measure_line}")
         if circuit.allow_idle:
             head.append("idle=1")
-    lines = [" ".join(head)]
+    out = [" ".join(head)]
+    runs = circuit.gates.runs if isinstance(circuit.gates, _ParsedGates) else (circuit.gates,)
+    run_texts: dict[int, str] = {}
+    held_runs: list[Sequence[GateApp]] = []  # the runs whose ids run_texts holds
     by_id: dict[int, str] = {}
     held: list[GateApp] = []  # the objects whose ids by_id holds
     texts: dict[tuple[str, tuple[int, ...], bytes], str] = {}
     packers: dict[int, Callable[..., bytes]] = {}  # by parameter count
-    for index, g in enumerate(circuit.gates, start=1):
-        text = by_id.get(id(g))
-        if text is None:
-            p = g.params
-            pack = packers.get(len(p))
-            if pack is None:
-                pack = packers[len(p)] = struct.Struct(f"{len(p)}d").pack
-            key = (g.kind, g.lines, pack(*p))
-            text = texts.get(key)
-            if text is None:
-                if len(texts) == _GATE_CACHE_SIZE:
-                    texts.clear()
-                text = texts[key] = _gate_text(index, g)
-            if len(by_id) == _GATE_CACHE_SIZE:
-                by_id.clear()
-                held.clear()
-            by_id[id(g)] = text
-            held.append(g)
-        lines.append(text)
-    return "\n".join(lines) + "\n"
+    first = 1  # the index of the run's first gate
+    for run in runs:
+        run_text = run_texts.get(id(run))
+        if run_text is None:
+            lines = []
+            for index, g in enumerate(run, start=first):
+                text = by_id.get(id(g))
+                if text is None:
+                    p = g.params
+                    pack = packers.get(len(p))
+                    if pack is None:
+                        pack = packers[len(p)] = struct.Struct(f"{len(p)}d").pack
+                    key = (g.kind, g.lines, pack(*p))
+                    text = texts.get(key)
+                    if text is None:
+                        if len(texts) == _GATE_CACHE_SIZE:
+                            texts.clear()
+                        text = texts[key] = _gate_text(index, g)
+                    if len(by_id) == _GATE_CACHE_SIZE:
+                        by_id.clear()
+                        held.clear()
+                    by_id[id(g)] = text
+                    held.append(g)
+                lines.append(text)
+            run_text = "\n".join(lines)
+            if len(run_texts) == _GATE_CACHE_SIZE:
+                run_texts.clear()
+                held_runs.clear()
+            run_texts[id(run)] = run_text
+            held_runs.append(run)
+        if run_text:
+            out.append(run_text)
+        first += len(run)
+    return "\n".join(out) + "\n"
 
 
 def _parse_kv(tok: str, lineno: int) -> tuple[str, str]:

@@ -33,7 +33,11 @@ one call, and each window's AND and each factor's core reach the output as
 one run of gates.  Memory
 is O(mu^2) per matchgate of the current run, plus the gates of a bounded
 number of windows one stream keeps for reuse, independent of the input
-length.
+length.  A window kept for reuse emits its AND as the same run object each
+time, and every core in one of its planes shares the plane's controlled-X
+gate, so a core builds only its three new-angle gates.  `compress_circuit`
+keeps the output as these runs, never flattened, and `serialize_circuit`
+writes each distinct run once.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .circuits import (
     GeneralCircuit,
     MatchgateCircuit,
     UsageError,
+    _ParsedGates,
     _gate,
     _mark_valid,
     _require_flavor,
@@ -139,19 +144,18 @@ def _rot_params(theta: float) -> tuple[float, ...]:
     return (c, 0.0, -s, 0.0, s, 0.0, c, 0.0)
 
 
-def _rotation_core(
-    c1: int, c2: int, t: int, theta: float, c2_value: int = 1
-) -> tuple[GateApp, ...]:
-    """Rotation by theta on line t iff line c1 is 1 and line c2 is `c2_value`.
+def _rotation_core(cx: GateApp, t: int, theta: float, c2_value: int = 1) -> tuple[GateApp, ...]:
+    """Rotation by theta on line t iff line c1 is 1 and line c2 is `c2_value`,
+    where `cx` is the controlled-X on (c1, c2), shared by every core on them.
 
     The exact five-gate network: rotations by +-theta/2 under c2, under
     c1 xor c2 and under c1, signed to sum to theta on the one firing
     pattern and to 0 on the other three.  c2 is restored whatever its state.
     """
+    c1, c2 = cx.lines
     half = _rot_params(theta / 2.0)
-    nhalf = _rot_params(-theta / 2.0)
+    nhalf = half[:2] + half[4:6] + half[2:4] + half[6:]  # its transpose, the block by -theta/2
     first, second = (half, nhalf) if c2_value else (nhalf, half)
-    cx = _gate("cu1", (c1, c2), _X_PARAMS)
     return (
         _gate("cu1", (c2, t), first),
         cx,
@@ -255,10 +259,16 @@ def _window_plane(k: int, a: int, q: int, mu: int) -> tuple[int, int, int, bool]
 
 def _window(k: int, mu: int) -> tuple[tuple[GateApp, ...], int, dict]:
     """Matchgate k's window: its AND gates, the line holding the AND, and
-    its three adjacent planes (a, a + 1), as `_window_plane` gives them."""
+    its three adjacent planes (a, a + 1), as `_window_plane` gives them
+    followed by the controlled-X on (the AND line, the other window line)
+    that every factor core in the plane shares."""
     gates, fired = _window_and(k, mu)
     q = _window_bits(k, mu)[0]
-    return gates, fired, {(a, a + 1): _window_plane(k, a, q, mu) for a in (1, 2, 3)}
+    planes = {}
+    for a in (1, 2, 3):
+        plane = _window_plane(k, a, q, mu)
+        planes[a, a + 1] = (*plane, _gate("cu1", (fired, plane[1]), _X_PARAMS))
+    return gates, fired, planes
 
 
 def _rotation_pass(
@@ -280,9 +290,9 @@ def _rotation_pass(
             gates, fired, planes = window(k)
             yield gates
             for f in reversed(factors) if invert else factors:
-                target, other, value, flip = planes[f.a, f.b]
+                target, _, value, flip, cx = planes[f.a, f.b]
                 theta = -f.theta if flip != invert else f.theta
-                yield _rotation_core(fired, other, target, theta, value)
+                yield _rotation_core(cx, target, theta, value)
             yield gates
 
 
@@ -329,7 +339,10 @@ def compress_circuit(circuit: MatchgateCircuit) -> GeneralCircuit:
 
     The output's <Z_1> on the all-zero input equals the input circuit's
     <Z_1>.  Requires all-zero input, measure line 1, power-of-two width.
+    Its gates keep the runs they were emitted in (`_ParsedGates.runs`), so
+    `serialize_circuit` writes each distinct run once and the flat GateApp
+    tuple is built only if the gates are read one by one.
     """
-    gates = tuple(chain.from_iterable(_gate_runs(circuit)))
+    gates = _ParsedGates(runs=tuple(_gate_runs(circuit)))
     mu = (2 * circuit.width).bit_length() - 1
     return GeneralCircuit(mu + 2, gates, "0" * (mu + 2))

@@ -13,6 +13,7 @@ through the gate list in O(N + n) time and applies S(x) sparsely.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -256,9 +257,12 @@ def circuit_rotation(circuit: MatchgateCircuit) -> np.ndarray:
 def distribution_from_expectation(z: float) -> tuple[float, float]:
     """(p0, p1) of a line whose <Z> is z.
 
-    Overshoots of |z| beyond 1 by at most 1e-6 are clamped; anything larger,
-    or NaN, signals an internal error and raises.
+    ValueError for a NaN or infinite z.  Overshoots of |z| beyond 1 by at
+    most 1e-6 are clamped; a larger finite one signals an internal error and
+    raises RuntimeError.
     """
+    if not math.isfinite(z):
+        raise ValueError(f"expectation must be finite, got {z}")
     if not abs(z) <= 1.0 + 1e-6:
         raise RuntimeError(f"expectation {z} out of [-1, 1] beyond tolerance")
     z = min(1.0, max(-1.0, z))

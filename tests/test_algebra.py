@@ -33,7 +33,7 @@ from matchgates.algebra import (
 from matchgates.circuits import GateApp, gate_matrix
 from matchgates.expand import RealGate, realify_gate, two_level_to_matchgates
 from matchgates.oracle import expectation_z
-from matchgates.simulate import s_matrix
+from matchgates.simulate import distribution_from_expectation, s_matrix
 
 
 def test_make_matchgate_places_blocks_on_parity_subspaces():
@@ -326,6 +326,10 @@ NAN4 = np.full((4, 4), np.nan)
         lambda: expectation_z(np.zeros(0), 1),
         lambda: s_matrix(np.array([np.nan, 0.0])),
         lambda: s_matrix(np.array([0.5, 0.0])),
+        lambda: split_matchgate(np.eye(2)),
+        lambda: split_matchgate(np.eye(4)[:3]),
+        lambda: distribution_from_expectation(math.nan),
+        lambda: distribution_from_expectation(math.inf),
     ],
     ids=[
         "givens_factor",
@@ -346,6 +350,10 @@ NAN4 = np.full((4, 4), np.nan)
         "expectation_z_empty",
         "s_matrix",
         "s_matrix_half",
+        "split_matchgate_2x2",
+        "split_matchgate_3x4",
+        "distribution_from_expectation_nan",
+        "distribution_from_expectation_inf",
     ],
 )
 def test_tolerance_checks_reject_nan(call):

@@ -589,6 +589,94 @@ def test_serialize_matches_the_reference_byte_for_byte(circuit, cache_size):
         assert serialize_circuit(circuit) == reference_serialize(circuit)
 
 
+def _with_gates(circuit, gates):
+    """`circuit` with other gates, everything else kept."""
+    if circuit.flavor == "qc":
+        return GeneralCircuit(circuit.width, gates, circuit.input)
+    return MatchgateCircuit(circuit.width, gates, circuit.input, 1, circuit.allow_idle)
+
+
+@st.composite
+def _circuits_of_runs(draw):
+    # The gates of a circuit cut into runs, among them empty and one-gate
+    # runs, then written as a sequence of those run objects, each possibly
+    # many times, and of equal copies of them that are other objects.
+    circuit = draw(_circuits_with_repeated_blocks())
+    gates = circuit.gates
+    cuts = sorted(draw(st.lists(st.integers(0, len(gates)), max_size=12)))
+    pool = [gates[a:b] for a, b in zip([0, *cuts], [*cuts, len(gates)])] + [(), gates[:1]]
+    runs = []
+    for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=40)):
+        copy = draw(st.booleans())  # an equal run that is another object
+        runs.append(tuple([*pool[i]]) if copy else pool[i])
+    return _with_gates(circuit, circuits._ParsedGates(runs=tuple(runs)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_circuits_of_runs(), st.sampled_from([1, 2, 1024]))
+@example(
+    GeneralCircuit(
+        1,
+        circuits._ParsedGates(
+            runs=((), (GateApp("u1", (1,), (1.0, 0.0, -0.0, 0.0, 0.0, -0.0, 1.0, 0.0)),), ())
+        ),
+        "0",
+    ),
+    1,
+)
+def test_serialize_of_runs_matches_the_reference_of_their_gates(circuit, cache_size):
+    # A small cache makes the runs, and the gates in them, repeat across clears.
+    flat = _with_gates(circuit, tuple(circuit.gates))
+    assert len(circuit.gates) == len(flat.gates)
+    with mock.patch.object(circuits, "_GATE_CACHE_SIZE", cache_size):
+        assert serialize_circuit(circuit) == reference_serialize(flat)
+
+
+def test_serialize_of_runs_names_a_bad_gate_by_its_index_in_the_circuit():
+    w, bad = GateApp("w", (1,)), GateApp("w", (1,), (1.0,))
+    gates = circuits._ParsedGates(runs=((w, w), (), (w,), (w, w), (w, bad)))
+    with pytest.raises(ValueError, match=r"^gate 7 \(w\): expected 0 parameter\(s\), got 1$"):
+        serialize_circuit(MatchgateCircuit(2, gates, "00"))
+
+
+def _count_flat_tuples(monkeypatch) -> list:
+    """Record each time a `_ParsedGates` is asked for its flat GateApp tuple."""
+    asked, flat = [], circuits._ParsedGates._gates
+    spy = property(lambda gates: asked.append(1) or flat.fget(gates))
+    monkeypatch.setattr(circuits._ParsedGates, "_gates", spy)
+    return asked
+
+
+def test_compressed_gates_act_as_the_streamed_tuple(rng, monkeypatch):
+    c = pad_to_power_of_two(standardize(randgen.random_matchgate_circuit(6, 30, rng, "010110", 4)))
+    streamed = tuple(compress_gate_stream(c))
+    out = compress_circuit(c)
+    gates = out.gates
+    asked = _count_flat_tuples(monkeypatch)
+    assert len(gates) == len(streamed) == sum(map(len, gates.runs)) and asked == []
+    assert gates == streamed and streamed == gates and hash(gates) == hash(streamed)
+    assert list(gates) == list(streamed) and tuple(reversed(gates)) == streamed[::-1]
+    assert gates[0] == streamed[0] and gates[-5:] == streamed[-5:] and gates[7] is gates[7]
+    assert repr(gates) == repr(streamed)
+    assert all(map(np.array_equal, gates.table, circuits.read_gates(streamed)))
+    assert validate(out) == []
+
+
+def test_cli_compress_writes_the_runs_without_the_flat_tuple(tmp_path, rng, monkeypatch, capsys):
+    from matchgates import cli
+
+    src, out = tmp_path / "c.mg", tmp_path / "c.qc"
+    circuit = randgen.random_matchgate_circuit(10, 40, rng, "0110100101", 3)
+    src.write_text(serialize_circuit(circuit))
+    asked = _count_flat_tuples(monkeypatch)
+    assert cli.main(["compress", str(src), str(out)]) == 0
+    assert asked == []
+    standard = pad_to_power_of_two(standardize(circuit))
+    expected = GeneralCircuit(7, tuple(compress_gate_stream(standard)), "0" * 7)
+    assert out.read_text() == reference_serialize(expected)
+    assert f" out_gates={len(expected.gates)} " in capsys.readouterr().out
+
+
 def reference_parse(text: str):
     """The parser that converted every value twice, kept as the oracle of
     `parse_circuit`: same circuit, or the same error on the same line."""

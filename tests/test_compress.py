@@ -107,7 +107,7 @@ def test_alignment_of_distance_one_labels_needs_no_gates(rng):
     # mu = 3, window 2: labels 011, 010, 110, 111 vary in bits 1 and 3 (data
     # lines 2 and 4).  Plane (2, 3) differs in bit 1 only, planes (1, 2) and
     # (3, 4) in bit 3 only; label a of (1, 2) has a 1 there.
-    _, _, planes = _window(2, 3)
+    planes = _planes(_window(2, 3))
     assert planes[1, 2] == (4, 2, 0, True)
     assert planes[2, 3] == (2, 4, 0, False)
     # So a factor emits its five-gate core and nothing else: the output is
@@ -125,14 +125,23 @@ def test_alignment_of_distance_one_labels_needs_no_gates(rng):
     assert len(compress_circuit(c).gates) == 2 + 2 * pairing + 2 * per_pass
 
 
+def _planes(window) -> dict:
+    """A window's planes as (target, other, value, flip), once each plane's
+    shared controlled-X is checked to act on (the AND line, other)."""
+    _, fired, planes = window
+    for target, other, value, flip, cx in planes.values():
+        assert cx == GateApp("cu1", (fired, other), _X_PARAMS)
+    return {plane: p[:4] for plane, p in planes.items()}
+
+
 def test_alignment_four_bit_example():
     # The three planes as (target, other, value, flip).  mu = 3, window 2:
     # labels 011, 010, 110, 111 on data lines 2..4.
-    _, _, planes = _window(2, 3)
+    planes = _planes(_window(2, 3))
     assert planes == {(1, 2): (4, 2, 0, True), (2, 3): (2, 4, 0, False), (3, 4): (4, 2, 1, False)}
     # mu = 4, window 4: labels 0101, 0100, 1100, 1101 vary in bits 1 and 4
     # (data lines 2 and 5).
-    _, _, planes = _window(4, 4)
+    planes = _planes(_window(4, 4))
     assert planes == {(1, 2): (5, 2, 0, True), (2, 3): (2, 5, 0, False), (3, 4): (5, 2, 1, False)}
 
 
@@ -144,7 +153,7 @@ def test_window_planes_align_their_labels(mu):
     # target bit 1.
     for k in range(1, 1 << (mu - 1)):
         window = [q + 2 for q in _window_bits(k, mu)]
-        planes = _window(k, mu)[2]
+        planes = _planes(_window(k, mu))
         assert set(planes) == {(1, 2), (2, 3), (3, 4)}
         for (a, b), (target, other, value, flip) in planes.items():
             assert sorted((target, other)) == window
@@ -233,8 +242,9 @@ def test_multi_controlled_x_with_two_dirty_scratch_lines(r, rng):
 def test_rotation_core_fires_on_either_value_of_its_second_control(rng):
     for value in (0, 1):
         theta = float(rng.uniform(-np.pi, np.pi))
-        gates = _rotation_core(3, 1, 2, theta, value)
-        assert len(gates) == 5
+        cx = GateApp("cu1", (3, 1), _X_PARAMS)
+        gates = _rotation_core(cx, 2, theta, value)
+        assert len(gates) == 5 and gates[1] is gates[3] is cx
         expected = _expected_controlled(2, [(1, value), (3, 1)], rot2(theta), 3)
         assert np.abs(dense_unitary(gates, 3) - expected).max() <= 1e-12
 
@@ -361,9 +371,9 @@ def test_one_and_pair_per_matchgate_with_factors_and_two_control_cores(rng):
         ands.append(window_and(k, m))
         return ands[-1]
 
-    def core_spy(c1, c2, t, theta, value=1):
-        cores.append((c1, c2, t))
-        return _rotation_core(c1, c2, t, theta, value)
+    def core_spy(cx, t, theta, value=1):
+        cores.append((*cx.lines, t))
+        return _rotation_core(cx, t, theta, value)
 
     # With no window kept for reuse, every matchgate pass looks up its AND.
     with mock.patch.multiple(

@@ -1,5 +1,7 @@
 """Polynomial-time matchgate simulation against the dense statevector oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -237,12 +239,16 @@ def test_corrupt_gate_in_second_run_gets_the_per_gate_message(rng):
 
 
 def test_nan_expectation_raises_instead_of_a_distribution(monkeypatch):
+    # A non-finite readout is refused as a value; a finite one beyond the
+    # clamping tolerance is an internal error.
     from matchgates import simulate
 
-    monkeypatch.setattr(simulate, "simulate_expectation", lambda c, k=None: float("nan"))
     c = MatchgateCircuit(2, (GateApp("w", (1,), ()),), "00")
-    with pytest.raises(RuntimeError):
-        output_distribution(c)
+    for z, error in ((math.nan, ValueError), (-math.inf, ValueError), (1.0 + 1e-5, RuntimeError)):
+        monkeypatch.setattr(simulate, "simulate_expectation", lambda c, k=None: z)
+        with pytest.raises(error):
+            output_distribution(c)
+    assert simulate.distribution_from_expectation(1.0 + 1e-7) == (1.0, 0.0)
 
 
 def test_reference_path_checks_the_line_before_the_rotation(monkeypatch):
