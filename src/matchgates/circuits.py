@@ -14,9 +14,11 @@ real part before imaginary part for each entry.  Floats are serialized with
 repr(), which round-trips exactly.  The parser reads gate lines straight into
 one GateColumns table; a parsed circuit's `gates` is a sequence over that
 table that equals, hashes and prints as the GateApp tuple, built only when
-the gates themselves are read.  A compressed circuit's `gates` is the same
-kind of sequence over the runs of gates compress emitted, and the
-serializer writes it run by run.
+the gates themselves are read.  Standardize and expand emit their gates as
+such a table too, and the serializer writes a table kind by kind, each
+distinct real and line number formatted once.  A compressed circuit's
+`gates` is the same kind of sequence over the runs of gates compress
+emitted, and the serializer writes it run by run.
 """
 
 from __future__ import annotations
@@ -127,15 +129,15 @@ def _gate(kind: str, lines: tuple[int, ...], params: tuple[float, ...]) -> GateA
 
 
 class _ParsedGates(Sequence):
-    """The gates of a parsed, standardized or compressed circuit, behind a
-    read-only sequence that equals the GateApp tuple.
+    """The gates of a parsed, standardized, expanded or compressed circuit,
+    behind a read-only sequence that equals the GateApp tuple.
 
-    It holds either a GateColumns `table` (a parsed or standardized
-    circuit's), read by `validate`, the simulation and compress, or the
-    `runs` of GateApps a compiler emitted, which `serialize_circuit` writes
-    one distinct run at a time.  len() builds nothing; any other use of the
-    gates builds the flat tuple once, and `table` of runs is read from that
-    tuple when first asked for."""
+    It holds either a GateColumns `table` (a parsed, standardized or
+    expanded circuit's), read by `validate`, the simulation, compress and
+    `serialize_circuit`, or the `runs` of GateApps compress emitted, which
+    `serialize_circuit` writes one distinct run at a time.  len() builds
+    nothing; any other use of the gates builds the flat tuple once, and
+    `table` of runs is read from that tuple when first asked for."""
 
     __slots__ = ("_table", "_runs", "_len", "_built")
 
@@ -644,6 +646,9 @@ def _mark_valid(circuit: C) -> C:
 # serialize_circuit keeps at most this many formatted gates per cache tier,
 # so a circuit whose gates never repeat is written in flat memory.
 _GATE_CACHE_SIZE = 1024
+# It writes a table this many gates at a time, so that its scratch arrays
+# stay bounded while the text grows.
+_TABLE_CHUNK = 1 << 16
 
 
 def _gate_text(index: int, g: GateApp) -> str:
@@ -672,22 +677,84 @@ def _gate_text(index: int, g: GateApp) -> str:
     return " ".join(toks)
 
 
+def _texts(values: np.ndarray, fmt: Callable) -> np.ndarray:
+    """fmt of each value, as an object array, called once per distinct value;
+    floats are told apart by their bits, so -0.0 is not 0.0."""
+    keys = values.view(np.int64) if values.dtype == float else values
+    distinct, back = np.unique(keys, return_inverse=True)
+    return np.array([fmt(v) for v in distinct.view(values.dtype).tolist()], dtype=object)[back]
+
+
+def _table_lines(table: GateColumns) -> list[str]:
+    """Each gate of a table as one line of the text format; ValueError as
+    `_gate_text` for the first gate it would refuse, with the same message.
+
+    The gates are written _TABLE_CHUNK at a time, kind by kind: per chunk,
+    each distinct real and, per kind, each distinct line number is
+    formatted once."""
+    kinds, nlines, nparams, lines, params, line_at, param_at = table
+    refused = (kinds < 0) | (nlines != _NLINES[kinds]) | (nparams != _NPARAMS[kinds])
+    rot = np.flatnonzero((kinds == KIND_CODES["rot"]) & ~refused)
+    plane = params[param_at[rot]]
+    integral = (plane == np.trunc(plane)) & np.isfinite(plane)
+    refused[rot[~integral | ((plane == 0) & np.signbit(plane))]] = True
+    if refused.any():  # _gate_text words the refusal of the first
+        i = int(np.flatnonzero(refused)[0])
+        kind = _KIND_NAMES[kinds[i]] if kinds[i] >= 0 else "?"  # a table keeps no unknown name
+        l0, p0 = line_at[i], param_at[i]
+        gate_lines, gate_params = lines[l0 : l0 + nlines[i]], params[p0 : p0 + nparams[i]]
+        _gate_text(i + 1, _gate(kind, tuple(gate_lines.tolist()), tuple(gate_params.tolist())))
+    out: list[str] = []
+    for lo in range(0, len(kinds), _TABLE_CHUNK):
+        out += _chunk_lines(table.part(lo, lo + _TABLE_CHUNK)).tolist()
+    return out
+
+
+def _chunk_lines(chunk: GateColumns) -> np.ndarray:
+    """The text of each gate of a table the serializer takes, as an object array."""
+    kinds, _, _, lines, params, line_at, param_at = chunk
+    reals = _texts(params, repr)
+    out = np.empty(len(kinds), dtype=object)
+    for code in set(kinds.tolist()):
+        kind = _KIND_NAMES[code]
+        rows = np.flatnonzero(kinds == code)
+        # Columns of texts: the kind with the first line, each other line, each field.
+        cols = [_texts(lines[line_at[rows]], f"{kind} {{}}".format)]
+        if GATE_KINDS[kind][1] == 2:
+            cols.append(_texts(lines[line_at[rows] + 1], str))
+        at = param_at[rows]
+        for key, count in _FIELDS[kind]:
+            if key == "plane=":
+                cols.append(_texts(params[at], lambda v: f"plane={int(v)}"))
+            else:
+                joined = map(",".join, reals[at[:, None] + np.arange(count)].tolist())
+                cols.append(np.array([key + text for text in joined], dtype=object))
+            at = at + count
+        out[rows] = cols[0] if len(cols) == 1 else list(map(" ".join, zip(*cols)))
+    return out
+
+
 def serialize_circuit(circuit: Circuit) -> str:
     """Render a circuit in the text format (always ends with a newline).
 
     Every float is written with repr(), so the text is fixed by the circuit's
-    values bit for bit (-0.0 stays -0.0).  The gates are written run by run:
-    the runs a compiler emitted (`_ParsedGates.runs`), or the whole circuit
-    as one run.  Each distinct run object's text is built once per call and
-    its repeats are written from it; compress emits each window's AND as
-    the same run object every time.  Within a run each distinct gate is
-    formatted once per call and its repeats are written from that text: the
-    compilers emit a few hundred distinct gates many thousand times, mostly
+    values bit for bit (-0.0 stays -0.0).  The path follows the form the
+    gates arrive in.  Gates that hold a GateColumns table (an expanded,
+    parsed or standardized circuit's) are written from the table kind by
+    kind, each distinct real and line number formatted once
+    (`_table_lines`).  Other gates are written run by run: the runs a
+    compiler emitted (`_ParsedGates.runs`), or the whole circuit as one
+    run.  Each distinct run object's text is built once per call and its
+    repeats are written from it; compress emits each window's AND as the
+    same run object every time.  Within a run each distinct gate is
+    formatted once per call and its repeats are written from that text:
+    compress emits a few hundred distinct gates many thousand times, mostly
     as the same few thousand GateApp objects.  So a run's text and a gate's
     are looked up first by the object itself (its id, with the object held
     while cached, so the id cannot be reused by another), and a gate's then
     by its value: a key holding the parameters' packed bytes, since a float
-    key would let 0.0 stand in for -0.0.
+    key would let 0.0 stand in for -0.0.  Either path refuses a gate the
+    text would change, naming it by its 1-based index as `_gate_text` does.
     """
     head = [f"circuit {circuit.flavor}", f"width={circuit.width}", f"input={circuit.input}"]
     if circuit.flavor == "mg":
@@ -695,7 +762,13 @@ def serialize_circuit(circuit: Circuit) -> str:
         if circuit.allow_idle:
             head.append("idle=1")
     out = [" ".join(head)]
-    runs = circuit.gates.runs if isinstance(circuit.gates, _ParsedGates) else (circuit.gates,)
+    gates = circuit.gates
+    if isinstance(gates, _ParsedGates) and gates._runs is None:
+        text = _table_lines(gates.table)
+        text.insert(0, out[0])
+        text.append("")  # the final newline
+        return "\n".join(text)
+    runs = gates.runs if isinstance(gates, _ParsedGates) else (gates,)
     run_texts: dict[int, str] = {}
     held_runs: list[Sequence[GateApp]] = []  # the runs whose ids run_texts holds
     by_id: dict[int, str] = {}

@@ -88,21 +88,21 @@ def gray_converter_circuit(mu: int) -> list[GateApp]:
     """
     if mu < 1:
         raise ValueError("bit count must be >= 1")
-    return [GateApp("cu1", (p - 1, p), _X_PARAMS) for p in range(mu, 1, -1)]
+    return [_gate("cu1", (p - 1, p), _X_PARAMS) for p in range(mu, 1, -1)]
 
 
 def _shift_lines(gates: list[GateApp], offset: int) -> list[GateApp]:
-    return [GateApp(g.kind, tuple(l + offset for l in g.lines), g.params) for g in gates]
+    return [_gate(g.kind, tuple(l + offset for l in g.lines), g.params) for g in gates]
 
 
 def _toffoli(c1: int, c2: int, t: int) -> list[GateApp]:
     """Exact 5-gate Toffoli over cu1, via the square root of X."""
     return [
-        GateApp("cu1", (c2, t), _V_PARAMS),
-        GateApp("cu1", (c1, c2), _X_PARAMS),
-        GateApp("cu1", (c2, t), _VDG_PARAMS),
-        GateApp("cu1", (c1, c2), _X_PARAMS),
-        GateApp("cu1", (c1, t), _V_PARAMS),
+        _gate("cu1", (c2, t), _V_PARAMS),
+        _gate("cu1", (c1, c2), _X_PARAMS),
+        _gate("cu1", (c2, t), _VDG_PARAMS),
+        _gate("cu1", (c1, c2), _X_PARAMS),
+        _gate("cu1", (c1, t), _V_PARAMS),
     ]
 
 
@@ -231,7 +231,7 @@ def _window_and(k: int, mu: int) -> tuple[tuple[GateApp, ...], int]:
         return (), 1
     label = gray(2 * k - 2, mu)
     # Label bit q sits on data line q + 2.
-    wraps = [GateApp("x", (q + 2,)) for q in shared if label[q] == "0"]
+    wraps = [_gate("x", (q + 2,), ()) for q in shared if label[q] == "0"]
     controls = (1,) + tuple(q + 2 for q in shared)
     window = tuple(q + 2 for q in varying)
     return tuple(wraps + _mcx(controls, mu + 2, window) + wraps), mu + 2
@@ -305,7 +305,7 @@ def _pairing_run(mu: int, invert: bool) -> tuple[GateApp, ...]:
     to_gray = _shift_lines(gray_converter_circuit(mu), 1)  # data lines 2..mu+1
     angle = -math.pi / 2.0 if invert else math.pi / 2.0
     # gray labels -> binary labels, the block, back to gray labels
-    return (*to_gray[::-1], GateApp("cu1", (1, mu + 1), _rot_params(angle)), *to_gray)
+    return (*to_gray[::-1], _gate("cu1", (1, mu + 1), _rot_params(angle)), *to_gray)
 
 
 def _gate_runs(circuit: MatchgateCircuit) -> Iterator[tuple[GateApp, ...]]:
@@ -314,7 +314,7 @@ def _gate_runs(circuit: MatchgateCircuit) -> Iterator[tuple[GateApp, ...]]:
     n = _require_standard(circuit)
     mu = (2 * n).bit_length() - 1
     window = functools.lru_cache(maxsize=WINDOW_CACHE_SIZE)(lambda k: _window(k, mu))
-    frame = (GateApp("h", (1,)),)
+    frame = (_gate("h", (1,), ()),)
     yield frame
     yield from _rotation_pass(circuit, window, invert=True)
     yield _pairing_run(mu, invert=False)

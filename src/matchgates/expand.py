@@ -29,6 +29,13 @@ The output width is n = 2^{m+2} / 2 = 2^{m+1}, i.e. exactly 2^{m+1} lines.
 Exponential by design; guarded at EXPAND_MAX_WIDTH input qubits, and at
 EXPAND_MAX_GATES emitted gates, counted exactly before any is emitted.
 
+The output is one GateColumns table, built as arrays with no GateApp per
+emitted gate: the Z_A layer, then per gate its swap network and the `rot`
+gates of the first block of pairs, repeated for every other block with
+the block's offset added to the lines.  The map from a plane rotation to
+its `rot` gate is `_rot_gates`, shared with the public
+`two_level_to_matchgates`.
+
 Rebit register (width m + 2): lines 1..m carry the original qubits, line
 m+1 is the realification rebit B, line m+2 (least significant) is the
 gadget rebit A.  The matchgate circuit's rotation is assembled as
@@ -53,13 +60,15 @@ from . import algebra
 from .circuits import (
     GateApp,
     GeneralCircuit,
+    KIND_CODES,
     GuardError,
     MatchgateCircuit,
-    _gate,
+    _columns,
+    _joined,
     _mark_valid,
+    _ParsedGates,
     _require_flavor,
     gate_matrices,
-    read_gates,
     reals_from_complex,
     validate_or_raise,
 )
@@ -96,7 +105,7 @@ def append_w_gadget(circuit: GeneralCircuit) -> GeneralCircuit:
         raise ValueError("gadget step expects an all-zero input")
     m = circuit.width
     gadget = GateApp("u2", (1, m + 1), reals_from_complex(W_GADGET))
-    return GeneralCircuit(m + 1, circuit.gates + (gadget,), "0" * (m + 1))
+    return GeneralCircuit(m + 1, _joined(circuit.gates, (gadget,)), "0" * (m + 1))
 
 
 @dataclass(frozen=True)
@@ -187,6 +196,35 @@ def swap_network(perm: np.ndarray) -> list[int]:
     return lines
 
 
+# The rot plane (1..6, algebra.PLANES) of window dimensions (a, b), at
+# [a, b]; 0 where b is past the window.
+_WINDOW_PLANES = np.zeros((5, 6), dtype=np.int64)
+for _plane, (_a, _b) in enumerate(algebra.PLANES, start=1):
+    _WINDOW_PLANES[_a, _b] = _plane
+
+
+def _rot_gates(
+    a: np.ndarray, b: np.ndarray, theta: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The line k and the (plane, angle) row of the one `rot` gate realizing
+    each rotation by theta[i] in plane (a[i], b[i]) of SO(2n), inside the
+    window of dimensions 2k-1 .. 2k+2 of line pair (k, k+1).
+
+    Every pair must satisfy 1 <= a < b <= 2n; ValueError names the first
+    plane that lies in no one window.
+    """
+    k = np.minimum((a + 1) // 2, n - 1)
+    off = 2 * k - 2
+    plane = _WINDOW_PLANES[a - off, np.minimum(b - off, 5)]
+    bad = np.flatnonzero(plane == 0)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"dimension pair ({a[i]}, {b[i]}) lies in no one line window")
+    # The rot gate's own convention carries [la, lb] = +sin, so realizing
+    # plane_rotation(la, lb, theta) needs the opposite angle.
+    return k, np.stack([plane.astype(float), -theta], axis=1)
+
+
 def two_level_to_matchgates(a: int, b: int, theta: float, n: int) -> list[GateApp]:
     """The one local `rot` gate, as a list, realizing the rotation by theta
     in plane (a, b) of SO(2n).
@@ -198,21 +236,17 @@ def two_level_to_matchgates(a: int, b: int, theta: float, n: int) -> list[GateAp
         raise ValueError(f"bad dimension pair ({a}, {b}) for {n} lines")
     if not math.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta}")
-    k = min((a + 1) // 2, n - 1)
-    if (b + 1) // 2 > k + 1:
-        raise ValueError(f"dimension pair ({a}, {b}) lies in no one line window")
-    off = 2 * k - 2
-    plane = algebra.PLANES.index((a - off, b - off)) + 1
-    # The rot gate's own convention carries [la, lb] = +sin, so realizing
-    # plane_rotation(la, lb, theta) needs the opposite angle.
-    return [GateApp("rot", (k,), (float(plane), -theta))]
+    k, rows = _rot_gates(np.array([a]), np.array([b]), np.array([theta], dtype=float), n)
+    return [GateApp("rot", (int(k[0]),), tuple(rows[0].tolist()))]
 
 
 def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH) -> MatchgateCircuit:
     """Compile an m-qubit general circuit to a 2^{m+1}-line matchgate circuit.
 
     The result runs on the all-zero input and reproduces the source
-    circuit's <Z_1> (on its basis input) as its own <Z_1>.
+    circuit's <Z_1> (on its basis input) as its own <Z_1>.  Its gates are
+    one GateColumns table (`_ParsedGates`): no GateApp is built for an
+    emitted gate unless the gates are read one by one.
     """
     _require_flavor(circuit, "qc")
     validate_or_raise(circuit)
@@ -225,7 +259,7 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
     # Fold the basis input into x gates, then append the readout gadget.
     prefix = [GateApp("x", (q + 1,)) for q, c in enumerate(circuit.input) if c == "1"]
     widened = append_w_gadget(
-        _mark_valid(GeneralCircuit(m, tuple(prefix) + circuit.gates, "0" * m))
+        _mark_valid(GeneralCircuit(m, _joined(prefix, circuit.gates), "0" * m))
     )
 
     a_line, b_line = m + 2, m + 1
@@ -242,9 +276,9 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
     layout = tuple(range(1, m + 2))  # rebit lines, most significant pair-index bit first
     plan: list[tuple[np.ndarray, bool, int]] = []  # (pair moves, A in the gate, block size)
     reals: list[np.ndarray] = []
-    matrices = gate_matrices(read_gates(widened.gates))
-    for g, u in zip(reversed(widened.gates), reversed(matrices)):
-        lines = tuple(l if l <= m else a_line for l in g.lines) + (b_line,)
+    table = widened.gates.table
+    for gate_lines, u in zip(reversed(table.line_tuples()), reversed(gate_matrices(table))):
+        lines = tuple(l if l <= m else a_line for l in gate_lines) + (b_line,)
         rg = realify_gate(u, lines)
         moved = tuple(q for q in layout if q in lines)
         after = tuple(q for q in layout if q not in lines) + moved
@@ -258,37 +292,38 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
         for i, fs in zip(same, algebra.givens_factor(np.stack([reals[i] for i in same]))):
             factors[i] = fs
 
-    steps: list[tuple[np.ndarray, list[GateApp], int]] = []  # (pair moves, first block's gates, block size)
-    for (moves, with_a, block), fs in zip(plan, factors):
-        gates = []
-        for f in fs:
-            if with_a:
-                gates += two_level_to_matchgates(f.a, f.b, f.theta, block)
-            else:
-                # A is a spectator: the factor acts alike on the A=0 and A=1
-                # dimensions of pairs a and a+1, planes (1,3) and (2,4) of one window.
-                gates += two_level_to_matchgates(2 * f.a - 1, 2 * f.b - 1, f.theta, block)
-                gates += two_level_to_matchgates(2 * f.a, 2 * f.b, f.theta, block)
-        steps.append((moves, gates, block))
-
     # The Z_A layer emits one local gate per pair; a gate its swap network
-    # and its first block's gates once per block.
+    # and, per block, one gate per factor with A in the gate, two without.
     emitted = n // 2 + sum(
-        inversion_count(moves) + n // block * len(gates) for moves, gates, block in steps
+        inversion_count(moves) + n // block * len(fs) * (1 if with_a else 2)
+        for (moves, with_a, block), fs in zip(plan, factors)
     )
     if emitted > EXPAND_MAX_GATES:
         raise GuardError(f"expanding would emit {emitted} gates; guard is {EXPAND_MAX_GATES}")
 
+    # The table, as parts in circuit order: (lines, rot rows or None for w).
     # The Z_A layer: sign-flip of both dimensions of every odd-indexed pair,
     # written as pi-rotations in the planes (4t-2, 4t).
-    out: list[GateApp] = []
-    for t in range(1, n // 2 + 1):
-        out.extend(two_level_to_matchgates(4 * t - 2, 4 * t, math.pi, n))
-    swaps = [GateApp("w", (k,)) for k in range(n)]  # swaps[k] is w on line k
-    for moves, gates, block in steps:
-        out.extend([swaps[k] for k in swap_network(moves)])
-        out.extend(gates)
-        for off in range(block, n, block):
-            out.extend([_gate("rot", (g.lines[0] + off,), g.params) for g in gates])
-
-    return MatchgateCircuit(n, tuple(out), "0" * n, 1)
+    t = np.arange(1, n // 2 + 1)
+    parts = [_rot_gates(4 * t - 2, 4 * t, np.full(n // 2, math.pi), n)]
+    for (moves, with_a, block), fs in zip(plan, factors):
+        parts.append((np.array(swap_network(moves), dtype=np.int64), None))
+        a, b = np.array([(f.a, f.b) for f in fs], dtype=np.int64).reshape(-1, 2).T
+        theta = np.array([f.theta for f in fs], dtype=float)
+        if not with_a:
+            # A is a spectator: the factor acts alike on the A=0 and A=1
+            # dimensions of pairs a and a+1, planes (1,3) and (2,4) of one window.
+            a = np.stack([2 * a - 1, 2 * a], axis=1).ravel()
+            b = np.stack([2 * b - 1, 2 * b], axis=1).ravel()
+            theta = np.repeat(theta, 2)
+        lines, rows = _rot_gates(a, b, theta, block)
+        # The first block's gates, then the same gates shifted to each other block.
+        shifted = (lines + np.arange(0, n, block)[:, None]).ravel()
+        parts.append((shifted, np.tile(rows, (n // block, 1))))
+    rot, w = KIND_CODES["rot"], KIND_CODES["w"]
+    kinds = np.concatenate([np.full(len(lines), w if rows is None else rot) for lines, rows in parts])
+    lines = np.concatenate([lines for lines, _ in parts])
+    params = np.concatenate([rows.ravel() for _, rows in parts if rows is not None])
+    nparams = np.where(kinds == rot, 2, 0)
+    table = _columns(kinds, np.ones(len(kinds), dtype=np.intp), nparams, lines, params)
+    return MatchgateCircuit(n, _ParsedGates(table), "0" * n, 1)

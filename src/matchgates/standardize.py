@@ -17,7 +17,15 @@ The gate overhead is at most STANDARD_SIZE_CONSTANT * n^2 + n.
 
 from __future__ import annotations
 
-from .circuits import GateApp, MatchgateCircuit, _joined, _mark_valid, _require_flavor, validate_or_raise
+from .circuits import (
+    GateApp,
+    MatchgateCircuit,
+    _gate,
+    _joined,
+    _mark_valid,
+    _require_flavor,
+    validate_or_raise,
+)
 
 STANDARD_SIZE_CONSTANT = 2
 
@@ -45,7 +53,7 @@ def standardize(circuit: MatchgateCircuit) -> MatchgateCircuit:
     prefix: list[GateApp] = []
     pairs = (r + 1) // 2
     for i in range(pairs):
-        prefix.append(GateApp("gxx", (width - 1 - 2 * i,)))
+        prefix.append(_gate("gxx", (width - 1 - 2 * i,), ()))
     # Ones now occupy the bottom lines; the movable ones sit at n-r+1 .. n
     # (an odd count leaves its partner parked on the borrowed line n+1).
 
@@ -53,9 +61,9 @@ def standardize(circuit: MatchgateCircuit) -> MatchgateCircuit:
     for i, target in enumerate(targets, start=1):
         source = n - r + i
         for j in range(source, target, -1):
-            swaps.append(GateApp("w", (j - 1,)))
+            swaps.append(_gate("w", (j - 1,), ()))
 
-    suffix = [GateApp("w", (j,)) for j in range(k - 1, 0, -1)]
+    suffix = [_gate("w", (j,), ()) for j in range(k - 1, 0, -1)]
 
     gates = _joined(prefix + swaps, circuit.gates, suffix)
     added = len(gates) - len(circuit.gates)

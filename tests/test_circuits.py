@@ -517,13 +517,20 @@ def test_serialize_by_gate_object_writes_what_each_gate_alone_would():
         serialize_circuit(GeneralCircuit(2, tuple(gates) + (bad, shared, bad), "00"))
 
 
-@pytest.mark.parametrize("plane", [2.5, math.nan, math.inf])
+def _as_table(gates) -> "circuits._ParsedGates":
+    """The same gates held as one GateColumns table, as a parsed circuit's are."""
+    return circuits._ParsedGates(circuits.read_gates(gates))
+
+
+@pytest.mark.parametrize("plane", [2.5, 1.5, -0.0, math.nan, math.inf])
 def test_serialize_refuses_a_non_integral_rot_plane(plane):
-    # Truncating 2.5 to 2 would turn an invalid circuit into a valid one.
+    # Truncating 2.5 to 2 would turn an invalid circuit into a valid one, and
+    # -0.0 would read back as 0.0; gates and their table are refused alike.
     gates = (GateApp("w", (1,)), GateApp("rot", (1,), (plane, 0.1)))
     message = f"gate 2 (rot): plane must be an integer, got {plane!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        serialize_circuit(MatchgateCircuit(2, gates, "00"))
+    for form in (gates, _as_table(gates)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            serialize_circuit(MatchgateCircuit(2, form, "00"))
 
 
 @pytest.mark.parametrize(
@@ -539,10 +546,14 @@ def test_serialize_refuses_a_non_integral_rot_plane(plane):
 )
 def test_serialize_refuses_a_gate_the_text_would_change(gate, problem):
     # `w 1` with a parameter would be written as `w 1`, a different, valid gate.
+    # The table of the same gates is refused with the same text, except that
+    # a table codes an unknown kind as -1 and keeps no name for it.
     gates = (GateApp("w", (1,)), gate)
-    message = f"gate 2 ({gate.kind}): {problem}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        serialize_circuit(MatchgateCircuit(2, gates, "00"))
+    table_kind = gate.kind if gate.kind in GATE_KINDS else "?"
+    for form, kind in ((gates, gate.kind), (_as_table(gates), table_kind)):
+        message = f"gate 2 ({kind}): {problem}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            serialize_circuit(MatchgateCircuit(2, form, "00"))
 
 
 # Reals the text format must keep bit for bit: signed zeros, subnormals and
@@ -587,6 +598,11 @@ def test_serialize_matches_the_reference_byte_for_byte(circuit, cache_size):
     # A small cache makes the gates repeat across clears.
     with mock.patch.object(circuits, "_GATE_CACHE_SIZE", cache_size):
         assert serialize_circuit(circuit) == reference_serialize(circuit)
+    # The same gates as a table are written kind by kind, to the same text,
+    # also when a small chunk cuts the table into many.
+    as_table = _with_gates(circuit, _as_table(circuit.gates))
+    with mock.patch.object(circuits, "_TABLE_CHUNK", cache_size):
+        assert serialize_circuit(as_table) == reference_serialize(circuit)
 
 
 def _with_gates(circuit, gates):
@@ -669,10 +685,30 @@ def test_cli_compress_writes_the_runs_without_the_flat_tuple(tmp_path, rng, monk
     circuit = randgen.random_matchgate_circuit(10, 40, rng, "0110100101", 3)
     src.write_text(serialize_circuit(circuit))
     asked = _count_flat_tuples(monkeypatch)
+    # Standardize and compress build their gates from ints and floats as they
+    # are, never through GateApp's converting constructor.
+    converted, post_init = [], GateApp.__post_init__
+    monkeypatch.setattr(GateApp, "__post_init__", lambda g: converted.append(g) or post_init(g))
     assert cli.main(["compress", str(src), str(out)]) == 0
-    assert asked == []
+    assert asked == [] and converted == []
+    monkeypatch.undo()
     standard = pad_to_power_of_two(standardize(circuit))
     expected = GeneralCircuit(7, tuple(compress_gate_stream(standard)), "0" * 7)
+    assert out.read_text() == reference_serialize(expected)
+    assert f" out_gates={len(expected.gates)} " in capsys.readouterr().out
+
+
+def test_cli_expand_writes_the_table_without_the_flat_tuple(tmp_path, rng, monkeypatch, capsys):
+    from matchgates import cli
+
+    src, out = tmp_path / "c.qc", tmp_path / "c.mg"
+    circuit = randgen.random_general_circuit(3, 8, rng, "101")
+    src.write_text(serialize_circuit(circuit))
+    asked = _count_flat_tuples(monkeypatch)
+    assert cli.main(["expand", str(src), str(out)]) == 0
+    assert asked == []
+    monkeypatch.undo()
+    expected = expand_circuit(circuit)
     assert out.read_text() == reference_serialize(expected)
     assert f" out_gates={len(expected.gates)} " in capsys.readouterr().out
 
@@ -1274,4 +1310,12 @@ def test_expand_builds_valid_circuits(m, seed, size, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m).filter(any))
     rng = np.random.default_rng(seed)
     circuit = randgen.random_general_circuit(m, size, rng, "".join(map(str, bits)))
-    assert validate(expand_circuit(circuit)) == []
+    out = expand_circuit(circuit)
+    # The expanded gates are one table: counting and writing them builds no GateApp.
+    asked, flat = [], circuits._ParsedGates._gates
+    spy = property(lambda gates: asked.append(1) or flat.fget(gates))
+    with mock.patch.object(circuits._ParsedGates, "_gates", spy):
+        count, text = len(out.gates), serialize_circuit(out)
+        assert validate(out) == []
+    assert asked == []
+    assert count == len(tuple(out.gates)) and text == reference_serialize(out)
