@@ -315,6 +315,39 @@ def givens_factor(r: np.ndarray) -> list[PlaneRotation] | list[list[PlaneRotatio
     return factors if r.ndim == 3 else factors[0]
 
 
+# The magic basis (Vatan & Williams 2004, arXiv:quant-ph/0308006): MAGIC R
+# MAGIC^dag is local for every R in SO(4).  As gates on (q, p), q the more
+# significant line: S on q, H S on p, then controlled-X from p onto q.
+MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]]) / math.sqrt(2.0)
+
+
+def local_pair(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B), (B, 2, 2) stacks in SU(2), fixed up to one common sign, with
+    MAGIC R MAGIC^dag = A (x) B for each R of a (B, 4, 4) stack.  Checked as
+    `givens_factor` is: ValueError names the first matrix that is not
+    special orthogonal, RuntimeError if A (x) B misses by more than
+    REPRODUCE_TOL."""
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 3 or r.shape[1:] != (4, 4):
+        raise ValueError("expected a (B, 4, 4) stack")
+    _check_special_orthogonal(r)
+    k = MAGIC @ r @ MAGIC.conj().T
+    # Rearranged with rows (a, c) and columns (b, d), A (x) B is the rank-one
+    # vec(A) vec(B)^T.  Its largest column, that of B's largest entry b_j
+    # (|b_j| >= 1/sqrt 2 as B is unitary), is b_j vec(A), of determinant
+    # b_j^2 as det A = 1; B is then vec(A)^dag times the matrix over |A|^2 = 2.
+    m = k.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
+    j = (m.real**2 + m.imag**2).sum(axis=1).argmax(axis=1)
+    col = m[np.arange(len(m)), :, j]
+    a = col / np.sqrt(col[:, 0] * col[:, 3] - col[:, 1] * col[:, 2])[:, None]
+    b = np.einsum("ti,tij->tj", a.conj(), m) / 2.0
+    dev = np.abs(a[:, :, None] * b[:, None, :] - m).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(~(dev <= REPRODUCE_TOL))
+    if bad.size:
+        raise RuntimeError(f"local pair failed to reproduce input ({dev[bad[0]]:.3g})")
+    return a.reshape(-1, 2, 2), b.reshape(-1, 2, 2)
+
+
 def matchgate_of_rotation(r: np.ndarray) -> np.ndarray:
     """A matchgate whose induced rotation equals the given SO(4) matrix.
 

@@ -257,10 +257,11 @@ def reals_from_complex(m: np.ndarray) -> tuple[float, ...]:
 # grow with the gate count (the compilers validate while streaming).
 _VALIDATE_CHUNK = 512
 
-# Kind codes (positions in GATE_KINDS) and, by code, each kind's signature;
-# code -1 (an unknown kind) reads the last entry, which matches no gate.
+# Kind codes (positions in GATE_KINDS) and, by code, each kind's name and
+# signature; code -1 (an unknown kind) reads the last entry, the name "?"
+# (a table keeps no unknown name) and a signature that matches no gate.
 KIND_CODES = {kind: code for code, kind in enumerate(GATE_KINDS)}
-_KIND_NAMES = tuple(GATE_KINDS)
+_KIND_NAMES = (*GATE_KINDS, "?")
 _FLAVOR, _NLINES, _NPARAMS = map(np.array, zip(*GATE_KINDS.values(), ("", -1, -1)))
 
 
@@ -348,7 +349,7 @@ def _cut(flat: list, at: np.ndarray, counts: np.ndarray) -> list[tuple]:
 
 
 def _gate_apps(cols: GateColumns) -> tuple[GateApp, ...]:
-    """The GateApps of a table of known kinds."""
+    """The GateApps of a table; an unknown kind reads as "?"."""
     kinds = [_KIND_NAMES[c] for c in cols.kinds.tolist()]
     params = _cut(cols.params.tolist(), cols.param_at, cols.nparams)
     return tuple(map(_gate, kinds, cols.line_tuples(), params))
@@ -700,7 +701,7 @@ def _table_lines(table: GateColumns) -> list[str]:
     refused[rot[~integral | ((plane == 0) & np.signbit(plane))]] = True
     if refused.any():  # _gate_text words the refusal of the first
         i = int(np.flatnonzero(refused)[0])
-        kind = _KIND_NAMES[kinds[i]] if kinds[i] >= 0 else "?"  # a table keeps no unknown name
+        kind = _KIND_NAMES[kinds[i]]
         l0, p0 = line_at[i], param_at[i]
         gate_lines, gate_params = lines[l0 : l0 + nlines[i]], params[p0 : p0 + nparams[i]]
         _gate_text(i + 1, _gate(kind, tuple(gate_lines.tolist()), tuple(gate_params.tolist())))

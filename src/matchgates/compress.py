@@ -15,29 +15,30 @@ Register layout (width mu + 2):
 
 Controlled-V is streamed in runs of gates.  Matchgate k acts on the window of
 dimensions 2k-1 .. 2k+2, whose four Gray labels agree on every bit but the
-last and one other.  So for each matchgate, once per pass, one AND of the
-control line and the window's shared bits is computed into the work
-ancilla, borrowing the two window lines as dirty scratch (at mu = 2 the
+last and one other, q: the window is the two-qubit subspace of lines q and
+last with every shared bit fixed.  So for each matchgate, once per pass, one
+AND of the control line and the window's shared bits is computed into the
+work ancilla, borrowing the two window lines as dirty scratch (at mu = 2 the
 window shares no bit, and the control line itself is the AND).  The
-matchgate's Givens factors lie in the window's three adjacent planes, whose
-two labels differ in one window bit, so each factor is a rotation on that
-bit's line controlled by the ancilla and the other window bit (an exact
-five-gate network).  The same AND gates then uncompute the ancilla.
-Everything is decomposed exactly to the cu1/u1/x gate set.  S contributes
-Gray-to-binary conversion, one controlled block on the last data line, and
-conversion back.
+matchgate's rotation, in the (bit q, last bit) basis, is an R in SO(4), and
+in the magic basis Q it is local: Q R Q^dag = A (x) B (Vatan & Williams 2004,
+arXiv:quant-ph/0308006).  So controlled-R is Q on the two window lines, A on
+line q and B on the last line each under the ancilla, and Q^dag; wherever
+the ancilla is 0, Q^dag undoes Q.  The same AND gates then uncompute the
+ancilla.  Everything is decomposed exactly to the cu1/u1/x gate set.  S
+contributes Gray-to-binary conversion, one controlled block on the last data
+line, and conversion back.
 
 Everything is generated lazily, a run of 64 matchgates at a time
-(`simulate._ROTATION_RUN`): the rotations of a run are Givens-factored in
-one call, and each window's AND and each factor's core reach the output as
-one run of gates.  Memory
-is O(mu^2) per matchgate of the current run, plus the gates of a bounded
-number of windows one stream keeps for reuse, independent of the input
-length.  A window kept for reuse emits its AND as the same run object each
-time, and every core in one of its planes shares the plane's controlled-X
-gate, so a core builds only its three new-angle gates.  `compress_circuit`
-keeps the output as these runs, never flattened, and `serialize_circuit`
-writes each distinct run once.
+(`simulate._ROTATION_RUN`): the rotations of a run are split into local
+pairs in one call, and each window's AND, Q and Q^dag and each matchgate's
+two controlled gates reach the output as one run of gates.  Memory is
+O(mu^2) per matchgate of the current run, plus the gates of a bounded number
+of windows one stream keeps for reuse, independent of the input length.  A
+window kept for reuse emits its AND, Q and Q^dag as the same run objects
+each time, so a matchgate builds only its two controlled gates.
+`compress_circuit` keeps the output as these runs, never flattened, and
+`serialize_circuit` writes each distinct run once.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .circuits import (
     GeneralCircuit,
     MatchgateCircuit,
     UsageError,
+    _HADAMARD,
     _ParsedGates,
     _gate,
     _mark_valid,
@@ -69,6 +71,11 @@ _X_PARAMS = reals_from_complex(algebra.PAULI_X)
 _V_MATRIX = np.array([[1.0 + 1.0j, 1.0 - 1.0j], [1.0 - 1.0j, 1.0 + 1.0j]]) / 2.0
 _V_PARAMS = reals_from_complex(_V_MATRIX)
 _VDG_PARAMS = reals_from_complex(_V_MATRIX.conj().T)
+# The one-line gates of algebra.MAGIC on lines (q, p) and of its inverse.
+_S_MATRIX = np.diag([1.0, 1.0j])
+_HS_MATRIX = _HADAMARD @ _S_MATRIX
+_S_PARAMS, _SDG_PARAMS = reals_from_complex(_S_MATRIX), reals_from_complex(_S_MATRIX.conj())
+_HS_PARAMS, _HSDG_PARAMS = reals_from_complex(_HS_MATRIX), reals_from_complex(_HS_MATRIX.conj().T)
 
 
 def gray(i: int, mu: int) -> str:
@@ -138,33 +145,6 @@ def _mcx(controls: tuple[int, ...], target: int, pool: tuple[int, ...]) -> list[
     return g1 + g2 + g1 + g2
 
 
-def _rot_params(theta: float) -> tuple[float, ...]:
-    """cu1/u1 parameters of the rotation block [[c, -s], [s, c]] by theta."""
-    c, s = math.cos(theta), math.sin(theta)
-    return (c, 0.0, -s, 0.0, s, 0.0, c, 0.0)
-
-
-def _rotation_core(cx: GateApp, t: int, theta: float, c2_value: int = 1) -> tuple[GateApp, ...]:
-    """Rotation by theta on line t iff line c1 is 1 and line c2 is `c2_value`,
-    where `cx` is the controlled-X on (c1, c2), shared by every core on them.
-
-    The exact five-gate network: rotations by +-theta/2 under c2, under
-    c1 xor c2 and under c1, signed to sum to theta on the one firing
-    pattern and to 0 on the other three.  c2 is restored whatever its state.
-    """
-    c1, c2 = cx.lines
-    half = _rot_params(theta / 2.0)
-    nhalf = half[:2] + half[4:6] + half[2:4] + half[6:]  # its transpose, the block by -theta/2
-    first, second = (half, nhalf) if c2_value else (nhalf, half)
-    return (
-        _gate("cu1", (c2, t), first),
-        cx,
-        _gate("cu1", (c2, t), second),
-        cx,
-        _gate("cu1", (c1, t), half),
-    )
-
-
 def pad_to_power_of_two(circuit: MatchgateCircuit) -> MatchgateCircuit:
     """Widen with idle all-zero lines until the width is a power of two."""
     _require_flavor(circuit, "mg")
@@ -196,104 +176,86 @@ def _require_standard(circuit: MatchgateCircuit) -> int:
     return n
 
 
-def _window_bits(k: int, mu: int) -> list[int]:
-    """The label bits (0-based) in which matchgate k's window varies.
-
-    The window is dimensions 2k-1 .. 2k+2, the Gray labels of 2k-2 .. 2k+1.
-    From an even start these vary only in the last bit and the bit flipped
-    between the middle two, and agree on every other bit.
-    """
-    labels = [gray(i, mu) for i in range(2 * k - 2, 2 * k + 2)]
-    varying = [q for q in range(mu) if len({label[q] for label in labels}) > 1]
-    if len(varying) != 2 or varying[-1] != mu - 1:
-        raise RuntimeError(f"Gray labels of window {k} vary in bits {varying}")
-    return varying
-
-
 # Windows whose gates one compress stream keeps for reuse.  Building a
-# window's AND and planes costs more than emitting them, and a circuit's
-# matchgates revisit their windows; the bound keeps the stream's memory
-# independent of the width.
+# window's gates costs more than emitting them, and a circuit's matchgates
+# revisit their windows; the bound keeps the stream's memory independent of
+# the width.
 WINDOW_CACHE_SIZE = 64
 
 
-def _window_and(k: int, mu: int) -> tuple[tuple[GateApp, ...], int]:
-    """The AND of matchgate k's window: its gates, and the line holding it.
+class _Window(NamedTuple):
+    """Matchgate k's window: `gates` computes the AND on line `fired` (and,
+    again, uncomputes it); the labels vary on lines `q` and `last`, and
+    `basis` lists the four dimensions (0-based) in the (bit q, last bit)
+    order |00>, |01>, |10>, |11>; `enter` is `algebra.MAGIC` on (q, last)
+    and `leave` its inverse."""
 
-    The gates set the clean ancilla (line mu+2) to (control line 1) AND
-    (every bit the window shares, at its value), borrowing the two window
-    lines as dirty scratch; the same gates uncompute it.  With no shared bit
-    (mu = 2) the control line itself is that AND, and there are no gates.
+    gates: tuple[GateApp, ...]
+    fired: int
+    q: int
+    last: int
+    basis: tuple[int, ...]
+    enter: tuple[GateApp, ...]
+    leave: tuple[GateApp, ...]
+
+
+def _window(k: int, mu: int) -> _Window:
+    """Matchgate k's window (see `_Window`).
+
+    The window is dimensions 2k-1 .. 2k+2, the Gray labels of 2k-2 .. 2k+1.
+    From an even start these vary only in the last bit and the bit q flipped
+    between the middle two, and agree on every other bit.  The AND gates set
+    the clean ancilla (line mu+2) to (control line 1) AND (every shared bit,
+    at its value), borrowing the two window lines as dirty scratch.  With no
+    shared bit (mu = 2) the control line itself is that AND, and there are
+    no gates.
     """
-    varying = _window_bits(k, mu)
-    shared = [q for q in range(mu) if q not in varying]
-    if not shared:
-        return (), 1
-    label = gray(2 * k - 2, mu)
-    # Label bit q sits on data line q + 2.
-    wraps = [_gate("x", (q + 2,), ()) for q in shared if label[q] == "0"]
-    controls = (1,) + tuple(q + 2 for q in shared)
-    window = tuple(q + 2 for q in varying)
-    return tuple(wraps + _mcx(controls, mu + 2, window) + wraps), mu + 2
-
-
-def _window_plane(k: int, a: int, q: int, mu: int) -> tuple[int, int, int, bool]:
-    """Plane (a, a + 1) of matchgate k's window, as register lines: the
-    target, the other window line and the value it must hold, and whether
-    the rotation's sign flips.
-
-    The window's labels vary only in bit q and the last bit, and adjacent
-    Gray labels differ in one bit: the last for planes (1, 2) and (3, 4),
-    bit q for plane (2, 3).  That bit is the target, and the other window
-    bit must hold label a's value.  The shared bits, which the AND holds,
-    are never touched, so a factor is a rotation under two controls.
-    """
-    last = mu - 1
-    target, other = (q, last) if a == 2 else (last, q)
-    la = gray(2 * k - 3 + a, mu)
-    # Label bit p sits on data line p + 2.  la keeps its own bit at the
-    # target: if that bit is 0 the basis (|0>, |1>) is (dim a, dim a + 1)
-    # and the block is R(theta), else the inverse rotation.
-    return target + 2, other + 2, int(la[other]), la[target] == "1"
-
-
-def _window(k: int, mu: int) -> tuple[tuple[GateApp, ...], int, dict]:
-    """Matchgate k's window: its AND gates, the line holding the AND, and
-    its three adjacent planes (a, a + 1), as `_window_plane` gives them
-    followed by the controlled-X on (the AND line, the other window line)
-    that every factor core in the plane shares."""
-    gates, fired = _window_and(k, mu)
-    q = _window_bits(k, mu)[0]
-    planes = {}
-    for a in (1, 2, 3):
-        plane = _window_plane(k, a, q, mu)
-        planes[a, a + 1] = (*plane, _gate("cu1", (fired, plane[1]), _X_PARAMS))
-    return gates, fired, planes
+    labels = [gray(i, mu) for i in range(2 * k - 2, 2 * k + 2)]
+    varying = [p for p in range(mu) if len({label[p] for label in labels}) > 1]
+    if len(varying) != 2 or varying[-1] != mu - 1:
+        raise RuntimeError(f"Gray labels of window {k} vary in bits {varying}")
+    bit = varying[0]
+    basis = tuple(sorted(range(4), key=lambda i: labels[i][bit] + labels[i][-1]))
+    q, last = bit + 2, mu + 1  # label bit p sits on data line p + 2
+    shared = [p for p in range(mu) if p not in varying]
+    gates, fired = (), 1
+    if shared:
+        wraps = [_gate("x", (p + 2,), ()) for p in shared if labels[0][p] == "0"]
+        controls = (1,) + tuple(p + 2 for p in shared)
+        gates, fired = tuple(wraps + _mcx(controls, mu + 2, (q, last)) + wraps), mu + 2
+    cx = _gate("cu1", (last, q), _X_PARAMS)
+    enter = (_gate("u1", (q,), _S_PARAMS), _gate("u1", (last,), _HS_PARAMS), cx)
+    leave = (cx, _gate("u1", (last,), _HSDG_PARAMS), _gate("u1", (q,), _SDG_PARAMS))
+    return _Window(gates, fired, q, last, basis, enter, leave)
 
 
 def _rotation_pass(
-    circuit: MatchgateCircuit, window: Callable[[int], tuple], invert: bool
+    circuit: MatchgateCircuit, window: Callable[[int], _Window], invert: bool
 ) -> Iterator[tuple[GateApp, ...]]:
     """Controlled R (or R^{-1} with `invert`) as runs of gates, one matchgate
-    at a time: its window's AND, one run per factor, the AND again to
-    uncompute it.
+    at a time: its window's AND, Q, A on line q and B on the last line under
+    the AND, Q^dag, the AND again to uncompute it.  A matchgate whose
+    rotation is the identity (to OMIT_ANGLE) emits nothing.
 
-    The rotations of each run of _ROTATION_RUN matchgates are factored in
-    one call.  R^{-1} takes each matchgate's factors in reverse with their
-    angles negated.  `window(k)` gives matchgate k's window as `_window` does;
-    a factor outside its three adjacent planes raises KeyError.
+    The rotations of each run of _ROTATION_RUN matchgates are permuted into
+    their windows' bases, transposed for R^{-1}, and split in one call.
     """
     for lines, rots in rotation_runs(circuit.gates, last_first=invert):
-        for k, factors in zip(lines, algebra.givens_factor(rots)):
-            if not factors:
-                continue
-            gates, fired, planes = window(k)
-            yield gates
-            for f in reversed(factors) if invert else factors:
-                target, _, value, flip, cx = planes[f.a, f.b]
-                theta = -f.theta if flip != invert else f.theta
-                yield _rotation_core(cx, target, theta, value)
-            yield gates
+        moved = np.flatnonzero(np.abs(rots - np.eye(4)).max(axis=(1, 2)) > algebra.OMIT_ANGLE)
+        windows = [window(lines[i]) for i in moved.tolist()]
+        basis = np.array([w.basis for w in windows], dtype=np.intp).reshape(-1, 4)
+        r = rots[moved[:, None, None], basis[:, :, None], basis[:, None, :]]
+        a, b = algebra.local_pair(r.transpose(0, 2, 1) if invert else r)
+        pairs = np.concatenate([a.reshape(-1, 4), b.reshape(-1, 4)], axis=1).view(float)
+        for w, p in zip(windows, pairs.tolist()):
+            yield w.gates
+            yield w.enter
+            yield (
+                _gate("cu1", (w.fired, w.q), tuple(p[:8])),
+                _gate("cu1", (w.fired, w.last), tuple(p[8:])),
+            )
+            yield w.leave
+            yield w.gates
 
 
 def _pairing_run(mu: int, invert: bool) -> tuple[GateApp, ...]:
@@ -305,7 +267,8 @@ def _pairing_run(mu: int, invert: bool) -> tuple[GateApp, ...]:
     to_gray = _shift_lines(gray_converter_circuit(mu), 1)  # data lines 2..mu+1
     angle = -math.pi / 2.0 if invert else math.pi / 2.0
     # gray labels -> binary labels, the block, back to gray labels
-    return (*to_gray[::-1], _gate("cu1", (1, mu + 1), _rot_params(angle)), *to_gray)
+    block = reals_from_complex(algebra.rot2(angle))
+    return (*to_gray[::-1], _gate("cu1", (1, mu + 1), block), *to_gray)
 
 
 def _gate_runs(circuit: MatchgateCircuit) -> Iterator[tuple[GateApp, ...]]:
@@ -327,8 +290,8 @@ def compress_gate_stream(circuit: MatchgateCircuit) -> Iterator[GateApp]:
     """Lazily emit the compressed circuit's gates.
 
     Iterates the input gate list twice (once reversed), _ROTATION_RUN
-    gates at a time.  Working state is one run's rotations and factor
-    lists and one factor's gates, plus the gates of the last
+    gates at a time.  Working state is one run's rotations and local pairs
+    and one matchgate's gates, plus the gates of the last
     WINDOW_CACHE_SIZE windows used, which both passes of this stream reuse.
     """
     yield from chain.from_iterable(_gate_runs(circuit))

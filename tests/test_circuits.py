@@ -556,6 +556,15 @@ def test_serialize_refuses_a_gate_the_text_would_change(gate, problem):
             serialize_circuit(MatchgateCircuit(2, form, "00"))
 
 
+def test_a_table_reads_an_unknown_kind_as_unknown():
+    # A table codes an unknown kind as -1; read back as gates, or named by
+    # validate, it is "?" and never the last known kind.
+    table = _as_table((GateApp("w", (1,)), GateApp("cz", (1,))))
+    assert [g.kind for g in table] == ["w", "?"]
+    assert table[1].lines == (1,)
+    assert validate(MatchgateCircuit(2, table, "00")) == ["gate 2 (?): unknown kind"]
+
+
 # Reals the text format must keep bit for bit: signed zeros, subnormals and
 # the ends of the double range.
 EDGE_REALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308]

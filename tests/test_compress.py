@@ -9,16 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchgates import algebra, compress, randgen
-from matchgates.algebra import givens_factor, rot2
+from matchgates.algebra import rot2
 from matchgates.circuits import GateApp, MatchgateCircuit, gate_matrix, reals_from_complex
 from matchgates.compress import (
-    _X_PARAMS,
     _mcx,
-    _rotation_core,
     _shift_lines,
     _toffoli,
     _window,
-    _window_bits,
     compress_circuit,
     compress_gate_stream,
     gray,
@@ -100,83 +97,114 @@ def test_converter_composed_with_its_reverse_is_identity():
     assert np.abs(u - np.eye(1 << mu)).max() <= 1e-12
 
 
-# ----- Window planes ----------------------------------------------------------
+# ----- Windows and their local pairs -----------------------------------------
 
 
-def test_alignment_of_distance_one_labels_needs_no_gates(rng):
-    # mu = 3, window 2: labels 011, 010, 110, 111 vary in bits 1 and 3 (data
-    # lines 2 and 4).  Plane (2, 3) differs in bit 1 only, planes (1, 2) and
-    # (3, 4) in bit 3 only; label a of (1, 2) has a 1 there.
-    planes = _planes(_window(2, 3))
-    assert planes[1, 2] == (4, 2, 0, True)
-    assert planes[2, 3] == (2, 4, 0, False)
-    # So a factor emits its five-gate core and nothing else: the output is
-    # the frame, the two pairing runs, and per matchgate with factors and
-    # pass its AND twice and five gates per factor.
-    n, mu = 8, 4
-    c = randgen.random_matchgate_circuit(n, 12, rng, "0" * n, 1)
-    per_pass = 0
-    for lines, rots in rotation_runs(c.gates):
-        for k, r in zip(lines, rots):
-            factors = givens_factor(r)
-            if factors:
-                per_pass += 2 * len(compress._window_and(k, mu)[0]) + 5 * len(factors)
-    pairing = len(compress._pairing_run(mu, invert=False))
-    assert len(compress_circuit(c).gates) == 2 + 2 * pairing + 2 * per_pass
+def _block_diagonal(t1: float, t2: float) -> np.ndarray:
+    r = np.zeros((4, 4))
+    r[:2, :2], r[2:, 2:] = rot2(t1), rot2(t2)
+    return r
 
 
-def _planes(window) -> dict:
-    """A window's planes as (target, other, value, flip), once each plane's
-    shared controlled-X is checked to act on (the AND line, other)."""
-    _, fired, planes = window
-    for target, other, value, flip, cx in planes.values():
-        assert cx == GateApp("cu1", (fired, other), _X_PARAMS)
-    return {plane: p[:4] for plane, p in planes.items()}
+def test_local_pair_is_exact_on_so4_stacks(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(64, 4, 4)))
+    q[np.linalg.det(q) < 0, :, 0] *= -1
+    by_pi = [algebra.plane_rotation(4, a, b, np.pi) for a, b in algebra.PLANES]
+    blocks = [
+        _block_diagonal(t1, t2)
+        for t1, t2 in [(0.3, -1.2), (np.pi, np.pi), (np.pi / 2, 0.0), (0.0, -np.pi / 2)]
+    ]
+    r = np.concatenate([q, np.eye(4)[None], -np.eye(4)[None], by_pi, blocks])
+    a, b = algebra.local_pair(r)
+    for m in (a, b):
+        assert np.abs(m @ m.conj().swapaxes(1, 2) - np.eye(2)).max() <= 1e-12
+        assert np.abs(np.linalg.det(m) - 1.0).max() <= 1e-12
+    pair = np.einsum("tij,tkl->tikjl", a, b).reshape(-1, 4, 4)
+    magic = algebra.MAGIC
+    assert np.abs(magic.conj().T @ pair @ magic - r).max() <= 1e-12
+    empty = algebra.local_pair(np.zeros((0, 4, 4)))
+    assert [m.shape for m in empty] == [(0, 2, 2), (0, 2, 2)]
 
 
-def test_alignment_four_bit_example():
-    # The three planes as (target, other, value, flip).  mu = 3, window 2:
-    # labels 011, 010, 110, 111 on data lines 2..4.
-    planes = _planes(_window(2, 3))
-    assert planes == {(1, 2): (4, 2, 0, True), (2, 3): (2, 4, 0, False), (3, 4): (4, 2, 1, False)}
-    # mu = 4, window 4: labels 0101, 0100, 1100, 1101 vary in bits 1 and 4
-    # (data lines 2 and 5).
-    planes = _planes(_window(4, 4))
-    assert planes == {(1, 2): (5, 2, 0, True), (2, 3): (2, 5, 0, False), (3, 4): (5, 2, 1, False)}
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (1.01 * np.eye(4), "matrix 2 of the stack is not orthogonal"),
+        (np.diag([1.0, 1.0, 1.0, -1.0]), "matrix 2 of the stack has determinant -1"),
+        (np.full((4, 4), np.nan), "matrix 2 of the stack is not orthogonal"),
+    ],
+)
+def test_local_pair_refuses_a_matrix_outside_so4(bad, message):
+    r = np.stack([np.eye(4), algebra.plane_rotation(4, 2, 3, 0.4), bad, bad])
+    with pytest.raises(ValueError, match=message):
+        algebra.local_pair(r)
+
+
+def test_local_pair_refuses_one_matrix_and_checks_its_product():
+    with pytest.raises(ValueError, match="stack"):
+        algebra.local_pair(np.eye(4))
+    # Outside the magic basis a rotation is not a product of local gates.
+    r = algebra.plane_rotation(4, 1, 3, 0.7)[None]
+    with mock.patch.object(algebra, "MAGIC", np.eye(4)):
+        with pytest.raises(RuntimeError, match="local pair failed to reproduce"):
+            algebra.local_pair(r)
+
+
+def _on_lines(gates, lines: dict) -> list:
+    """The gates with their lines renumbered by `lines`."""
+    return [GateApp(g.kind, tuple(lines[l] for l in g.lines), g.params) for g in gates]
+
+
+def test_window_magic_gates_are_the_magic_basis_and_its_inverse():
+    for k, mu in [(1, 2), (2, 3), (5, 4)]:
+        w = _window(k, mu)
+        lines = {w.q: 1, w.last: 2}
+        enter = dense_unitary(_on_lines(w.enter, lines), 2)
+        phase = enter[0, 0] / algebra.MAGIC[0, 0]
+        assert abs(abs(phase) - 1.0) <= 1e-12
+        assert np.abs(enter - phase * algebra.MAGIC).max() <= 1e-12
+        leave = dense_unitary(_on_lines(w.leave, lines), 2)
+        assert np.abs(leave @ enter - np.eye(4)).max() <= 1e-12
+
+
+def _window_rotation(k: int, mu: int, r: np.ndarray) -> np.ndarray:
+    """Dense r on matchgate k's window labels on mu + 2 lines, applied iff
+    line 1 is 1; every other basis state is left alone."""
+    width = mu + 2
+    out = np.eye(1 << width)
+    labels = [int(gray(i, mu), 2) for i in range(2 * k - 2, 2 * k + 2)]
+    for ancilla in (0, 1):
+        # Line 1 is the most significant bit, the work ancilla the least.
+        index = [(1 << (width - 1)) | (label << 1) | ancilla for label in labels]
+        out[np.ix_(index, index)] = r
+    return out
 
 
 @pytest.mark.parametrize("mu", range(2, 7))
-def test_window_planes_align_their_labels(mu):
-    # Every window keeps exactly its three adjacent planes.  In each, the
-    # two labels differ only at the target, a window line, and the other
-    # window line holds label a's value.  The sign flips iff label a has
-    # target bit 1.
-    for k in range(1, 1 << (mu - 1)):
-        window = [q + 2 for q in _window_bits(k, mu)]
-        planes = _planes(_window(k, mu))
-        assert set(planes) == {(1, 2), (2, 3), (3, 4)}
-        for (a, b), (target, other, value, flip) in planes.items():
-            assert sorted((target, other)) == window
-            la, lb = gray(2 * k - 3 + a, mu), gray(2 * k - 3 + b, mu)
-            assert [p for p in range(mu) if la[p] != lb[p]] == [target - 2]
-            assert int(la[other - 2]) == value
-            assert flip == (la[target - 2] == "1")
-
-
-def test_a_factor_in_a_non_adjacent_plane_raises(rng):
-    # Three _window_plane calls per window built, and a factor outside
-    # the three adjacent planes is refused before any gate is built for it.
-    c = randgen.random_matchgate_circuit(4, 3, rng, "0000", 1)
-    with mock.patch.object(compress, "_window_plane", wraps=compress._window_plane) as plane:
-        with mock.patch.object(compress, "_window", wraps=compress._window) as built:
-            compress_circuit(c)
-    assert plane.call_count == 3 * built.call_count > 0
-    skew = [[algebra.PlaneRotation(1, 3, 0.3)]] * _ROTATION_RUN
-    with mock.patch.object(compress.algebra, "givens_factor", lambda rots: skew[: len(rots)]):
-        with mock.patch.object(compress, "_rotation_core", wraps=compress._rotation_core) as core:
-            with pytest.raises(KeyError):
-                compress_circuit(c)
-    assert core.call_count == 0
+def test_window_gates_apply_the_controlled_window_rotation(mu, rng):
+    # For every window, one pass emits the AND, Q, A on line q and B on the
+    # last line under the AND, Q^dag and the AND again: densely, with the
+    # work ancilla in |0>, the window's rotation R (R^T in the inverse pass)
+    # on its Gray labels where line 1 is 1, and the identity elsewhere.
+    n, width = 1 << (mu - 1), mu + 2
+    for k in range(1, n):
+        gate = GateApp("mg", (k,), randgen.random_matchgate_params(rng))
+        c = MatchgateCircuit(n, (gate,), "0" * n, measure_line=1, allow_idle=True)
+        [(_, rots)] = rotation_runs(c.gates)
+        w = _window(k, mu)
+        and_gates = dense_unitary(w.gates, width)
+        for invert, r in ((False, rots[0]), (True, rots[0].T)):
+            runs = list(compress._rotation_pass(c, lambda j: _window(j, mu), invert))
+            assert runs[0] == runs[4] == w.gates
+            assert (runs[1], runs[3]) == (w.enter, w.leave)
+            assert [(g.kind, g.lines) for g in runs[2]] == [
+                ("cu1", (w.fired, w.q)),
+                ("cu1", (w.fired, w.last)),
+            ]
+            u = and_gates @ dense_unitary([*runs[1], *runs[2], *runs[3]], width) @ and_gates
+            # Even columns: the work ancilla (the last line) in |0>.
+            expected = _window_rotation(k, mu, r)
+            assert np.abs(u[:, ::2] - expected[:, ::2]).max() <= 1e-12
 
 
 # ----- Multi-controlled rotations ---------------------------------------------
@@ -239,16 +267,6 @@ def test_multi_controlled_x_with_two_dirty_scratch_lines(r, rng):
     assert np.abs(out - expected @ state).max() <= 1e-12
 
 
-def test_rotation_core_fires_on_either_value_of_its_second_control(rng):
-    for value in (0, 1):
-        theta = float(rng.uniform(-np.pi, np.pi))
-        cx = GateApp("cu1", (3, 1), _X_PARAMS)
-        gates = _rotation_core(cx, 2, theta, value)
-        assert len(gates) == 5 and gates[1] is gates[3] is cx
-        expected = _expected_controlled(2, [(1, value), (3, 1)], rot2(theta), 3)
-        assert np.abs(dense_unitary(gates, 3) - expected).max() <= 1e-12
-
-
 # ----- Full compilation --------------------------------------------------------
 
 
@@ -296,18 +314,20 @@ def test_gate_stream_matches_the_one_shot_compiler(rng):
     assert streamed[-1] == GateApp("h", (1,))
 
 
-def test_gate_stream_factors_one_run_of_rotations_at_a_time(rng):
+def test_gate_stream_splits_one_run_of_rotations_at_a_time(rng):
     c = randgen.random_matchgate_circuit(8, 2000, rng, input_bits="0" * 8, measure_line=1)
     stacks = []
+    local_pair = algebra.local_pair
     with mock.patch.object(
-        algebra, "givens_factor", side_effect=lambda r: stacks.append(len(r)) or givens_factor(r)
+        algebra, "local_pair", side_effect=lambda r: stacks.append(len(r)) or local_pair(r)
     ):
         stream = compress_gate_stream(c)
         first = list(itertools.islice(stream, 200))
         assert len(first) == 200 and len(stacks) <= 1
         rest = list(stream)
-    # Each pass factors the rotations _ROTATION_RUN matchgates at a time; the
-    # inverse pass reads the short last run first.
+    # Each pass splits the rotations _ROTATION_RUN matchgates at a time (no
+    # random matchgate is the identity); the inverse pass reads the short
+    # last run first.
     runs, left = divmod(2000, _ROTATION_RUN)
     assert stacks == [left] + [_ROTATION_RUN] * (2 * runs) + [left]
     assert tuple(first + rest) == compress_circuit(c).gates
@@ -355,41 +375,42 @@ def test_a_two_line_window_needs_no_and():
     assert abs(expectation_z(run_statevector(out), 1) - simulate_expectation(c)) <= 1e-12
 
 
-def test_one_and_pair_per_matchgate_with_factors_and_two_control_cores(rng):
+def test_one_and_pair_and_one_local_pair_per_moved_matchgate(rng):
     n, mu = 8, 4
     ancilla = mu + 2
     gates = list(randgen.random_matchgate_circuit(n, 10, rng, "0" * n, 1).gates)
     gates[3:3] = [GateApp("rot", (1,), (2.0, 0.0)), GateApp("mg", (n - 1,), _IDENTITY_MG)]
     c = MatchgateCircuit(n, tuple(gates), "0" * n, measure_line=1)
-    planes = [givens_factor(r) for _, rots in rotation_runs(c.gates) for r in rots]
-    assert sum(not f for f in planes) >= 2  # the identity gates have no factors
+    rots = np.concatenate([r for _, r in rotation_runs(c.gates)])
+    moved = int((np.abs(rots - np.eye(4)).max(axis=(1, 2)) > algebra.OMIT_ANGLE).sum())
+    assert moved == len(gates) - 2  # the identity gates emit nothing
 
-    ands, cores = [], []
-    window_and = compress._window_and
+    ands = []
+    window = compress._window
 
-    def and_spy(k, m):
-        ands.append(window_and(k, m))
-        return ands[-1]
+    def window_spy(k, m):
+        w = window(k, m)
+        ands.append(w.gates)
+        return w
 
-    def core_spy(cx, t, theta, value=1):
-        cores.append((*cx.lines, t))
-        return _rotation_core(cx, t, theta, value)
-
-    # With no window kept for reuse, every matchgate pass looks up its AND.
-    with mock.patch.multiple(
-        compress, _window_and=and_spy, _rotation_core=core_spy, WINDOW_CACHE_SIZE=0
-    ):
-        out = list(compress_gate_stream(c))
-    # One AND per matchgate with factors, per pass; every factor one core.
-    assert len(ands) == 2 * sum(1 for f in planes if f)
-    assert len(cores) == 2 * sum(len(f) for f in planes)
+    # With no window kept for reuse, every matchgate pass builds its window.
+    with mock.patch.multiple(compress, _window=window_spy, WINDOW_CACHE_SIZE=0):
+        runs = list(compress._gate_runs(c))
+    assert len(ands) == 2 * moved
+    # Per moved matchgate and pass: the AND twice, Q and Q^dag (three gates
+    # each) and one core of two cu1 gates from the ancilla, onto a window
+    # line q and onto the last data line.
+    pairing = len(compress._pairing_run(mu, invert=False))
+    out = list(itertools.chain(*runs))
+    assert len(out) == 2 + 2 * pairing + sum(2 * len(g) + 8 for g in ands)
+    cores = [run for run in runs if len(run) == 2 and {g.lines[0] for g in run} == {ancilla}]
+    assert len(cores) == 2 * moved
+    for a, b in cores:
+        assert a.kind == b.kind == "cu1" and 2 <= a.lines[1] <= mu and b.lines[1] == mu + 1
     # Each AND is emitted twice (compute, uncompute), and nothing else
     # targets the work ancilla.
     to_ancilla = sum(1 for g in out if g.lines[-1] == ancilla)
-    assert to_ancilla == sum(2 * sum(g.lines[-1] == ancilla for g in a) for a, _ in ands)
-    # Every core has two controls: the ancilla and one window line.
-    for c1, c2, t in cores:
-        assert c1 == ancilla and c2 not in (1, ancilla, t) and 2 <= t <= mu + 1
+    assert to_ancilla == sum(2 * sum(g.lines[-1] == ancilla for g in a) for a in ands)
 
 
 _EXAMPLE_MG = randgen.random_matchgate_params(np.random.default_rng(32))
