@@ -167,6 +167,68 @@ def test_window_magic_gates_are_the_magic_basis_and_its_inverse():
         assert np.abs(leave @ enter - np.eye(4)).max() <= 1e-12
 
 
+def _basis_bits(k: int, mu: int) -> list[str]:
+    """Window k's four Gray labels, in its (bit q, last bit) basis order,
+    each as the two bits it holds on lines q and last."""
+    w = _window(k, mu)
+    labels = [gray(i, mu) for i in range(2 * k - 2, 2 * k + 2)]
+    return [labels[i][w.q - 2] + labels[i][w.last - 2] for i in w.basis]
+
+
+def test_alignment_of_distance_one_labels_needs_no_gates(rng):
+    # mu = 3, window 2: labels 011, 010, 110, 111 vary in bits 1 and 3 (data
+    # lines 2 and 4).  Plane (2, 3) differs in bit 1 only, planes (1, 2) and
+    # (3, 4) in bit 3 only, so the window is the two-qubit subspace of lines
+    # 2 and 4 up to a reordering of its four dimensions.
+    w = _window(2, 3)
+    assert (w.q, w.last, w.basis) == (2, 4, (1, 0, 2, 3))
+    assert _basis_bits(2, 3) == ["00", "01", "10", "11"]
+    # So the reordering is folded into the rotation and no gate aligns the
+    # labels: the output is the frame, the two pairing runs, and per moved
+    # matchgate and pass its AND twice, Q, the local pair and Q^dag.
+    n, mu = 8, 4
+    c = randgen.random_matchgate_circuit(n, 12, rng, "0" * n, 1)
+    per_pass = 0
+    for lines, rots in rotation_runs(c.gates):
+        for k, r in zip(lines, rots):
+            if np.abs(r - np.eye(4)).max() > algebra.OMIT_ANGLE:
+                w = _window(k, mu)
+                per_pass += 2 * len(w.gates) + len(w.enter) + 2 + len(w.leave)
+    pairing = len(compress._pairing_run(mu, invert=False))
+    assert len(compress_circuit(c).gates) == 2 + 2 * pairing + 2 * per_pass
+
+
+def test_alignment_four_bit_example():
+    # (AND line, q, last, basis).  mu = 3, window 2: labels 011, 010, 110,
+    # 111 on data lines 2..4; the AND sits on the ancilla, line 5.
+    assert _window(2, 3)[1:5] == (5, 2, 4, (1, 0, 2, 3))
+    # mu = 4, window 4: labels 0101, 0100, 1100, 1101 vary in bits 1 and 4
+    # (data lines 2 and 5); the ancilla is line 6.
+    assert _window(4, 4)[1:5] == (6, 2, 5, (1, 0, 2, 3))
+    assert _basis_bits(4, 4) == ["00", "01", "10", "11"]
+
+
+@pytest.mark.parametrize("mu", range(2, 7))
+def test_window_planes_align_their_labels(mu):
+    # Every window's three adjacent planes (1, 2), (2, 3), (3, 4) join
+    # labels that differ in one bit only, on a window line: the last line
+    # for the outer two, line q for the middle one.  In the window's basis
+    # order its labels hold 00, 01, 10, 11 on (q, last), and every bit off
+    # the window lines is shared by all four.
+    for k in range(1, 1 << (mu - 1)):
+        w = _window(k, mu)
+        assert 2 <= w.q <= mu and w.last == mu + 1
+        assert sorted(w.basis) == [0, 1, 2, 3]
+        labels = [gray(i, mu) for i in range(2 * k - 2, 2 * k + 2)]
+        for a, target in ((0, w.last), (1, w.q), (2, w.last)):
+            la, lb = labels[a], labels[a + 1]
+            assert [p + 2 for p in range(mu) if la[p] != lb[p]] == [target]
+        assert _basis_bits(k, mu) == ["00", "01", "10", "11"]
+        for p in range(mu):
+            if p + 2 not in (w.q, w.last):
+                assert len({label[p] for label in labels}) == 1
+
+
 def _window_rotation(k: int, mu: int, r: np.ndarray) -> np.ndarray:
     """Dense r on matchgate k's window labels on mu + 2 lines, applied iff
     line 1 is 1; every other basis state is left alone."""
