@@ -12,21 +12,19 @@ The text format is line-oriented: a header, then one gate per line, with `#`
 starting a comment.  Matrices are written row-major as comma-separated reals,
 real part before imaginary part for each entry.  Floats are serialized with
 repr(), which round-trips exactly.  The parser reads gate lines straight into
-one GateColumns table; a parsed circuit's `gates` is a sequence over that
-table that equals, hashes and prints as the GateApp tuple, built only when
-the gates themselves are read.  Standardize and expand emit their gates as
-such a table too, and the serializer writes a table kind by kind, each
-distinct real and line number formatted once.  A compressed circuit's
-`gates` is the same kind of sequence over the runs of gates compress
-emitted, and the serializer writes it run by run.
+one GateColumns table.  Parsed, standardized, expanded and compressed
+circuits hold their `gates` as row ranges of such tables, behind a sequence
+that equals, hashes and prints as the GateApp tuple, built only when the
+gates themselves are read.  The serializer writes each distinct table of a
+circuit once, kind by kind, each distinct gate, real and line number
+formatted once, and joins the texts of the ranges.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from collections.abc import Sequence
 from typing import Callable, Iterator, NamedTuple, TypeVar
@@ -128,45 +126,64 @@ def _gate(kind: str, lines: tuple[int, ...], params: tuple[float, ...]) -> GateA
     return g
 
 
+class _Piece(NamedTuple):
+    """Gates lo .. hi - 1 of a GateColumns block."""
+
+    block: GateColumns
+    lo: int
+    hi: int
+
+
 class _ParsedGates(Sequence):
     """The gates of a parsed, standardized, expanded or compressed circuit,
     behind a read-only sequence that equals the GateApp tuple.
 
-    It holds either a GateColumns `table` (a parsed, standardized or
-    expanded circuit's), read by `validate`, the simulation, compress and
-    `serialize_circuit`, or the `runs` of GateApps compress emitted, which
-    `serialize_circuit` writes one distinct run at a time.  len() builds
-    nothing; any other use of the gates builds the flat tuple once, and
-    `table` of runs is read from that tuple when first asked for."""
+    The gates are `pieces` end to end, each a row range of a GateColumns
+    block: a parsed or expanded circuit is one piece, and compress emits
+    each window's blocks as the same objects every time.  `table`, which
+    `validate`, the simulation and compress read, concatenates the pieces
+    when first asked for.  len() builds nothing; any other use of the gates
+    builds the flat tuple once."""
 
-    __slots__ = ("_table", "_runs", "_len", "_built")
+    __slots__ = ("pieces", "_len", "_table", "_built")
 
-    def __init__(
-        self, table: GateColumns | None = None, runs: tuple[Sequence[GateApp], ...] | None = None
-    ):
-        self._table = table
-        self._runs = runs
-        self._len = len(table.kinds) if runs is None else sum(map(len, runs))
+    def __init__(self, *parts: _Piece | GateColumns | Sequence[GateApp]):
+        """The gates of `parts` end to end: pieces, tables, the pieces of
+        other such sequences, or GateApps, each read as one table."""
+        pieces: list[_Piece] = []
+        for part in parts or [()]:  # no parts: one empty block
+            if isinstance(part, _Piece):
+                pieces.append(part)
+            elif isinstance(part, _ParsedGates):
+                pieces += part.pieces
+            else:
+                table = part if isinstance(part, GateColumns) else read_gates(part)
+                pieces.append(_Piece(table, 0, len(table.kinds)))
+        self.pieces = pieces
+        _, lo, hi = zip(*pieces)
+        self._len = sum(hi) - sum(lo)
+        self._table: GateColumns | None = None
         self._built: tuple[GateApp, ...] | None = None
+
+    def blocks(self) -> tuple[GateColumns, list[int], list[int]]:
+        """The distinct blocks end to end, and each piece's first row in
+        them and its count of rows."""
+        held, lo, hi = zip(*self.pieces)
+        blocks = {id(block): block for block in held}
+        start = dict(zip(blocks, accumulate((len(b.kinds) for b in blocks.values()), initial=0)))
+        first = [start[id(block)] + at for block, at in zip(held, lo)]
+        return _joined(list(blocks.values())), first, [b - a for a, b in zip(lo, hi)]
 
     @property
     def table(self) -> GateColumns:
         if self._table is None:
-            self._table = read_gates(self._gates)
+            self._table = _joined([block.part(lo, hi) for block, lo, hi in self.pieces if hi > lo])
         return self._table
-
-    @property
-    def runs(self) -> tuple[Sequence[GateApp], ...]:
-        """The gates as runs end to end: the runs held, or else these gates as one."""
-        return (self,) if self._runs is None else self._runs
 
     @property
     def _gates(self) -> tuple[GateApp, ...]:
         if self._built is None:
-            if self._runs is None:
-                self._built = _gate_apps(self._table)
-            else:
-                self._built = tuple(chain.from_iterable(self._runs))
+            self._built = _gate_apps(self.table)
         return self._built
 
     def __len__(self) -> int:
@@ -314,9 +331,20 @@ class GateColumns(NamedTuple):
         )
 
 
+
+def _table(kinds: np.ndarray, lines: np.ndarray, params: np.ndarray) -> GateColumns:
+    """Gates of known kinds, each with its kind's counts of lines and
+    parameters, as a table."""
+    return _columns(kinds, _NLINES[kinds], _NPARAMS[kinds], lines, params)
+
+
 def _columns(kinds, nlines, nparams, lines, params) -> GateColumns:
     line_at, param_at = np.cumsum(nlines) - nlines, np.cumsum(nparams) - nparams
     return GateColumns(kinds, nlines, nparams, lines, params, line_at, param_at)
+
+
+# read_gates clips a line beyond int64 to this bound, which the serializer refuses.
+_LINE_LIMIT = 2**62
 
 
 def read_gates(gates: tuple[GateApp, ...]) -> GateColumns:
@@ -331,16 +359,16 @@ def read_gates(gates: tuple[GateApp, ...]) -> GateColumns:
         line_col = np.fromiter(chain.from_iterable(lines), np.int64, nlines.sum())
     except OverflowError:  # a line beyond int64 is out of range of every width
         big = np.array([*chain.from_iterable(lines)], dtype=object)
-        line_col = np.clip(big, -(2**62), 2**62).astype(np.int64)
+        line_col = np.clip(big, -_LINE_LIMIT, _LINE_LIMIT).astype(np.int64)
     param_col = np.fromiter(chain.from_iterable(params), float, nparams.sum())
     return _columns(kinds, nlines, nparams, line_col, param_col)
 
 
-def _joined(*runs: Sequence[GateApp]) -> _ParsedGates:
-    """Runs of gates end to end, as one table; a parsed run's table is read as
-    it is, never built into GateApps."""
-    tables = [g.table if isinstance(g, _ParsedGates) else read_gates(g) for g in runs]
-    return _ParsedGates(_columns(*map(np.concatenate, zip(*(t[:5] for t in tables)))))
+def _joined(tables: list[GateColumns]) -> GateColumns:
+    """Tables end to end, as one; none is no gates."""
+    if len(tables) == 1:
+        return tables[0]
+    return _columns(*map(np.concatenate, zip(*(t[:5] for t in tables or [read_gates(())]))))
 
 
 def _cut(flat: list, at: np.ndarray, counts: np.ndarray) -> list[tuple]:
@@ -599,11 +627,12 @@ def validate(circuit: Circuit) -> list[str]:
 
     Gates of both flavors are checked as arrays, 512 at a time; a gate reports
     its first structural failure, or else any plane, unitarity and determinant failures.
+    A circuit whose header fails is reported by its header alone.
     """
     out = _header_violations(circuit)
-    width = circuit.width
-    if width < 1:
+    if out:  # before the idle check allocates by a width the input may not bear out
         return out
+    width = circuit.width
     idle_check = circuit.flavor == "mg" and not circuit.allow_idle
     touched = np.zeros(width + 2, dtype=bool) if idle_check else None
     for lo, cols in _gate_chunks(circuit.gates, _VALIDATE_CHUNK):
@@ -644,17 +673,14 @@ def _mark_valid(circuit: C) -> C:
 # text format
 
 
-# serialize_circuit keeps at most this many formatted gates per cache tier,
-# so a circuit whose gates never repeat is written in flat memory.
-_GATE_CACHE_SIZE = 1024
-# It writes a table this many gates at a time, so that its scratch arrays
-# stay bounded while the text grows.
+# serialize_circuit writes a table this many gates at a time, so that its
+# scratch arrays stay bounded while the text grows.
 _TABLE_CHUNK = 1 << 16
 
 
-def _gate_text(index: int, g: GateApp) -> str:
-    """Gate `index` (1-based) as one line of the text format; ValueError for a
-    gate that the text would carry as another gate or as a line the parser refuses."""
+def _refuse(index: int, g: GateApp) -> None:
+    """Raise ValueError naming gate `index` (1-based) if the text would carry
+    it as another gate or as a line the parser refuses."""
     sig, p = GATE_KINDS.get(g.kind), g.params
     if sig is None:
         problem = "unknown kind"
@@ -664,18 +690,23 @@ def _gate_text(index: int, g: GateApp) -> str:
         problem = f"expected {sig[2]} parameter(s), got {len(p)}"
     elif g.kind == "rot" and not (p[0].is_integer() and (p[0] or math.copysign(1, p[0]) > 0)):
         problem = f"plane must be an integer, got {p[0]!r}"  # -0.0 would read back as 0.0
+    elif not all(abs(line) < _LINE_LIMIT for line in g.lines):
+        problem = f"line out of range +-{_LINE_LIMIT}"  # a table holds it clipped
     else:
-        problem = None
-    if problem:
-        raise ValueError(f"gate {index} ({g.kind}): {problem}")
-    toks = [g.kind, *map(str, g.lines)]
-    if g.kind == "rot":
-        toks += (f"plane={int(p[0])}", f"theta={p[1]!r}")
-    elif g.kind == "mg":
-        toks += ("a=" + ",".join(map(repr, p[:8])), "b=" + ",".join(map(repr, p[8:])))
-    elif g.kind in ("u1", "u2", "cu1"):
-        toks.append("m=" + ",".join(map(repr, p)))
-    return " ".join(toks)
+        return
+    raise ValueError(f"gate {index} ({g.kind}): {problem}")
+
+
+def _refused(table: GateColumns) -> np.ndarray:
+    """Whether `_refuse` refuses each gate of a table."""
+    kinds, nlines, nparams, lines, params, _, param_at = table
+    refused = (kinds < 0) | (nlines != _NLINES[kinds]) | (nparams != _NPARAMS[kinds])
+    rot = np.flatnonzero((kinds == KIND_CODES["rot"]) & ~refused)
+    plane = params[param_at[rot]]
+    integral = (plane == np.trunc(plane)) & np.isfinite(plane)
+    refused[rot[~integral | ((plane == 0) & np.signbit(plane))]] = True
+    refused[np.repeat(np.arange(len(kinds)), nlines)[np.abs(lines) >= _LINE_LIMIT]] = True
+    return refused
 
 
 def _texts(values: np.ndarray, fmt: Callable) -> np.ndarray:
@@ -686,52 +717,37 @@ def _texts(values: np.ndarray, fmt: Callable) -> np.ndarray:
     return np.array([fmt(v) for v in distinct.view(values.dtype).tolist()], dtype=object)[back]
 
 
-def _table_lines(table: GateColumns) -> list[str]:
-    """Each gate of a table as one line of the text format; ValueError as
-    `_gate_text` for the first gate it would refuse, with the same message.
-
-    The gates are written _TABLE_CHUNK at a time, kind by kind: per chunk,
-    each distinct real and, per kind, each distinct line number is
-    formatted once."""
-    kinds, nlines, nparams, lines, params, line_at, param_at = table
-    refused = (kinds < 0) | (nlines != _NLINES[kinds]) | (nparams != _NPARAMS[kinds])
-    rot = np.flatnonzero((kinds == KIND_CODES["rot"]) & ~refused)
-    plane = params[param_at[rot]]
-    integral = (plane == np.trunc(plane)) & np.isfinite(plane)
-    refused[rot[~integral | ((plane == 0) & np.signbit(plane))]] = True
-    if refused.any():  # _gate_text words the refusal of the first
-        i = int(np.flatnonzero(refused)[0])
-        kind = _KIND_NAMES[kinds[i]]
-        l0, p0 = line_at[i], param_at[i]
-        gate_lines, gate_params = lines[l0 : l0 + nlines[i]], params[p0 : p0 + nparams[i]]
-        _gate_text(i + 1, _gate(kind, tuple(gate_lines.tolist()), tuple(gate_params.tolist())))
-    out: list[str] = []
-    for lo in range(0, len(kinds), _TABLE_CHUNK):
-        out += _chunk_lines(table.part(lo, lo + _TABLE_CHUNK)).tolist()
-    return out
-
-
 def _chunk_lines(chunk: GateColumns) -> np.ndarray:
-    """The text of each gate of a table the serializer takes, as an object array."""
+    """The text of each gate of a table the serializer takes, as an object
+    array.  Per kind, each distinct gate (line numbers and parameter bits)
+    is formatted once, and within those each distinct real and line number."""
     kinds, _, _, lines, params, line_at, param_at = chunk
-    reals = _texts(params, repr)
     out = np.empty(len(kinds), dtype=object)
-    for code in set(kinds.tolist()):
+    for code in set(kinds.tolist()) - {-1}:  # -1: a row left out
         kind = _KIND_NAMES[code]
+        _, nlines, nparams = GATE_KINDS[kind]
         rows = np.flatnonzero(kinds == code)
+        gate_lines = lines[line_at[rows, None] + np.arange(nlines)]
+        gate_params = params[param_at[rows, None] + np.arange(nparams)]
+        bits = np.hstack([gate_lines, gate_params.view(np.int64)])  # one row per gate
+        row = np.dtype((np.void, bits.itemsize * bits.shape[1]))  # compared byte by byte
+        _, first, back = np.unique(bits.view(row).ravel(), return_index=True, return_inverse=True)
+        gate_lines, gate_params = gate_lines[first], gate_params[first]
         # Columns of texts: the kind with the first line, each other line, each field.
-        cols = [_texts(lines[line_at[rows]], f"{kind} {{}}".format)]
-        if GATE_KINDS[kind][1] == 2:
-            cols.append(_texts(lines[line_at[rows] + 1], str))
-        at = param_at[rows]
+        cols = [_texts(gate_lines[:, 0], f"{kind} {{}}".format)]
+        cols += [_texts(gate_lines[:, i], str) for i in range(1, nlines)]
+        at = 0
         for key, count in _FIELDS[kind]:
+            values = gate_params[:, at : at + count]
             if key == "plane=":
-                cols.append(_texts(params[at], lambda v: f"plane={int(v)}"))
+                cols.append(_texts(values[:, 0], lambda v: f"plane={int(v)}"))
             else:
-                joined = map(",".join, reals[at[:, None] + np.arange(count)].tolist())
-                cols.append(np.array([key + text for text in joined], dtype=object))
-            at = at + count
-        out[rows] = cols[0] if len(cols) == 1 else list(map(" ".join, zip(*cols)))
+                reals = _texts(values.ravel(), repr).reshape(-1, count).tolist()
+                cols.append(np.array([key + ",".join(r) for r in reals], dtype=object))
+            at += count
+        if len(cols) > 1:
+            cols[0] = np.array(list(map(" ".join, zip(*cols))), dtype=object)
+        out[rows] = cols[0][back]
     return out
 
 
@@ -739,77 +755,36 @@ def serialize_circuit(circuit: Circuit) -> str:
     """Render a circuit in the text format (always ends with a newline).
 
     Every float is written with repr(), so the text is fixed by the circuit's
-    values bit for bit (-0.0 stays -0.0).  The path follows the form the
-    gates arrive in.  Gates that hold a GateColumns table (an expanded,
-    parsed or standardized circuit's) are written from the table kind by
-    kind, each distinct real and line number formatted once
-    (`_table_lines`).  Other gates are written run by run: the runs a
-    compiler emitted (`_ParsedGates.runs`), or the whole circuit as one
-    run.  Each distinct run object's text is built once per call and its
-    repeats are written from it; compress emits each window's AND as the
-    same run object every time.  Within a run each distinct gate is
-    formatted once per call and its repeats are written from that text:
-    compress emits a few hundred distinct gates many thousand times, mostly
-    as the same few thousand GateApp objects.  So a run's text and a gate's
-    are looked up first by the object itself (its id, with the object held
-    while cached, so the id cannot be reused by another), and a gate's then
-    by its value: a key holding the parameters' packed bytes, since a float
-    key would let 0.0 stand in for -0.0.  Either path refuses a gate the
-    text would change, naming it by its 1-based index as `_gate_text` does.
+    values bit for bit (-0.0 stays -0.0).  The gates are read as the
+    distinct blocks that hold them (`_ParsedGates.blocks`; gates built in
+    code are read as one block), and those blocks are written once, kind by
+    kind, with each distinct gate, real and line number formatted once per
+    chunk (`_chunk_lines`); a range of rows repeated in the circuit, as
+    compress repeats each window's, is written from that text.  A gate the
+    text would change is refused first (`_refuse`), with ValueError naming
+    it by its 1-based index in the circuit.
     """
     head = [f"circuit {circuit.flavor}", f"width={circuit.width}", f"input={circuit.input}"]
     if circuit.flavor == "mg":
         head.append(f"measure={circuit.measure_line}")
         if circuit.allow_idle:
             head.append("idle=1")
-    out = [" ".join(head)]
     gates = circuit.gates
-    if isinstance(gates, _ParsedGates) and gates._runs is None:
-        text = _table_lines(gates.table)
-        text.insert(0, out[0])
-        text.append("")  # the final newline
-        return "\n".join(text)
-    runs = gates.runs if isinstance(gates, _ParsedGates) else (gates,)
-    run_texts: dict[int, str] = {}
-    held_runs: list[Sequence[GateApp]] = []  # the runs whose ids run_texts holds
-    by_id: dict[int, str] = {}
-    held: list[GateApp] = []  # the objects whose ids by_id holds
-    texts: dict[tuple[str, tuple[int, ...], bytes], str] = {}
-    packers: dict[int, Callable[..., bytes]] = {}  # by parameter count
-    first = 1  # the index of the run's first gate
-    for run in runs:
-        run_text = run_texts.get(id(run))
-        if run_text is None:
-            lines = []
-            for index, g in enumerate(run, start=first):
-                text = by_id.get(id(g))
-                if text is None:
-                    p = g.params
-                    pack = packers.get(len(p))
-                    if pack is None:
-                        pack = packers[len(p)] = struct.Struct(f"{len(p)}d").pack
-                    key = (g.kind, g.lines, pack(*p))
-                    text = texts.get(key)
-                    if text is None:
-                        if len(texts) == _GATE_CACHE_SIZE:
-                            texts.clear()
-                        text = texts[key] = _gate_text(index, g)
-                    if len(by_id) == _GATE_CACHE_SIZE:
-                        by_id.clear()
-                        held.clear()
-                    by_id[id(g)] = text
-                    held.append(g)
-                lines.append(text)
-            run_text = "\n".join(lines)
-            if len(run_texts) == _GATE_CACHE_SIZE:
-                run_texts.clear()
-                held_runs.clear()
-            run_texts[id(run)] = run_text
-            held_runs.append(run)
-        if run_text:
-            out.append(run_text)
-        first += len(run)
-    return "\n".join(out) + "\n"
+    parsed = gates if isinstance(gates, _ParsedGates) else _ParsedGates(gates)
+    blocks, first, counts = parsed.blocks()
+    refused = _refused(blocks)
+    if refused.any():  # name the first the circuit holds by its index there
+        held = np.flatnonzero(np.concatenate([refused[a : a + n] for a, n in zip(first, counts)]))
+        if len(held):
+            _refuse(int(held[0]) + 1, gates[int(held[0])])
+    # The rows _TABLE_CHUNK at a time; a refused row, no gate of the circuit, is left out.
+    blocks = blocks._replace(kinds=np.where(refused, -1, blocks.kinds))
+    lines = []
+    for lo in range(0, len(refused), _TABLE_CHUNK):
+        lines += _chunk_lines(blocks.part(lo, lo + _TABLE_CHUNK)).tolist()
+    ranges = [(a, a + n) for a, n in zip(first, counts) if n]
+    texts = {r: "\n".join(lines[r[0] : r[1]]) for r in set(ranges)}  # each distinct range once
+    return "\n".join([" ".join(head), *map(texts.__getitem__, ranges), ""])
 
 
 def _parse_kv(tok: str, lineno: int) -> tuple[str, str]:

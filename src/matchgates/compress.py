@@ -30,37 +30,41 @@ contributes Gray-to-binary conversion, one controlled block on the last data
 line, and conversion back.
 
 Everything is generated lazily, a run of 64 matchgates at a time
-(`simulate._ROTATION_RUN`): the rotations of a run are split into local
-pairs in one call, and each window's AND, Q and Q^dag and each matchgate's
-two controlled gates reach the output as one run of gates.  Memory is
-O(mu^2) per matchgate of the current run, plus the gates of a bounded number
-of windows one stream keeps for reuse, independent of the input length.  A
-window kept for reuse emits its AND, Q and Q^dag as the same run objects
-each time, so a matchgate builds only its two controlled gates.
-`compress_circuit` keeps the output as these runs, never flattened, and
-`serialize_circuit` writes each distinct run once.
+(`simulate._ROTATION_RUN`), as row ranges of GateColumns blocks: the
+rotations of a run are split into local pairs in one call, and the run's
+controlled gates are one block of two rows per matchgate, built from those
+arrays.  A window's AND, Q and Q^dag are rows of one table, built once
+from arrays and emitted as the same objects each time the window is used;
+no gate object is built for either.  Memory is O(mu^2) per matchgate of
+the current run, plus the blocks of a bounded number of windows one stream
+keeps for reuse, independent of the input length.  `compress_circuit` keeps
+the output as these ranges, and `serialize_circuit` writes each distinct
+block once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import algebra
 from .circuits import (
+    KIND_CODES,
     GateApp,
     GeneralCircuit,
     MatchgateCircuit,
     UsageError,
     _HADAMARD,
     _ParsedGates,
+    _Piece,
     _gate,
+    _gate_apps,
     _mark_valid,
     _require_flavor,
+    _table,
     reals_from_complex,
     validate_or_raise,
 )
@@ -76,6 +80,17 @@ _S_MATRIX = np.diag([1.0, 1.0j])
 _HS_MATRIX = _HADAMARD @ _S_MATRIX
 _S_PARAMS, _SDG_PARAMS = reals_from_complex(_S_MATRIX), reals_from_complex(_S_MATRIX.conj())
 _HS_PARAMS, _HSDG_PARAMS = reals_from_complex(_HS_MATRIX), reals_from_complex(_HS_MATRIX.conj().T)
+# The exact 5-gate Toffoli (c1, c2, t) over cu1, via the square root of X:
+# each gate's (control, target) as positions in (c1, c2, t), and its reals.
+_TOFFOLI_LINES = np.array([1, 2, 0, 1, 1, 2, 0, 1, 0, 2])
+_TOFFOLI_PARAMS = np.concatenate([_V_PARAMS, _X_PARAMS, _VDG_PARAMS, _X_PARAMS, _V_PARAMS])
+# Q = algebra.MAGIC on lines (q, last), then Q^dag: each gate's kind, its
+# lines as positions in (q, last), and its reals.
+_MAGIC_KINDS = np.array([KIND_CODES[kind] for kind in ("u1", "u1", "cu1", "cu1", "u1", "u1")])
+_MAGIC_LINES = np.array([0, 1, 1, 0, 1, 0, 1, 0])
+_MAGIC_PARAMS = np.concatenate(
+    [_S_PARAMS, _HS_PARAMS, _X_PARAMS, _X_PARAMS, _HSDG_PARAMS, _SDG_PARAMS]
+)
 
 
 def gray(i: int, mu: int) -> str:
@@ -102,20 +117,18 @@ def _shift_lines(gates: list[GateApp], offset: int) -> list[GateApp]:
     return [_gate(g.kind, tuple(l + offset for l in g.lines), g.params) for g in gates]
 
 
-def _toffoli(c1: int, c2: int, t: int) -> list[GateApp]:
-    """Exact 5-gate Toffoli over cu1, via the square root of X."""
-    return [
-        _gate("cu1", (c2, t), _V_PARAMS),
-        _gate("cu1", (c1, c2), _X_PARAMS),
-        _gate("cu1", (c2, t), _VDG_PARAMS),
-        _gate("cu1", (c1, c2), _X_PARAMS),
-        _gate("cu1", (c1, t), _V_PARAMS),
-    ]
+def _toffolis(triples: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The cu1 gates of each exact Toffoli (c1, c2, t), end to end: their
+    (control, target) lines and their reals."""
+    lines = np.array(triples, dtype=np.int64).reshape(-1, 3)[:, _TOFFOLI_LINES]
+    return lines.ravel(), np.repeat(_TOFFOLI_PARAMS[None], len(triples), axis=0).ravel()
 
 
-def _mcx(controls: tuple[int, ...], target: int, pool: tuple[int, ...]) -> list[GateApp]:
-    """X under r >= 2 controls, exactly, borrowing the non-empty `pool` of
-    lines as dirty scratch.
+def _mcx(
+    controls: tuple[int, ...], target: int, pool: tuple[int, ...]
+) -> list[tuple[int, int, int]]:
+    """X under r >= 2 controls, exactly, as Toffolis (c1, c2, t) (see
+    `_toffolis`), borrowing the non-empty `pool` of lines as dirty scratch.
 
     Scratch lines are restored to their incoming state whatever it was.  The
     cost is O(r) Toffolis: with at least r-2 scratch lines a single
@@ -124,17 +137,13 @@ def _mcx(controls: tuple[int, ...], target: int, pool: tuple[int, ...]) -> list[
     """
     r = len(controls)
     if r == 2:
-        return _toffoli(controls[0], controls[1], target)
+        return [(controls[0], controls[1], target)]
     if len(pool) >= r - 2:
         anc = pool[: r - 2]
-        top = _toffoli(controls[-1], anc[-1], target)
-        desc = []
-        for i in range(r - 3, 0, -1):
-            desc.extend(_toffoli(controls[i + 1], anc[i - 1], anc[i]))
-        base = _toffoli(controls[0], controls[1], anc[0])
-        asc = []
-        for i in range(1, r - 2):
-            asc.extend(_toffoli(controls[i + 1], anc[i - 1], anc[i]))
+        top = [(controls[-1], anc[-1], target)]
+        desc = [(controls[i + 1], anc[i - 1], anc[i]) for i in range(r - 3, 0, -1)]
+        base = [(controls[0], controls[1], anc[0])]
+        asc = [(controls[i + 1], anc[i - 1], anc[i]) for i in range(1, r - 2)]
         half = top + desc + base + asc
         return half + half
     s = pool[0]
@@ -188,15 +197,16 @@ class _Window(NamedTuple):
     again, uncomputes it); the labels vary on lines `q` and `last`, and
     `basis` lists the four dimensions (0-based) in the (bit q, last bit)
     order |00>, |01>, |10>, |11>; `enter` is `algebra.MAGIC` on (q, last)
-    and `leave` its inverse."""
+    and `leave` its inverse.  The three are rows of one table, and each
+    builds its GateApps once, when a stream first yields them."""
 
-    gates: tuple[GateApp, ...]
+    gates: _ParsedGates
     fired: int
     q: int
     last: int
     basis: tuple[int, ...]
-    enter: tuple[GateApp, ...]
-    leave: tuple[GateApp, ...]
+    enter: _ParsedGates
+    leave: _ParsedGates
 
 
 def _window(k: int, mu: int) -> _Window:
@@ -218,27 +228,33 @@ def _window(k: int, mu: int) -> _Window:
     basis = tuple(sorted(range(4), key=lambda i: labels[i][bit] + labels[i][-1]))
     q, last = bit + 2, mu + 1  # label bit p sits on data line p + 2
     shared = [p for p in range(mu) if p not in varying]
-    gates, fired = (), 1
-    if shared:
-        wraps = [_gate("x", (p + 2,), ()) for p in shared if labels[0][p] == "0"]
-        controls = (1,) + tuple(p + 2 for p in shared)
-        gates, fired = tuple(wraps + _mcx(controls, mu + 2, (q, last)) + wraps), mu + 2
-    cx = _gate("cu1", (last, q), _X_PARAMS)
-    enter = (_gate("u1", (q,), _S_PARAMS), _gate("u1", (last,), _HS_PARAMS), cx)
-    leave = (cx, _gate("u1", (last,), _HSDG_PARAMS), _gate("u1", (q,), _SDG_PARAMS))
+    fired = mu + 2 if shared else 1
+    controls = (1,) + tuple(p + 2 for p in shared)
+    and_lines, and_params = _toffolis(_mcx(controls, fired, (q, last)) if shared else [])
+    # The AND is X on every shared line whose bit is 0, the Toffolis, and those X again.
+    wraps = np.array([p + 2 for p in shared if labels[0][p] == "0"], dtype=np.int64)
+    x, cu1 = np.full(len(wraps), KIND_CODES["x"]), np.full(len(and_lines) // 2, KIND_CODES["cu1"])
+    kinds = np.concatenate([x, cu1, x, _MAGIC_KINDS])
+    lines = np.concatenate([wraps, and_lines, wraps, np.array([q, last])[_MAGIC_LINES]])
+    block = _table(kinds, lines, np.concatenate([and_params, _MAGIC_PARAMS]))
+    n = len(kinds) - 6
+    ranges = ((0, n), (n, n + 3), (n + 3, n + 6))
+    gates, enter, leave = (_ParsedGates(_Piece(block, lo, hi)) for lo, hi in ranges)
     return _Window(gates, fired, q, last, basis, enter, leave)
 
 
 def _rotation_pass(
     circuit: MatchgateCircuit, window: Callable[[int], _Window], invert: bool
-) -> Iterator[tuple[GateApp, ...]]:
-    """Controlled R (or R^{-1} with `invert`) as runs of gates, one matchgate
-    at a time: its window's AND, Q, A on line q and B on the last line under
-    the AND, Q^dag, the AND again to uncompute it.  A matchgate whose
-    rotation is the identity (to OMIT_ANGLE) emits nothing.
+) -> Iterator[_ParsedGates | _Piece]:
+    """Controlled R (or R^{-1} with `invert`), one matchgate at a time: its
+    window's AND, Q, A on line q and B on the last line under the AND,
+    Q^dag, the AND again to uncompute it.  A matchgate whose rotation is
+    the identity (to OMIT_ANGLE) emits nothing.
 
     The rotations of each run of _ROTATION_RUN matchgates are permuted into
-    their windows' bases, transposed for R^{-1}, and split in one call.
+    their windows' bases, transposed for R^{-1}, and split in one call; the
+    run's A and B gates are one block, rows 2i and 2i + 1 for its i-th
+    moved matchgate.
     """
     for lines, rots in rotation_runs(circuit.gates, last_first=invert):
         moved = np.flatnonzero(np.abs(rots - np.eye(4)).max(axis=(1, 2)) > algebra.OMIT_ANGLE)
@@ -247,18 +263,17 @@ def _rotation_pass(
         r = rots[moved[:, None, None], basis[:, :, None], basis[:, None, :]]
         a, b = algebra.local_pair(r.transpose(0, 2, 1) if invert else r)
         pairs = np.concatenate([a.reshape(-1, 4), b.reshape(-1, 4)], axis=1).view(float)
-        for w, p in zip(windows, pairs.tolist()):
+        targets = np.array([(w.fired, w.q, w.fired, w.last) for w in windows], dtype=np.int64)
+        run = _table(np.full(2 * len(windows), KIND_CODES["cu1"]), targets.ravel(), pairs.ravel())
+        for i, w in enumerate(windows):
             yield w.gates
             yield w.enter
-            yield (
-                _gate("cu1", (w.fired, w.q), tuple(p[:8])),
-                _gate("cu1", (w.fired, w.last), tuple(p[8:])),
-            )
+            yield _Piece(run, 2 * i, 2 * i + 2)
             yield w.leave
             yield w.gates
 
 
-def _pairing_run(mu: int, invert: bool) -> tuple[GateApp, ...]:
+def _pairing_run(mu: int, invert: bool) -> _ParsedGates:
     """Controlled S (or S^{-1}): binary relabeling, one controlled block, undo.
 
     In binary labels S acts on each dimension pair (2k-1, 2k), i.e. on the
@@ -268,16 +283,16 @@ def _pairing_run(mu: int, invert: bool) -> tuple[GateApp, ...]:
     angle = -math.pi / 2.0 if invert else math.pi / 2.0
     # gray labels -> binary labels, the block, back to gray labels
     block = reals_from_complex(algebra.rot2(angle))
-    return (*to_gray[::-1], _gate("cu1", (1, mu + 1), block), *to_gray)
+    return _ParsedGates((*to_gray[::-1], _gate("cu1", (1, mu + 1), block), *to_gray))
 
 
-def _gate_runs(circuit: MatchgateCircuit) -> Iterator[tuple[GateApp, ...]]:
-    """The compressed circuit's gates, as runs: the interference frame
-    around controlled R^{-1}, S, R and S^{-1}."""
+def _gate_pieces(circuit: MatchgateCircuit) -> Iterator[_ParsedGates | _Piece]:
+    """The compressed circuit's gates, as tables and rows of tables: the
+    interference frame around controlled R^{-1}, S, R and S^{-1}."""
     n = _require_standard(circuit)
     mu = (2 * n).bit_length() - 1
     window = functools.lru_cache(maxsize=WINDOW_CACHE_SIZE)(lambda k: _window(k, mu))
-    frame = (_gate("h", (1,), ()),)
+    frame = _ParsedGates((_gate("h", (1,), ()),))
     yield frame
     yield from _rotation_pass(circuit, window, invert=True)
     yield _pairing_run(mu, invert=False)
@@ -290,11 +305,18 @@ def compress_gate_stream(circuit: MatchgateCircuit) -> Iterator[GateApp]:
     """Lazily emit the compressed circuit's gates.
 
     Iterates the input gate list twice (once reversed), _ROTATION_RUN
-    gates at a time.  Working state is one run's rotations and local pairs
-    and one matchgate's gates, plus the gates of the last
-    WINDOW_CACHE_SIZE windows used, which both passes of this stream reuse.
+    gates at a time.  Working state is one run's rotations, local pairs and
+    controlled gates, plus the gates of the last WINDOW_CACHE_SIZE windows
+    used, which both passes of this stream reuse.
     """
-    yield from chain.from_iterable(_gate_runs(circuit))
+    run = apps = None
+    for part in _gate_pieces(circuit):
+        if isinstance(part, _ParsedGates):  # a window's, the frame, a pairing run: built once
+            yield from part
+        else:  # rows of a run's controlled gates, built into GateApps once per run
+            if part.block is not run:
+                run, apps = part.block, _gate_apps(part.block)
+            yield from apps[part.lo : part.hi]
 
 
 def compress_circuit(circuit: MatchgateCircuit) -> GeneralCircuit:
@@ -302,10 +324,10 @@ def compress_circuit(circuit: MatchgateCircuit) -> GeneralCircuit:
 
     The output's <Z_1> on the all-zero input equals the input circuit's
     <Z_1>.  Requires all-zero input, measure line 1, power-of-two width.
-    Its gates keep the runs they were emitted in (`_ParsedGates.runs`), so
-    `serialize_circuit` writes each distinct run once and the flat GateApp
-    tuple is built only if the gates are read one by one.
+    Its gates keep the pieces they were emitted as (`_ParsedGates.pieces`),
+    so `serialize_circuit` writes each distinct block once and no GateApp
+    is built unless the gates are read one by one.
     """
-    gates = _ParsedGates(runs=tuple(_gate_runs(circuit)))
+    gates = _ParsedGates(*_gate_pieces(circuit))
     mu = (2 * circuit.width).bit_length() - 1
     return GeneralCircuit(mu + 2, gates, "0" * (mu + 2))

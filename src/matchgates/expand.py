@@ -64,7 +64,6 @@ from .circuits import (
     GuardError,
     MatchgateCircuit,
     _columns,
-    _joined,
     _mark_valid,
     _ParsedGates,
     _require_flavor,
@@ -105,7 +104,7 @@ def append_w_gadget(circuit: GeneralCircuit) -> GeneralCircuit:
         raise ValueError("gadget step expects an all-zero input")
     m = circuit.width
     gadget = GateApp("u2", (1, m + 1), reals_from_complex(W_GADGET))
-    return GeneralCircuit(m + 1, _joined(circuit.gates, (gadget,)), "0" * (m + 1))
+    return GeneralCircuit(m + 1, _ParsedGates(circuit.gates, (gadget,)), "0" * (m + 1))
 
 
 @dataclass(frozen=True)
@@ -259,7 +258,7 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
     # Fold the basis input into x gates, then append the readout gadget.
     prefix = [GateApp("x", (q + 1,)) for q, c in enumerate(circuit.input) if c == "1"]
     widened = append_w_gadget(
-        _mark_valid(GeneralCircuit(m, _joined(prefix, circuit.gates), "0" * m))
+        _mark_valid(GeneralCircuit(m, _ParsedGates(prefix, circuit.gates), "0" * m))
     )
 
     a_line, b_line = m + 2, m + 1

@@ -20,8 +20,8 @@ from __future__ import annotations
 from .circuits import (
     GateApp,
     MatchgateCircuit,
+    _ParsedGates,
     _gate,
-    _joined,
     _mark_valid,
     _require_flavor,
     validate_or_raise,
@@ -65,7 +65,7 @@ def standardize(circuit: MatchgateCircuit) -> MatchgateCircuit:
 
     suffix = [_gate("w", (j,), ()) for j in range(k - 1, 0, -1)]
 
-    gates = _joined(prefix + swaps, circuit.gates, suffix)
+    gates = _ParsedGates(prefix + swaps, circuit.gates, suffix)
     added = len(gates) - len(circuit.gates)
     bound = STANDARD_SIZE_CONSTANT * n * n + n
     if added > bound:

@@ -494,22 +494,20 @@ def test_serialize_keeps_the_sign_of_zero_in_repeated_blocks():
 
 def test_serialize_by_gate_object_writes_what_each_gate_alone_would():
     # One object many times, distinct objects of equal value, objects that
-    # differ only in the sign of a zero, and more shared objects than either
-    # cache tier keeps, each met again after both tiers were cleared.
+    # differ only in the sign of a zero, and many shared objects, each met
+    # again a thousand gates later.
     m = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
     shared = GateApp("u1", (1,), m)
     signed = GateApp("u1", (1,), m[:3] + (-0.0,) + m[4:])
-    angles = np.linspace(0.0, 1.0, 2 * circuits._GATE_CACHE_SIZE + 3).tolist()
+    angles = np.linspace(0.0, 1.0, 2051).tolist()
     many = [GateApp("cu1", (1, 2), reals_from_complex(algebra.rot2(t))) for t in angles]
     gates = []
     for i, g in enumerate(many):
         gates += [shared, g, GateApp("u1", (1,), m), signed, many[i // 2]]
     circuit = GeneralCircuit(2, tuple(gates), "00")
     text = serialize_circuit(circuit)
-    assert text.splitlines()[1:] == [circuits._gate_text(i, g) for i, g in enumerate(gates, 1)]
     assert text == reference_serialize(circuit)
-    # A bad gate is reported under its first index, also once the tiers hold
-    # the texts of the gates around it.
+    # A bad gate is reported under its first index, also after many good ones.
     bad = GateApp("u1", (1,), m[:7])
     at = len(gates) + 1
     message = f"gate {at} (u1): expected 8 parameter(s), got 7"
@@ -542,6 +540,7 @@ def test_serialize_refuses_a_non_integral_rot_plane(plane):
         (GateApp("gxx", (1, 2)), "expected 1 line(s), got 2"),
         (GateApp("cz", (1,)), "unknown kind"),
         (GateApp("rot", (1,), (-0.0, 0.1)), "plane must be an integer, got -0.0"),
+        (GateApp("w", (2**70,)), f"line out of range +-{2**62}"),
     ],
 )
 def test_serialize_refuses_a_gate_the_text_would_change(gate, problem):
@@ -603,14 +602,12 @@ def _circuits_with_repeated_blocks(draw):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_circuits_with_repeated_blocks(), st.sampled_from([1, 2, 1024]))
-def test_serialize_matches_the_reference_byte_for_byte(circuit, cache_size):
-    # A small cache makes the gates repeat across clears.
-    with mock.patch.object(circuits, "_GATE_CACHE_SIZE", cache_size):
-        assert serialize_circuit(circuit) == reference_serialize(circuit)
-    # The same gates as a table are written kind by kind, to the same text,
-    # also when a small chunk cuts the table into many.
+def test_serialize_matches_the_reference_byte_for_byte(circuit, chunk):
+    # The gates, and the same gates as a table, are written kind by kind to
+    # the same text, also when a small chunk cuts the table into many.
     as_table = _with_gates(circuit, _as_table(circuit.gates))
-    with mock.patch.object(circuits, "_TABLE_CHUNK", cache_size):
+    with mock.patch.object(circuits, "_TABLE_CHUNK", chunk):
+        assert serialize_circuit(circuit) == reference_serialize(circuit)
         assert serialize_circuit(as_table) == reference_serialize(circuit)
 
 
@@ -624,17 +621,22 @@ def _with_gates(circuit, gates):
 @st.composite
 def _circuits_of_runs(draw):
     # The gates of a circuit cut into runs, among them empty and one-gate
-    # runs, then written as a sequence of those run objects, each possibly
-    # many times, and of equal copies of them that are other objects.
+    # runs, each read as a block, then written as a sequence of row ranges
+    # (pieces) of those blocks: each block possibly many times, in whole or
+    # in part, and equal copies of them that are other objects.
     circuit = draw(_circuits_with_repeated_blocks())
     gates = circuit.gates
     cuts = sorted(draw(st.lists(st.integers(0, len(gates)), max_size=12)))
-    pool = [gates[a:b] for a, b in zip([0, *cuts], [*cuts, len(gates)])] + [(), gates[:1]]
-    runs = []
+    runs = [gates[a:b] for a, b in zip([0, *cuts], [*cuts, len(gates)])] + [(), gates[:1]]
+    pool = list(map(circuits.read_gates, runs))
+    pieces = []
     for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=40)):
-        copy = draw(st.booleans())  # an equal run that is another object
-        runs.append(tuple([*pool[i]]) if copy else pool[i])
-    return _with_gates(circuit, circuits._ParsedGates(runs=tuple(runs)))
+        copy = draw(st.booleans())  # an equal block that is another object
+        block = circuits.read_gates(runs[i]) if copy else pool[i]
+        lo = draw(st.integers(0, len(runs[i])))
+        hi = draw(st.sampled_from([len(runs[i]), draw(st.integers(lo, len(runs[i])))]))
+        pieces.append(circuits._Piece(block, lo, hi))
+    return _with_gates(circuit, circuits._ParsedGates(*pieces))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -643,25 +645,29 @@ def _circuits_of_runs(draw):
     GeneralCircuit(
         1,
         circuits._ParsedGates(
-            runs=((), (GateApp("u1", (1,), (1.0, 0.0, -0.0, 0.0, 0.0, -0.0, 1.0, 0.0)),), ())
+            (), (GateApp("u1", (1,), (1.0, 0.0, -0.0, 0.0, 0.0, -0.0, 1.0, 0.0)),), ()
         ),
         "0",
     ),
     1,
 )
-def test_serialize_of_runs_matches_the_reference_of_their_gates(circuit, cache_size):
-    # A small cache makes the runs, and the gates in them, repeat across clears.
+def test_serialize_of_runs_matches_the_reference_of_their_gates(circuit, chunk):
+    # A small chunk cuts the distinct blocks into many.
     flat = _with_gates(circuit, tuple(circuit.gates))
     assert len(circuit.gates) == len(flat.gates)
-    with mock.patch.object(circuits, "_GATE_CACHE_SIZE", cache_size):
+    with mock.patch.object(circuits, "_TABLE_CHUNK", chunk):
         assert serialize_circuit(circuit) == reference_serialize(flat)
 
 
 def test_serialize_of_runs_names_a_bad_gate_by_its_index_in_the_circuit():
     w, bad = GateApp("w", (1,)), GateApp("w", (1,), (1.0,))
-    gates = circuits._ParsedGates(runs=((w, w), (), (w,), (w, w), (w, bad)))
+    pair, tail = circuits.read_gates((w, w)), circuits.read_gates((w, bad))
+    gates = circuits._ParsedGates(pair, (), (w,), pair, tail)
     with pytest.raises(ValueError, match=r"^gate 7 \(w\): expected 0 parameter\(s\), got 1$"):
         serialize_circuit(MatchgateCircuit(2, gates, "00"))
+    # A row no piece holds is no gate of the circuit: neither refused nor written.
+    held = MatchgateCircuit(2, circuits._ParsedGates(pair, circuits._Piece(tail, 0, 1)), "00")
+    assert serialize_circuit(held) == reference_serialize(_with_gates(held, (w, w, w)))
 
 
 def _count_flat_tuples(monkeypatch) -> list:
@@ -678,7 +684,8 @@ def test_compressed_gates_act_as_the_streamed_tuple(rng, monkeypatch):
     out = compress_circuit(c)
     gates = out.gates
     asked = _count_flat_tuples(monkeypatch)
-    assert len(gates) == len(streamed) == sum(map(len, gates.runs)) and asked == []
+    assert len(gates) == len(streamed) == sum(hi - lo for _, lo, hi in gates.pieces)
+    assert asked == []
     assert gates == streamed and streamed == gates and hash(gates) == hash(streamed)
     assert list(gates) == list(streamed) and tuple(reversed(gates)) == streamed[::-1]
     assert gates[0] == streamed[0] and gates[-5:] == streamed[-5:] and gates[7] is gates[7]

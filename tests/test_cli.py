@@ -394,3 +394,14 @@ def test_debug_prints_the_traceback_of_an_internal_error(tmp_path, capsys, monke
     assert plain.startswith("io error:")
     assert run_cli("--debug", *argv) == 2
     assert capsys.readouterr().err == plain
+
+
+@pytest.mark.parametrize("command", ["simulate", "standardize", "compress", "expand"])
+def test_a_huge_width_with_a_short_input_exits_2(tmp_path, capsys, command):
+    # The header fails before anything is allocated by its width.
+    src, out = tmp_path / "huge.mg", tmp_path / "out"
+    src.write_text("circuit mg width=100000000000 input=0 measure=1\n")
+    assert main([command, str(src)] + ([] if command == "simulate" else [str(out)])) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "input length 1 != width 100000000000" in err
+    assert "internal error" not in err and not out.exists()

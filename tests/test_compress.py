@@ -8,13 +8,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matchgates import algebra, compress, randgen
+from matchgates import algebra, circuits, compress, randgen
 from matchgates.algebra import rot2
-from matchgates.circuits import GateApp, MatchgateCircuit, gate_matrix, reals_from_complex
+from matchgates.circuits import (
+    KIND_CODES,
+    GateApp,
+    MatchgateCircuit,
+    gate_matrix,
+    reals_from_complex,
+)
 from matchgates.compress import (
     _mcx,
     _shift_lines,
-    _toffoli,
+    _toffolis,
     _window,
     compress_circuit,
     compress_gate_stream,
@@ -150,6 +156,17 @@ def test_local_pair_refuses_one_matrix_and_checks_its_product():
             algebra.local_pair(r)
 
 
+def _gates(piece) -> tuple:
+    """The GateApps of a piece compress emits."""
+    return tuple(circuits._ParsedGates(piece))
+
+
+def _toffoli_gates(triples) -> tuple:
+    """The GateApps of each exact Toffoli (c1, c2, t)."""
+    lines, params = _toffolis(triples)
+    return _gates(circuits._table(np.full(len(lines) // 2, KIND_CODES["cu1"]), lines, params))
+
+
 def _on_lines(gates, lines: dict) -> list:
     """The gates with their lines renumbered by `lines`."""
     return [GateApp(g.kind, tuple(lines[l] for l in g.lines), g.params) for g in gates]
@@ -159,11 +176,11 @@ def test_window_magic_gates_are_the_magic_basis_and_its_inverse():
     for k, mu in [(1, 2), (2, 3), (5, 4)]:
         w = _window(k, mu)
         lines = {w.q: 1, w.last: 2}
-        enter = dense_unitary(_on_lines(w.enter, lines), 2)
+        enter = dense_unitary(_on_lines(_gates(w.enter), lines), 2)
         phase = enter[0, 0] / algebra.MAGIC[0, 0]
         assert abs(abs(phase) - 1.0) <= 1e-12
         assert np.abs(enter - phase * algebra.MAGIC).max() <= 1e-12
-        leave = dense_unitary(_on_lines(w.leave, lines), 2)
+        leave = dense_unitary(_on_lines(_gates(w.leave), lines), 2)
         assert np.abs(leave @ enter - np.eye(4)).max() <= 1e-12
 
 
@@ -193,8 +210,9 @@ def test_alignment_of_distance_one_labels_needs_no_gates(rng):
         for k, r in zip(lines, rots):
             if np.abs(r - np.eye(4)).max() > algebra.OMIT_ANGLE:
                 w = _window(k, mu)
-                per_pass += 2 * len(w.gates) + len(w.enter) + 2 + len(w.leave)
-    pairing = len(compress._pairing_run(mu, invert=False))
+                and_gates, enter, leave = map(_gates, (w.gates, w.enter, w.leave))
+                per_pass += 2 * len(and_gates) + len(enter) + 2 + len(leave)
+    pairing = len(_gates(compress._pairing_run(mu, invert=False)))
     assert len(compress_circuit(c).gates) == 2 + 2 * pairing + 2 * per_pass
 
 
@@ -254,11 +272,11 @@ def test_window_gates_apply_the_controlled_window_rotation(mu, rng):
         c = MatchgateCircuit(n, (gate,), "0" * n, measure_line=1, allow_idle=True)
         [(_, rots)] = rotation_runs(c.gates)
         w = _window(k, mu)
-        and_gates = dense_unitary(w.gates, width)
+        and_gates = dense_unitary(_gates(w.gates), width)
         for invert, r in ((False, rots[0]), (True, rots[0].T)):
-            runs = list(compress._rotation_pass(c, lambda j: _window(j, mu), invert))
-            assert runs[0] == runs[4] == w.gates
-            assert (runs[1], runs[3]) == (w.enter, w.leave)
+            runs = [_gates(p) for p in compress._rotation_pass(c, lambda j: _window(j, mu), invert)]
+            assert runs[0] == runs[4] == _gates(w.gates)
+            assert (runs[1], runs[3]) == (_gates(w.enter), _gates(w.leave))
             assert [(g.kind, g.lines) for g in runs[2]] == [
                 ("cu1", (w.fired, w.q)),
                 ("cu1", (w.fired, w.last)),
@@ -290,7 +308,7 @@ def _expected_controlled(target: int, controls, rot: np.ndarray, width: int):
 
 
 def test_toffoli_network_is_exact():
-    u = dense_unitary(_toffoli(1, 2, 3), 3)
+    u = dense_unitary(_toffoli_gates([(1, 2, 3)]), 3)
     expected = np.eye(8, dtype=complex)
     expected[6:, 6:] = [[0, 1], [1, 0]]
     assert np.abs(u - expected).max() <= 1e-12
@@ -301,7 +319,7 @@ def test_multi_controlled_x_with_one_dirty_scratch_line():
         controls = tuple(range(1, r + 1))
         target = r + 1
         scratch = r + 2
-        gates = _mcx(controls, target, (scratch,))
+        gates = _toffoli_gates(_mcx(controls, target, (scratch,)))
         u = dense_unitary(gates, r + 2)
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         expected = _expected_controlled(target, [(c, 1) for c in controls], x, r + 2)
@@ -315,7 +333,7 @@ def test_multi_controlled_x_with_two_dirty_scratch_lines(r, rng):
     width = r + 3
     perm = tuple(int(p) for p in rng.permutation(width) + 1)
     controls, target, pool = perm[:r], perm[r], perm[r + 1 :]
-    gates = _mcx(controls, target, pool)
+    gates = _toffoli_gates(_mcx(controls, target, pool))
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     expected = _expected_controlled(target, [(c, 1) for c in controls], x, width)
     assert np.abs(dense_unitary(gates, width) - expected).max() <= 1e-12
@@ -452,17 +470,17 @@ def test_one_and_pair_and_one_local_pair_per_moved_matchgate(rng):
 
     def window_spy(k, m):
         w = window(k, m)
-        ands.append(w.gates)
+        ands.append(_gates(w.gates))
         return w
 
     # With no window kept for reuse, every matchgate pass builds its window.
     with mock.patch.multiple(compress, _window=window_spy, WINDOW_CACHE_SIZE=0):
-        runs = list(compress._gate_runs(c))
+        runs = [_gates(p) for p in compress._gate_pieces(c)]
     assert len(ands) == 2 * moved
     # Per moved matchgate and pass: the AND twice, Q and Q^dag (three gates
     # each) and one core of two cu1 gates from the ancilla, onto a window
     # line q and onto the last data line.
-    pairing = len(compress._pairing_run(mu, invert=False))
+    pairing = len(_gates(compress._pairing_run(mu, invert=False)))
     out = list(itertools.chain(*runs))
     assert len(out) == 2 + 2 * pairing + sum(2 * len(g) + 8 for g in ands)
     cores = [run for run in runs if len(run) == 2 and {g.lines[0] for g in run} == {ancilla}]
@@ -548,8 +566,6 @@ def test_windows_past_the_cache_bound_are_rebuilt_exactly():
 
 
 def test_compressing_a_parsed_circuit_reads_its_table(rng, monkeypatch):
-    from matchgates import circuits
-
     built = pad_to_power_of_two(standardize(randgen.random_matchgate_circuit(6, 40, rng, "010110", 4)))
     parsed = circuits.parse_circuit(circuits.serialize_circuit(built))
 
@@ -557,4 +573,42 @@ def test_compressing_a_parsed_circuit_reads_its_table(rng, monkeypatch):
         raise AssertionError("the parsed gates were turned into GateApps")
 
     monkeypatch.setattr(circuits, "_gate_apps", refuse)
-    assert compress_circuit(parsed).gates == compress_circuit(built).gates
+    got, want = compress_circuit(parsed), compress_circuit(built)
+    monkeypatch.undo()  # the comparison reads both outputs' gates
+    assert got.gates == want.gates
+
+
+def test_cli_compress_builds_no_gate_object_per_window_or_matchgate(tmp_path, rng, monkeypatch):
+    import importlib
+
+    from matchgates import cli
+
+    # The package exports the function standardize under the module's name.
+    standardize_mod = importlib.import_module("matchgates.standardize")
+    src, dst = tmp_path / "c.mg", tmp_path / "c.qc"
+    circuit = randgen.random_matchgate_circuit(8, 400, rng, "01101001", 3)
+    src.write_text(circuits.serialize_circuit(circuit))
+    built, windows = [], []
+    gate, post_init, window = circuits._gate, GateApp.__post_init__, compress._window
+    counted = lambda *args: built.append(1) or gate(*args)
+    for module in (circuits, compress, standardize_mod):
+        monkeypatch.setattr(module, "_gate", counted)
+    monkeypatch.setattr(GateApp, "__post_init__", lambda g: built.append(1) or post_init(g))
+    kept = lambda k, mu: windows.append(window(k, mu)) or windows[-1]
+    monkeypatch.setattr(compress, "_window", kept)
+    assert cli.main(["compress", str(src), str(dst)]) == 0
+    monkeypatch.undo()
+    # Windows and controlled gates are built as tables: the gate objects are
+    # those of the two pairing runs (2 (mu - 1) + 1 each), the frame and
+    # standardize's added gates, however many matchgates there are.
+    mu = 4
+    standard = standardize(circuit)
+    bound = 2 * (2 * (mu - 1) + 1) + 1 + len(standard.gates) - len(circuit.gates)
+    assert windows and len(built) <= bound
+    # The compressed gates are read as one table, never as the GateApp tuple.
+    asked, flat = [], circuits._ParsedGates._gates
+    spy = property(lambda gates: asked.append(1) or flat.fget(gates))
+    monkeypatch.setattr(circuits._ParsedGates, "_gates", spy)
+    out = compress_circuit(pad_to_power_of_two(standard))
+    got = expectation_z(run_statevector(out), 1)
+    assert asked == [] and abs(got - simulate_expectation(standard)) <= 1e-9
