@@ -12,19 +12,21 @@ The text format is line-oriented: a header, then one gate per line, with `#`
 starting a comment.  Matrices are written row-major as comma-separated reals,
 real part before imaginary part for each entry.  Floats are serialized with
 repr(), which round-trips exactly.  The parser reads gate lines straight into
-one GateColumns table.  Parsed, standardized, expanded and compressed
-circuits hold their `gates` as row ranges of such tables, behind a sequence
-that equals, hashes and prints as the GateApp tuple, built only when the
-gates themselves are read.  The serializer writes each distinct table of a
-circuit once, kind by kind, each distinct gate, real and line number
-formatted once, and joins the texts of the ranges.
+one GateColumns table, each row holding its kind's counts of lines and
+parameters (`read_gates` makes a gate built in code without them a -1 row,
+empty).  Parsed, standardized, expanded and compressed circuits hold their
+`gates` as row ranges of such tables, behind a sequence that equals, hashes
+and prints as the GateApp tuple, built only when the gates themselves are
+read.  The serializer writes each distinct table of a circuit once, kind by
+kind, each distinct gate, real and line number formatted once, and joins
+the texts of the ranges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter
 from collections.abc import Sequence
 from typing import Callable, Iterator, NamedTuple, TypeVar
@@ -275,33 +277,30 @@ def reals_from_complex(m: np.ndarray) -> tuple[float, ...]:
 _VALIDATE_CHUNK = 512
 
 # Kind codes (positions in GATE_KINDS) and, by code, each kind's name and
-# signature; code -1 (an unknown kind) reads the last entry, the name "?"
-# (a table keeps no unknown name) and a signature that matches no gate.
+# signature; code -1 (an unknown kind or a misshapen gate) reads the last
+# entry: the name "?" (a table keeps no name for it), no flavor and no counts.
 KIND_CODES = {kind: code for code, kind in enumerate(GATE_KINDS)}
 _KIND_NAMES = (*GATE_KINDS, "?")
-_FLAVOR, _NLINES, _NPARAMS = map(np.array, zip(*GATE_KINDS.values(), ("", -1, -1)))
+_FLAVOR, _NLINES, _NPARAMS = map(np.array, zip(*GATE_KINDS.values(), ("", 0, 0)))
 
 
 class GateColumns(NamedTuple):
     """A run of gates as arrays, in circuit order.
 
-    `kinds` holds KIND_CODES (-1 for an unknown kind); `lines` and `params`
-    hold every gate's lines and parameters end to end, `nlines` and
-    `nparams` their counts per gate, and `line_at` and `param_at` the
-    offsets of each gate's first line and parameter.
+    `kinds` holds KIND_CODES; `lines` and `params` hold every gate's lines
+    and parameters end to end, each gate its kind's counts of them (a -1
+    row, an unknown kind or a misshapen gate, none), and `line_at` and
+    `param_at` the offsets of each gate's first line and parameter.
     """
 
     kinds: np.ndarray
-    nlines: np.ndarray
-    nparams: np.ndarray
     lines: np.ndarray
     params: np.ndarray
     line_at: np.ndarray
     param_at: np.ndarray
 
     def rows(self, kind: str) -> np.ndarray:
-        """The parameters of every `kind` gate, one row per gate; each must
-        have the kind's parameter count."""
+        """The parameters of every `kind` gate, one row per gate."""
         width = GATE_KINDS[kind][2]
         at = self.param_at[self.kinds == KIND_CODES[kind]]
         if not len(at):
@@ -313,17 +312,17 @@ class GateColumns(NamedTuple):
 
     def line_tuples(self) -> list[tuple[int, ...]]:
         """Each gate's lines, as a tuple."""
-        return _cut(self.lines.tolist(), self.line_at, self.nlines)
+        return _cut(self.lines.tolist(), self.line_at, _NLINES[self.kinds])
 
     def part(self, lo: int, hi: int) -> GateColumns:
-        """Gates lo .. hi - 1 (hi clipped to the gate count, lo below it)."""
-        hi = min(hi, len(self.kinds))
-        l0, l1 = self.line_at[lo], self.line_at[hi - 1] + self.nlines[hi - 1]
-        p0, p1 = self.param_at[lo], self.param_at[hi - 1] + self.nparams[hi - 1]
+        """Gates lo .. hi - 1 (hi clipped to the gate count, lo below it), cut
+        at the stored offsets: a row relabelled -1 to skip it keeps its values."""
+        n = len(self.kinds)
+        hi = min(hi, n)
+        l0, l1 = self.line_at[lo], self.line_at[hi] if hi < n else len(self.lines)
+        p0, p1 = self.param_at[lo], self.param_at[hi] if hi < n else len(self.params)
         return GateColumns(
             self.kinds[lo:hi],
-            self.nlines[lo:hi],
-            self.nparams[lo:hi],
             self.lines[l0:l1],
             self.params[p0:p1],
             self.line_at[lo:hi] - l0,
@@ -331,16 +330,10 @@ class GateColumns(NamedTuple):
         )
 
 
-
 def _table(kinds: np.ndarray, lines: np.ndarray, params: np.ndarray) -> GateColumns:
-    """Gates of known kinds, each with its kind's counts of lines and
-    parameters, as a table."""
-    return _columns(kinds, _NLINES[kinds], _NPARAMS[kinds], lines, params)
-
-
-def _columns(kinds, nlines, nparams, lines, params) -> GateColumns:
-    line_at, param_at = np.cumsum(nlines) - nlines, np.cumsum(nparams) - nparams
-    return GateColumns(kinds, nlines, nparams, lines, params, line_at, param_at)
+    """Gates as a table, each row holding its kind's counts, which fix the offsets."""
+    line_at, param_at = (np.cumsum(counts) - counts for counts in (_NLINES[kinds], _NPARAMS[kinds]))
+    return GateColumns(kinds, lines, params, line_at, param_at)
 
 
 # read_gates clips a line beyond int64 to this bound, which the serializer refuses.
@@ -348,27 +341,28 @@ _LINE_LIMIT = 2**62
 
 
 def read_gates(gates: tuple[GateApp, ...]) -> GateColumns:
-    """Read gates into columns in one pass over their lines and parameters."""
-    n = len(gates)
-    kinds = np.fromiter([KIND_CODES.get(g.kind, -1) for g in gates], np.intp, n)
-    lines = [g.lines for g in gates]
-    params = [g.params for g in gates]
-    nlines = np.fromiter(map(len, lines), np.intp, n)
-    nparams = np.fromiter(map(len, params), np.intp, n)
+    """Read gates into a table in one pass over their lines and parameters; a
+    gate of an unknown kind or without its kind's counts is a -1 row, empty."""
+    codes = np.array([KIND_CODES.get(g.kind, -1) for g in gates], np.intp)
+    nlines = np.array([len(g.lines) for g in gates], np.intp)
+    nparams = np.array([len(g.params) for g in gates], np.intp)
+    shaped = (nlines == _NLINES[codes]) & (nparams == _NPARAMS[codes])
+    held = list(compress(gates, shaped.tolist()))
+    lines = [g.lines for g in held]
     try:
-        line_col = np.fromiter(chain.from_iterable(lines), np.int64, nlines.sum())
+        line_col = np.fromiter(chain.from_iterable(lines), np.int64, nlines[shaped].sum())
     except OverflowError:  # a line beyond int64 is out of range of every width
         big = np.array([*chain.from_iterable(lines)], dtype=object)
         line_col = np.clip(big, -_LINE_LIMIT, _LINE_LIMIT).astype(np.int64)
-    param_col = np.fromiter(chain.from_iterable(params), float, nparams.sum())
-    return _columns(kinds, nlines, nparams, line_col, param_col)
+    params = np.fromiter(chain.from_iterable(g.params for g in held), float, nparams[shaped].sum())
+    return _table(np.where(shaped, codes, -1), line_col, params)
 
 
 def _joined(tables: list[GateColumns]) -> GateColumns:
     """Tables end to end, as one; none is no gates."""
     if len(tables) == 1:
         return tables[0]
-    return _columns(*map(np.concatenate, zip(*(t[:5] for t in tables or [read_gates(())]))))
+    return _table(*map(np.concatenate, zip(*(t[:3] for t in tables or [read_gates(())]))))
 
 
 def _cut(flat: list, at: np.ndarray, counts: np.ndarray) -> list[tuple]:
@@ -377,9 +371,9 @@ def _cut(flat: list, at: np.ndarray, counts: np.ndarray) -> list[tuple]:
 
 
 def _gate_apps(cols: GateColumns) -> tuple[GateApp, ...]:
-    """The GateApps of a table; an unknown kind reads as "?"."""
+    """The GateApps of a table; a -1 row reads as "?" with no lines or parameters."""
     kinds = [_KIND_NAMES[c] for c in cols.kinds.tolist()]
-    params = _cut(cols.params.tolist(), cols.param_at, cols.nparams)
+    params = _cut(cols.params.tolist(), cols.param_at, _NPARAMS[cols.kinds])
     return tuple(map(_gate, kinds, cols.line_tuples(), params))
 
 
@@ -437,15 +431,13 @@ def gate_matrices(cols: GateColumns) -> list[np.ndarray]:
     complex), built for all gates of one kind at once.
 
     For `cu1` the full controlled 4x4 matrix is returned, control on the
-    first listed line being the more significant factor.  ValueError for an
-    unknown kind, a parameter count that is not the kind's, a rot plane that
-    is not an integer in 1..6 or a non-finite rot angle.
+    first listed line being the more significant factor.  ValueError for a
+    -1 row (an unknown kind or a misshapen gate), a rot plane that is not an
+    integer in 1..6 or a non-finite rot angle.
     """
     kinds = cols.kinds
     if (kinds < 0).any():
         raise ValueError("unknown gate kind")
-    if (cols.nparams != _NPARAMS[kinds]).any():
-        raise ValueError("parameter count is not the kind's")
     out: list[np.ndarray] = [None] * len(kinds)
     for code in set(kinds.tolist()):
         kind = _KIND_NAMES[code]
@@ -457,15 +449,34 @@ def gate_matrices(cols: GateColumns) -> list[np.ndarray]:
 def gate_matrix(gate: GateApp) -> np.ndarray:
     """The dense unitary for one gate application: `gate_matrices` of it alone.
 
-    An `mg` gate's blocks are checked as `algebra.make_matchgate` checks them:
-    ValueError if either is not unitary or their determinants differ.
+    ValueError for a gate `_misshapen` words.  An `mg` gate's blocks are
+    checked as `algebra.make_matchgate` checks them: ValueError if either is
+    not unitary or their determinants differ.
     """
     if gate.kind not in GATE_KINDS:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
+    problem = _misshapen(gate)
+    if problem:
+        raise ValueError(f"{gate.kind} gate: {problem}")
     m = gate_matrices(read_gates((gate,)))[0]
     if gate.kind == "mg":
         algebra.make_matchgate(complex_from_reals(gate.params[:8]), complex_from_reals(gate.params[8:]))
     return m
+
+
+def _misshapen(g: GateApp, flavor: str | None = None) -> str | None:
+    """What first makes `g` no gate of `flavor` (of either when None): an
+    unknown kind, another flavor, its count of lines, then of parameters."""
+    sig = GATE_KINDS.get(g.kind)
+    if sig is None:
+        return "unknown kind"
+    if flavor not in (None, sig[0]):
+        return f"not a {flavor} gate"
+    if len(g.lines) != sig[1]:
+        return f"expected {sig[1]} line(s), got {len(g.lines)}"
+    if len(g.params) != sig[2]:
+        return f"expected {sig[2]} parameter(s), got {len(g.params)}"
+    return None
 
 
 def _not_unitary(name: str, params: tuple[float, ...]) -> str:
@@ -484,17 +495,17 @@ def _chunk_violations(
     """The violations of the circuit's gates from index `first` on, read into
     `cols`, in gate order, from checks on whole arrays.
 
-    A gate reports only its first structural failure; a gate without one
-    marks its lines in `touched` (when given) and has its rot plane,
-    matrices and determinants checked, as `not x <= tol` so NaN fails.
+    A gate reports only its first structural failure, `_misshapen`'s first;
+    a gate without one marks its lines in `touched` (when given) and has its
+    rot plane, matrices and determinants checked, as `not x <= tol` so NaN fails.
     """
     flavor = circuit.flavor
     top = circuit.width - 1 if flavor == "mg" else circuit.width
-    kinds, nlines, nparams = cols.kinds, cols.nlines, cols.nparams
+    kinds, nlines = cols.kinds, _NLINES[cols.kinds]
     finite = np.isfinite(cols.params)
     nonfinite = np.zeros(len(kinds), dtype=bool)
     if not finite.all():
-        nonfinite[np.repeat(np.arange(len(kinds)), nparams)[~finite]] = True
+        nonfinite[np.repeat(np.arange(len(kinds)), _NPARAMS[kinds])[~finite]] = True
     # Every kind takes one or two lines, so the first and the last cover them
     # all; the padding keeps the reads for a gate without lines in bounds.
     lines = np.append(cols.lines, 0)
@@ -503,22 +514,17 @@ def _chunk_violations(
     which_line = "line {g.lines[0]}" if flavor == "mg" else "line"
     # (failing gates, message) in check order; a gate reports the first it fails.
     structure = (
-        (kinds < 0, "unknown kind"),
-        ((_FLAVOR != flavor)[kinds], "not a {flavor} gate"),
-        (nlines != _NLINES[kinds], "expected {want[1]} line(s), got {nlines}"),
-        (nparams != _NPARAMS[kinds], "expected {want[2]} parameter(s), got {nparams}"),
         (nonfinite, "non-finite parameter"),
         (out_of_range, which_line + " out of range 1..{top}"),
         ((nlines > 1) & (lo == hi), "repeated line"),
     )
-    failed = np.logical_or.reduce([bad for bad, _ in structure])
+    misfit = (_FLAVOR != flavor)[kinds]  # -1 rows too
+    failed = np.logical_or.reduce([misfit, *(bad for bad, _ in structure)])
     found = []
     for i in np.flatnonzero(failed).tolist():
         g = circuit.gates[first + i]
-        message = next(message for bad, message in structure if bad[i])
-        want = GATE_KINDS.get(g.kind)
-        counts = dict(nlines=len(g.lines), nparams=len(g.params))
-        found.append((i, message.format(g=g, flavor=flavor, top=top, want=want, **counts)))
+        rest = next((message for bad, message in structure if bad[i]), "")
+        found.append((i, _misshapen(g, flavor) or rest.format(g=g, top=top)))
     if touched is not None:
         k = lo[~failed]
         touched[k] = touched[k + 1] = True
@@ -681,31 +687,26 @@ _TABLE_CHUNK = 1 << 16
 def _refuse(index: int, g: GateApp) -> None:
     """Raise ValueError naming gate `index` (1-based) if the text would carry
     it as another gate or as a line the parser refuses."""
-    sig, p = GATE_KINDS.get(g.kind), g.params
-    if sig is None:
-        problem = "unknown kind"
-    elif len(g.lines) != sig[1]:
-        problem = f"expected {sig[1]} line(s), got {len(g.lines)}"
-    elif len(p) != sig[2]:
-        problem = f"expected {sig[2]} parameter(s), got {len(p)}"
-    elif g.kind == "rot" and not (p[0].is_integer() and (p[0] or math.copysign(1, p[0]) > 0)):
-        problem = f"plane must be an integer, got {p[0]!r}"  # -0.0 would read back as 0.0
-    elif not all(abs(line) < _LINE_LIMIT for line in g.lines):
+    problem = _misshapen(g)
+    if not problem and g.kind == "rot":
+        plane = g.params[0]
+        if not (plane.is_integer() and (plane or math.copysign(1, plane) > 0)):
+            problem = f"plane must be an integer, got {plane!r}"  # -0.0 would read back as 0.0
+    if not problem and not all(abs(line) < _LINE_LIMIT for line in g.lines):
         problem = f"line out of range +-{_LINE_LIMIT}"  # a table holds it clipped
-    else:
-        return
-    raise ValueError(f"gate {index} ({g.kind}): {problem}")
+    if problem:
+        raise ValueError(f"gate {index} ({g.kind}): {problem}")
 
 
 def _refused(table: GateColumns) -> np.ndarray:
     """Whether `_refuse` refuses each gate of a table."""
-    kinds, nlines, nparams, lines, params, _, param_at = table
-    refused = (kinds < 0) | (nlines != _NLINES[kinds]) | (nparams != _NPARAMS[kinds])
-    rot = np.flatnonzero((kinds == KIND_CODES["rot"]) & ~refused)
+    kinds, lines, params, _, param_at = table
+    refused = kinds < 0
+    rot = np.flatnonzero(kinds == KIND_CODES["rot"])
     plane = params[param_at[rot]]
     integral = (plane == np.trunc(plane)) & np.isfinite(plane)
     refused[rot[~integral | ((plane == 0) & np.signbit(plane))]] = True
-    refused[np.repeat(np.arange(len(kinds)), nlines)[np.abs(lines) >= _LINE_LIMIT]] = True
+    refused[np.repeat(np.arange(len(kinds)), _NLINES[kinds])[np.abs(lines) >= _LINE_LIMIT]] = True
     return refused
 
 
@@ -721,7 +722,7 @@ def _chunk_lines(chunk: GateColumns) -> np.ndarray:
     """The text of each gate of a table the serializer takes, as an object
     array.  Per kind, each distinct gate (line numbers and parameter bits)
     is formatted once, and within those each distinct real and line number."""
-    kinds, _, _, lines, params, line_at, param_at = chunk
+    kinds, lines, params, line_at, param_at = chunk
     out = np.empty(len(kinds), dtype=object)
     for code in set(kinds.tolist()) - {-1}:  # -1: a row left out
         kind = _KIND_NAMES[code]
@@ -926,13 +927,13 @@ def _read_table(rows: list[str]) -> tuple[list[str], int, GateColumns] | None:
         if block is None:
             return None
         blocks.append(block)
-    return header, at + 1, _columns(*map(np.concatenate, zip(*blocks)))
+    return header, at + 1, _table(*map(np.concatenate, zip(*blocks)))
 
 
 def _read_block(rows: list[str]) -> tuple[np.ndarray, ...] | None:
-    """Kinds, line counts, parameter counts, lines and parameters of some gate
-    lines, or None at any doubt.  Lines and rot planes are read by int() and
-    the reals by float(), one map each, so values are exactly the line parser's."""
+    """Kinds, lines and parameters of some gate lines, or None at any doubt.
+    Lines and rot planes are read by int() and the reals by float(), one map
+    each, so values are exactly the line parser's."""
     body = [toks for toks in map(str.split, rows) if toks]
     names = list(map(itemgetter(0), body))
     n = len(body)
@@ -982,7 +983,7 @@ def _read_block(rows: list[str]) -> tuple[np.ndarray, ...] | None:
     except (ValueError, OverflowError):  # a token int() or float() refuses, or a huge line
         return None
     params[(np.cumsum(nparams) - nparams)[rot]] = plane_values
-    return kinds, nlines, nparams, lines, params
+    return kinds, lines, params
 
 
 def _parse_gate(toks: list[str], lineno: int) -> GateApp:

@@ -63,10 +63,10 @@ from .circuits import (
     KIND_CODES,
     GuardError,
     MatchgateCircuit,
-    _columns,
     _mark_valid,
     _ParsedGates,
     _require_flavor,
+    _table,
     gate_matrices,
     reals_from_complex,
     validate_or_raise,
@@ -323,6 +323,4 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
     kinds = np.concatenate([np.full(len(lines), w if rows is None else rot) for lines, rows in parts])
     lines = np.concatenate([lines for lines, _ in parts])
     params = np.concatenate([rows.ravel() for _, rows in parts if rows is not None])
-    nparams = np.where(kinds == rot, 2, 0)
-    table = _columns(kinds, np.ones(len(kinds), dtype=np.intp), nparams, lines, params)
-    return MatchgateCircuit(n, _ParsedGates(table), "0" * n, 1)
+    return MatchgateCircuit(n, _ParsedGates(_table(kinds, lines, params)), "0" * n, 1)

@@ -226,8 +226,16 @@ def test_gate_matrix_controlled_gate_blocks():
 
 
 def test_gate_matrix_refuses_an_unknown_kind():
-    with pytest.raises(ValueError, match="unknown gate kind 'cz'"):
-        gate_matrix(GateApp("cz", (1, 2), ()))
+    # And a gate of a known kind with another count of lines or parameters.
+    m = reals_from_complex(np.eye(2))
+    for gate, problem in [
+        (GateApp("cz", (1, 2), ()), "unknown gate kind 'cz'"),
+        (GateApp("u1", (1, 2), m), r"u1 gate: expected 1 line\(s\), got 2"),
+        (GateApp("gxx", (1, 2)), r"gxx gate: expected 1 line\(s\), got 2"),
+        (GateApp("u1", (1,), m[:7]), r"u1 gate: expected 8 parameter\(s\), got 7"),
+    ]:
+        with pytest.raises(ValueError, match=problem):
+            gate_matrix(gate)
 
 
 def test_gate_matrix_checks_the_blocks_of_an_mg_gate():
@@ -546,11 +554,13 @@ def test_serialize_refuses_a_non_integral_rot_plane(plane):
 def test_serialize_refuses_a_gate_the_text_would_change(gate, problem):
     # `w 1` with a parameter would be written as `w 1`, a different, valid gate.
     # The table of the same gates is refused with the same text, except that
-    # a table codes an unknown kind as -1 and keeps no name for it.
+    # a table holds an unknown kind, or a gate without its kind's counts, as
+    # a -1 row that keeps no name, lines or parameters.
     gates = (GateApp("w", (1,)), gate)
-    table_kind = gate.kind if gate.kind in GATE_KINDS else "?"
-    for form, kind in ((gates, gate.kind), (_as_table(gates), table_kind)):
-        message = f"gate 2 ({kind}): {problem}"
+    tuple_message = f"gate 2 ({gate.kind}): {problem}"
+    as_row = problem.startswith(("expected", "unknown"))
+    table_message = "gate 2 (?): unknown kind" if as_row else tuple_message
+    for form, message in ((gates, tuple_message), (_as_table(gates), table_message)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             serialize_circuit(MatchgateCircuit(2, form, "00"))
 
@@ -560,7 +570,7 @@ def test_a_table_reads_an_unknown_kind_as_unknown():
     # validate, it is "?" and never the last known kind.
     table = _as_table((GateApp("w", (1,)), GateApp("cz", (1,))))
     assert [g.kind for g in table] == ["w", "?"]
-    assert table[1].lines == (1,)
+    assert table[1].lines == ()
     assert validate(MatchgateCircuit(2, table, "00")) == ["gate 2 (?): unknown kind"]
 
 
@@ -660,10 +670,10 @@ def test_serialize_of_runs_matches_the_reference_of_their_gates(circuit, chunk):
 
 
 def test_serialize_of_runs_names_a_bad_gate_by_its_index_in_the_circuit():
-    w, bad = GateApp("w", (1,)), GateApp("w", (1,), (1.0,))
+    w, bad = GateApp("w", (1,)), GateApp("rot", (1,), (2.5, 0.1))
     pair, tail = circuits.read_gates((w, w)), circuits.read_gates((w, bad))
     gates = circuits._ParsedGates(pair, (), (w,), pair, tail)
-    with pytest.raises(ValueError, match=r"^gate 7 \(w\): expected 0 parameter\(s\), got 1$"):
+    with pytest.raises(ValueError, match=r"^gate 7 \(rot\): plane must be an integer, got 2.5$"):
         serialize_circuit(MatchgateCircuit(2, gates, "00"))
     # A row no piece holds is no gate of the circuit: neither refused nor written.
     held = MatchgateCircuit(2, circuits._ParsedGates(pair, circuits._Piece(tail, 0, 1)), "00")
@@ -1147,6 +1157,27 @@ def test_gate_columns_slice_and_rows_by_offset():
         for hi in range(lo + 1, 6):
             part, read = cols.part(lo, hi), circuits.read_gates(gates[lo:hi])
             assert all(map(np.array_equal, part, read))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(_any_gate(4), max_size=6))
+def test_read_gates_holds_each_row_by_its_kind(gates):
+    # Each row holds exactly its kind's lines and parameters; a gate of an
+    # unknown kind or with other counts is a -1 row that holds none.
+    table = circuits.read_gates(gates)
+    kinds = table.kinds.tolist()
+    for at, flat, i in ((table.line_at, table.lines, 1), (table.param_at, table.params, 2)):
+        assert at.tolist()[:1] in ([], [0])
+        held = np.diff(np.append(at, len(flat))).tolist()  # each row's count, by its offsets
+        assert held == [GATE_KINDS[circuits._KIND_NAMES[k]][i] if k >= 0 else 0 for k in kinds]
+    for g, k, back in zip(gates, kinds, circuits._gate_apps(table)):
+        shaped = g.kind in GATE_KINDS and (len(g.lines), len(g.params)) == GATE_KINDS[g.kind][1:]
+        assert k == (circuits.KIND_CODES[g.kind] if shaped else -1)
+        if shaped:  # a line beyond int64 is held clipped
+            lines = tuple(max(-(2**62), min(2**62, x)) for x in g.lines)
+            assert repr(back) == repr(GateApp(g.kind, lines, g.params))
+        else:
+            assert back == GateApp("?", (), ())
 
 
 def _commented(text: str) -> str:

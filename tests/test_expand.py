@@ -16,6 +16,7 @@ from matchgates.circuits import (
     MatchgateCircuit,
     reals_from_complex,
 )
+from matchgates.compress import compress_circuit, pad_to_power_of_two
 from matchgates.expand import (
     EXPAND_MAX_WIDTH,
     W_GADGET,
@@ -31,6 +32,7 @@ from matchgates.expand import (
 )
 from matchgates.oracle import expectation_z, run_statevector, verify_equivalent
 from matchgates.simulate import circuit_rotation, simulate_expectation
+from matchgates.standardize import standardize
 
 
 def _encode_real(psi: np.ndarray) -> np.ndarray:
@@ -241,6 +243,21 @@ def test_expansion_reproduces_the_readout(rng):
             assert abs(want - got) <= 1e-12
             report = verify_equivalent(c, out, tol=1e-8, engine_b="mgsim")
             assert report.passed, report.line()
+
+
+@pytest.mark.parametrize("m, bits", [(1, "1"), (2, "10"), (3, "011")])
+def test_expand_then_compress_keeps_the_readout(m, bits):
+    # The paper's equivalence end to end: a general circuit on m qubits,
+    # expanded to a matchgate circuit on 2^(m+1) lines and compressed back to
+    # m + 4 qubits, keeps its <Z_1>.
+    for seed in range(3):
+        c = randgen.random_general_circuit(m, 3, np.random.default_rng(seed), bits)
+        want = expectation_z(run_statevector(c), 1)
+        wide = expand_circuit(c)
+        assert abs(simulate_expectation(wide) - want) <= 1e-9
+        narrow = compress_circuit(pad_to_power_of_two(standardize(wide)))
+        assert narrow.width == m + 4
+        assert abs(expectation_z(run_statevector(narrow), 1) - want) <= 1e-9
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
