@@ -14,12 +14,13 @@ real part before imaginary part for each entry.  Floats are serialized with
 repr(), which round-trips exactly.  The parser reads gate lines straight into
 one GateColumns table, each row holding its kind's counts of lines and
 parameters (`read_gates` makes a gate built in code without them a -1 row,
-empty).  Parsed, standardized, expanded and compressed circuits hold their
-`gates` as row ranges of such tables, behind a sequence that equals, hashes
-and prints as the GateApp tuple, built only when the gates themselves are
-read.  The serializer writes each distinct table of a circuit once, kind by
-kind, each distinct gate, real and line number formatted once, and joins
-the texts of the ranges.
+empty).  Every circuit holds its `gates` as row ranges of such tables,
+behind a sequence that equals, hashes and prints as the GateApp tuple: a
+circuit built from GateApps reads them into one table when it is
+constructed and keeps their tuple; any other builds it only when the gates
+themselves are read.  The serializer writes each distinct table of a
+circuit once, kind by kind, each distinct gate, real and line number
+formatted once, and joins the texts of the ranges.
 """
 
 from __future__ import annotations
@@ -137,21 +138,23 @@ class _Piece(NamedTuple):
 
 
 class _ParsedGates(Sequence):
-    """The gates of a parsed, standardized, expanded or compressed circuit,
-    behind a read-only sequence that equals the GateApp tuple.
+    """The gates of a circuit, behind a read-only sequence that equals the
+    GateApp tuple.
 
     The gates are `pieces` end to end, each a row range of a GateColumns
-    block: a parsed or expanded circuit is one piece, and compress emits
-    each window's blocks as the same objects every time.  `table`, which
-    `validate`, the simulation and compress read, concatenates the pieces
-    when first asked for.  len() builds nothing; any other use of the gates
-    builds the flat tuple once."""
+    block: a parsed, expanded or code-built circuit is one piece, and
+    compress emits each window's blocks as the same objects every time.
+    `table`, which `validate`, the simulation, the oracle and compress read,
+    concatenates the pieces when first asked for.  Gates read from one
+    GateApp tuple keep it as their tuple; for any others, len() builds
+    nothing and any other use of the gates builds the flat tuple once."""
 
     __slots__ = ("pieces", "_len", "_table", "_built")
 
     def __init__(self, *parts: _Piece | GateColumns | Sequence[GateApp]):
         """The gates of `parts` end to end: pieces, tables, the pieces of
-        other such sequences, or GateApps, each read as one table."""
+        other such sequences, or GateApps, each read as one table; the gates
+        of one GateApp tuple keep it."""
         pieces: list[_Piece] = []
         for part in parts or [()]:  # no parts: one empty block
             if isinstance(part, _Piece):
@@ -165,7 +168,8 @@ class _ParsedGates(Sequence):
         _, lo, hi = zip(*pieces)
         self._len = sum(hi) - sum(lo)
         self._table: GateColumns | None = None
-        self._built: tuple[GateApp, ...] | None = None
+        one = parts[0] if len(parts) == 1 else None
+        self._built: tuple[GateApp, ...] | None = one if type(one) is tuple else None
 
     def blocks(self) -> tuple[GateColumns, list[int], list[int]]:
         """The distinct blocks end to end, and each piece's first row in
@@ -226,7 +230,7 @@ class MatchgateCircuit:
     """
 
     width: int
-    gates: tuple[GateApp, ...]
+    gates: Sequence[GateApp]
     input: str
     measure_line: int = 1
     allow_idle: bool = False
@@ -234,7 +238,7 @@ class MatchgateCircuit:
 
     def __post_init__(self):
         if not isinstance(self.gates, _ParsedGates):
-            object.__setattr__(self, "gates", tuple(self.gates))
+            object.__setattr__(self, "gates", _ParsedGates(tuple(self.gates)))
 
 
 @dataclass(frozen=True)
@@ -242,13 +246,13 @@ class GeneralCircuit:
     """A general circuit on `width` qubits applied to the basis input state."""
 
     width: int
-    gates: tuple[GateApp, ...]
+    gates: Sequence[GateApp]
     input: str
     flavor: str = field(default="qc", init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.gates, _ParsedGates):
-            object.__setattr__(self, "gates", tuple(self.gates))
+            object.__setattr__(self, "gates", _ParsedGates(tuple(self.gates)))
 
 
 Circuit = MatchgateCircuit | GeneralCircuit
@@ -273,7 +277,8 @@ def reals_from_complex(m: np.ndarray) -> tuple[float, ...]:
 
 
 # Validation reads this many gates at a time, so its scratch memory does not
-# grow with the gate count (the compilers validate while streaming).
+# grow with the gate count: compress validates its input inside the traced
+# window of the flat-memory criterion (09), whose peak a larger run raises.
 _VALIDATE_CHUNK = 512
 
 # Kind codes (positions in GATE_KINDS) and, by code, each kind's name and
@@ -316,8 +321,11 @@ class GateColumns(NamedTuple):
 
     def part(self, lo: int, hi: int) -> GateColumns:
         """Gates lo .. hi - 1 (hi clipped to the gate count, lo below it), cut
-        at the stored offsets: a row relabelled -1 to skip it keeps its values."""
+        at the stored offsets: a row relabelled -1 to skip it keeps its values.
+        All the gates are the table itself."""
         n = len(self.kinds)
+        if lo == 0 and hi >= n:
+            return self
         hi = min(hi, n)
         l0, l1 = self.line_at[lo], self.line_at[hi] if hi < n else len(self.lines)
         p0, p1 = self.param_at[lo], self.param_at[hi] if hi < n else len(self.params)
@@ -381,14 +389,12 @@ def _gate_chunks(
     gates: Sequence[GateApp], size: int, last_first: bool = False
 ) -> Iterator[tuple[int, GateColumns]]:
     """(index of the first gate, columns) of each run of `size` gates, in
-    circuit order or the last run first: slices of a parsed circuit's table,
-    or read from the GateApps of a circuit built in code."""
-    starts = range(0, len(gates), size)
+    circuit order or the last run first: slices of a circuit's table, or of
+    the table bare GateApps are read into once."""
+    table = gates.table if isinstance(gates, _ParsedGates) else read_gates(gates)
+    starts = range(0, len(table.kinds), size)
     for lo in reversed(starts) if last_first else starts:
-        if isinstance(gates, _ParsedGates):
-            yield lo, gates.table.part(lo, lo + size)
-        else:
-            yield lo, read_gates(gates[lo : lo + size])
+        yield lo, table.part(lo, lo + size)
 
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -577,34 +583,6 @@ def _require_line(circuit: Circuit, k: int) -> None:
         raise UsageError(f"line {k} out of range 1..{circuit.width}")
 
 
-def mg_runs_last_first(circuit: MatchgateCircuit, size: int) -> Iterator[GateColumns]:
-    """The gates of a matchgate circuit as validated runs of `size` gates,
-    the last run first (the order reverse propagation consumes them in).
-
-    Header fields are checked at the call.  Each run is read once and, unless
-    the circuit already passed `validate_or_raise`, checked as `validate`
-    checks its chunks.  At the first violation the whole circuit goes through
-    `validate_or_raise`, so an invalid circuit raises ValidationError with
-    validate's messages, possibly after later runs were yielded.
-    """
-    _require_flavor(circuit, "mg")
-    if _header_violations(circuit):
-        validate_or_raise(circuit)
-    return _mg_runs_last_first(circuit, size)
-
-
-def _mg_runs_last_first(circuit: MatchgateCircuit, size: int) -> Iterator[GateColumns]:
-    width = circuit.width
-    checked = getattr(circuit, "_valid", False)
-    touched = np.zeros(width + 2, dtype=bool)
-    for lo, cols in _gate_chunks(circuit.gates, size, last_first=True):
-        if not checked and _chunk_violations(circuit, lo, cols, touched):
-            validate_or_raise(circuit)
-        yield cols
-    if not (checked or circuit.allow_idle or touched[1 : width + 1].all()):
-        validate_or_raise(circuit)
-
-
 def _header_violations(circuit: Circuit) -> list[str]:
     out: list[str] = []
     flavor = circuit.flavor
@@ -757,13 +735,13 @@ def serialize_circuit(circuit: Circuit) -> str:
 
     Every float is written with repr(), so the text is fixed by the circuit's
     values bit for bit (-0.0 stays -0.0).  The gates are read as the
-    distinct blocks that hold them (`_ParsedGates.blocks`; gates built in
-    code are read as one block), and those blocks are written once, kind by
-    kind, with each distinct gate, real and line number formatted once per
-    chunk (`_chunk_lines`); a range of rows repeated in the circuit, as
-    compress repeats each window's, is written from that text.  A gate the
-    text would change is refused first (`_refuse`), with ValueError naming
-    it by its 1-based index in the circuit.
+    distinct blocks that hold them (`_ParsedGates.blocks`), and those blocks
+    are written once, kind by kind, with each distinct gate, real and line
+    number formatted once per chunk (`_chunk_lines`); a range of rows
+    repeated in the circuit, as compress repeats each window's, is written
+    from that text.  A gate the text would change is refused first
+    (`_refuse`), with ValueError naming it by its 1-based index in the
+    circuit.
     """
     head = [f"circuit {circuit.flavor}", f"width={circuit.width}", f"input={circuit.input}"]
     if circuit.flavor == "mg":
@@ -771,8 +749,7 @@ def serialize_circuit(circuit: Circuit) -> str:
         if circuit.allow_idle:
             head.append("idle=1")
     gates = circuit.gates
-    parsed = gates if isinstance(gates, _ParsedGates) else _ParsedGates(gates)
-    blocks, first, counts = parsed.blocks()
+    blocks, first, counts = gates.blocks()
     refused = _refused(blocks)
     if refused.any():  # name the first the circuit holds by its index there
         held = np.flatnonzero(np.concatenate([refused[a : a + n] for a, n in zip(first, counts)]))
@@ -856,7 +833,7 @@ def parse_circuit(text: str) -> Circuit:
         if "measure" in fields or "idle" in fields:
             raise ParseError("measure=/idle= apply only to mg circuits", header_line)
         cls, rest = GeneralCircuit, (inp,)
-    circuit = cls(width, tuple(gates) if read is None else _ParsedGates(table), *rest)
+    circuit = cls(width, gates if read is None else _ParsedGates(table), *rest)
     validate_or_raise(circuit)
     return circuit
 

@@ -14,6 +14,7 @@ through the gate list in O(N + n) time and applies S(x) sparsely.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import Iterator
 
 import numpy as np
@@ -28,7 +29,6 @@ from .circuits import (
     _gate_chunks,
     _require_flavor,
     _require_line,
-    mg_runs_last_first,
     validate_or_raise,
 )
 
@@ -132,14 +132,15 @@ def _transposed_rotations(cols: GateColumns) -> np.ndarray:
 
 
 def rotation_runs(
-    gates: tuple[GateApp, ...], last_first: bool = False
+    gates: Sequence[GateApp], last_first: bool = False
 ) -> Iterator[tuple[list[int], np.ndarray]]:
     """(lower lines k, (C, 4, 4) rotations R) of each run of _ROTATION_RUN
     gates, R acting on dimensions 2k-1 .. 2k+2, in circuit order or, with
     `last_first`, in reverse: the last run first, its gates last first.
 
-    The gates must be valid mg-flavor gates.  Each run is read through the
-    batched closed form of the fast path.
+    The gates must be valid mg-flavor gates: a circuit's, whose table is
+    sliced, or bare GateApps, read into one table first.  Each run is read
+    through the batched closed form of the fast path.
     """
     for _, cols in _gate_chunks(gates, _ROTATION_RUN, last_first):
         lines, rots = cols.lines.tolist(), _transposed_rotations(cols).transpose(0, 2, 1)
@@ -190,17 +191,18 @@ def _propagate(
 def _pair_columns(circuit: MatchgateCircuit, k: int) -> np.ndarray:
     """Columns (R^T e_{2k-1}, R^T e_{2k}) via reverse propagation, O(N + n).
 
-    Validates the circuit while it reads it, one run of _MG_CHUNK gates at
-    a time, so scratch memory does not grow with the gate count.
+    Validates the circuit first (`validate_or_raise`, once per object), then
+    reads its table one run of _MG_CHUNK gates at a time, the last run
+    first, so scratch memory does not grow with the gate count.
     """
+    validate_or_raise(circuit)
     n = circuit.width
-    runs = mg_runs_last_first(circuit, _MG_CHUNK)
     x = np.zeros((2 * n, 2))
     x[2 * k - 2, 0] = 1.0
     x[2 * k - 1, 1] = 1.0
     depth = [0] * (n + 2)
     base = 0
-    for cols in runs:
+    for _, cols in _gate_chunks(circuit.gates, _MG_CHUNK, last_first=True):
         base = _propagate(x, _transposed_rotations(cols), cols.lines, depth, base)
     return x
 
@@ -216,7 +218,7 @@ def _apply_s_sparse(v: np.ndarray, bits: np.ndarray) -> np.ndarray:
 def simulate_expectation(circuit: MatchgateCircuit, k: int | None = None) -> float:
     """<Z_k> on the circuit's basis input, in O(N + n).
 
-    The circuit is validated as it is read; an invalid one raises
+    The circuit is validated first, once per object; an invalid one raises
     ValidationError with the messages of `validate`.
     """
     _require_flavor(circuit, "mg")

@@ -1120,6 +1120,38 @@ def test_gates_of_a_parsed_circuit_act_as_the_tuple_built_once(rng, monkeypatch)
     assert all(type(v) is float for g in gates for v in g.params)
 
 
+def test_gates_built_in_code_are_read_once_when_the_circuit_is_built(rng, monkeypatch):
+    from matchgates.oracle import run_statevector
+
+    mg = randgen.random_matchgate_circuit(6, 300, rng, input_bits="101100", measure_line=4)
+    qc = randgen.random_general_circuit(4, 200, rng, input_bits="0110", kinds="mixed")
+    pairs = [(c, parse_circuit(serialize_circuit(c))) for c in (mg, qc)]
+
+    def refuse(gates):
+        raise AssertionError("gates read again after the circuit was built")
+
+    monkeypatch.setattr(circuits, "read_gates", refuse)
+    for c, parsed in pairs:
+        assert validate(c) == validate(parsed) == []
+        assert np.array_equal(run_statevector(c), run_statevector(parsed))
+        assert serialize_circuit(c) == serialize_circuit(parsed)
+    parsed = pairs[0][1]
+    for k in range(1, mg.width + 1):
+        assert simulate_expectation(mg, k) == simulate_expectation(parsed, k)
+    assert simulate_expectation_reference(mg) == simulate_expectation_reference(parsed)
+    monkeypatch.undo()
+
+    # A generator is read once into the same circuit as a list or a tuple;
+    # the gates stay the objects they were built from, a misshapen one too.
+    bad = GateApp("w", (1, 2))
+    gates = (*mg.gates[:5], bad, *mg.gates[5:])
+    forms = [(g for g in gates), list(gates), gates]
+    built = [MatchgateCircuit(6, form, "101100", 4) for form in forms]
+    assert built[0] == built[1] == built[2] and hash(built[0]) == hash(built[2])
+    assert all(c.gates[5] is bad and c.gates[0] is gates[0] for c in built)
+    assert validate(built[0]) == ["gate 6 (w): expected 1 line(s), got 2"]
+
+
 def test_serialized_text_of_either_flavor_parses_without_gate_objects(rng, monkeypatch):
     texts = [
         serialize_circuit(randgen.random_matchgate_circuit(6, 300, rng)),
