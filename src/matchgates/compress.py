@@ -25,9 +25,12 @@ in the magic basis Q it is local: Q R Q^dag = A (x) B (Vatan & Williams 2004,
 arXiv:quant-ph/0308006).  So controlled-R is Q on the two window lines, A on
 line q and B on the last line each under the ancilla, and Q^dag; wherever
 the ancilla is 0, Q^dag undoes Q.  The same AND gates then uncompute the
-ancilla.  Everything is decomposed exactly to the cu1/u1/x gate set.  S
-contributes Gray-to-binary conversion, one controlled block on the last data
-line, and conversion back.
+ancilla.  Window k shares no dimension with the windows of pairs k +- 2 and
+beyond, so within a run a matchgate on pair k is folded into the last kept
+matchgate on k when no matchgate on pair k - 1 or k + 1 came after that
+one, and only the product is compiled.  Everything is decomposed exactly to
+the cu1/u1/x gate set.  S contributes Gray-to-binary conversion, one
+controlled block on the last data line, and conversion back.
 
 Everything is generated lazily, a run of 64 matchgates at a time
 (`simulate._ROTATION_RUN`), as row ranges of GateColumns blocks: the
@@ -243,20 +246,41 @@ def _window(k: int, mu: int) -> _Window:
     return _Window(gates, fired, q, last, basis, enter, leave)
 
 
+def _fused(lines: list[int], rots: np.ndarray, invert: bool) -> tuple[list[int], np.ndarray]:
+    """One run's matchgates, in emission order, each folded into the last
+    kept matchgate on its pair k when no matchgate on pair k - 1 or k + 1
+    came after that one (see the module docstring).  The kept product is
+    R_i R_j for the later R_i, or R_j R_i in the R^{-1} pass, whose
+    rotations are read last first and transposed after."""
+    kept: dict[int, int] = {}  # pair -> index of its last kept matchgate
+    out_lines: list[int] = []
+    out: list[np.ndarray] = []
+    for k, r in zip(lines, rots):
+        j = kept.get(k, -1)
+        if j >= 0 and kept.get(k - 1, -1) < j and kept.get(k + 1, -1) < j:
+            out[j] = out[j] @ r if invert else r @ out[j]
+        else:
+            kept[k] = len(out)
+            out_lines.append(k)
+            out.append(r)
+    return out_lines, np.array(out)
+
+
 def _rotation_pass(
     circuit: MatchgateCircuit, window: Callable[[int], _Window], invert: bool
 ) -> Iterator[_ParsedGates | _Piece]:
-    """Controlled R (or R^{-1} with `invert`), one matchgate at a time: its
-    window's AND, Q, A on line q and B on the last line under the AND,
-    Q^dag, the AND again to uncompute it.  A matchgate whose rotation is
-    the identity (to OMIT_ANGLE) emits nothing.
+    """Controlled R (or R^{-1} with `invert`), one kept matchgate at a time
+    (see `_fused`): its window's AND, Q, A on line q and B on the last line
+    under the AND, Q^dag, the AND again to uncompute it.  A kept matchgate
+    whose rotation is the identity (to OMIT_ANGLE) emits nothing.
 
-    The rotations of each run of _ROTATION_RUN matchgates are permuted into
-    their windows' bases, transposed for R^{-1}, and split in one call; the
-    run's A and B gates are one block, rows 2i and 2i + 1 for its i-th
-    moved matchgate.
+    The rotations of each run of _ROTATION_RUN matchgates are fused,
+    permuted into their windows' bases, transposed for R^{-1}, and split in
+    one call; the run's A and B gates are one block, rows 2i and 2i + 1 for
+    its i-th moved matchgate.  Fusion never crosses a run.
     """
     for lines, rots in rotation_runs(circuit.gates, last_first=invert):
+        lines, rots = _fused(lines, rots, invert)
         moved = np.flatnonzero(np.abs(rots - np.eye(4)).max(axis=(1, 2)) > algebra.OMIT_ANGLE)
         windows = [window(lines[i]) for i in moved.tolist()]
         basis = np.array([w.basis for w in windows], dtype=np.intp).reshape(-1, 4)

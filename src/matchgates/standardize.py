@@ -4,15 +4,16 @@ Given a width-n circuit with basis input x and measured line k, build a
 circuit on all-zero input whose line-1 output distribution matches the
 original's line-k distribution:
 
-  * a prefix of G(X, X) gates raises the required ones pairwise on the
-    bottom lines (an odd count of ones borrows one extra line, which stays
-    outside the original circuit's action),
-  * a network of fermionic swaps W walks those ones up into position x; every
-    swap acts on a |01> / |10> pair, so no minus signs arise,
+  * the ones of x, in line order, are raised in consecutive pairs (an odd
+    count borrows one extra line, n + 1, which stays outside the original
+    circuit's action): for a pair at lines a < b, one G(X, X) on lines a and
+    a + 1, then fermionic swaps W on lines a + 1 .. b - 1 walk the second one
+    down to b; every swap acts on a |10> pair, so no minus signs arise,
   * the original gates run unchanged,
   * a suffix ladder of W gates conjugates Z_k down to Z_1.
 
-The gate overhead is at most STANDARD_SIZE_CONSTANT * n^2 + n.
+A pair (a, b) costs b - a gates, so the prefix costs at most n and the
+whole overhead at most 2n - 1, within STANDARD_SIZE_CONSTANT * n^2 + n.
 """
 
 from __future__ import annotations
@@ -50,22 +51,18 @@ def standardize(circuit: MatchgateCircuit) -> MatchgateCircuit:
     width = n + 1 if odd else n
     idle = circuit.allow_idle or odd
 
+    if odd:
+        targets.append(width)
+    # Raise each consecutive pair (a, b) of targets at a and a + 1, then walk
+    # the second one down to b through lines that are still zero.
     prefix: list[GateApp] = []
-    pairs = (r + 1) // 2
-    for i in range(pairs):
-        prefix.append(_gate("gxx", (width - 1 - 2 * i,), ()))
-    # Ones now occupy the bottom lines; the movable ones sit at n-r+1 .. n
-    # (an odd count leaves its partner parked on the borrowed line n+1).
-
-    swaps: list[GateApp] = []
-    for i, target in enumerate(targets, start=1):
-        source = n - r + i
-        for j in range(source, target, -1):
-            swaps.append(_gate("w", (j - 1,), ()))
+    for a, b in zip(targets[::2], targets[1::2]):
+        prefix.append(_gate("gxx", (a,), ()))
+        prefix.extend(_gate("w", (j,), ()) for j in range(a + 1, b))
 
     suffix = [_gate("w", (j,), ()) for j in range(k - 1, 0, -1)]
 
-    gates = _ParsedGates(prefix + swaps, circuit.gates, suffix)
+    gates = _ParsedGates(prefix, circuit.gates, suffix)
     added = len(gates) - len(circuit.gates)
     bound = STANDARD_SIZE_CONSTANT * n * n + n
     if added > bound:

@@ -172,6 +172,38 @@ def _on_lines(gates, lines: dict) -> list:
     return [GateApp(g.kind, tuple(lines[l] for l in g.lines), g.params) for g in gates]
 
 
+def _kept(lines: list) -> list:
+    """Positions in `lines`, one run's pairs in emission order, grouped as
+    a pass compiles them: a matchgate on pair k joins the group of the last
+    kept matchgate on k unless one on pair k - 1 or k + 1 came between."""
+    groups, last = [], {}
+    for i, k in enumerate(lines):
+        j = last.get(k)
+        if j is not None and all(abs(lines[p] - k) != 1 for p in range(groups[j][0], i)):
+            groups[j].append(i)
+        else:
+            last[k] = len(groups)
+            groups.append([i])
+    return groups
+
+
+def _kept_runs(lines: list) -> list:
+    """Each run's groups (see `_kept`) as positions in `lines`, the R^{-1}
+    pass's runs first (last run first, its gates last first), then the R
+    pass's."""
+    starts = range(0, len(lines), _ROTATION_RUN)
+    runs = [list(range(lo, min(lo + _ROTATION_RUN, len(lines)))) for lo in starts]
+    order = [run[::-1] for run in runs[::-1]] + runs
+    return [[[run[i] for i in g] for g in _kept([lines[p] for p in run])] for run in order]
+
+
+def _per_kept(k: int, mu: int) -> int:
+    """Gates one kept matchgate on pair k emits per pass: its AND twice, Q,
+    the local pair and Q^dag."""
+    w = _window(k, mu)
+    return 2 * len(_gates(w.gates)) + len(_gates(w.enter)) + 2 + len(_gates(w.leave))
+
+
 def test_window_magic_gates_are_the_magic_basis_and_its_inverse():
     for k, mu in [(1, 2), (2, 3), (5, 4)]:
         w = _window(k, mu)
@@ -201,19 +233,19 @@ def test_alignment_of_distance_one_labels_needs_no_gates(rng):
     assert (w.q, w.last, w.basis) == (2, 4, (1, 0, 2, 3))
     assert _basis_bits(2, 3) == ["00", "01", "10", "11"]
     # So the reordering is folded into the rotation and no gate aligns the
-    # labels: the output is the frame, the two pairing runs, and per moved
+    # labels: the output is the frame, the two pairing runs, and per kept
     # matchgate and pass its AND twice, Q, the local pair and Q^dag.
     n, mu = 8, 4
-    c = randgen.random_matchgate_circuit(n, 12, rng, "0" * n, 1)
-    per_pass = 0
-    for lines, rots in rotation_runs(c.gates):
-        for k, r in zip(lines, rots):
-            if np.abs(r - np.eye(4)).max() > algebra.OMIT_ANGLE:
-                w = _window(k, mu)
-                and_gates, enter, leave = map(_gates, (w.gates, w.enter, w.leave))
-                per_pass += 2 * len(and_gates) + len(enter) + 2 + len(leave)
+    # Haar matchgates: no product of them is the identity, as a product of
+    # two w or two gxx gates is.
+    c = randgen.random_matchgate_circuit(n, 12, rng, "0" * n, 1, kinds="haar")
+    lines = [g.lines[0] for g in c.gates]
+    for _, rots in rotation_runs(c.gates):
+        assert (np.abs(rots - np.eye(4)).max(axis=(1, 2)) > algebra.OMIT_ANGLE).all()
+    kept = [g[0] for run in _kept_runs(lines) for g in run]
     pairing = len(_gates(compress._pairing_run(mu, invert=False)))
-    assert len(compress_circuit(c).gates) == 2 + 2 * pairing + 2 * per_pass
+    want = 2 + 2 * pairing + sum(_per_kept(lines[i], mu) for i in kept)
+    assert len(compress_circuit(c).gates) == want
 
 
 def test_alignment_four_bit_example():
@@ -395,7 +427,7 @@ def test_gate_stream_matches_the_one_shot_compiler(rng):
 
 
 def test_gate_stream_splits_one_run_of_rotations_at_a_time(rng):
-    c = randgen.random_matchgate_circuit(8, 2000, rng, input_bits="0" * 8, measure_line=1)
+    c = randgen.random_matchgate_circuit(8, 2000, rng, "0" * 8, 1, kinds="haar")
     stacks = []
     local_pair = algebra.local_pair
     with mock.patch.object(
@@ -405,11 +437,12 @@ def test_gate_stream_splits_one_run_of_rotations_at_a_time(rng):
         first = list(itertools.islice(stream, 200))
         assert len(first) == 200 and len(stacks) <= 1
         rest = list(stream)
-    # Each pass splits the rotations _ROTATION_RUN matchgates at a time (no
-    # random matchgate is the identity); the inverse pass reads the short
-    # last run first.
-    runs, left = divmod(2000, _ROTATION_RUN)
-    assert stacks == [left] + [_ROTATION_RUN] * (2 * runs) + [left]
+    # Each pass splits the kept rotations of _ROTATION_RUN matchgates at a
+    # time (no Haar matchgate, nor a product of them, is the identity); the
+    # inverse pass reads the short last run first.
+    runs = _kept_runs([g.lines[0] for g in c.gates])
+    assert len(runs) == 2 * -(-2000 // _ROTATION_RUN)
+    assert stacks == [len(run) for run in runs]
     assert tuple(first + rest) == compress_circuit(c).gates
 
 
@@ -458,12 +491,16 @@ def test_a_two_line_window_needs_no_and():
 def test_one_and_pair_and_one_local_pair_per_moved_matchgate(rng):
     n, mu = 8, 4
     ancilla = mu + 2
-    gates = list(randgen.random_matchgate_circuit(n, 10, rng, "0" * n, 1).gates)
+    gates = list(randgen.random_matchgate_circuit(n, 10, rng, "0" * n, 1, kinds="haar").gates)
     gates[3:3] = [GateApp("rot", (1,), (2.0, 0.0)), GateApp("mg", (n - 1,), _IDENTITY_MG)]
     c = MatchgateCircuit(n, tuple(gates), "0" * n, measure_line=1)
     rots = np.concatenate([r for _, r in rotation_runs(c.gates)])
     moved = int((np.abs(rots - np.eye(4)).max(axis=(1, 2)) > algebra.OMIT_ANGLE).sum())
     assert moved == len(gates) - 2  # the identity gates emit nothing
+    # A kept matchgate moves unless it holds only the identity gates (no
+    # product of Haar matchgates is the identity).
+    kept = _kept_runs([g.lines[0] for g in gates])
+    kept_moved = sum(1 for run in kept for group in run if set(group) - {3, 4})
 
     ands = []
     window = compress._window
@@ -476,21 +513,75 @@ def test_one_and_pair_and_one_local_pair_per_moved_matchgate(rng):
     # With no window kept for reuse, every matchgate pass builds its window.
     with mock.patch.multiple(compress, _window=window_spy, WINDOW_CACHE_SIZE=0):
         runs = [_gates(p) for p in compress._gate_pieces(c)]
-    assert len(ands) == 2 * moved
-    # Per moved matchgate and pass: the AND twice, Q and Q^dag (three gates
-    # each) and one core of two cu1 gates from the ancilla, onto a window
+    assert len(ands) == kept_moved
+    # Per moved kept matchgate and pass: the AND twice, Q and Q^dag (three
+    # gates each) and one core of two cu1 gates from the ancilla, onto a window
     # line q and onto the last data line.
     pairing = len(_gates(compress._pairing_run(mu, invert=False)))
     out = list(itertools.chain(*runs))
     assert len(out) == 2 + 2 * pairing + sum(2 * len(g) + 8 for g in ands)
     cores = [run for run in runs if len(run) == 2 and {g.lines[0] for g in run} == {ancilla}]
-    assert len(cores) == 2 * moved
+    assert len(cores) == kept_moved
     for a, b in cores:
         assert a.kind == b.kind == "cu1" and 2 <= a.lines[1] <= mu and b.lines[1] == mu + 1
     # Each AND is emitted twice (compute, uncompute), and nothing else
     # targets the work ancilla.
     to_ancilla = sum(1 for g in out if g.lines[-1] == ancilla)
     assert to_ancilla == sum(2 * sum(g.lines[-1] == ancilla for g in a) for a in ands)
+
+
+def _haar_mg(rng, k: int) -> GateApp:
+    return GateApp("mg", (k,), randgen.random_matchgate_params(rng))
+
+
+def test_a_matchgate_folds_into_its_pair_past_distant_matchgates():
+    # Pairs 5 and 6 share no dimension with pair 2, so the rot and its
+    # inverse meet, their product is the identity, and neither is compiled.
+    rng = np.random.default_rng(24)
+    rot, inverse = GateApp("rot", (2,), (3.0, 0.7)), GateApp("rot", (2,), (3.0, -0.7))
+    core = (_haar_mg(rng, 5), _haar_mg(rng, 6))
+    c = MatchgateCircuit(8, (rot, *core, inverse), "0" * 8, 1, allow_idle=True)
+    bare = MatchgateCircuit(8, core, "0" * 8, 1, allow_idle=True)
+    assert compress_circuit(c).gates == compress_circuit(bare).gates
+
+
+def test_a_matchgate_on_a_neighbouring_pair_keeps_both_apart():
+    # A gate on pair 3 overlaps window 2, so both rots are compiled, in
+    # each pass.
+    rng = np.random.default_rng(24)
+    rot, inverse = GateApp("rot", (2,), (3.0, 0.7)), GateApp("rot", (2,), (3.0, -0.7))
+    core = (_haar_mg(rng, 5), _haar_mg(rng, 3), _haar_mg(rng, 6))
+    c = MatchgateCircuit(8, (rot, *core, inverse), "0" * 8, 1, allow_idle=True)
+    bare = MatchgateCircuit(8, core, "0" * 8, 1, allow_idle=True)
+    out = compress_circuit(c)
+    assert len(out.gates) == len(compress_circuit(bare).gates) + 2 * 2 * _per_kept(2, 4)
+    assert abs(expectation_z(run_statevector(out), 1) - simulate_expectation(bare)) <= 1e-12
+
+
+def test_matchgates_in_two_runs_are_not_fused():
+    # Alternating pairs 4 and 5 fill the first run but its last gate; a rot
+    # on pair 1 closes it, and its inverse opens the next run.  Fusion stays
+    # within a run, so both are compiled, in each pass; one gate earlier,
+    # both fall in the first run and cancel.
+    rng = np.random.default_rng(25)
+    fill = tuple(_haar_mg(rng, 4 + i % 2) for i in range(_ROTATION_RUN - 1))
+    rot, inverse = GateApp("rot", (1,), (1.0, 0.4)), GateApp("rot", (1,), (1.0, -0.4))
+    split = MatchgateCircuit(8, (*fill, rot, inverse), "0" * 8, 1, allow_idle=True)
+    within = MatchgateCircuit(8, (*fill[:-1], rot, inverse, fill[-1]), "0" * 8, 1, allow_idle=True)
+    bare = len(compress_circuit(MatchgateCircuit(8, fill, "0" * 8, 1, allow_idle=True)).gates)
+    assert len(compress_circuit(split).gates) == bare + 2 * 2 * _per_kept(1, 4)
+    assert len(compress_circuit(within).gates) == bare
+
+
+def test_fused_matchgates_on_two_far_pairs_keep_the_readout():
+    # Width 4 has pairs 1, 2 and 3; with no gate on pair 2, each run
+    # compiles as one product on pair 1 and one on pair 3.
+    rng = np.random.default_rng(26)
+    gates = tuple(_haar_mg(rng, int(k)) for k in rng.choice([1, 3], 500))
+    c = MatchgateCircuit(4, gates, "0000", 1)
+    out = compress_circuit(c)
+    got, want = expectation_z(run_statevector(out), 1), expectation_z(run_statevector(c), 1)
+    assert abs(got - want) <= 1e-9
 
 
 _EXAMPLE_MG = randgen.random_matchgate_params(np.random.default_rng(32))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matchgates import circuits, randgen
 from matchgates.circuits import GateApp, MatchgateCircuit
@@ -33,29 +35,43 @@ def test_odd_weight_input_borrows_one_extra_line():
     assert std.width == 4
     assert std.input == "0000"
     assert std.allow_idle
-    # Pair raised on the bottom lines, one of them walked up to line 1.
+    # The one on line 1 pairs with the borrowed line 4: raised on lines 1
+    # and 2, the second one walked down to line 4.
     assert std.gates[:3] == (
-        GateApp("gxx", (3,)),
+        GateApp("gxx", (1,)),
         GateApp("w", (2,)),
-        GateApp("w", (1,)),
+        GateApp("w", (3,)),
     )
     assert std.gates[3:] == core
 
 
-def test_standard_form_preserves_the_readout_distribution(rng):
-    for _ in range(25):
-        n = int(rng.integers(2, 7))
-        size = int(rng.integers(n, 30))
-        bits = "".join(str(b) for b in rng.integers(0, 2, n))
-        k = int(rng.integers(1, n + 1))
-        c = randgen.random_matchgate_circuit(
-            n, size, rng, input_bits=bits, measure_line=k
-        )
-        std = standardize(c)
-        assert std.input == "0" * std.width
-        assert std.measure_line == 1
-        # Fast simulation path on both sides.
-        assert abs(simulate_expectation(c) - simulate_expectation(std)) <= 1e-10
+@st.composite
+def _instances(draw):
+    # Any input bits and measure line on widths 2..10, covering or not.
+    n = draw(st.integers(2, 10))
+    bits = "".join(draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n)))
+    k = draw(st.integers(1, n))
+    size = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return randgen.random_matchgate_circuit(n, size, rng, bits, k, cover=draw(st.booleans()))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_instances())
+@example(randgen.random_matchgate_circuit(10, 12, np.random.default_rng(1), "1" * 10, 10))
+# One odd one on line 1 walks to the borrowed line: the 2n - 1 bound, met.
+@example(randgen.random_matchgate_circuit(10, 12, np.random.default_rng(2), "1" + "0" * 9, 10))
+def test_standard_form_preserves_the_readout_distribution(c):
+    n = c.width
+    std = standardize(c)
+    assert std.input == "0" * std.width
+    assert std.measure_line == 1
+    added = len(std.gates) - len(c.gates)
+    assert added <= 2 * n - 1
+    assert added <= STANDARD_SIZE_CONSTANT * n * n + n
+    # Fast simulation path on both sides.
+    assert abs(simulate_expectation(c) - simulate_expectation(std)) <= 1e-10
+    if n <= 8:
         # Dense statevector oracle on both sides.
         report = verify_equivalent(c, std, tol=1e-10)
         assert report.passed, report.line()
