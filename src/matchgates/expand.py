@@ -29,12 +29,20 @@ The output width is n = 2^{m+2} / 2 = 2^{m+1}, i.e. exactly 2^{m+1} lines.
 Exponential by design; guarded at EXPAND_MAX_WIDTH input qubits, and at
 EXPAND_MAX_GATES emitted gates, counted exactly before any is emitted.
 
-The output is one GateColumns table, built as arrays with no GateApp per
-emitted gate: the Z_A layer, then per gate its swap network and the `rot`
-gates of the first block of pairs, repeated for every other block with
-the block's offset added to the lines.  The map from a plane rotation to
-its `rot` gate is `_rot_gates`, shared with the public
-`two_level_to_matchgates`.
+Each stage runs once over the whole circuit, as arrays, with no GateApp
+per emitted gate.  A short walk over the gates, last first, fixes every
+layout.  The gates of one matrix size are realified as one stack, checked
+once (`_realify`) and factored by one `algebra.givens_factor` call.  One
+table of where each rebit moves gives every pair permutation
+(`_bit_permutations`); their per-position left moves (`_left_moves`) give
+both the exact count for the guard and the swap networks (`_networks`).
+One `_rot_gates` call lifts every factor to the `rot` gates of its gate's
+first block of pairs, which are copied to the other blocks with the
+block's offset added to the lines, and one stable sort by gate puts each
+swap network before its gate's `rot` gates, after the Z_A layer.
+`realify_gate`, `pair_permutation`, `inversion_count` and `swap_network`
+are the one-gate case of the same helpers; `_rot_gates` also serves the
+public `two_level_to_matchgates`.
 
 Rebit register (width m + 2): lines 1..m carry the original qubits, line
 m+1 is the realification rebit B, line m+2 (least significant) is the
@@ -73,10 +81,12 @@ from .circuits import (
 )
 
 EXPAND_MAX_WIDTH = 4
-# The guard under --force: 5 Haar u2 gates at 8 qubits emit 134k gates (0.5 s, 44 MiB, 2-core VM).
+# The guard under --force: `expand --force` of 5 Haar u2 gates at 8 qubits emits 132k gates
+# (0.34 s, 50 MiB peak RSS, 2-core VM).
 EXPAND_FORCED_MAX_WIDTH = 8
 # expand refuses, before emitting anything, a circuit that would emit more
-# gates than this: 100 Haar u2 gates at 8 qubits emit 1.97M gates (4.0 s, 223 MiB peak RSS, 2-core VM).
+# gates than this: `expand --force` of 95 Haar u2 gates at 8 qubits emits 1.94M gates
+# (1.3 s, 233 MiB peak RSS, 2-core VM).
 EXPAND_MAX_GATES = 2_000_000
 
 # YT = iY: the real rotation by which realification represents multiplication
@@ -127,6 +137,30 @@ class RealGate:
         object.__setattr__(self, "matrix", m)
 
 
+def _realify(u: np.ndarray) -> np.ndarray:
+    """Re(u) (x) 1 - Im(u) (x) YT for every unitary of a (count, s, s) stack.
+
+    Broadcasting takes the same products as np.kron.  The stack is checked
+    at once: every input unitary (ValueError), every result orthogonal
+    (ValueError) and in SO, its determinant +1 = |det u|^2, which is
+    asserted rather than corrected (RuntimeError).
+    """
+    dev = algebra.unitary_deviation(u)
+    bad = np.flatnonzero(~(dev <= algebra.TOL_UNITARY))  # NaN fails
+    if bad.size:
+        raise ValueError(f"input not unitary (deviation {dev[bad[0]]:.3g})")
+    count, s = u.shape[:2]
+    re, im = u.real[:, :, None, :, None], u.imag[:, :, None, :, None]
+    out = (re * np.eye(2)[:, None] - im * YTILDE[:, None]).reshape(count, 2 * s, 2 * s)
+    dev = algebra.unitary_deviation(out)
+    bad = np.flatnonzero(~(dev <= algebra.TOL_ORTHOGONAL))
+    if bad.size:
+        raise ValueError(f"matrix not orthogonal (deviation {dev[bad[0]]:.3g})")
+    if (np.linalg.det(out) < 0.0).any():
+        raise RuntimeError("realified gate left SO; its determinant should be +1")
+    return out
+
+
 def realify_gate(u: np.ndarray, lines: tuple[int, ...]) -> RealGate:
     """The real orthogonal gate Re(u) (x) 1 - Im(u) (x) YT.
 
@@ -139,41 +173,58 @@ def realify_gate(u: np.ndarray, lines: tuple[int, ...]) -> RealGate:
     k = len(lines) - 1
     if u.shape != (2**k, 2**k):
         raise ValueError(f"unitary shape {u.shape} does not match {k} qubits + B")
-    dev = algebra.unitary_deviation(u)
-    if not dev <= algebra.TOL_UNITARY:
-        raise ValueError(f"input not unitary (deviation {dev:.3g})")
-    out = np.kron(u.real, np.eye(2)) - np.kron(u.imag, YTILDE)
-    if np.linalg.det(out) < 0.0:
-        raise RuntimeError("realified gate left SO; its determinant should be +1")
-    return RealGate(out, tuple(lines))
+    return RealGate(_realify(u[None])[0], tuple(lines))
 
 
-def _permute_lines(u: np.ndarray, lines: tuple[int, ...], target: tuple[int, ...]) -> np.ndarray:
-    """Reorder a gate's tensor factors from the line order `lines` to `target`."""
-    order = [lines.index(q) for q in target]
-    if order == sorted(order):
-        return u
-    j = len(lines)
-    t = u.reshape((2,) * (2 * j)).transpose(order + [j + o for o in order])
-    return t.reshape(2**j, 2**j)
+def _bit_permutations(new_pos: np.ndarray) -> np.ndarray:
+    """Row g: entry x is where index x of 2^w goes when its w bits, listed
+    from the most significant down, move from position t to new_pos[g, t]."""
+    count, width = new_pos.shape
+    x = np.arange(2**width)
+    out = np.zeros((count, x.size), dtype=np.int64)
+    for old in range(width):
+        out |= (x >> (width - 1 - old) & 1) << (width - 1 - new_pos[:, old, None])
+    return out
 
 
 def pair_permutation(before: tuple[int, ...], after: tuple[int, ...]) -> np.ndarray:
     """Where each line pair goes when the rebit lines, listed from the most
     significant pair-index bit down, are reordered from `before` to `after`:
     entry x is the new 0-based index of the pair now at index x."""
-    width = len(before)
-    x = np.arange(2**width)
-    out = np.zeros_like(x)
-    for old, q in enumerate(before):
-        new = after.index(q)
-        out |= (x >> (width - 1 - old) & 1) << (width - 1 - new)
+    return _bit_permutations(np.array([[after.index(q) for q in before]], dtype=np.int64))[0]
+
+
+def _left_moves(perms: np.ndarray) -> np.ndarray:
+    """Entry (g, i) is #{x < i : perms[g, x] > perms[g, i]}: how many places
+    an insertion sort of row g moves its entry at i to the left.
+
+    Rows of P entries are compared in batches of at most EXPAND_MAX_GATES
+    comparisons (one row when P^2 is larger), so the memory taken stays
+    below that of the largest circuit expand emits, whatever the row count.
+    """
+    count, size = perms.shape
+    earlier = np.triu(np.ones((size, size), dtype=bool), 1)
+    step = max(1, EXPAND_MAX_GATES // size**2)
+    out = np.empty_like(perms)
+    for lo in range(0, count, step):
+        part = perms[lo : lo + step]
+        out[lo : lo + step] = ((part[:, :, None] > part[:, None, :]) & earlier).sum(axis=1)
     return out
+
+
+def _networks(moves: np.ndarray) -> np.ndarray:
+    """The lines of the `w` gates of insertion sorts, one sort per row of
+    `moves` (the _left_moves of its permutation), end to end: the entry at
+    position i moves left on lines i, i-1, ..., i - moves[i] + 1."""
+    c = moves.ravel()
+    starts = np.cumsum(c) - c
+    first = (np.arange(moves.shape[-1]) + starts.reshape(moves.shape)).ravel()
+    return np.repeat(first, c) - np.arange(c.sum())
 
 
 def inversion_count(perm: np.ndarray) -> int:
     """The pairs x < y with perm[x] > perm[y]: how many adjacent swaps sort perm."""
-    return int(np.count_nonzero(np.triu(perm[:, None] > perm[None, :])))
+    return int(_left_moves(np.asarray(perm)[None]).sum())
 
 
 def swap_network(perm: np.ndarray) -> list[int]:
@@ -183,16 +234,7 @@ def swap_network(perm: np.ndarray) -> list[int]:
     swaps are the adjacent transpositions of an insertion sort of perm, one
     per inversion.
     """
-    order = perm.tolist()
-    lines: list[int] = []
-    for i in range(1, len(order)):
-        item, j = order[i], i
-        while j and order[j - 1] > item:
-            order[j] = order[j - 1]
-            lines.append(j)
-            j -= 1
-        order[j] = item
-    return lines
+    return _networks(_left_moves(np.asarray(perm)[None])).tolist()
 
 
 # The rot plane (1..6, algebra.PLANES) of window dimensions (a, b), at
@@ -268,59 +310,87 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
     # each gate the layout moves the gate's rebits (other than A) to the
     # lowest pair-index bits, so the pairs split into blocks of 2^j adjacent
     # pairs, one per assignment of the spectator lines, on which the gate
-    # acts alike.  Each gate is factored once into plane rotations, all gates
-    # of one matrix size in one call, and its factors lifted to the gates of
-    # the first block; the other blocks, which commute with it, get the same
-    # gates shifted.
-    layout = tuple(range(1, m + 2))  # rebit lines, most significant pair-index bit first
-    plan: list[tuple[np.ndarray, bool, int]] = []  # (pair moves, A in the gate, block size)
-    reals: list[np.ndarray] = []
+    # acts alike.  The walk records, per gate, where each layout rebit moves
+    # and where each of the gate's local rebits sits in its own line order.
     table = widened.gates.table
-    for gate_lines, u in zip(reversed(table.line_tuples()), reversed(gate_matrices(table))):
+    layout = tuple(range(1, m + 2))  # rebit lines, most significant pair-index bit first
+    new_pos, local_pos, with_a, block = [], [], [], []
+    for gate_lines in reversed(table.line_tuples()):
         lines = tuple(l if l <= m else a_line for l in gate_lines) + (b_line,)
-        rg = realify_gate(u, lines)
         moved = tuple(q for q in layout if q in lines)
         after = tuple(q for q in layout if q not in lines) + moved
         local = moved + ((a_line,) if a_line in lines else ())
-        reals.append(_permute_lines(rg.matrix.T, rg.lines, local))
-        plan.append((pair_permutation(layout, after), a_line in lines, 2 ** len(moved)))
+        new_pos.append([after.index(q) for q in layout])
+        local_pos.append([lines.index(q) for q in local])
+        with_a.append(a_line in lines)
+        block.append(2 ** len(moved))
         layout = after
-    factors: list[list[algebra.PlaneRotation]] = [[] for _ in reals]
-    for d in {len(real) for real in reals}:
-        same = [i for i, real in enumerate(reals) if len(real) == d]
-        for i, fs in zip(same, algebra.givens_factor(np.stack([reals[i] for i in same]))):
+    with_a, block = np.array(with_a), np.array(block)
+
+    # Realify and factor all gates of one matrix size at once.  Transposing
+    # and reordering a gate's tensor factors to its local rebits only
+    # reindexes it: entry (r, c) is realified entry (pi(c), pi(r)).
+    mats = gate_matrices(table)[::-1]
+    factors: list[list[algebra.PlaneRotation]] = [[] for _ in mats]
+    for s in {len(u) for u in mats}:
+        same = [i for i, u in enumerate(mats) if len(u) == s]
+        real = _realify(np.stack([mats[i] for i in same]))
+        pi = _bit_permutations(np.array([local_pos[i] for i in same]))
+        real = real[np.arange(len(same))[:, None, None], pi[:, None, :], pi[:, :, None]]
+        for i, fs in zip(same, algebra.givens_factor(real)):
             factors[i] = fs
+
+    # The route: an insertion sort of each gate's pair permutation, whose
+    # entry at i moves left once per earlier larger entry (_left_moves,
+    # which bounds the memory its comparisons take).
+    moves = _left_moves(_bit_permutations(np.array(new_pos)))
 
     # The Z_A layer emits one local gate per pair; a gate its swap network
     # and, per block, one gate per factor with A in the gate, two without.
-    emitted = n // 2 + sum(
-        inversion_count(moves) + n // block * len(fs) * (1 if with_a else 2)
-        for (moves, with_a, block), fs in zip(plan, factors)
-    )
+    swaps = moves.sum(axis=1)
+    counts = np.array([len(fs) for fs in factors])
+    rots = counts * np.where(with_a, 1, 2)  # rot gates of the first block
+    copied = rots * (n // block)
+    emitted = n // 2 + int(swaps.sum() + copied.sum())
     if emitted > EXPAND_MAX_GATES:
         raise GuardError(f"expanding would emit {emitted} gates; guard is {EXPAND_MAX_GATES}")
 
-    # The table, as parts in circuit order: (lines, rot rows or None for w).
-    # The Z_A layer: sign-flip of both dimensions of every odd-indexed pair,
-    # written as pi-rotations in the planes (4t-2, 4t).
-    t = np.arange(1, n // 2 + 1)
-    parts = [_rot_gates(4 * t - 2, 4 * t, np.full(n // 2, math.pi), n)]
-    for (moves, with_a, block), fs in zip(plan, factors):
-        parts.append((np.array(swap_network(moves), dtype=np.int64), None))
-        a, b = np.array([(f.a, f.b) for f in fs], dtype=np.int64).reshape(-1, 2).T
-        theta = np.array([f.theta for f in fs], dtype=float)
-        if not with_a:
-            # A is a spectator: the factor acts alike on the A=0 and A=1
-            # dimensions of pairs a and a+1, planes (1,3) and (2,4) of one window.
-            a = np.stack([2 * a - 1, 2 * a], axis=1).ravel()
-            b = np.stack([2 * b - 1, 2 * b], axis=1).ravel()
-            theta = np.repeat(theta, 2)
-        lines, rows = _rot_gates(a, b, theta, block)
-        # The first block's gates, then the same gates shifted to each other block.
-        shifted = (lines + np.arange(0, n, block)[:, None]).ravel()
-        parts.append((shifted, np.tile(rows, (n // block, 1))))
+    # The first block's rot gates of every gate, in one call.  With A a
+    # spectator a factor in plane (a, a+1) acts alike on the A=0 and A=1
+    # dimensions of pairs a and a+1: planes (2a-1, 2a+1) and (2a, 2a+2),
+    # i.e. (1,3) and (2,4) of one window.
+    flat = [r for fs in factors for r in fs]
+    gates = np.arange(len(factors))
+    gate = np.repeat(gates, counts)
+    spectator = ~with_a[gate]
+    row = np.repeat(np.arange(len(flat)), 1 + spectator)  # the factor of each rot gate
+    spectator, second = spectator[row], np.diff(row, prepend=-1) == 0
+    a = np.array([r.a for r in flat], dtype=np.int64)[row]
+    a = np.where(spectator, 2 * a - 1 + second, a)
+    theta = np.array([r.theta for r in flat], dtype=float)[row]
+    first_lines, first_rows = _rot_gates(a, a + 1 + spectator, theta, block[gate[row]])
+
+    # The same gates shifted to every other block: emitted rot gate t of
+    # gate g is its first-block gate t mod rots[g], shifted by block[g] for
+    # each full round before it.
+    t = np.arange(copied.sum()) - np.repeat(np.cumsum(copied) - copied, copied)
+    rounds, t = np.divmod(t, np.repeat(rots, copied))
+    src = np.repeat(np.cumsum(rots) - rots, copied) + t
+    rot_lines = first_lines[src] + rounds * np.repeat(block, copied)
+
+    # Each gate's swap network goes before its rot gates: one stable sort
+    # by gate of the swaps, then the rot gates.
+    w_lines = _networks(moves)
+    order = np.argsort(
+        np.concatenate([np.repeat(gates, swaps), np.repeat(gates, copied)]), kind="stable"
+    )
+
+    # The Z_A layer leads: sign-flip of both dimensions of every odd-indexed
+    # pair, written as pi-rotations in the planes (4t-2, 4t).
+    z = np.arange(1, n // 2 + 1)
+    z_lines, z_rows = _rot_gates(4 * z - 2, 4 * z, np.full(n // 2, math.pi), n)
     rot, w = KIND_CODES["rot"], KIND_CODES["w"]
-    kinds = np.concatenate([np.full(len(lines), w if rows is None else rot) for lines, rows in parts])
-    lines = np.concatenate([lines for lines, _ in parts])
-    params = np.concatenate([rows.ravel() for _, rows in parts if rows is not None])
+    kinds = np.concatenate([np.full(n // 2, rot), np.where(order < len(w_lines), w, rot)])
+    lines = np.concatenate([z_lines, np.concatenate([w_lines, rot_lines])[order]])
+    params = np.concatenate([z_rows.ravel(), first_rows[src].ravel()])
     return MatchgateCircuit(n, _ParsedGates(_table(kinds, lines, params)), "0" * n, 1)

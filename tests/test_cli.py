@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, files, and exit codes."""
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -165,6 +166,24 @@ def test_readme_expand_demo_emits_170_gates(tmp_path, capsys):
     assert run_cli("expand", str(f), str(out)) == 0
     assert "out_gates=170 ratio=42.5" in capsys.readouterr().out
     assert run_cli("verify", str(out), str(f), "--lhs", "mgsim") == 0
+
+
+@pytest.mark.parametrize(
+    "width, size, seed, flags, out_gates, digest",
+    [
+        (2, 4, 7, [], 170, "0fe7baae7283dc97565e780d2806e0f44b53200006f0c311c8173232940d856e"),
+        (4, 20, 1, [], 4904, "cd4501a4670c1d404aa446c886b02c4824e093e6111989c0ca557a5ddf430ad0"),
+        (6, 10, 1, ["--force"], 17184, "5dc2b8ba7e8df84b3cb6a3e498ef57dc0d052e5b1e6c94b88af94fcfbd1ef66d"),
+    ],
+)
+def test_expand_writes_the_pinned_bytes(tmp_path, capsys, width, size, seed, flags, out_gates, digest):
+    # The same commands and sha256 digests as the CI workflow's expand step.
+    src, out = tmp_path / "in.qc", tmp_path / "out.mg"
+    assert run_cli("gen-random", "qc", str(width), str(size), str(src), "--seed", str(seed)) == 0
+    capsys.readouterr()
+    assert run_cli("expand", str(src), str(out), *flags) == 0
+    assert f"out_gates={out_gates} " in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_expand_guard_and_force(tmp_path, capsys):

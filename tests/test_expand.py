@@ -1,6 +1,6 @@
 """Compilation of general circuits into exponentially wider matchgate circuits."""
 
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,19 +280,63 @@ def test_expanded_readout_matches_the_oracle(m, seed, size, kinds, data):
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8))
 def test_expansion_emits_no_swap_but_its_networks(m, seed, size):
-    from matchgates import expand
-
+    # Walk the layout here: before each realified gate, last gate first, the
+    # gate's rebits other than A move to the lowest pair-index bits.  Every
+    # `w` gate must be one adjacent swap of the insertion sort of one such
+    # pair permutation.
     c = randgen.random_general_circuit(m, size, np.random.default_rng(seed), "0" * m, "haar")
-    networks = []
+    out = expand_circuit(c)
+    layout, swaps = tuple(range(1, m + 2)), 0
+    for g in reversed(append_w_gadget(c).gates):
+        rebits = {q for q in g.lines if q <= m} | {m + 1}
+        after = tuple(q for q in layout if q not in rebits) + tuple(q for q in layout if q in rebits)
+        swaps += inversion_count(pair_permutation(layout, after))
+        layout = after
+    assert sum(g.kind == "w" for g in out.gates) == swaps
 
-    def network_spy(perm):
-        networks.append(swap_network(perm))
-        return networks[-1]
 
-    with mock.patch.object(expand, "swap_network", network_spy):
-        out = expand_circuit(c)
-    assert len(networks) == size + 1  # one per gate and one for the gadget
-    assert sum(g.kind == "w" for g in out.gates) == sum(map(len, networks))
+def _insertion_sort_swaps(perm) -> list[int]:
+    """The line k (1-based, swapping pairs k and k+1) of each adjacent swap
+    an insertion sort of perm makes."""
+    order, lines = list(perm), []
+    for i in range(1, len(order)):
+        j = i
+        while j and order[j - 1] > order[j]:
+            order[j - 1], order[j] = order[j], order[j - 1]
+            lines.append(j)
+            j -= 1
+    return lines
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    perm=st.one_of(
+        st.integers(1, 512).flatmap(lambda n: st.permutations(range(n))),
+        st.integers(1, 9).flatmap(
+            lambda w: st.tuples(st.permutations(range(w)), st.permutations(range(w)))
+        ).map(lambda pair: pair_permutation(*pair).tolist()),
+    )
+)
+def test_swap_network_is_the_insertion_sort(perm):
+    perm = np.array(perm)
+    want = _insertion_sort_swaps(perm.tolist())
+    assert swap_network(perm) == want
+    assert inversion_count(perm) == len(want)
+
+
+def test_guard_refuses_before_allocating_the_expansion():
+    # 150 Haar gates at 8 qubits would emit about 2.6M gates; the refusal,
+    # counted exactly, must come before anything near that size (or the
+    # gates x pairs^2 comparisons, about 39 MiB) is allocated.
+    c = randgen.random_general_circuit(8, 150, np.random.default_rng(1), kinds="haar")
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError, match="would emit"):
+            expand_circuit(c, width_guard=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak
 
 
 def _balanced_circuit(m: int, rng) -> GeneralCircuit:
