@@ -1,17 +1,23 @@
 """Compile a general circuit into an exponentially wider matchgate circuit.
 
-An m-qubit general circuit, measured in Z on line 1, is converted in three
+An m-qubit general circuit, measured in Z on line 1, is converted in four
 steps:
 
-  1. a gadget `w` on lines (1, m+1) of an (m+1)-qubit register makes the
+  1. the basis input is folded into x gates before the circuit, and the
+     gates are fused into blocks of one or two qubits (`_blocks`): a gate
+     joins the last block on its lines when that block is the last on all
+     of them, and otherwise starts a block on its own lines that takes in
+     the one-qubit blocks last on them.  Each block's unitary is the product
+     of its gates, formed for all blocks at once (`_fused`);
+  2. a gadget `w` on lines (1, m+1) of an (m+1)-qubit register makes the
      line-1 readout of the original circuit appear as the expectation of a
      *real* observable of the widened circuit, so complex amplitudes can be
-     traded for one extra qubit;
-  2. every gate, and the gadget itself, is turned real ("realified"): a
+     traded for one extra qubit.  The gadget stays a gate of its own;
+  3. every block, and the gadget, is turned real ("realified"): a
      unitary U on K qubits becomes the real orthogonal
      Re(U) (x) 1  -  Im(U) (x) YT on K+1 rebits, where YT = [[0, 1], [-1, 0]]
      and the extra rebit B is shared by all gates;
-  3. the resulting real orthogonal operator on m+2 rebits, dimension
+  4. the resulting real orthogonal operator on m+2 rebits, dimension
      2n = 2^{m+3}, is realized as the rotation of a width-n matchgate
      circuit.  Rebit A is always the in-pair bit of a rotation dimension;
      lines 1..m+1 are the bits of the line pair's index, in a *layout* that
@@ -25,15 +31,20 @@ steps:
      line window, and with A a spectator it is two, planes (1,3) and (2,4)
      of the window of pairs a and a+1.
 
+Fewer, wider gates give fewer `rot` factors and fewer swap networks, and the
+route starts from the first-use layout (`_first_use_layout`): B lowest, then
+the qubits in the order the walk, last gate first, first touches them, so
+the first gates routed need few swaps or none.
+
 The output width is n = 2^{m+2} / 2 = 2^{m+1}, i.e. exactly 2^{m+1} lines.
 Exponential by design; guarded at EXPAND_MAX_WIDTH input qubits, and at
 EXPAND_MAX_GATES emitted gates, counted exactly before any is emitted.
 
 Each stage runs once over the whole circuit, as arrays, with no GateApp
-per emitted gate.  A short walk over the gates, last first, fixes every
-layout.  The gates of one matrix size are realified as one stack, checked
-once (`_realify`) and factored by one `algebra.givens_factor` call.  One
-table of where each rebit moves gives every pair permutation
+per emitted gate.  A short walk over the blocks, last first, fixes every
+layout (`_walk`).  The blocks of one matrix size are realified as one stack,
+checked once (`_realify`) and factored by one `algebra.givens_factor` call.
+One table of where each rebit moves gives every pair permutation
 (`_bit_permutations`); their per-position left moves (`_left_moves`) give
 both the exact count for the guard and the swap networks (`_networks`).
 One `_rot_gates` call lifts every factor to the `rot` gates of its gate's
@@ -47,14 +58,15 @@ public `two_level_to_matchgates`.
 Rebit register (width m + 2): lines 1..m carry the original qubits, line
 m+1 is the realification rebit B, line m+2 (least significant) is the
 gadget rebit A.  The matchgate circuit's rotation is assembled as
-P V_hat^T . Z_A, where V_hat is the realified widened circuit, Z_A flips
-the sign of every odd rotation dimension pair, and P is the pair
-permutation of the final layout; the transpose and the Z_A layer together
-make the matchgate readout reproduce <Z_1> exactly rather than up to sign.
-The layout is never undone: a pair permutation moves whole pairs without
-signs and keeps pair 1 (index 0 in every layout) in place, so P leaves the
-rows of line 1's readout as they are, and it would equally leave the
-all-zero input's pairing matrix unchanged on the input side.
+P V_hat^T Q . Z_A, where V_hat is the realified widened circuit, Z_A flips
+the sign of every odd rotation dimension pair, and P and Q^T are the pair
+permutations of the final and the start layout; the transpose and the Z_A
+layer together make the matchgate readout reproduce <Z_1> exactly rather
+than up to sign.  A pair permutation moves whole pairs without signs and
+keeps pair 1 (index 0 in every layout) in place, so P leaves the rows of
+line 1's readout as they are, and Q, which commutes with Z_A, leaves the
+all-zero input's pairing matrix unchanged: the start layout is free, and
+the layout is never undone.
 """
 
 from __future__ import annotations
@@ -71,7 +83,6 @@ from .circuits import (
     KIND_CODES,
     GuardError,
     MatchgateCircuit,
-    _mark_valid,
     _ParsedGates,
     _require_flavor,
     _table,
@@ -81,12 +92,12 @@ from .circuits import (
 )
 
 EXPAND_MAX_WIDTH = 4
-# The guard under --force: `expand --force` of 5 Haar u2 gates at 8 qubits emits 132k gates
-# (0.34 s, 50 MiB peak RSS, 2-core VM).
+# The guard under --force: `expand --force` of 5 Haar u2 gates at 8 qubits emits 51k gates
+# (0.05 s, 44 MiB peak RSS, 2-core VM).
 EXPAND_FORCED_MAX_WIDTH = 8
 # expand refuses, before emitting anything, a circuit that would emit more
-# gates than this: `expand --force` of 95 Haar u2 gates at 8 qubits emits 1.94M gates
-# (1.3 s, 233 MiB peak RSS, 2-core VM).
+# gates than this: `expand --force` of 115 Haar u2 gates at 8 qubits emits 1.92M gates
+# (0.8 s, 230 MiB peak RSS, 2-core VM).
 EXPAND_MAX_GATES = 2_000_000
 
 # YT = iY: the real rotation by which realification represents multiplication
@@ -281,6 +292,144 @@ def two_level_to_matchgates(a: int, b: int, theta: float, n: int) -> list[GateAp
     return [GateApp("rot", (int(k[0]),), tuple(rows[0].tolist()))]
 
 
+def _blocks(gate_lines: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Gates grouped, in order, into blocks of one or two lines whose
+    product, block after block, is the gates' product: each block's lines
+    and the indices of its gates, in gate order.
+
+    A gate joins the last block on its lines when that block is the last on
+    all of them, and so covers them.  Otherwise it starts a block on its own
+    lines, which first takes in the last block of each of them if that block
+    has one line: nothing after such a block touches its line, so its gates
+    commute up to the gate.  A block keeps the lines of the gate that
+    started it, so no block spans more than two lines.
+    """
+    lines_of: list[tuple[int, ...]] = []
+    members: list[list[int] | None] = []
+    last: dict[int, int] = {}  # line -> the last block on it
+    for i, lines in enumerate(gate_lines):
+        owners = {last.get(q) for q in lines}
+        if len(owners) == 1 and None not in owners:
+            members[owners.pop()].append(i)
+            continue
+        taken: list[int] = []
+        for q in lines:
+            b = last.get(q)
+            if b is not None and len(lines_of[b]) == 1:
+                taken += members[b]
+                members[b] = None
+            last[q] = len(lines_of)
+        lines_of.append(lines)
+        members.append(taken + [i])
+    return [(lines, gates) for lines, gates in zip(lines_of, members) if gates is not None]
+
+
+def _products(mats: np.ndarray, run: np.ndarray) -> np.ndarray:
+    """The product M_last @ ... @ M_first of each run of equal entries of
+    `run` in a (N, d, d) stack, one matrix per run, in order.
+
+    Each round multiplies every pair of neighbours in one run with one
+    stacked matmul, so a run of N factors takes log2(N) rounds and no
+    product is taken gate by gate.
+    """
+    while (run[1:] == run[:-1]).any():
+        at = np.arange(len(run))
+        first = np.r_[True, run[1:] != run[:-1]]
+        keep = (at - np.maximum.accumulate(np.where(first, at, 0))) % 2 == 0
+        paired = keep & np.r_[~first[1:], False]  # with a right neighbour in its run
+        lead = np.flatnonzero(paired)
+        out = mats[keep]
+        out[paired[keep]] = mats[lead + 1] @ mats[lead]
+        mats, run = out, run[keep]
+    return mats
+
+
+# The basis order of a two-line gate read with its lines exchanged.
+_EXCHANGED = [0, 2, 1, 3]
+
+
+def _fused(
+    gate_lines: list[tuple[int, ...]], mats: list[np.ndarray]
+) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
+    """The lines and unitaries of the `_blocks` of gates with these lines
+    and matrices.  A block's unitary is the product of its gates' matrices,
+    each embedded in the block's lines; the products of all blocks of one
+    width are formed at once (`_products`)."""
+    blocks = _blocks(gate_lines)
+    out: list[np.ndarray] = [None] * len(blocks)
+    for width in (1, 2):
+        which = [b for b, (lines, _) in enumerate(blocks) if len(lines) == width]
+        if not which:
+            continue
+        gates = [i for b in which for i in blocks[b][1]]
+        run = np.repeat(np.arange(len(which)), [len(blocks[b][1]) for b in which])
+        if width == 1:
+            stack = np.stack([mats[i] for i in gates])
+        else:
+            # Where each gate sits in its block: 0 on the block's lines, 1 on
+            # them exchanged, 2 on the first line alone, 3 on the second.
+            place = []
+            for b in which:
+                lines, members = blocks[b]
+                for g in (gate_lines[i] for i in members):
+                    place.append(g != lines if len(g) == 2 else 2 + (g[0] != lines[0]))
+            place = np.array(place)
+            stack = np.empty((len(gates), 4, 4), dtype=complex)
+            two = np.flatnonzero(place < 2)
+            if two.size:
+                u = np.stack([mats[gates[k]] for k in two])
+                swapped = place[two] == 1
+                u[swapped] = u[swapped][:, _EXCHANGED][:, :, _EXCHANGED]
+                stack[two] = u
+            one = np.flatnonzero(place >= 2)
+            if one.size:
+                u, eye = np.stack([mats[gates[k]] for k in one]), np.eye(2)
+                high = (place[one] == 2)[:, None, None, None, None]
+                kron = np.where(
+                    high, np.einsum("nij,kl->nikjl", u, eye), np.einsum("ij,nkl->nikjl", eye, u)
+                )
+                stack[one] = kron.reshape(-1, 4, 4)
+        for b, u in zip(which, _products(stack, run)):
+            out[b] = u
+    return [lines for lines, _ in blocks], out
+
+
+def _first_use_layout(gate_lines: list[tuple[int, ...]], m: int) -> tuple[int, ...]:
+    """The start layout of the route (rebits 1..m and B = m+1, most
+    significant pair-index bit first): the qubits the walk, last gate first,
+    never touches, then the others, the first touched lowest, then B.
+    Qubit m+1 of `gate_lines` is the gadget's, rebit A."""
+    used = dict.fromkeys(q for lines in reversed(gate_lines) for q in lines if q <= m)
+    return (*(q for q in range(1, m + 1) if q not in used), *reversed(used), m + 1)
+
+
+def _walk(
+    gate_lines: list[tuple[int, ...]], m: int, layout: tuple[int, ...]
+) -> tuple[list[list[int]], list[list[int]], np.ndarray, np.ndarray]:
+    """The route's layouts, walked last gate first from the start `layout`.
+
+    Before each realified gate the layout moves the gate's rebits (other
+    than A) to the lowest pair-index bits, so the pairs split into blocks of
+    2^j adjacent pairs, one per assignment of the spectator lines, on which
+    the gate acts alike.  Per gate, in walk order: where each layout rebit
+    moves, where each of the gate's local rebits sits in its own line order,
+    whether rebit A is in the gate, and its block of pairs.
+    """
+    a_line, b_line = m + 2, m + 1
+    new_pos, local_pos, with_a, block = [], [], [], []
+    for lines in reversed(gate_lines):
+        lines = tuple(l if l <= m else a_line for l in lines) + (b_line,)
+        moved = tuple(q for q in layout if q in lines)
+        after = tuple(q for q in layout if q not in lines) + moved
+        local = moved + ((a_line,) if a_line in lines else ())
+        new_pos.append([after.index(q) for q in layout])
+        local_pos.append([lines.index(q) for q in local])
+        with_a.append(a_line in lines)
+        block.append(2 ** len(moved))
+        layout = after
+    return new_pos, local_pos, np.array(with_a), np.array(block)
+
+
 def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH) -> MatchgateCircuit:
     """Compile an m-qubit general circuit to a 2^{m+1}-line matchgate circuit.
 
@@ -297,40 +446,22 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
             f"expanding {m} qubits needs 2^{m + 1} lines; guard is {width_guard} qubits"
         )
 
-    # Fold the basis input into x gates, then append the readout gadget.
+    # Fold the basis input into x gates, fuse, then append the readout gadget.
     prefix = [GateApp("x", (q + 1,)) for q, c in enumerate(circuit.input) if c == "1"]
-    widened = append_w_gadget(
-        _mark_valid(GeneralCircuit(m, _ParsedGates(prefix, circuit.gates), "0" * m))
-    )
+    table = _ParsedGates(prefix, circuit.gates).table
+    gate_lines, mats = _fused(table.line_tuples(), gate_matrices(table))
+    gate_lines.append((1, m + 1))
+    mats.append(W_GADGET.astype(complex))
 
-    a_line, b_line = m + 2, m + 1
+    # V_hat^T: the realified gates, transposed, in reverse order, each routed
+    # from a start layout that puts the qubits lowest in order of first use.
     n = 2 ** (m + 1)
-
-    # V_hat^T: the realified gates, transposed, in reverse order.  Before
-    # each gate the layout moves the gate's rebits (other than A) to the
-    # lowest pair-index bits, so the pairs split into blocks of 2^j adjacent
-    # pairs, one per assignment of the spectator lines, on which the gate
-    # acts alike.  The walk records, per gate, where each layout rebit moves
-    # and where each of the gate's local rebits sits in its own line order.
-    table = widened.gates.table
-    layout = tuple(range(1, m + 2))  # rebit lines, most significant pair-index bit first
-    new_pos, local_pos, with_a, block = [], [], [], []
-    for gate_lines in reversed(table.line_tuples()):
-        lines = tuple(l if l <= m else a_line for l in gate_lines) + (b_line,)
-        moved = tuple(q for q in layout if q in lines)
-        after = tuple(q for q in layout if q not in lines) + moved
-        local = moved + ((a_line,) if a_line in lines else ())
-        new_pos.append([after.index(q) for q in layout])
-        local_pos.append([lines.index(q) for q in local])
-        with_a.append(a_line in lines)
-        block.append(2 ** len(moved))
-        layout = after
-    with_a, block = np.array(with_a), np.array(block)
+    new_pos, local_pos, with_a, block = _walk(gate_lines, m, _first_use_layout(gate_lines, m))
 
     # Realify and factor all gates of one matrix size at once.  Transposing
     # and reordering a gate's tensor factors to its local rebits only
     # reindexes it: entry (r, c) is realified entry (pi(c), pi(r)).
-    mats = gate_matrices(table)[::-1]
+    mats = mats[::-1]
     factors: list[list[algebra.PlaneRotation]] = [[] for _ in mats]
     for s in {len(u) for u in mats}:
         same = [i for i, u in enumerate(mats) if len(u) == s]

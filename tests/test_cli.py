@@ -4,6 +4,7 @@ import hashlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,22 +160,23 @@ def test_expand_reaches_the_exponential_width(tmp_path, capsys):
     assert run_cli("verify", str(f), str(out), "--tol", "1e-8") == 0
 
 
-def test_readme_expand_demo_emits_170_gates(tmp_path, capsys):
+def test_readme_expand_demo_emits_102_gates(tmp_path, capsys):
     f, out = tmp_path / "demo_small.qc", tmp_path / "demo_wide.mg"
     assert run_cli("gen-random", "qc", "2", "4", str(f), "--seed", "7") == 0
     capsys.readouterr()
     assert run_cli("expand", str(f), str(out)) == 0
-    assert "out_gates=170 ratio=42.5" in capsys.readouterr().out
+    assert "out_gates=102 ratio=25.5" in capsys.readouterr().out
     assert run_cli("verify", str(out), str(f), "--lhs", "mgsim") == 0
 
 
 @pytest.mark.parametrize(
     "width, size, seed, flags, out_gates, digest",
     [
-        (2, 4, 7, [], 170, "0fe7baae7283dc97565e780d2806e0f44b53200006f0c311c8173232940d856e"),
-        (4, 20, 1, [], 4904, "cd4501a4670c1d404aa446c886b02c4824e093e6111989c0ca557a5ddf430ad0"),
-        (6, 10, 1, ["--force"], 17184, "5dc2b8ba7e8df84b3cb6a3e498ef57dc0d052e5b1e6c94b88af94fcfbd1ef66d"),
+        (2, 4, 7, [], 102, "390e4309d1db73f858908d891aa6ebcd1798b7fd9620d33442f88ae8d14e2046"),
+        (4, 20, 1, [], 3912, "fa2ebe128724c03fd553df92543293bf9e1b89b6d40c0f8dc8b4925c81252abd"),
+        (6, 10, 1, ["--force"], 12032, "1c435ae5f2179ca0cdef3996375cf69fc5ae825bbc301a6a42588014752e6079"),
     ],
+    ids=["demo_wide", "e", "f"],
 )
 def test_expand_writes_the_pinned_bytes(tmp_path, capsys, width, size, seed, flags, out_gates, digest):
     # The same commands and sha256 digests as the CI workflow's expand step.
@@ -202,7 +204,7 @@ def test_expand_guard_and_force(tmp_path, capsys):
 
 
 def test_expand_force_refuses_a_gate_count_over_the_guard(tmp_path, capsys, rng):
-    # 140 two-qubit gates at 8 qubits would emit about 2.7M gates: refused
+    # 140 two-qubit gates at 8 qubits would emit about 2.6M gates: refused
     # from the count, before any is emitted.
     gates = []
     for _ in range(140):
@@ -377,6 +379,26 @@ def test_gen_random_general_flavor(tmp_path, capsys):
     circuit = parse_circuit(f.read_text())
     assert circuit.flavor == "qc"
     assert set(g.kind for g in circuit.gates) <= {"u1", "u2", "cu1"}
+
+
+@pytest.mark.parametrize(
+    "flavor, width, size",
+    [("mg", 100_000_000_000, 1), ("mg", 4, 100_000_000_000), ("qc", 100_000_000, 1)],
+)
+def test_gen_random_refuses_a_huge_request_before_drawing(tmp_path, capsys, flavor, width, size):
+    # Each would need gigabytes (or run until killed): refused from the
+    # arguments, with nothing large allocated and no file written.
+    out = tmp_path / "huge"
+    tracemalloc.start()
+    try:
+        code = run_cli("gen-random", flavor, str(width), str(size), str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak <= 2**20, peak
+    assert capsys.readouterr().err.startswith("guard: ")
+    assert not out.exists()
 
 
 def test_installed_entry_point_runs(tmp_path):

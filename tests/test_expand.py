@@ -1,5 +1,6 @@
 """Compilation of general circuits into exponentially wider matchgate circuits."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from matchgates.circuits import (
     GeneralCircuit,
     GuardError,
     MatchgateCircuit,
+    gate_matrix,
     reals_from_complex,
 )
 from matchgates.compress import compress_circuit, pad_to_power_of_two
@@ -22,6 +24,8 @@ from matchgates.expand import (
     W_GADGET,
     YTILDE,
     RealGate,
+    _blocks,
+    _fused,
     append_w_gadget,
     expand_circuit,
     inversion_count,
@@ -33,6 +37,8 @@ from matchgates.expand import (
 from matchgates.oracle import expectation_z, run_statevector, verify_equivalent
 from matchgates.simulate import circuit_rotation, simulate_expectation
 from matchgates.standardize import standardize
+
+from conftest import dense_unitary
 
 
 def _encode_real(psi: np.ndarray) -> np.ndarray:
@@ -211,6 +217,62 @@ def test_pair_permutation_moves_the_pair_index_bits(rng):
         assert perm[0] == 0  # pair 1 stays put
 
 
+# ----- Fusion ------------------------------------------------------------------
+
+
+def _haar_gate(lines: tuple[int, ...], rng) -> GateApp:
+    kind = "u1" if len(lines) == 1 else "u2"
+    return GateApp(kind, lines, reals_from_complex(randgen.haar_unitary(2 ** len(lines), rng)))
+
+
+def test_an_x_prefix_folds_into_the_first_gate_on_its_line(rng):
+    # Input 1 on line 1 is an x gate before the circuit; it fuses with the
+    # u1 gate after it, so the expansion is the one of u1 . X on input 0.
+    u = randgen.haar_unitary(2, rng)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    flipped = GeneralCircuit(2, (GateApp("u1", (1,), reals_from_complex(u)), GateApp("h", (2,))), "10")
+    folded = GeneralCircuit(2, (GateApp("u1", (1,), reals_from_complex(u @ x)), GateApp("h", (2,))), "00")
+    got, want = expand_circuit(flipped).gates.table, expand_circuit(folded).gates.table
+    assert np.array_equal(got.kinds, want.kinds) and np.array_equal(got.lines, want.lines)
+    assert np.abs(got.params - want.params).max() <= 1e-12
+    assert _blocks([(1,), (1,), (2,)]) == [((1,), [0, 1]), ((2,), [2])]
+
+
+def test_a_run_of_one_line_gates_is_one_block(rng):
+    us = [randgen.haar_unitary(2, rng) for _ in range(5)]
+    lines, mats = _fused([(2,)] * 5, us)
+    assert lines == [(2,)]
+    want = us[4] @ us[3] @ us[2] @ us[1] @ us[0]
+    assert np.abs(mats[0] - want).max() <= 1e-12
+
+
+def test_a_gate_on_a_third_line_stops_fusion():
+    # (2, 3) is not within (1, 2), so the second (1, 2) gate cannot join the
+    # first: three blocks, each in place.
+    assert _blocks([(1, 2), (2, 3), (1, 2)]) == [((1, 2), [0]), ((2, 3), [1]), ((1, 2), [2])]
+    # One-line blocks that are last on their lines join the two-line gate.
+    assert _blocks([(1,), (3,), (2,), (3, 1), (1,)]) == [((2,), [2]), ((3, 1), [1, 0, 3, 4])]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(width=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), size=st.integers(0, 24))
+def test_fused_blocks_span_at_most_two_lines_and_keep_the_product(width, seed, size):
+    rng = np.random.default_rng(seed)
+    gates = [
+        _haar_gate(tuple(int(q) + 1 for q in rng.choice(width, int(rng.integers(1, 3)), replace=False)), rng)
+        for _ in range(size)
+    ]
+    gate_lines = [g.lines for g in gates]
+    blocks = _blocks(gate_lines)
+    assert sorted(i for _, members in blocks for i in members) == list(range(size))
+    for lines, members in blocks:
+        assert 1 <= len(lines) <= 2
+        assert all(set(gate_lines[i]) <= set(lines) for i in members)
+    lines, mats = _fused(gate_lines, [gate_matrix(g) for g in gates])
+    fused = [GateApp("u1" if len(l) == 1 else "u2", l, reals_from_complex(u)) for l, u in zip(lines, mats)]
+    assert np.abs(dense_unitary(fused, width) - dense_unitary(gates, width)).max() <= 1e-12
+
+
 # ----- Full expansion ----------------------------------------------------------
 
 
@@ -280,19 +342,42 @@ def test_expanded_readout_matches_the_oracle(m, seed, size, kinds, data):
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8))
 def test_expansion_emits_no_swap_but_its_networks(m, seed, size):
-    # Walk the layout here: before each realified gate, last gate first, the
-    # gate's rebits other than A move to the lowest pair-index bits.  Every
-    # `w` gate must be one adjacent swap of the insertion sort of one such
-    # pair permutation.
+    # Walk the layout here: the gates fuse into blocks and the gadget follows.
+    # The walk goes last block first, from the qubits in order of first use
+    # (the first used lowest, just above B).  Before each block its rebits
+    # other than A move to the lowest pair-index bits.  Every `w` gate must
+    # be one adjacent swap of the insertion sort of one such pair permutation.
     c = randgen.random_general_circuit(m, size, np.random.default_rng(seed), "0" * m, "haar")
     out = expand_circuit(c)
-    layout, swaps = tuple(range(1, m + 2)), 0
-    for g in reversed(append_w_gadget(c).gates):
-        rebits = {q for q in g.lines if q <= m} | {m + 1}
+    walk = [lines for lines, _ in _blocks([g.lines for g in c.gates])] + [(1, m + 1)]
+    used: list[int] = []
+    for lines in reversed(walk):
+        used += [q for q in lines if q <= m and q not in used]
+    layout = tuple([q for q in range(1, m + 1) if q not in used] + used[::-1] + [m + 1])
+    swaps = 0
+    for lines in reversed(walk):
+        rebits = {q for q in lines if q <= m} | {m + 1}
         after = tuple(q for q in layout if q not in rebits) + tuple(q for q in layout if q in rebits)
         swaps += inversion_count(pair_permutation(layout, after))
         layout = after
     assert sum(g.kind == "w" for g in out.gates) == swaps
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_every_start_layout_reads_the_oracle(m, monkeypatch):
+    # The route may start from any layout: a pair permutation on the input
+    # side keeps pair 1 and the all-zero input's pairing matrix.  So every
+    # order of the m + 1 rebits, B included, must give the same <Z_1>.
+    from matchgates import expand
+
+    walk = expand._walk
+    rng = np.random.default_rng(m)
+    for bits in ("0" * m, "1" + "0" * (m - 1)):
+        c = randgen.random_general_circuit(m, 6, rng, bits, "haar")
+        want = expectation_z(run_statevector(c), 1)
+        for start in itertools.permutations(range(1, m + 2)):
+            monkeypatch.setattr(expand, "_walk", lambda lines, width, _: walk(lines, width, start))
+            assert abs(simulate_expectation(expand_circuit(c)) - want) <= 1e-12, start
 
 
 def _insertion_sort_swaps(perm) -> list[int]:
@@ -325,10 +410,10 @@ def test_swap_network_is_the_insertion_sort(perm):
 
 
 def test_guard_refuses_before_allocating_the_expansion():
-    # 150 Haar gates at 8 qubits would emit about 2.6M gates; the refusal,
+    # 200 Haar gates at 8 qubits would emit about 2.64M gates; the refusal,
     # counted exactly, must come before anything near that size (or the
     # gates x pairs^2 comparisons, about 39 MiB) is allocated.
-    c = randgen.random_general_circuit(8, 150, np.random.default_rng(1), kinds="haar")
+    c = randgen.random_general_circuit(8, 200, np.random.default_rng(1), kinds="haar")
     tracemalloc.start()
     try:
         with pytest.raises(GuardError, match="would emit"):

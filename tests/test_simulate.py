@@ -188,6 +188,21 @@ def test_closed_form_rotations_match_the_trace_formula(rng, monkeypatch):
             assert np.abs(r - algebra.rotation_of_matchgate(gate_matrix(g))).max() <= 1e-14
 
 
+def test_sliced_mg_rotations_are_bit_identical_to_one_product(rng, monkeypatch):
+    # An all-mg circuit fills the 4096-gate chunks, past the 2048 rows where a
+    # threaded BLAS slows down; mapping its products 1024 rows at a time must
+    # give the very bits of one whole product, and so the same readout.
+    from matchgates import simulate
+
+    c = randgen.random_matchgate_circuit(64, 5000, rng, kinds="haar")
+    params = c.gates.table.rows("mg")
+    assert len(params) > 2 * simulate._ROT_MAP_ROWS
+    sliced, z = simulate._mg_transposed_rotations(params), simulate_expectation(c)
+    monkeypatch.setattr(simulate, "_ROT_MAP_ROWS", len(params))
+    assert np.array_equal(sliced, simulate._mg_transposed_rotations(params))
+    assert simulate_expectation(c) == z
+
+
 def _walk_circuit(n: int, size: int, rng) -> MatchgateCircuit:
     """All four mg kinds on windows that repeat or step to a neighbour."""
     gates = []
