@@ -18,8 +18,6 @@ from .circuits import (
     ParseError,
     UsageError,
     ValidationError,
-    parse_circuit,
-    serialize_circuit,
     validate,
 )
 from .compress import (
@@ -31,7 +29,6 @@ from .compress import (
 )
 from .expand import (
     RealGate,
-    append_w_gadget,
     expand_circuit,
     realify_gate,
     two_level_to_matchgates,
@@ -44,6 +41,7 @@ from .simulate import (
     simulate_expectation_reference,
 )
 from .standardize import standardize
+from .textformat import parse_circuit, serialize_circuit
 
 __version__ = "0.1.0"
 
@@ -71,7 +69,6 @@ __all__ = [
     "gray_converter_circuit",
     "pad_to_power_of_two",
     "RealGate",
-    "append_w_gadget",
     "expand_circuit",
     "realify_gate",
     "two_level_to_matchgates",

@@ -1,4 +1,4 @@
-"""Circuit containers, validation, gate matrices, and the plain-text format.
+"""Circuit containers, validation and gate matrices.
 
 Two circuit flavors share one gate-application type:
 
@@ -8,27 +8,19 @@ Two circuit flavors share one gate-application type:
   * `qc`: general circuits built from x / h and explicit one- and two-qubit
     unitaries (`u1`, `u2`) plus the controlled one-qubit gate `cu1`.
 
-The text format is line-oriented: a header, then one gate per line, with `#`
-starting a comment.  Matrices are written row-major as comma-separated reals,
-real part before imaginary part for each entry.  Floats are serialized with
-repr(), which round-trips exactly.  The parser reads gate lines straight into
-one GateColumns table, each row holding its kind's counts of lines and
-parameters (`read_gates` makes a gate built in code without them a -1 row,
-empty).  Every circuit holds its `gates` as row ranges of such tables,
-behind a sequence that equals, hashes and prints as the GateApp tuple: a
-circuit built from GateApps reads them into one table when it is
-constructed and keeps their tuple; any other builds it only when the gates
-themselves are read.  The serializer writes each distinct table of a
-circuit once, kind by kind, each distinct gate, real and line number
-formatted once, and joins the texts of the ranges.
+Every circuit holds its `gates` as row ranges of GateColumns tables, each
+row holding its kind's counts of lines and parameters (`read_gates` makes a
+gate built in code without them a -1 row, empty), behind a sequence that
+equals, hashes and prints as the GateApp tuple, built from the tables only
+when the gates themselves are read.  The text format is `textformat`, whose
+`parse_circuit` and `serialize_circuit` are importable from here too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, compress
 from collections.abc import Sequence
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
@@ -145,16 +137,17 @@ class _ParsedGates(Sequence):
     block: a parsed, expanded or code-built circuit is one piece, and
     compress emits each window's blocks as the same objects every time.
     `table`, which `validate`, the simulation, the oracle and compress read,
-    concatenates the pieces when first asked for.  Gates read from one
-    GateApp tuple keep it as their tuple; for any others, len() builds
-    nothing and any other use of the gates builds the flat tuple once."""
+    concatenates the pieces when first asked for.  len() builds nothing;
+    any other use of the gates builds the flat GateApp tuple from the table
+    once.  Gates read from one GateApp tuple that the table cannot give back
+    keep it: a row `_refused` marks reads back as "?" or clipped, and a NaN
+    as another NaN.  Such gates are invalid, only ever validated or refused."""
 
     __slots__ = ("pieces", "_len", "_table", "_built")
 
     def __init__(self, *parts: _Piece | GateColumns | Sequence[GateApp]):
         """The gates of `parts` end to end: pieces, tables, the pieces of
-        other such sequences, or GateApps, each read as one table; the gates
-        of one GateApp tuple keep it."""
+        other such sequences, or GateApps, each read as one table."""
         pieces: list[_Piece] = []
         for part in parts or [()]:  # no parts: one empty block
             if isinstance(part, _Piece):
@@ -168,8 +161,9 @@ class _ParsedGates(Sequence):
         _, lo, hi = zip(*pieces)
         self._len = sum(hi) - sum(lo)
         self._table: GateColumns | None = None
-        one = parts[0] if len(parts) == 1 else None
-        self._built: tuple[GateApp, ...] | None = one if type(one) is tuple else None
+        one, table = parts[0] if len(parts) == 1 else None, pieces[0].block
+        lossy = type(one) is tuple and (_refused(table).any() or not np.isfinite(table.params).all())
+        self._built: tuple[GateApp, ...] | None = one if lossy else None
 
     def blocks(self) -> tuple[GateColumns, list[int], list[int]]:
         """The distinct blocks end to end, and each piece's first row in
@@ -366,6 +360,18 @@ def read_gates(gates: tuple[GateApp, ...]) -> GateColumns:
     return _table(np.where(shaped, codes, -1), line_col, params)
 
 
+def _refused(table: GateColumns) -> np.ndarray:
+    """Whether the text format refuses each gate of a table (`textformat._refuse`)."""
+    kinds, lines, params, _, param_at = table
+    refused = kinds < 0
+    rot = np.flatnonzero(kinds == KIND_CODES["rot"])
+    plane = params[param_at[rot]]
+    integral = (plane == np.trunc(plane)) & np.isfinite(plane)
+    refused[rot[~integral | ((plane == 0) & np.signbit(plane))]] = True
+    refused[np.repeat(np.arange(len(kinds)), _NLINES[kinds])[np.abs(lines) >= _LINE_LIMIT]] = True
+    return refused
+
+
 def _joined(tables: list[GateColumns]) -> GateColumns:
     """Tables end to end, as one; none is no gates."""
     if len(tables) == 1:
@@ -386,15 +392,13 @@ def _gate_apps(cols: GateColumns) -> tuple[GateApp, ...]:
 
 
 def _gate_chunks(
-    gates: Sequence[GateApp], size: int, last_first: bool = False
+    gates: _ParsedGates, size: int, last_first: bool = False
 ) -> Iterator[tuple[int, GateColumns]]:
     """(index of the first gate, columns) of each run of `size` gates, in
-    circuit order or the last run first: slices of a circuit's table, or of
-    the table bare GateApps are read into once."""
-    table = gates.table if isinstance(gates, _ParsedGates) else read_gates(gates)
-    starts = range(0, len(table.kinds), size)
+    circuit order or the last run first: slices of the gates' table."""
+    starts = range(0, len(gates), size)
     for lo in reversed(starts) if last_first else starts:
-        yield lo, table.part(lo, lo + size)
+        yield lo, gates.table.part(lo, lo + size)
 
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -653,360 +657,6 @@ def _mark_valid(circuit: C) -> C:
     return circuit
 
 
-# ---------------------------------------------------------------------------
-# text format
-
-
-# serialize_circuit writes a table this many gates at a time, so that its
-# scratch arrays stay bounded while the text grows.
-_TABLE_CHUNK = 1 << 16
-
-
-def _refuse(index: int, g: GateApp) -> None:
-    """Raise ValueError naming gate `index` (1-based) if the text would carry
-    it as another gate or as a line the parser refuses."""
-    problem = _misshapen(g)
-    if not problem and g.kind == "rot":
-        plane = g.params[0]
-        if not (plane.is_integer() and (plane or math.copysign(1, plane) > 0)):
-            problem = f"plane must be an integer, got {plane!r}"  # -0.0 would read back as 0.0
-    if not problem and not all(abs(line) < _LINE_LIMIT for line in g.lines):
-        problem = f"line out of range +-{_LINE_LIMIT}"  # a table holds it clipped
-    if problem:
-        raise ValueError(f"gate {index} ({g.kind}): {problem}")
-
-
-def _refused(table: GateColumns) -> np.ndarray:
-    """Whether `_refuse` refuses each gate of a table."""
-    kinds, lines, params, _, param_at = table
-    refused = kinds < 0
-    rot = np.flatnonzero(kinds == KIND_CODES["rot"])
-    plane = params[param_at[rot]]
-    integral = (plane == np.trunc(plane)) & np.isfinite(plane)
-    refused[rot[~integral | ((plane == 0) & np.signbit(plane))]] = True
-    refused[np.repeat(np.arange(len(kinds)), _NLINES[kinds])[np.abs(lines) >= _LINE_LIMIT]] = True
-    return refused
-
-
-def _texts(values: np.ndarray, fmt: Callable) -> np.ndarray:
-    """fmt of each value, as an object array, called once per distinct value;
-    floats are told apart by their bits, so -0.0 is not 0.0."""
-    keys = values.view(np.int64) if values.dtype == float else values
-    distinct, back = np.unique(keys, return_inverse=True)
-    return np.array([fmt(v) for v in distinct.view(values.dtype).tolist()], dtype=object)[back]
-
-
-def _chunk_lines(chunk: GateColumns) -> np.ndarray:
-    """The text of each gate of a table the serializer takes, as an object
-    array.  Per kind, each distinct gate (line numbers and parameter bits)
-    is formatted once, and within those each distinct real and line number."""
-    kinds, lines, params, line_at, param_at = chunk
-    out = np.empty(len(kinds), dtype=object)
-    for code in set(kinds.tolist()) - {-1}:  # -1: a row left out
-        kind = _KIND_NAMES[code]
-        _, nlines, nparams = GATE_KINDS[kind]
-        rows = np.flatnonzero(kinds == code)
-        gate_lines = lines[line_at[rows, None] + np.arange(nlines)]
-        gate_params = params[param_at[rows, None] + np.arange(nparams)]
-        bits = np.hstack([gate_lines, gate_params.view(np.int64)])  # one row per gate
-        row = np.dtype((np.void, bits.itemsize * bits.shape[1]))  # compared byte by byte
-        _, first, back = np.unique(bits.view(row).ravel(), return_index=True, return_inverse=True)
-        gate_lines, gate_params = gate_lines[first], gate_params[first]
-        # Columns of texts: the kind with the first line, each other line, each field.
-        cols = [_texts(gate_lines[:, 0], f"{kind} {{}}".format)]
-        cols += [_texts(gate_lines[:, i], str) for i in range(1, nlines)]
-        at = 0
-        for key, count in _FIELDS[kind]:
-            values = gate_params[:, at : at + count]
-            if key == "plane=":
-                cols.append(_texts(values[:, 0], lambda v: f"plane={int(v)}"))
-            else:
-                reals = _texts(values.ravel(), repr).reshape(-1, count).tolist()
-                cols.append(np.array([key + ",".join(r) for r in reals], dtype=object))
-            at += count
-        if len(cols) > 1:
-            cols[0] = np.array(list(map(" ".join, zip(*cols))), dtype=object)
-        out[rows] = cols[0][back]
-    return out
-
-
-def serialize_circuit(circuit: Circuit) -> str:
-    """Render a circuit in the text format (always ends with a newline).
-
-    Every float is written with repr(), so the text is fixed by the circuit's
-    values bit for bit (-0.0 stays -0.0).  The gates are read as the
-    distinct blocks that hold them (`_ParsedGates.blocks`), and those blocks
-    are written once, kind by kind, with each distinct gate, real and line
-    number formatted once per chunk (`_chunk_lines`); a range of rows
-    repeated in the circuit, as compress repeats each window's, is written
-    from that text.  A gate the text would change is refused first
-    (`_refuse`), with ValueError naming it by its 1-based index in the
-    circuit.
-    """
-    head = [f"circuit {circuit.flavor}", f"width={circuit.width}", f"input={circuit.input}"]
-    if circuit.flavor == "mg":
-        head.append(f"measure={circuit.measure_line}")
-        if circuit.allow_idle:
-            head.append("idle=1")
-    gates = circuit.gates
-    blocks, first, counts = gates.blocks()
-    refused = _refused(blocks)
-    if refused.any():  # name the first the circuit holds by its index there
-        held = np.flatnonzero(np.concatenate([refused[a : a + n] for a, n in zip(first, counts)]))
-        if len(held):
-            _refuse(int(held[0]) + 1, gates[int(held[0])])
-    # The rows _TABLE_CHUNK at a time; a refused row, no gate of the circuit, is left out.
-    blocks = blocks._replace(kinds=np.where(refused, -1, blocks.kinds))
-    lines = []
-    for lo in range(0, len(refused), _TABLE_CHUNK):
-        lines += _chunk_lines(blocks.part(lo, lo + _TABLE_CHUNK)).tolist()
-    ranges = [(a, a + n) for a, n in zip(first, counts) if n]
-    texts = {r: "\n".join(lines[r[0] : r[1]]) for r in set(ranges)}  # each distinct range once
-    return "\n".join([" ".join(head), *map(texts.__getitem__, ranges), ""])
-
-
-def _parse_kv(tok: str, lineno: int) -> tuple[str, str]:
-    if "=" not in tok:
-        raise ParseError(f"expected key=value, got {tok!r}", lineno)
-    key, _, val = tok.partition("=")
-    if not key or not val:
-        raise ParseError(f"malformed key=value token {tok!r}", lineno)
-    return key, val
-
-
-def _parse_int(val: str, what: str, lineno: int) -> int:
-    try:
-        return int(val)
-    except ValueError:
-        raise ParseError(f"{what} must be an integer, got {val!r}", lineno) from None
-
-
-def _parse_floats(val: str, what: str, lineno: int) -> tuple[float, ...]:
-    try:
-        return tuple(map(float, val.split(",")))
-    except ValueError:
-        raise ParseError(f"bad {what} value {val!r}", lineno) from None
-
-
-def parse_circuit(text: str) -> Circuit:
-    """Parse the text format; raises ParseError / ValidationError.
-
-    The gate lines, comments cut, are read straight into one GateColumns
-    table (`_read_table`); text that reader is not sure of goes through the
-    line parser instead, which words the error and its line.  The returned
-    circuit has passed `validate`.
-    """
-    rows = text.splitlines()
-    read = _read_table([row.split("#", 1)[0] for row in rows] if "#" in text else rows)
-    if read is None:
-        header, header_line, gates = _read_lines(rows)
-    else:
-        header, header_line, table = read
-
-    if len(header) < 2 or header[1] not in ("mg", "qc"):
-        raise ParseError("header must name a flavor, 'mg' or 'qc'", header_line)
-    flavor = header[1]
-    fields: dict[str, str] = {}
-    for tok in header[2:]:
-        key, val = _parse_kv(tok, header_line)
-        if key in fields:
-            raise ParseError(f"duplicate header field {key!r}", header_line)
-        fields[key] = val
-    for key in fields:
-        if key not in ("width", "input", "measure", "idle"):
-            raise ParseError(f"unknown header field {key!r}", header_line)
-    if "width" not in fields or "input" not in fields:
-        raise ParseError("header needs width= and input=", header_line)
-    width = _parse_int(fields["width"], "width", header_line)
-    inp = fields["input"]
-
-    cls: type[MatchgateCircuit] | type[GeneralCircuit]
-    if flavor == "mg":
-        if "measure" not in fields:
-            raise ParseError("mg header needs measure=", header_line)
-        measure = _parse_int(fields["measure"], "measure", header_line)
-        idle = _parse_int(fields.get("idle", "0"), "idle", header_line)
-        if idle not in (0, 1):
-            raise ParseError("idle must be 0 or 1", header_line)
-        cls, rest = MatchgateCircuit, (inp, measure, bool(idle))
-    else:
-        if "measure" in fields or "idle" in fields:
-            raise ParseError("measure=/idle= apply only to mg circuits", header_line)
-        cls, rest = GeneralCircuit, (inp,)
-    circuit = cls(width, gates if read is None else _ParsedGates(table), *rest)
-    validate_or_raise(circuit)
-    return circuit
-
-
-def _read_lines(rows: list[str]) -> tuple[list[str], int, list[GateApp]]:
-    """The line parser: header tokens, header line and gates, one line at a time."""
-    header: list[str] | None = None
-    header_line = 0
-    gates: list[GateApp] = []
-    for lineno, raw in enumerate(rows, start=1):
-        toks = raw.split("#", 1)[0].split()
-        if not toks:
-            continue
-        if header is None:
-            if toks[0] != "circuit":
-                raise ParseError(f"expected 'circuit' header, got {toks[0]!r}", lineno)
-            header = toks
-            header_line = lineno
-            continue
-        gates.append(_parse_gate(toks, lineno))
-    if header is None:
-        raise ParseError("empty input: no circuit header")
-    return header, header_line, gates
-
-
-# Each kind's key=value fields after its lines, in the serializer's order, with
-# the reals each holds; a rot plane is an integer.
-_FIELDS = {kind: () for kind in GATE_KINDS} | {
-    "rot": (("plane=", 1), ("theta=", 1)),
-    "mg": (("a=", 8), ("b=", 8)),
-    "u1": (("m=", 8),),
-    "u2": (("m=", 32),),
-    "cu1": (("m=", 8),),
-}
-# By kind code (-1, an unknown kind, matches no line): the tokens on a gate
-# line, and each field's reals and its key after a newline (see _read_block).
-_NTOKENS = np.array([1 + GATE_KINDS[kind][1] + len(f) for kind, f in _FIELDS.items()] + [0])
-_FIELD_REALS = np.array(
-    [[n for _, n in f] + [0] * (2 - len(f)) for f in _FIELDS.values()] + [[0, 0]]
-)
-_FIELD_MARKS = np.array(
-    [["\n" + key for key, _ in f] + [""] * (2 - len(f)) for f in _FIELDS.values()] + [["", ""]],
-    dtype=object,
-)
-
-
-# Gate lines that _read_table reads at a time, so that its token strings stay
-# few while the table grows.
-_READ_BLOCK = 4096
-
-
-def _read_table(rows: list[str]) -> tuple[list[str], int, GateColumns] | None:
-    """Header tokens, header line and the gates as one table, or None at any doubt.
-
-    Every gate line must be its kind's serializer form: the kind, its line
-    numbers, then its fields in order, each value with the kind's count of
-    reals.  An unknown kind, another token count, a field out of order or
-    without its key, a value with another count of reals or a token that
-    int() or float() refuses is a doubt.
-    """
-    at = next((i for i, row in enumerate(rows) if row.split()), None)
-    header = rows[at].split() if at is not None else None
-    if header is None or header[0] != "circuit":
-        return None
-    blocks = []
-    for lo in range(at + 1, len(rows) + 1, _READ_BLOCK):  # at least one block, maybe empty
-        block = _read_block(rows[lo : lo + _READ_BLOCK])
-        if block is None:
-            return None
-        blocks.append(block)
-    return header, at + 1, _table(*map(np.concatenate, zip(*blocks)))
-
-
-def _read_block(rows: list[str]) -> tuple[np.ndarray, ...] | None:
-    """Kinds, lines and parameters of some gate lines, or None at any doubt.
-    Lines and rot planes are read by int() and the reals by float(), one map
-    each, so values are exactly the line parser's."""
-    body = [toks for toks in map(str.split, rows) if toks]
-    names = list(map(itemgetter(0), body))
-    n = len(body)
-    kinds = np.fromiter(map(KIND_CODES.get, names, repeat(-1)), np.intp, n)
-    ntoks = np.fromiter(map(len, body), np.intp, n)
-    if (ntoks != _NTOKENS[kinds]).any():
-        return None
-    nlines, nparams = _NLINES[kinds], _NPARAMS[kinds]
-    nfields = ntoks - 1 - nlines
-    # Every token end to end: each gate's kind, its lines, then its fields.
-    flat = list(chain.from_iterable(body))
-    first = np.cumsum(ntoks) - ntoks
-    line_at = np.cumsum(nlines) - nlines
-    field_at = np.cumsum(nfields) - nfields
-    line_tokens = np.repeat(first + 1 - line_at, nlines) + np.arange(nlines.sum())
-    field_tokens = np.repeat(first + 1 + nlines - field_at, nfields) + np.arange(nfields.sum())
-    fields = [flat[i] for i in field_tokens.tolist()]
-    # Joined by ",\n" and split at commas, the fields give their reals in gate
-    # order, but a field's first piece also holds its key and, after the
-    # first field, a newline before it.  Newlines sit only where fields do
-    # start, so the piece where each field is due to start begins with its
-    # newline and key exactly when every field has its key and its count of
-    # reals.  The key is cut; float() skips the newline.
-    reals = ",\n".join(fields).split(",") if fields else []
-    if len(reals) != nparams.sum():
-        return None
-    field_kinds = np.repeat(kinds, nfields)
-    which = np.arange(len(fields)) - np.repeat(field_at, nfields)  # field index in its line
-    nreals = _FIELD_REALS[field_kinds, which]
-    starts = (np.cumsum(nreals) - nreals).tolist()
-    heads, marks = [reals[i] for i in starts], _FIELD_MARKS[field_kinds, which].tolist()
-    if marks:
-        marks[0] = marks[0][1:]
-    if not all(map(str.startswith, heads, marks)):
-        return None
-    values = list(map(str.removeprefix, heads, marks))  # each field's first real
-    for i, value in zip(starts, values):
-        reals[i] = value
-    # A rot plane, its field's only real, is read again by int().
-    rot = kinds == KIND_CODES["rot"]
-    planes = [values[i] for i in field_at[rot].tolist()]
-    line_texts = [flat[i] for i in line_tokens.tolist()]
-    try:
-        lines = np.fromiter(map(int, line_texts), np.int64, len(line_texts))
-        params = np.fromiter(map(float, reals), float, len(reals))
-        plane_values = np.fromiter(map(int, planes), np.int64, len(planes))
-    except (ValueError, OverflowError):  # a token int() or float() refuses, or a huge line
-        return None
-    params[(np.cumsum(nparams) - nparams)[rot]] = plane_values
-    return kinds, lines, params
-
-
-def _parse_gate(toks: list[str], lineno: int) -> GateApp:
-    kind = toks[0]
-    sig = GATE_KINDS.get(kind)
-    if sig is None:
-        raise ParseError(f"unknown gate kind {kind!r}", lineno)
-    _, nlines, nparams = sig
-    if len(toks) < 1 + nlines:
-        raise ParseError(f"{kind} needs {nlines} line argument(s)", lineno)
-    try:
-        lines = tuple(map(int, toks[1 : 1 + nlines]))
-    except ValueError:  # name the first bad token
-        lines = tuple(_parse_int(t, "line", lineno) for t in toks[1 : 1 + nlines])
-    rest = toks[1 + nlines :]
-    kv = {}
-    for tok in rest:
-        key, val = _parse_kv(tok, lineno)
-        if key in kv:
-            raise ParseError(f"duplicate field {key!r}", lineno)
-        kv[key] = val
-
-    params: tuple[float, ...] = ()
-    if kind == "rot":
-        if set(kv) != {"plane", "theta"}:
-            raise ParseError("rot needs plane= and theta=", lineno)
-        plane = _parse_int(kv["plane"], "plane", lineno)
-        theta = _parse_floats(kv["theta"], "theta", lineno)
-        if len(theta) != 1:
-            raise ParseError("theta must be a single real", lineno)
-        params = (float(plane), theta[0])
-    elif kind == "mg":
-        if set(kv) != {"a", "b"}:
-            raise ParseError("mg needs a= and b=", lineno)
-        a = _parse_floats(kv["a"], "a", lineno)
-        b = _parse_floats(kv["b"], "b", lineno)
-        if len(a) != 8 or len(b) != 8:
-            raise ParseError("mg blocks take 8 reals each", lineno)
-        params = a + b
-    elif kind in ("u1", "u2", "cu1"):
-        if set(kv) != {"m"}:
-            raise ParseError(f"{kind} needs m=", lineno)
-        params = _parse_floats(kv["m"], "m", lineno)
-        if len(params) != nparams:
-            raise ParseError(f"{kind} takes {nparams} reals, got {len(params)}", lineno)
-    else:
-        if kv:
-            raise ParseError(f"{kind} takes no parameters", lineno)
-    return GateApp(kind, lines, params)
+# The text format reads and writes these circuits, so it imports this module;
+# its entry points stay importable from here.
+from .textformat import parse_circuit, serialize_circuit  # noqa: E402

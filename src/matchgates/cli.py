@@ -20,14 +20,8 @@ from . import compress as compress_mod
 from . import expand as expand_mod
 from . import oracle, randgen, simulate
 from .standardize import standardize
-from .circuits import (
-    CircuitError,
-    GuardError,
-    ParseError,
-    ValidationError,
-    parse_circuit,
-    serialize_circuit,
-)
+from .circuits import CircuitError, GuardError, ParseError, ValidationError
+from .textformat import parse_circuit, serialize_circuit
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1

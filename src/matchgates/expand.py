@@ -87,7 +87,6 @@ from .circuits import (
     _require_flavor,
     _table,
     gate_matrices,
-    reals_from_complex,
     validate_or_raise,
 )
 
@@ -112,20 +111,6 @@ _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float
 )
 W_GADGET = _SWAP @ (np.kron(_PLUS, np.eye(2)) + np.kron(_MINUS, YTILDE))
-
-
-def append_w_gadget(circuit: GeneralCircuit) -> GeneralCircuit:
-    """Widen by one qubit and append the readout gadget on lines (1, m+1).
-
-    Requires an all-zero input (fold basis inputs into x gates first).
-    """
-    _require_flavor(circuit, "qc")
-    validate_or_raise(circuit)
-    if circuit.input.strip("0"):
-        raise ValueError("gadget step expects an all-zero input")
-    m = circuit.width
-    gadget = GateApp("u2", (1, m + 1), reals_from_complex(W_GADGET))
-    return GeneralCircuit(m + 1, _ParsedGates(circuit.gates, (gadget,)), "0" * (m + 1))
 
 
 @dataclass(frozen=True)

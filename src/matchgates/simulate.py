@@ -148,9 +148,9 @@ def rotation_runs(
     gates, R acting on dimensions 2k-1 .. 2k+2, in circuit order or, with
     `last_first`, in reverse: the last run first, its gates last first.
 
-    The gates must be valid mg-flavor gates: a circuit's, whose table is
-    sliced, or bare GateApps, read into one table first.  Each run is read
-    through the batched closed form of the fast path.
+    The gates must be a circuit's `gates`, valid and of mg flavor; its table
+    is sliced into the runs, each read through the batched closed form of
+    the fast path.
     """
     for _, cols in _gate_chunks(gates, _ROTATION_RUN, last_first):
         lines, rots = cols.lines.tolist(), _transposed_rotations(cols).transpose(0, 2, 1)

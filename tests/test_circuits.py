@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from matchgates import algebra, circuits, randgen
+from matchgates import algebra, circuits, randgen, textformat
 from matchgates.algebra import FERMIONIC_SWAP, GXX, rotation_generator_exponential
 from matchgates.circuits import (
     GATE_KINDS,
@@ -27,7 +28,7 @@ from matchgates.circuits import (
     validate_or_raise,
 )
 from matchgates.compress import compress_circuit, compress_gate_stream, pad_to_power_of_two
-from matchgates.expand import append_w_gadget, expand_circuit
+from matchgates.expand import expand_circuit
 from matchgates.simulate import (
     circuit_rotation,
     output_distribution,
@@ -616,7 +617,7 @@ def test_serialize_matches_the_reference_byte_for_byte(circuit, chunk):
     # The gates, and the same gates as a table, are written kind by kind to
     # the same text, also when a small chunk cuts the table into many.
     as_table = _with_gates(circuit, _as_table(circuit.gates))
-    with mock.patch.object(circuits, "_TABLE_CHUNK", chunk):
+    with mock.patch.object(textformat, "_TABLE_CHUNK", chunk):
         assert serialize_circuit(circuit) == reference_serialize(circuit)
         assert serialize_circuit(as_table) == reference_serialize(circuit)
 
@@ -665,7 +666,7 @@ def test_serialize_of_runs_matches_the_reference_of_their_gates(circuit, chunk):
     # A small chunk cuts the distinct blocks into many.
     flat = _with_gates(circuit, tuple(circuit.gates))
     assert len(circuit.gates) == len(flat.gates)
-    with mock.patch.object(circuits, "_TABLE_CHUNK", chunk):
+    with mock.patch.object(textformat, "_TABLE_CHUNK", chunk):
         assert serialize_circuit(circuit) == reference_serialize(flat)
 
 
@@ -1101,9 +1102,8 @@ def test_gates_of_a_parsed_circuit_act_as_the_tuple_built_once(rng, monkeypatch)
     built = randgen.random_matchgate_circuit(5, 40, rng)
     text = serialize_circuit(built)
     parsed, reference = parse_circuit(text), reference_parse(text)
-    calls = []
+    calls, ref_gates = [], tuple(reference.gates)
     monkeypatch.setattr(circuits, "_gate_apps", lambda table: calls.append(1) or ref_gates)
-    ref_gates = reference.gates
     assert len(parsed.gates) == 40 and calls == []
     assert parsed.gates == reference.gates and reference.gates == parsed.gates
     assert parsed.gates[3] is parsed.gates[3] and calls == [1]
@@ -1150,6 +1150,27 @@ def test_gates_built_in_code_are_read_once_when_the_circuit_is_built(rng, monkey
     assert built[0] == built[1] == built[2] and hash(built[0]) == hash(built[2])
     assert all(c.gates[5] is bad and c.gates[0] is gates[0] for c in built)
     assert validate(built[0]) == ["gate 6 (w): expected 1 line(s), got 2"]
+
+
+def test_a_valid_circuit_built_in_code_holds_only_its_table(rng):
+    # Its GateApps read back equal from the table, so once they are dropped
+    # the circuit retains its table and a few small objects, not a tuple.
+    tracemalloc.start()
+    try:
+        circuit = randgen.random_matchgate_circuit(64, 20_000, rng, kinds="haar")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * sum(column.nbytes for column in circuit.gates.table)
+
+
+def test_circuits_built_from_one_tuple_holding_a_nan_are_equal():
+    # A NaN would read back from the table as another NaN, unequal to the
+    # first, so gates holding one keep the tuple they were built from.
+    gates = (GateApp("w", (1,)), GateApp("rot", (1,), (2.0, math.nan)))
+    a, b = MatchgateCircuit(2, gates, "00"), MatchgateCircuit(2, list(gates), "00")
+    assert a == b and hash(a) == hash(b) and a.gates[1] is gates[1]
+    assert validate(a) == ["gate 2 (rot): non-finite parameter"]
 
 
 def test_serialized_text_of_either_flavor_parses_without_gate_objects(rng, monkeypatch):
@@ -1268,7 +1289,6 @@ _MG = MatchgateCircuit(2, (GateApp("w", (1,)),), "10")
         (pad_to_power_of_two, _QC2),
         (pad_to_power_of_two, _QC3),
         (expand_circuit, _MG),
-        (append_w_gadget, _MG),
     ],
     ids=[
         "standardize",
@@ -1281,7 +1301,6 @@ _MG = MatchgateCircuit(2, (GateApp("w", (1,)),), "10")
         "pad_to_power_of_two-width2",
         "pad_to_power_of_two-width3",
         "expand_circuit",
-        "append_w_gadget",
     ],
 )
 def test_single_flavor_functions_name_the_flavor_they_expect(call, circuit):

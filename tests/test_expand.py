@@ -26,7 +26,6 @@ from matchgates.expand import (
     RealGate,
     _blocks,
     _fused,
-    append_w_gadget,
     expand_circuit,
     inversion_count,
     pair_permutation,
@@ -117,23 +116,6 @@ def test_readout_gadget_is_real_orthogonal():
     assert np.abs(m.T @ m - np.eye(4)).max() <= 1e-12
     rg = realify_gate(m, (1, 2, 3))
     assert np.allclose(rg.matrix, np.kron(m, np.eye(2)))
-
-
-def test_append_w_gadget_widens_and_appends():
-    c = GeneralCircuit(2, (GateApp("h", (1,)), GateApp("h", (2,))), "00")
-    widened = append_w_gadget(c)
-    assert widened.width == 3
-    assert widened.gates[:-1] == c.gates
-    last = widened.gates[-1]
-    assert last.kind == "u2"
-    assert last.lines == (1, 3)
-    assert last.params == reals_from_complex(W_GADGET)
-
-
-def test_append_w_gadget_requires_zero_input():
-    c = GeneralCircuit(2, (GateApp("h", (1,)), GateApp("h", (2,))), "01")
-    with pytest.raises(ValueError):
-        append_w_gadget(c)
 
 
 # ----- Plane rotations as local matchgates ------------------------------------

@@ -177,9 +177,10 @@ def test_closed_form_rotations_match_the_trace_formula(rng, monkeypatch):
         GateApp(g.kind, (int(rng.integers(1, 6)),), g.params)
         for g in (gates[i] for i in rng.permutation(len(gates)))
     )
+    circuit = MatchgateCircuit(6, gates, "0" * 6)
     monkeypatch.setattr(simulate, "_ROTATION_RUN", 7)  # 76 gates: runs end mid-circuit
     for last_first in (False, True):
-        runs = list(simulate.rotation_runs(gates, last_first))
+        runs = list(simulate.rotation_runs(circuit.gates, last_first))
         assert all(len(lines) == len(rots) <= 7 for lines, rots in runs)
         rotations = [(k, r) for lines, rots in runs for k, r in zip(lines, rots)]
         assert len(rotations) == len(gates)

@@ -1,6 +1,7 @@
 """Properties of the library source itself."""
 
 import ast
+import tokenize
 from pathlib import Path
 
 import matchgates
@@ -17,6 +18,18 @@ def test_library_code_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def test_every_module_stays_below_the_compile_peak_token_count():
+    # Every process compiles each module it imports (no bytecode is written
+    # where PYTHONDONTWRITEBYTECODE is set), and compiling one of 8,192
+    # tokens or more peaks higher: compile() of circuits.py traced 2.71 ->
+    # 3.35 MiB when it crossed that count.
+    counts = {}
+    for path in SOURCES:
+        with path.open("rb") as f:
+            counts[path.name] = sum(1 for _ in tokenize.tokenize(f.readline))
+    assert SOURCES and max(counts.values()) < 8192, counts
 
 
 def test_only_the_oracle_calls_the_trace_formula():
