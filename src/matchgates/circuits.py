@@ -11,9 +11,12 @@ Two circuit flavors share one gate-application type:
 Every circuit holds its `gates` as row ranges of GateColumns tables, each
 row holding its kind's counts of lines and parameters (`read_gates` makes a
 gate built in code without them a -1 row, empty), behind a sequence that
-equals, hashes and prints as the GateApp tuple, built from the tables only
-when the gates themselves are read.  The text format is `textformat`, whose
-`parse_circuit` and `serialize_circuit` are importable from here too.
+equals, hashes and prints as the GateApp tuple.  Inside the library a gate
+is a table row: GateApps are built only for callers who hand them to a
+circuit, read its `gates`, call `compress_gate_stream`, `gray_converter_circuit`
+or `two_level_to_matchgates`, or parse text the table reader doubts.  The
+text format is `textformat`, whose `parse_circuit` and `serialize_circuit`
+are importable from here too.
 """
 
 from __future__ import annotations
@@ -338,6 +341,13 @@ def _table(kinds: np.ndarray, lines: np.ndarray, params: np.ndarray) -> GateColu
     return GateColumns(kinds, lines, params, line_at, param_at)
 
 
+def _table_of(gates: list[tuple]) -> GateColumns:
+    """Gates given as (kind, lines, reals), each with its kind's counts, as a table."""
+    kinds = np.array([KIND_CODES[g[0]] for g in gates], np.intp)
+    lines = np.fromiter(chain.from_iterable(g[1] for g in gates), np.int64)
+    return _table(kinds, lines, np.fromiter(chain.from_iterable(g[2] for g in gates), float))
+
+
 # read_gates clips a line beyond int64 to this bound, which the serializer refuses.
 _LINE_LIMIT = 2**62
 
@@ -521,7 +531,7 @@ def _chunk_violations(
     lines = np.append(cols.lines, 0)
     lo, hi = lines[cols.line_at], lines[cols.line_at + nlines - 1]
     out_of_range = (np.minimum(lo, hi) < 1) | (np.maximum(lo, hi) > top)
-    which_line = "line {g.lines[0]}" if flavor == "mg" else "line"
+    which_line = "line {0}" if flavor == "mg" else "line"
     # (failing gates, message) in check order; a gate reports the first it fails.
     structure = (
         (nonfinite, "non-finite parameter"),
@@ -530,11 +540,15 @@ def _chunk_violations(
     )
     misfit = (_FLAVOR != flavor)[kinds]  # -1 rows too
     failed = np.logical_or.reduce([misfit, *(bad for bad, _ in structure)])
-    found = []
+    found = []  # (gate, kind, message)
     for i in np.flatnonzero(failed).tolist():
-        g = circuit.gates[first + i]
+        kind, ends = _KIND_NAMES[kinds[i]], (lo[i], hi[i])
+        problem = misfit[i] and f"not a {flavor} gate"
+        if kinds[i] < 0 or max(abs(int(end)) for end in ends) >= _LINE_LIMIT:
+            g = circuit.gates[first + i]  # a row the table cannot hold: the caller's gate, kept
+            kind, problem, ends = g.kind, _misshapen(g, flavor), g.lines
         rest = next((message for bad, message in structure if bad[i]), "")
-        found.append((i, _misshapen(g, flavor) or rest.format(g=g, top=top)))
+        found.append((i, kind, problem or rest.format(*ends, top=top)))
     if touched is not None:
         k = lo[~failed]
         touched[k] = touched[k + 1] = True
@@ -542,32 +556,31 @@ def _chunk_violations(
 
     def check(kind, ok, message):
         if not ok.all():
-            rows = np.flatnonzero(live.kinds == KIND_CODES[kind])[~ok]
-            found.extend((i, message(circuit.gates[first + i])) for i in rows.tolist())
+            rows = np.flatnonzero(live.kinds == KIND_CODES[kind])[~ok].tolist()
+            found.extend((i, kind, message(p)) for i, p in zip(rows, live.rows(kind)[~ok].tolist()))
 
     with np.errstate(all="ignore"):
         if flavor == "mg":
             plane = live.rows("rot")[:, 0]
             ok = (plane == np.trunc(plane)) & (plane >= 1) & (plane <= 6)
-            check("rot", ok, lambda g: f"plane must be an integer in 1..6, got {g.params[0]}")
+            check("rot", ok, lambda p: f"plane must be an integer in 1..6, got {p[0]}")
             blocks = live.rows("mg").view(complex).reshape(-1, 2, 2)  # a, b, a, b, ...
             if len(blocks):
                 unitary = algebra.unitary_deviation(blocks).reshape(-1, 2) <= algebra.TOL_UNITARY
-                check("mg", unitary[:, 0], lambda g: _not_unitary("block a", g.params[:8]))
-                check("mg", unitary[:, 1], lambda g: _not_unitary("block b", g.params[8:]))
+                check("mg", unitary[:, 0], lambda p: _not_unitary("block a", p[:8]))
+                check("mg", unitary[:, 1], lambda p: _not_unitary("block b", p[8:]))
                 dets = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
                 ok = np.abs(dets[0::2] - dets[1::2]) <= algebra.TOL_DET_MATCH
-                check("mg", ok, lambda g: f"determinant mismatch {_determinant_gap(g.params):.3g}")
+                check("mg", ok, lambda p: f"determinant mismatch {_determinant_gap(p):.3g}")
         else:
             for kind in ("u1", "u2", "cu1"):
                 m = live.rows(kind).view(complex)
                 if len(m):
                     d = math.isqrt(m.shape[1])
                     ok = algebra.unitary_deviation(m.reshape(-1, d, d)) <= algebra.TOL_UNITARY
-                    check(kind, ok, lambda g: _not_unitary("matrix", g.params))
+                    check(kind, ok, lambda p: _not_unitary("matrix", p))
     found.sort(key=lambda f: f[0])
-    gates = circuit.gates
-    return [f"gate {first + i + 1} ({gates[first + i].kind}): {message}" for i, message in found]
+    return [f"gate {first + i + 1} ({kind}): {message}" for i, kind, message in found]
 
 
 def _require_flavor(circuit: Circuit, flavor: str) -> None:

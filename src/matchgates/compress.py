@@ -38,11 +38,11 @@ rotations of a run are split into local pairs in one call, and the run's
 controlled gates are one block of two rows per matchgate, built from those
 arrays.  A window's AND, Q and Q^dag are rows of one table, built once
 from arrays and emitted as the same objects each time the window is used;
-no gate object is built for either.  Memory is O(mu^2) per matchgate of
-the current run, plus the blocks of a bounded number of windows one stream
-keeps for reuse, independent of the input length.  `compress_circuit` keeps
-the output as these ranges, and `serialize_circuit` writes each distinct
-block once.
+so are the frame and pairing runs, and only the public gate lists build
+GateApps (see `circuits`).  Memory is O(mu^2) per matchgate of the current
+run, plus the blocks of a bounded number of windows one stream keeps for
+reuse, independent of the input length.  `compress_circuit` keeps the output
+as these ranges, and `serialize_circuit` writes each distinct block once.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ from .circuits import (
     _HADAMARD,
     _ParsedGates,
     _Piece,
-    _gate,
     _gate_apps,
     _mark_valid,
     _require_flavor,
     _table,
+    _table_of,
     reals_from_complex,
     validate_or_raise,
 )
@@ -113,11 +113,12 @@ def gray_converter_circuit(mu: int) -> list[GateApp]:
     """
     if mu < 1:
         raise ValueError("bit count must be >= 1")
-    return [_gate("cu1", (p - 1, p), _X_PARAMS) for p in range(mu, 1, -1)]
+    return list(_gate_apps(_table_of(_gray_chain(mu, 0))))
 
 
-def _shift_lines(gates: list[GateApp], offset: int) -> list[GateApp]:
-    return [_gate(g.kind, tuple(l + offset for l in g.lines), g.params) for g in gates]
+def _gray_chain(mu: int, offset: int) -> list[tuple]:
+    """`gray_converter_circuit(mu)` as (kind, lines, reals), every line moved by `offset`."""
+    return [("cu1", (p - 1 + offset, p + offset), _X_PARAMS) for p in range(mu, 1, -1)]
 
 
 def _toffolis(triples: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -200,8 +201,7 @@ class _Window(NamedTuple):
     again, uncomputes it); the labels vary on lines `q` and `last`, and
     `basis` lists the four dimensions (0-based) in the (bit q, last bit)
     order |00>, |01>, |10>, |11>; `enter` is `algebra.MAGIC` on (q, last)
-    and `leave` its inverse.  The three are rows of one table, and each
-    builds its GateApps once, when a stream first yields them."""
+    and `leave` its inverse.  The three are rows of one table."""
 
     gates: _ParsedGates
     fired: int
@@ -303,11 +303,11 @@ def _pairing_run(mu: int, invert: bool) -> _ParsedGates:
     In binary labels S acts on each dimension pair (2k-1, 2k), i.e. on the
     least significant label bit, as [[0, -1], [1, 0]]: the rotation by pi/2.
     """
-    to_gray = _shift_lines(gray_converter_circuit(mu), 1)  # data lines 2..mu+1
+    to_gray = _gray_chain(mu, 1)  # data lines 2..mu+1
     angle = -math.pi / 2.0 if invert else math.pi / 2.0
     # gray labels -> binary labels, the block, back to gray labels
     block = reals_from_complex(algebra.rot2(angle))
-    return _ParsedGates((*to_gray[::-1], _gate("cu1", (1, mu + 1), block), *to_gray))
+    return _ParsedGates(_table_of([*to_gray[::-1], ("cu1", (1, mu + 1), block), *to_gray]))
 
 
 def _gate_pieces(circuit: MatchgateCircuit) -> Iterator[_ParsedGates | _Piece]:
@@ -316,7 +316,7 @@ def _gate_pieces(circuit: MatchgateCircuit) -> Iterator[_ParsedGates | _Piece]:
     n = _require_standard(circuit)
     mu = (2 * n).bit_length() - 1
     window = functools.lru_cache(maxsize=WINDOW_CACHE_SIZE)(lambda k: _window(k, mu))
-    frame = _ParsedGates((_gate("h", (1,), ()),))
+    frame = _ParsedGates(_table_of([("h", (1,), ())]))
     yield frame
     yield from _rotation_pass(circuit, window, invert=True)
     yield _pairing_run(mu, invert=False)
@@ -333,14 +333,8 @@ def compress_gate_stream(circuit: MatchgateCircuit) -> Iterator[GateApp]:
     controlled gates, plus the gates of the last WINDOW_CACHE_SIZE windows
     used, which both passes of this stream reuse.
     """
-    run = apps = None
-    for part in _gate_pieces(circuit):
-        if isinstance(part, _ParsedGates):  # a window's, the frame, a pairing run: built once
-            yield from part
-        else:  # rows of a run's controlled gates, built into GateApps once per run
-            if part.block is not run:
-                run, apps = part.block, _gate_apps(part.block)
-            yield from apps[part.lo : part.hi]
+    for part in _gate_pieces(circuit):  # a window's gates are built once, for both passes
+        yield from part if isinstance(part, _ParsedGates) else _ParsedGates(part)
 
 
 def compress_circuit(circuit: MatchgateCircuit) -> GeneralCircuit:
@@ -349,8 +343,7 @@ def compress_circuit(circuit: MatchgateCircuit) -> GeneralCircuit:
     The output's <Z_1> on the all-zero input equals the input circuit's
     <Z_1>.  Requires all-zero input, measure line 1, power-of-two width.
     Its gates keep the pieces they were emitted as (`_ParsedGates.pieces`),
-    so `serialize_circuit` writes each distinct block once and no GateApp
-    is built unless the gates are read one by one.
+    so `serialize_circuit` writes each distinct block once.
     """
     gates = _ParsedGates(*_gate_pieces(circuit))
     mu = (2 * circuit.width).bit_length() - 1

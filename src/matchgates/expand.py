@@ -86,6 +86,7 @@ from .circuits import (
     _ParsedGates,
     _require_flavor,
     _table,
+    _table_of,
     gate_matrices,
     validate_or_raise,
 )
@@ -420,8 +421,7 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
 
     The result runs on the all-zero input and reproduces the source
     circuit's <Z_1> (on its basis input) as its own <Z_1>.  Its gates are
-    one GateColumns table (`_ParsedGates`): no GateApp is built for an
-    emitted gate unless the gates are read one by one.
+    one GateColumns table (`_ParsedGates`).
     """
     _require_flavor(circuit, "qc")
     validate_or_raise(circuit)
@@ -432,7 +432,7 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
         )
 
     # Fold the basis input into x gates, fuse, then append the readout gadget.
-    prefix = [GateApp("x", (q + 1,)) for q, c in enumerate(circuit.input) if c == "1"]
+    prefix = _table_of([("x", (q + 1,), ()) for q, c in enumerate(circuit.input) if c == "1"])
     table = _ParsedGates(prefix, circuit.gates).table
     gate_lines, mats = _fused(table.line_tuples(), gate_matrices(table))
     gate_lines.append((1, m + 1))

@@ -6,16 +6,17 @@ import numpy as np
 
 from . import algebra
 from .circuits import (
-    GateApp,
     GeneralCircuit,
     GuardError,
     MatchgateCircuit,
     UsageError,
+    _ParsedGates,
+    _table_of,
     reals_from_complex,
 )
 
 # The random circuits refuse, before drawing anything, a width or a gate count
-# above this: `gen-random mg 1024 100000` takes 7 s and 317 MiB peak RSS
+# above this: `gen-random mg 1024 100000` takes 8 s and 231 MiB peak RSS
 # (2-core VM) and writes 33 MB, and both grow linearly.
 RANDGEN_MAX_SIZE = 200_000
 
@@ -64,18 +65,13 @@ def random_matchgate_params(rng: np.random.Generator) -> tuple[float, ...]:
     return reals_from_complex(a) + reals_from_complex(b)
 
 
-def _random_mg_gate(k: int, rng: np.random.Generator, kinds: str) -> GateApp:
-    if kinds == "haar":
-        return GateApp("mg", (k,), random_matchgate_params(rng))
+def _random_mg_gate(k: int, rng: np.random.Generator, kinds: str) -> tuple:
     names, weights = zip(*MG_KIND_WEIGHTS)
-    kind = str(rng.choice(names, p=weights))
-    if kind == "w" or kind == "gxx":
-        return GateApp(kind, (k,))
+    kind = "mg" if kinds == "haar" else str(rng.choice(names, p=weights))
     if kind == "rot":
         plane = float(rng.integers(1, 7))
-        theta = float(rng.uniform(-np.pi, np.pi))
-        return GateApp("rot", (k,), (plane, theta))
-    return GateApp("mg", (k,), random_matchgate_params(rng))
+        return "rot", (k,), (plane, float(rng.uniform(-np.pi, np.pi)))
+    return kind, (k,), random_matchgate_params(rng) if kind == "mg" else ()
 
 
 def random_matchgate_circuit(
@@ -102,14 +98,14 @@ def random_matchgate_circuit(
     while len(positions) < size:
         positions.append(int(rng.integers(1, width)))
     positions = positions[:size]
-    gates = tuple(_random_mg_gate(int(k), rng, kinds) for k in positions)
+    gates = _ParsedGates(_table_of([_random_mg_gate(int(k), rng, kinds) for k in positions]))
     idle = len(set(positions)) < width - 1
     inp = input_bits if input_bits is not None else "0" * width
     k = measure_line if measure_line is not None else 1
     return MatchgateCircuit(width, gates, inp, k, allow_idle=idle)
 
 
-def _random_qc_gate(width: int, rng: np.random.Generator, kinds: str) -> GateApp:
+def _random_qc_gate(width: int, rng: np.random.Generator, kinds: str) -> tuple:
     if kinds == "haar":
         table = tuple(kw for kw in QC_KIND_WEIGHTS if kw[0] not in ("x", "h"))
         names, weights = zip(*table)
@@ -120,14 +116,13 @@ def _random_qc_gate(width: int, rng: np.random.Generator, kinds: str) -> GateApp
     if width < 2 and kind in ("u2", "cu1"):
         kind = "u1"
     if kind in ("x", "h"):
-        return GateApp(kind, (int(rng.integers(1, width + 1)),))
+        return kind, (int(rng.integers(1, width + 1)),), ()
     if kind == "u1":
         u = haar_unitary(2, rng)
-        return GateApp("u1", (int(rng.integers(1, width + 1)),), reals_from_complex(u))
+        return "u1", (int(rng.integers(1, width + 1)),), reals_from_complex(u)
     lines = rng.choice(width, size=2, replace=False) + 1
-    d = 4 if kind == "u2" else 2
-    u = haar_unitary(d, rng)
-    return GateApp(kind, (int(lines[0]), int(lines[1])), reals_from_complex(u))
+    u = haar_unitary(4 if kind == "u2" else 2, rng)
+    return kind, tuple(lines.tolist()), reals_from_complex(u)
 
 
 def random_general_circuit(
@@ -146,6 +141,6 @@ def random_general_circuit(
     if width < 1:
         raise UsageError(f"circuits need width >= 1, got {width}")
     _guard(width, size)
-    gates = tuple(_random_qc_gate(width, rng, kinds) for _ in range(size))
+    gates = _ParsedGates(_table_of([_random_qc_gate(width, rng, kinds) for _ in range(size)]))
     inp = input_bits if input_bits is not None else "0" * width
     return GeneralCircuit(width, gates, inp)

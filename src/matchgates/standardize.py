@@ -14,17 +14,17 @@ original's line-k distribution:
 
 A pair (a, b) costs b - a gates, so the prefix costs at most n and the
 whole overhead at most 2n - 1, within STANDARD_SIZE_CONSTANT * n^2 + n.
+The added gates are table rows: no GateApp is built (see `circuits`).
 """
 
 from __future__ import annotations
 
 from .circuits import (
-    GateApp,
     MatchgateCircuit,
     _ParsedGates,
-    _gate,
     _mark_valid,
     _require_flavor,
+    _table_of,
     validate_or_raise,
 )
 
@@ -55,14 +55,10 @@ def standardize(circuit: MatchgateCircuit) -> MatchgateCircuit:
         targets.append(width)
     # Raise each consecutive pair (a, b) of targets at a and a + 1, then walk
     # the second one down to b through lines that are still zero.
-    prefix: list[GateApp] = []
-    for a, b in zip(targets[::2], targets[1::2]):
-        prefix.append(_gate("gxx", (a,), ()))
-        prefix.extend(_gate("w", (j,), ()) for j in range(a + 1, b))
-
-    suffix = [_gate("w", (j,), ()) for j in range(k - 1, 0, -1)]
-
-    gates = _ParsedGates(prefix, circuit.gates, suffix)
+    pairs = zip(targets[::2], targets[1::2])
+    prefix = [("gxx" if j == a else "w", (j,), ()) for a, b in pairs for j in range(a, b)]
+    suffix = [("w", (j,), ()) for j in range(k - 1, 0, -1)]
+    gates = _ParsedGates(_table_of(prefix), circuit.gates, _table_of(suffix))
     added = len(gates) - len(circuit.gates)
     bound = STANDARD_SIZE_CONSTANT * n * n + n
     if added > bound:

@@ -39,16 +39,19 @@ from .circuits import (
 _TABLE_CHUNK = 1 << 16
 
 
-def _refuse(index: int, g: GateApp) -> None:
-    """Raise ValueError naming gate `index` (1-based), one `_refused` marks, by
-    what the text would change: its kind or counts, its rot plane, or else a
-    line the parser refuses (a table holds it clipped)."""
-    problem = _misshapen(g)
-    if not problem and g.kind == "rot":
-        plane = g.params[0]
+def _refuse(index: int, table: GateColumns, row: int, gates: _ParsedGates) -> None:
+    """Raise ValueError naming gate `index` (1-based), row `row` of `table`, by
+    what the text would change: its kind or counts (a -1 row keeps neither: the
+    circuit's gate is read), its rot plane, or else a line the parser refuses."""
+    if table.kinds[row] < 0:
+        g = gates[index - 1]
+        raise ValueError(f"gate {index} ({g.kind}): {_misshapen(g)}")
+    kind, problem = _KIND_NAMES[table.kinds[row]], f"line out of range +-{_LINE_LIMIT}"
+    if kind == "rot":
+        plane = float(table.params[table.param_at[row]])
         if not (plane.is_integer() and (plane or math.copysign(1, plane) > 0)):
             problem = f"plane must be an integer, got {plane!r}"  # -0.0 would read back as 0.0
-    raise ValueError(f"gate {index} ({g.kind}): {problem or f'line out of range +-{_LINE_LIMIT}'}")
+    raise ValueError(f"gate {index} ({kind}): {problem}")
 
 
 def _texts(values: np.ndarray, fmt: Callable) -> np.ndarray:
@@ -115,9 +118,9 @@ def serialize_circuit(circuit: Circuit) -> str:
     blocks, first, counts = gates.blocks()
     refused = _refused(blocks)
     if refused.any():  # name the first the circuit holds by its index there
-        held = np.flatnonzero(np.concatenate([refused[a : a + n] for a, n in zip(first, counts)]))
-        if len(held):
-            _refuse(int(held[0]) + 1, gates[int(held[0])])
+        rows = np.concatenate([np.arange(a, a + n) for a, n in zip(first, counts)])
+        for i in np.flatnonzero(refused[rows])[:1].tolist():
+            _refuse(i + 1, blocks, rows[i], gates)
     # The rows _TABLE_CHUNK at a time; a refused row, no gate of the circuit, is left out.
     blocks = blocks._replace(kinds=np.where(refused, -1, blocks.kinds))
     lines = []

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
-from matchgates import oracle
-from matchgates.circuits import gate_matrix
+import matchgates
+from matchgates import circuits, oracle
+from matchgates.circuits import GateApp, gate_matrix
 
 
 def embed(u: np.ndarray, lines: tuple[int, ...], width: int) -> np.ndarray:
@@ -34,6 +38,19 @@ def dense_unitary(gates, width: int, flavor: str = "qc") -> np.ndarray:
         axes = [l - 1 for l in lines]
         out = np.moveaxis(np.tensordot(u, out, (list(range(k, 2 * k)), axes)), range(k), axes)
     return out.reshape(2**width, 2**width)
+
+
+def record_gate_objects(monkeypatch) -> list:
+    """Count the GateApps made both ways: the dataclass constructor, and
+    `circuits._gate` under every name any matchgates module binds it to."""
+    built, post_init, make = [], GateApp.__post_init__, circuits._gate
+    monkeypatch.setattr(GateApp, "__post_init__", lambda g: built.append(1) or post_init(g))
+    counted = lambda *args: built.append(1) or make(*args)
+    for info in pkgutil.iter_modules(matchgates.__path__):
+        module = importlib.import_module(f"matchgates.{info.name}")
+        for name in [name for name, value in vars(module).items() if value is make]:
+            monkeypatch.setattr(module, name, counted)
+    return built
 
 
 @pytest.fixture

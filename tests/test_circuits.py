@@ -670,12 +670,14 @@ def test_serialize_of_runs_matches_the_reference_of_their_gates(circuit, chunk):
         assert serialize_circuit(circuit) == reference_serialize(flat)
 
 
-def test_serialize_of_runs_names_a_bad_gate_by_its_index_in_the_circuit():
+def test_serialize_of_runs_names_a_bad_gate_by_its_index_in_the_circuit(monkeypatch):
     w, bad = GateApp("w", (1,)), GateApp("rot", (1,), (2.5, 0.1))
     pair, tail = circuits.read_gates((w, w)), circuits.read_gates((w, bad))
     gates = circuits._ParsedGates(pair, (), (w,), pair, tail)
+    asked = _count_flat_tuples(monkeypatch)
     with pytest.raises(ValueError, match=r"^gate 7 \(rot\): plane must be an integer, got 2.5$"):
         serialize_circuit(MatchgateCircuit(2, gates, "00"))
+    assert asked == []  # the refused gate is worded from its row
     # A row no piece holds is no gate of the circuit: neither refused nor written.
     held = MatchgateCircuit(2, circuits._ParsedGates(pair, circuits._Piece(tail, 0, 1)), "00")
     assert serialize_circuit(held) == reference_serialize(_with_gates(held, (w, w, w)))
@@ -738,6 +740,31 @@ def test_cli_expand_writes_the_table_without_the_flat_tuple(tmp_path, rng, monke
     expected = expand_circuit(circuit)
     assert out.read_text() == reference_serialize(expected)
     assert f" out_gates={len(expected.gates)} " in capsys.readouterr().out
+
+
+def test_validate_words_each_bad_gate_from_its_row(monkeypatch):
+    # An mg circuit built in code over three validation chunks, with every
+    # kind of failure the table holds in the last: validate words each from
+    # the table's rows, never from the flat GateApp tuple.
+    rng = np.random.default_rng(11)
+    size = 2 * circuits._VALIDATE_CHUNK + 100
+    gates = list(randgen.random_matchgate_circuit(6, size, rng, kinds="haar").gates)
+    a, b = gates[-1].params[:8], gates[-1].params[8:]
+    phase = reals_from_complex(np.exp(0.3j) * complex_from_reals(b))
+    gates[-60:] = [
+        GateApp("mg", (3,), (2 * a[0], *a[1:]) + b),  # block a not unitary
+        GateApp("mg", (2,), a + phase),  # determinant mismatch
+        GateApp("rot", (1,), (7.0, 0.2)),
+        GateApp("w", (6,)),  # line out of range
+        GateApp("x", (1,)),  # not an mg gate
+        *gates[-55:],
+    ]
+    circuit = MatchgateCircuit(6, tuple(gates), "0" * 6)
+    asked = _count_flat_tuples(monkeypatch)
+    got = validate(circuit)
+    assert asked == []
+    monkeypatch.undo()
+    assert got == reference_validate(circuit) and len(got) == 6
 
 
 def reference_parse(text: str):

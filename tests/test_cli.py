@@ -13,6 +13,8 @@ from matchgates import circuits, cli, simulate
 from matchgates.cli import main
 from matchgates.circuits import parse_circuit
 
+from conftest import record_gate_objects
+
 
 GXX_CIRCUIT = "circuit mg width=2 input=00 measure=1\ngxx 1\n"
 ROT_CIRCUIT = "circuit mg width=2 input=00 measure=2\nrot 1 plane=2 theta=0.9\n"
@@ -221,24 +223,12 @@ def test_expand_force_refuses_a_gate_count_over_the_guard(tmp_path, capsys, rng)
     assert not out.exists()
 
 
-def _record_gate_objects(monkeypatch) -> list:
-    """Count GateApps made both ways: the dataclass constructor and the
-    parser's private one for values it has already converted."""
-    built = []
-    post_init, make = circuits.GateApp.__post_init__, getattr(circuits, "_gate", None)
-    monkeypatch.setattr(
-        circuits.GateApp, "__post_init__", lambda g: [built.append(1), post_init(g)]
-    )
-    monkeypatch.setattr(circuits, "_gate", lambda *a: built.append(1) or make(*a), raising=False)
-    return built
-
-
 def test_simulate_of_a_parsed_file_builds_no_gate_objects(tmp_path, capsys, monkeypatch, rng):
     from matchgates import randgen
 
     f = tmp_path / "c.mg"
     f.write_text(circuits.serialize_circuit(randgen.random_matchgate_circuit(9, 600, rng)))
-    built = _record_gate_objects(monkeypatch)
+    built = record_gate_objects(monkeypatch)
     assert run_cli("simulate", str(f)) == 0
     assert run_cli("simulate", str(f), "--method", "reference") == 0
     assert built == []  # both paths read the parser's table
@@ -253,7 +243,7 @@ def test_simulate_of_a_commented_file_builds_no_gate_objects(tmp_path, capsys, m
     f, bare = tmp_path / "c.mg", tmp_path / "bare.mg"
     f.write_text("# hand-edited\n" + text.replace("\n", "  # gate\n", 300))
     bare.write_text(text)
-    built = _record_gate_objects(monkeypatch)
+    built = record_gate_objects(monkeypatch)
     assert run_cli("simulate", str(f)) == 0
     assert run_cli("simulate", str(bare)) == 0
     assert built == []
@@ -265,10 +255,39 @@ def test_verify_of_parsed_qc_files_builds_no_gate_objects(tmp_path, capsys, monk
     a, b = tmp_path / "a.qc", tmp_path / "b.qc"
     assert run_cli("gen-random", "qc", "5", "700", str(a), "--seed", "3") == 0
     b.write_text(a.read_text() + "x 2\nx 2\n")
-    built = _record_gate_objects(monkeypatch)
+    built = record_gate_objects(monkeypatch)
     assert run_cli("verify", str(a), str(b), "--tol", "1e-12") == 0
     assert built == []
     assert capsys.readouterr().out.rstrip().endswith("pass=true")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "{mg}"],
+        ["standardize", "{mg}", "{out}"],
+        ["compress", "{mg}", "{out}"],
+        ["expand", "{qc}", "{out}"],
+        ["verify", "{qc}", "{qc}"],
+        ["gen-random", "mg", "9", "300", "{out}", "--seed", "2"],
+        ["gen-random", "qc", "3", "300", "{out}", "--seed", "2"],
+    ],
+    ids=["simulate", "standardize", "compress", "expand", "verify", "gen-random-mg", "gen-random-qc"],
+)
+def test_no_subcommand_builds_a_gate_object_for_a_serializer_form_file(tmp_path, monkeypatch, argv):
+    from matchgates import randgen
+
+    rng = np.random.default_rng(5)
+    mg, qc, out = tmp_path / "c.mg", tmp_path / "c.qc", tmp_path / "out"
+    # An odd count of ones and a measure line past 1, so standardize (and
+    # compress, which standardizes first) adds gates; ones in the qc input,
+    # which expand folds into x gates.
+    odd = randgen.random_matchgate_circuit(9, 300, rng, "011010101", 4)
+    mg.write_text(circuits.serialize_circuit(odd))
+    qc.write_text(circuits.serialize_circuit(randgen.random_general_circuit(3, 12, rng, "101")))
+    built = record_gate_objects(monkeypatch)
+    assert run_cli(*(arg.format(mg=mg, qc=qc, out=out) for arg in argv)) == 0
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from matchgates.circuits import (
 )
 from matchgates.compress import (
     _mcx,
-    _shift_lines,
     _toffolis,
     _window,
     compress_circuit,
@@ -32,7 +31,7 @@ from matchgates.oracle import apply_dense_gate, expectation_z, run_statevector
 from matchgates.simulate import _ROTATION_RUN, rotation_runs, simulate_expectation
 from matchgates.standardize import standardize
 
-from conftest import dense_unitary
+from conftest import dense_unitary, record_gate_objects
 
 
 # ----- Gray labels -----------------------------------------------------------
@@ -670,32 +669,21 @@ def test_compressing_a_parsed_circuit_reads_its_table(rng, monkeypatch):
 
 
 def test_cli_compress_builds_no_gate_object_per_window_or_matchgate(tmp_path, rng, monkeypatch):
-    import importlib
-
     from matchgates import cli
 
-    # The package exports the function standardize under the module's name.
-    standardize_mod = importlib.import_module("matchgates.standardize")
     src, dst = tmp_path / "c.mg", tmp_path / "c.qc"
     circuit = randgen.random_matchgate_circuit(8, 400, rng, "01101001", 3)
     src.write_text(circuits.serialize_circuit(circuit))
-    built, windows = [], []
-    gate, post_init, window = circuits._gate, GateApp.__post_init__, compress._window
-    counted = lambda *args: built.append(1) or gate(*args)
-    for module in (circuits, compress, standardize_mod):
-        monkeypatch.setattr(module, "_gate", counted)
-    monkeypatch.setattr(GateApp, "__post_init__", lambda g: built.append(1) or post_init(g))
+    windows, window = [], compress._window
+    built = record_gate_objects(monkeypatch)
     kept = lambda k, mu: windows.append(window(k, mu)) or windows[-1]
     monkeypatch.setattr(compress, "_window", kept)
     assert cli.main(["compress", str(src), str(dst)]) == 0
     monkeypatch.undo()
-    # Windows and controlled gates are built as tables: the gate objects are
-    # those of the two pairing runs (2 (mu - 1) + 1 each), the frame and
-    # standardize's added gates, however many matchgates there are.
-    mu = 4
+    # Windows, controlled gates, the pairing runs, the frame and standardize's
+    # added gates are all rows of tables: no gate object is built.
+    assert windows and built == []
     standard = standardize(circuit)
-    bound = 2 * (2 * (mu - 1) + 1) + 1 + len(standard.gates) - len(circuit.gates)
-    assert windows and len(built) <= bound
     # The compressed gates are read as one table, never as the GateApp tuple.
     asked, flat = [], circuits._ParsedGates._gates
     spy = property(lambda gates: asked.append(1) or flat.fget(gates))

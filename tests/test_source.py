@@ -58,3 +58,27 @@ def test_only_givens_factor_recovers_angles():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("atan2", "arctan2")
     }
     assert found == {"algebra.givens_factor"}, found
+
+
+def test_gate_objects_are_built_only_at_the_edge():
+    # Inside the library a gate is a row of a GateColumns table.  A GateApp is
+    # built only for a caller: one who reads a circuit's gates, calls a public
+    # function that returns gates, or hands the line parser text that the
+    # table reader doubts.
+    builders = ("GateApp", "_gate", "_gate_apps")
+    found = {
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in SOURCES
+        for top in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in builders
+    }
+    edge = {
+        "circuits._ParsedGates",
+        "compress.compress_gate_stream",
+        "compress.gray_converter_circuit",
+        "expand.two_level_to_matchgates",
+        "textformat._parse_gate",
+    }
+    assert "circuits._ParsedGates" in found and found <= edge, found - edge
