@@ -425,25 +425,49 @@ def _mg_matrices(rows: np.ndarray) -> np.ndarray:
     return g
 
 
-def _controlled_matrices(rows: np.ndarray) -> np.ndarray:
-    g = np.zeros((len(rows), 4, 4), dtype=complex)
+def _controlled_matrices(blocks: np.ndarray) -> np.ndarray:
+    """The controlled 4x4 of each 2x2 target block, control the first factor."""
+    g = np.zeros((len(blocks), 4, 4), dtype=complex)
     g[:, 0, 0] = g[:, 1, 1] = 1.0
-    g[:, 2:, 2:] = rows.view(complex).reshape(-1, 2, 2)
+    g[:, 2:, 2:] = blocks
     return g
 
 
-# kind -> the dense matrices of its gates, one per row of GateColumns.rows(kind)
-_MATRICES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+def _unitaries(d: int) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda rows: rows.view(complex).reshape(-1, d, d)
+
+
+# kind -> the matrix each of its gates applies where it acts, one per row of
+# GateColumns.rows(kind): a cu1 gate's is its 2x2 target block, which acts
+# where its control reads 1.
+_BLOCKS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "w": _constant(algebra.FERMIONIC_SWAP),
     "gxx": _constant(algebra.GXX),
     "rot": lambda rows: algebra.rotation_generator_exponential(rows[:, 0], rows[:, 1]),
     "mg": _mg_matrices,
     "x": _constant(algebra.PAULI_X),
     "h": _constant(_HADAMARD),
-    "u1": lambda rows: rows.view(complex).reshape(-1, 2, 2),
-    "u2": lambda rows: rows.view(complex).reshape(-1, 4, 4),
-    "cu1": _controlled_matrices,
+    "u1": _unitaries(2),
+    "u2": _unitaries(4),
+    "cu1": _unitaries(2),
 }
+# kind -> the dense matrices of its gates: a cu1 gate's is its full controlled 4x4.
+_MATRICES = {**_BLOCKS, "cu1": lambda rows: _controlled_matrices(_BLOCKS["cu1"](rows))}
+
+
+def _by_kind(
+    cols: GateColumns, makers: dict[str, Callable[[np.ndarray], np.ndarray]]
+) -> list[np.ndarray]:
+    """Each gate's matrix in gate order, built for all gates of one kind at once."""
+    kinds = cols.kinds
+    if (kinds < 0).any():
+        raise ValueError("unknown gate kind")
+    out: list[np.ndarray] = [None] * len(kinds)
+    for code in set(kinds.tolist()):
+        kind = _KIND_NAMES[code]
+        for i, m in zip(np.flatnonzero(kinds == code).tolist(), makers[kind](cols.rows(kind))):
+            out[i] = m
+    return out
 
 
 def gate_matrices(cols: GateColumns) -> list[np.ndarray]:
@@ -455,15 +479,13 @@ def gate_matrices(cols: GateColumns) -> list[np.ndarray]:
     -1 row (an unknown kind or a misshapen gate), a rot plane that is not an
     integer in 1..6 or a non-finite rot angle.
     """
-    kinds = cols.kinds
-    if (kinds < 0).any():
-        raise ValueError("unknown gate kind")
-    out: list[np.ndarray] = [None] * len(kinds)
-    for code in set(kinds.tolist()):
-        kind = _KIND_NAMES[code]
-        for i, m in zip(np.flatnonzero(kinds == code).tolist(), _MATRICES[kind](cols.rows(kind))):
-            out[i] = m
-    return out
+    return _by_kind(cols, _MATRICES)
+
+
+def _gate_blocks(cols: GateColumns) -> list[np.ndarray]:
+    """`gate_matrices`, but a `cu1` gate's matrix is its 2x2 target block:
+    the unitary it applies to the amplitudes whose control reads 1."""
+    return _by_kind(cols, _BLOCKS)
 
 
 def gate_matrix(gate: GateApp) -> np.ndarray:

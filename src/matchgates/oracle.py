@@ -10,18 +10,20 @@ simulator and the two compilers on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import algebra
 from .circuits import (
+    KIND_CODES,
     Circuit,
     GuardError,
     MatchgateCircuit,
     UsageError,
+    _gate_blocks,
     _gate_chunks,
     _require_line,
-    gate_matrices,
     validate_or_raise,
 )
 
@@ -44,32 +46,57 @@ def _slot_view(state: np.ndarray, lines: tuple[int, ...], width: int) -> np.ndar
     return np.moveaxis(state.reshape((2,) * width), [l - 1 for l in lines], range(len(lines)))
 
 
-def _apply_indexed(state: np.ndarray, u: np.ndarray, index: np.ndarray) -> None:
-    """Apply a unitary in place through the slot index of its lines."""
-    state[index] = u @ state[index]
+class _ViewSlot(NamedTuple):
+    """A gate's amplitudes as a slot view, with the scratch buffers they go
+    through: `a` and `b` in the view's shape, `x` and `y` the same buffers as
+    a stack of (2^j, c) operand and result slices of at most
+    _PRODUCT_AMPLITUDES amplitudes each."""
+
+    view: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
 
 
-def _apply_viewed(u: np.ndarray, view: np.ndarray, scratch: np.ndarray) -> None:
-    """Apply a unitary in place through a slot view of a state's lines.
+def _view_slot(view: np.ndarray, j: int, scratch: np.ndarray) -> _ViewSlot:
+    """The slot of a view whose first j axes a 2^j x 2^j unitary acts on;
+    `scratch` holds at least twice the view's amplitudes.
 
-    The amplitudes go through `scratch`, two buffers of the state's size:
-    at 14 lines, fresh arrays per gate cost more in page faults than the
-    product itself.
+    A fresh array per gate costs more in page faults than the product at
+    14 lines, so the amplitudes go through `scratch` instead.
     """
-    a, b = scratch.reshape(2, len(u), -1)
-    np.copyto(a.reshape(view.shape), view)
-    np.matmul(u, a, out=b)
-    np.copyto(view, b.reshape(view.shape))
+    n, d = view.size, 1 << j
+    c = min(n, _PRODUCT_AMPLITUDES) // d
+    a, b = scratch[:n], scratch[n : 2 * n]
+    x, y = (buf.reshape(d, -1, c).swapaxes(0, 1) for buf in (a, b))
+    return _ViewSlot(view, a.reshape(view.shape), b.reshape(view.shape), x, y)
+
+
+def _apply_viewed(u: np.ndarray, slot: _ViewSlot) -> None:
+    """Apply a unitary in place through a slot view: gather, product, scatter."""
+    np.copyto(slot.a, slot.view)
+    np.matmul(u, slot.x, out=slot.y)
+    np.copyto(slot.view, slot.b)
 
 
 def apply_dense_gate(state: np.ndarray, u: np.ndarray, lines: tuple[int, ...], width: int) -> np.ndarray:
     """Apply an explicit unitary to the listed lines of a 2^width statevector.
 
     `lines` are 1-based and ordered: the first listed line is the most
-    significant tensor factor of `u`.  Returns a new array.
+    significant tensor factor of `u`.  Returns a new array.  ValueError for
+    a line that repeats or falls outside 1..width, or a `u` that is not
+    2^j x 2^j for the j listed lines.
     """
+    lines = tuple(lines)
+    if len(set(lines)) != len(lines) or not all(1 <= l <= width for l in lines):
+        raise ValueError(f"lines {lines} are not distinct lines in 1..{width}")
+    d = 1 << len(lines)
+    if np.shape(u) != (d, d):
+        raise ValueError(f"matrix of shape {np.shape(u)} on {len(lines)} line(s); expected ({d}, {d})")
     out = np.array(state, dtype=complex)
-    _apply_viewed(u, _slot_view(out, tuple(lines), width), np.empty(2 * out.size, dtype=complex))
+    scratch = np.empty(2 * out.size, dtype=complex)
+    _apply_viewed(u, _view_slot(_slot_view(out, lines, width), len(lines), scratch))
     return out
 
 
@@ -84,17 +111,29 @@ _ORACLE_CHUNK = 512
 # A call keeps a slot index per line tuple while every tuple the circuit's
 # flavor can use fits in this many positions (512 KiB): qc circuits up to 9
 # lines, mg up to 12.  Wider circuits keep a slot view per tuple instead: it
-# holds no positions, and from about 12 lines on its strided copy costs what
-# an index's gather does (at 8 lines the gather is about 1.5 times as fast).
+# holds no positions.  A gate applied through a slot view takes 1.4-2.0
+# times as long as through a slot index at 8 lines, 1.4 times at 9 and about
+# 0.9 times at 12 (mg).
 _SLOT_ENTRIES = 2**16
+# Most amplitudes one product takes.  OpenBLAS spreads a product of a 4x4
+# with 2^13 amplitudes, or of a 2x2 with 2^14, over its threads, and on two
+# cores it ran no faster for it: a u2 gate at 14 lines took 85-115 us on
+# both cores and 80-87 us sliced on one.  A product through a slot index
+# holds at most 2^12 amplitudes (an mg gate at 12 lines), so only slot views
+# are sliced.
+_PRODUCT_AMPLITUDES = 2**12
+_CU1 = KIND_CODES["cu1"]
 
 
 def run_statevector(circuit: Circuit) -> np.ndarray:
     """Simulate a circuit exactly; returns the final 2^width statevector.
 
     The gates are read in runs from the circuit's table, each run's matrices
-    built by kind at once; each gate is applied in place through the slot
-    index or slot view of its line tuple, built once per call.
+    built by kind at once.  Each gate is applied in place as one gather of
+    its amplitudes, one product with its matrix and one scatter back, through
+    the slot index or slot view of its line tuple, built once per call.  A
+    `cu1` gate applies its 2x2 target block to the half of its slot where
+    its control reads 1, and leaves the other half untouched.
     """
     width = circuit.width
     if width > ORACLE_MAX_WIDTH:
@@ -102,24 +141,33 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
     validate_or_raise(circuit)
     state = basis_state(circuit.input)
     tuples = width * width if circuit.flavor == "qc" else width - 1
-    if tuples << width <= _SLOT_ENTRIES:
-        slot = lambda key: _slot_index(key, width)
-        apply = lambda u, index: _apply_indexed(state, u, index)
-    else:
-        scratch = np.empty(2 * state.size, dtype=complex)
-        slot = lambda key: _slot_view(state, key, width)
-        apply = lambda u, view: _apply_viewed(u, view, scratch)
-    slots: dict[tuple[int, ...], np.ndarray] = {}
+    indexed = tuples << width <= _SLOT_ENTRIES
+    scratch = None if indexed else np.empty(2 * state.size, dtype=complex)
+    whole: dict[tuple[int, ...], np.ndarray] = {}
+
+    def slot(lines: tuple[int, ...], controlled: bool):
+        at = whole.get(lines)
+        if at is None:
+            at = whole[lines] = _slot_index(lines, width) if indexed else _slot_view(state, lines, width)
+        if indexed:
+            return at[2:] if controlled else at
+        return _view_slot(at[1] if controlled else at, len(lines) - controlled, scratch)
+
+    slots: dict[tuple[tuple[int, ...], bool], np.ndarray | _ViewSlot] = {}
     for _, cols in _gate_chunks(circuit.gates, _ORACLE_CHUNK):
         if circuit.flavor == "qc":
-            keys = cols.line_tuples()
+            keys = list(zip(cols.line_tuples(), (cols.kinds == _CU1).tolist()))
         else:
-            keys = [(k, k + 1) for k in cols.lines.tolist()]
-        for u, key in zip(gate_matrices(cols), keys):
-            at = slots.get(key)
-            if at is None:
-                at = slots[key] = slot(key)
-            apply(u, at)
+            keys = [((k, k + 1), False) for k in cols.lines.tolist()]
+        for key in set(keys).difference(slots):
+            slots[key] = slot(*key)
+        gates = zip(_gate_blocks(cols), [slots[key] for key in keys])
+        if indexed:
+            for u, at in gates:
+                state[at] = u.dot(state[at])
+        else:
+            for u, at in gates:
+                _apply_viewed(u, at)
     return state
 
 

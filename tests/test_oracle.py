@@ -104,6 +104,24 @@ def test_apply_dense_gate_first_line_is_most_significant():
     assert np.allclose(s, basis_state("01"))
 
 
+@pytest.mark.parametrize(
+    "u, lines",
+    [
+        (np.kron(algebra.PAULI_X, np.eye(2)), (3,)),
+        (np.eye(2), (1, 2)),
+        (np.eye(4)[:, :2], (1, 2)),
+        (np.eye(4), (2, 2)),
+        (np.eye(2), (0,)),
+        (np.eye(2), (4,)),
+    ],
+)
+def test_apply_dense_gate_refuses_a_matrix_or_lines_that_do_not_fit(u, lines):
+    # A 4x4 on one line, a 2x2 or a 4x2 on two, a repeated line, lines off
+    # the register.
+    with pytest.raises(ValueError):
+        apply_dense_gate(basis_state("000"), u, lines, 3)
+
+
 def test_norm_preserved_over_long_random_circuit(rng):
     c = randgen.random_general_circuit(10, 1000, rng)
     state = run_statevector(c)
@@ -251,6 +269,19 @@ def _both_orders(rng) -> GeneralCircuit:
     return GeneralCircuit(3, tuple(gates), "010")
 
 
+def _cu1_heavy(width: int, rng) -> GeneralCircuit:
+    """A Hadamard on every line, then 600 gates, nine in ten of them cu1 on a
+    random ordered pair: both control orders, longer than a run of gates."""
+    gates = [GateApp("h", (k,)) for k in range(1, width + 1)]
+    for i in range(600):
+        a, b = (int(k) + 1 for k in rng.permutation(width)[:2])
+        if i % 10:
+            gates.append(GateApp("cu1", (a, b), reals_from_complex(randgen.haar_unitary(2, rng))))
+        else:
+            gates.append(GateApp("u1", (a,), reals_from_complex(randgen.haar_unitary(2, rng))))
+    return GeneralCircuit(width, tuple(gates), "0" * width)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     _oracle_circuits(),
@@ -259,6 +290,8 @@ def _both_orders(rng) -> GeneralCircuit:
 )
 @example(_both_orders(np.random.default_rng(1)), 7, oracle._SLOT_ENTRIES)
 @example(parse_circuit(serialize_circuit(_both_orders(np.random.default_rng(2)))), 7, 1)
+@example(_cu1_heavy(8, np.random.default_rng(3)), oracle._ORACLE_CHUNK, oracle._SLOT_ENTRIES)
+@example(_cu1_heavy(10, np.random.default_rng(4)), oracle._ORACLE_CHUNK, oracle._SLOT_ENTRIES)
 def test_oracle_matches_the_moveaxis_loop(circuit, chunk, entries):
     # Runs of 7 gates end mid-circuit; a one-position bound applies every gate
     # through a slot view, the default bound through slot indices up to 9 lines.
@@ -283,3 +316,39 @@ def test_slot_indices_stay_within_their_bound(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("width, entries", [(8, oracle._SLOT_ENTRIES), (10, oracle._SLOT_ENTRIES), (8, 1)])
+@pytest.mark.parametrize("control, target", [(2, 5), (5, 2)])
+def test_cu1_leaves_every_control_zero_amplitude_bit_for_bit(rng, width, entries, control, target):
+    # 8 lines with the default bound go through a slot index; 10 lines, or a
+    # one-position bound, through a slot view.
+    prefix = tuple(
+        GateApp("u1", (k,), reals_from_complex(randgen.haar_unitary(2, rng)))
+        for k in range(1, width + 1)
+    )
+    cu1 = GateApp("cu1", (control, target), reals_from_complex(randgen.haar_unitary(2, rng)))
+    circuit = GeneralCircuit(width, prefix + (cu1,), "0" * width)
+    with mock.patch.object(oracle, "_SLOT_ENTRIES", entries):
+        before = run_statevector(GeneralCircuit(width, prefix, "0" * width))
+        after = run_statevector(circuit)
+    zero = (np.arange(2**width) >> (width - control) & 1) == 0
+    assert np.array_equal(after[zero], before[zero])
+    assert not np.allclose(after[~zero], before[~zero])
+    assert np.abs(after - reference_run_statevector(circuit)).max() <= 1e-15
+
+
+def test_sliced_products_are_bit_identical_to_one_product(rng):
+    # At the width guard the default bound cuts a u2 or u1 product into 4
+    # slices and a cu1 product into 2.
+    n = ORACLE_MAX_WIDTH
+    gates = []
+    for kind in ("u2", "u1", "cu1") * 4:
+        lines = tuple(int(k) + 1 for k in rng.permutation(n)[: GATE_KINDS[kind][1]])
+        d = 4 if kind == "u2" else 2
+        gates.append(GateApp(kind, lines, reals_from_complex(randgen.haar_unitary(d, rng))))
+    circuit = GeneralCircuit(n, tuple(gates), "0" * n)
+    sliced = run_statevector(circuit)
+    with mock.patch.object(oracle, "_PRODUCT_AMPLITUDES", 2**n):
+        whole = run_statevector(circuit)
+    assert np.array_equal(sliced, whole)
