@@ -6,7 +6,9 @@ equals Re <0|V|0> for the real orthogonal V = S^{-1} R S R^{-1} acting on a
 register of mu = log2(2n) qubits, with rotation dimension j carried by the
 basis state whose label is the Gray code of j-1.  That real part is produced
 by the standard one-ancilla interference ("Hadamard-test") pattern: an H on
-the control line, V applied under that control, and a closing H.
+the control line, V applied under that control, and a closing H.  Only S
+needs the control, as c-(R S R^{-1}) = R c-S R^{-1} (Barenco et al. 1995,
+arXiv:quant-ph/9503016): the rotation passes never read line 1.
 
 Register layout (width mu + 2):
   line 1            control, measured
@@ -16,13 +18,14 @@ Register layout (width mu + 2):
 Controlled-V is streamed in runs of gates.  Matchgate k acts on the window of
 dimensions 2k-1 .. 2k+2, whose four Gray labels agree on every bit but the
 last and one other, q: the window is the two-qubit subspace of lines q and
-last with every shared bit fixed.  So for each matchgate, once per pass, one
-AND of the control line and the window's shared bits is computed into the
-work ancilla, borrowing the two window lines as dirty scratch (at mu = 2 the
-window shares no bit, and the control line itself is the AND).  The
+last with every shared bit fixed.  So for each matchgate, once per pass, the
+AND of the window's shared bits alone is computed into the work ancilla,
+borrowing the two window lines as dirty scratch (at mu = 3 the one shared
+line is itself the AND; at mu = 2 the window shares no bit, and the control
+line fires it, since a controlled R is also correct).  The
 matchgate's rotation, in the (bit q, last bit) basis, is an R in SO(4), and
 in the magic basis Q it is local: Q R Q^dag = A (x) B (Vatan & Williams 2004,
-arXiv:quant-ph/0308006).  So controlled-R is Q on the two window lines, A on
+arXiv:quant-ph/0308006).  So the window's R is Q on the two window lines, A on
 line q and B on the last line each under the ancilla, and Q^dag; wherever
 the ancilla is 0, Q^dag undoes Q.  The same AND gates then uncompute the
 ancilla.  Window k shares no dimension with the windows of pairs k +- 2 and
@@ -218,10 +221,10 @@ def _window(k: int, mu: int) -> _Window:
     The window is dimensions 2k-1 .. 2k+2, the Gray labels of 2k-2 .. 2k+1.
     From an even start these vary only in the last bit and the bit q flipped
     between the middle two, and agree on every other bit.  The AND gates set
-    the clean ancilla (line mu+2) to (control line 1) AND (every shared bit,
-    at its value), borrowing the two window lines as dirty scratch.  With no
-    shared bit (mu = 2) the control line itself is that AND, and there are
-    no gates.
+    the clean ancilla (line mu+2) to the AND of every shared bit, at its
+    value, borrowing the two window lines as dirty scratch.  One shared bit
+    (mu = 3) is the AND itself; with none (mu = 2) line 1 fires the core (a
+    controlled R is also correct), and there are no gates.
     """
     labels = [gray(i, mu) for i in range(2 * k - 2, 2 * k + 2)]
     varying = [p for p in range(mu) if len({label[p] for label in labels}) > 1]
@@ -230,15 +233,16 @@ def _window(k: int, mu: int) -> _Window:
     bit = varying[0]
     basis = tuple(sorted(range(4), key=lambda i: labels[i][bit] + labels[i][-1]))
     q, last = bit + 2, mu + 1  # label bit p sits on data line p + 2
-    shared = [p for p in range(mu) if p not in varying]
-    fired = mu + 2 if shared else 1
-    controls = (1,) + tuple(p + 2 for p in shared)
-    and_lines, and_params = _toffolis(_mcx(controls, fired, (q, last)) if shared else [])
-    # The AND is X on every shared line whose bit is 0, the Toffolis, and those X again.
-    wraps = np.array([p + 2 for p in shared if labels[0][p] == "0"], dtype=np.int64)
+    controls = tuple(p + 2 for p in range(mu) if p not in varying)  # the shared bits' lines
+    fired = mu + 2 if len(controls) > 1 else (controls + (1,))[0]
+    and_lines, and_params = _toffolis(_mcx(controls, fired, (q, last)) if len(controls) > 1 else [])
+    # The AND is X on every shared line whose bit is 0, the Toffolis, and
+    # those X again; a lone shared line's X is undone by the AND's second use.
+    wraps = np.array([l for l in controls if labels[0][l - 2] == "0"], dtype=np.int64)
+    unwraps = wraps if len(controls) > 1 else wraps[:0]
     x, cu1 = np.full(len(wraps), KIND_CODES["x"]), np.full(len(and_lines) // 2, KIND_CODES["cu1"])
-    kinds = np.concatenate([x, cu1, x, _MAGIC_KINDS])
-    lines = np.concatenate([wraps, and_lines, wraps, np.array([q, last])[_MAGIC_LINES]])
+    kinds = np.concatenate([x, cu1, x[: len(unwraps)], _MAGIC_KINDS])
+    lines = np.concatenate([wraps, and_lines, unwraps, np.array([q, last])[_MAGIC_LINES]])
     block = _table(kinds, lines, np.concatenate([and_params, _MAGIC_PARAMS]))
     n = len(kinds) - 6
     ranges = ((0, n), (n, n + 3), (n + 3, n + 6))
@@ -269,7 +273,7 @@ def _fused(lines: list[int], rots: np.ndarray, invert: bool) -> tuple[list[int],
 def _rotation_pass(
     circuit: MatchgateCircuit, window: Callable[[int], _Window], invert: bool
 ) -> Iterator[_ParsedGates | _Piece]:
-    """Controlled R (or R^{-1} with `invert`), one kept matchgate at a time
+    """R (or R^{-1} with `invert`), one kept matchgate at a time
     (see `_fused`): its window's AND, Q, A on line q and B on the last line
     under the AND, Q^dag, the AND again to uncompute it.  A kept matchgate
     whose rotation is the identity (to OMIT_ANGLE) emits nothing.
@@ -312,7 +316,7 @@ def _pairing_run(mu: int, invert: bool) -> _ParsedGates:
 
 def _gate_pieces(circuit: MatchgateCircuit) -> Iterator[_ParsedGates | _Piece]:
     """The compressed circuit's gates, as tables and rows of tables: the
-    interference frame around controlled R^{-1}, S, R and S^{-1}."""
+    interference frame around R^{-1}, controlled S, R and controlled S^{-1}."""
     n = _require_standard(circuit)
     mu = (2 * n).bit_length() - 1
     window = functools.lru_cache(maxsize=WINDOW_CACHE_SIZE)(lambda k: _window(k, mu))

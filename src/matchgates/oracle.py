@@ -46,38 +46,38 @@ def _slot_view(state: np.ndarray, lines: tuple[int, ...], width: int) -> np.ndar
     return np.moveaxis(state.reshape((2,) * width), [l - 1 for l in lines], range(len(lines)))
 
 
-class _ViewSlot(NamedTuple):
-    """A gate's amplitudes as a slot view, with the scratch buffers they go
-    through: `a` and `b` in the view's shape, `x` and `y` the same buffers as
-    a stack of (2^j, c) operand and result slices of at most
-    _PRODUCT_AMPLITUDES amplitudes each."""
+class _Buffers(NamedTuple):
+    """The scratch a slot view's amplitudes go through: `a` and `b` in the
+    view's shape, `x` and `y` the same buffers as a stack of (2^j, c)
+    operand and result slices of at most _PRODUCT_AMPLITUDES amplitudes
+    each.  They depend only on the view's shape and j, so one set serves
+    every line tuple."""
 
-    view: np.ndarray
     a: np.ndarray
     b: np.ndarray
     x: np.ndarray
     y: np.ndarray
 
 
-def _view_slot(view: np.ndarray, j: int, scratch: np.ndarray) -> _ViewSlot:
-    """The slot of a view whose first j axes a 2^j x 2^j unitary acts on;
-    `scratch` holds at least twice the view's amplitudes.
+def _buffers(axes: int, j: int, scratch: np.ndarray) -> _Buffers:
+    """The buffers of a view of `axes` axes whose first j a 2^j x 2^j
+    unitary acts on; `scratch` holds at least twice the view's amplitudes.
 
     A fresh array per gate costs more in page faults than the product at
     14 lines, so the amplitudes go through `scratch` instead.
     """
-    n, d = view.size, 1 << j
+    n, d, shape = 1 << axes, 1 << j, (2,) * axes
     c = min(n, _PRODUCT_AMPLITUDES) // d
     a, b = scratch[:n], scratch[n : 2 * n]
     x, y = (buf.reshape(d, -1, c).swapaxes(0, 1) for buf in (a, b))
-    return _ViewSlot(view, a.reshape(view.shape), b.reshape(view.shape), x, y)
+    return _Buffers(a.reshape(shape), b.reshape(shape), x, y)
 
 
-def _apply_viewed(u: np.ndarray, slot: _ViewSlot) -> None:
+def _apply_viewed(u: np.ndarray, view: np.ndarray, buf: _Buffers) -> None:
     """Apply a unitary in place through a slot view: gather, product, scatter."""
-    np.copyto(slot.a, slot.view)
-    np.matmul(u, slot.x, out=slot.y)
-    np.copyto(slot.view, slot.b)
+    np.copyto(buf.a, view)
+    np.matmul(u, buf.x, out=buf.y)
+    np.copyto(view, buf.b)
 
 
 def apply_dense_gate(state: np.ndarray, u: np.ndarray, lines: tuple[int, ...], width: int) -> np.ndarray:
@@ -96,7 +96,7 @@ def apply_dense_gate(state: np.ndarray, u: np.ndarray, lines: tuple[int, ...], w
         raise ValueError(f"matrix of shape {np.shape(u)} on {len(lines)} line(s); expected ({d}, {d})")
     out = np.array(state, dtype=complex)
     scratch = np.empty(2 * out.size, dtype=complex)
-    _apply_viewed(u, _view_slot(_slot_view(out, lines, width), len(lines), scratch))
+    _apply_viewed(u, _slot_view(out, lines, width), _buffers(width, len(lines), scratch))
     return out
 
 
@@ -144,6 +144,7 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
     indexed = tuples << width <= _SLOT_ENTRIES
     scratch = None if indexed else np.empty(2 * state.size, dtype=complex)
     whole: dict[tuple[int, ...], np.ndarray] = {}
+    buffers: dict[tuple[bool, int], _Buffers] = {}  # (controlled, line count) -> buffers
 
     def slot(lines: tuple[int, ...], controlled: bool):
         at = whole.get(lines)
@@ -151,9 +152,12 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
             at = whole[lines] = _slot_index(lines, width) if indexed else _slot_view(state, lines, width)
         if indexed:
             return at[2:] if controlled else at
-        return _view_slot(at[1] if controlled else at, len(lines) - controlled, scratch)
+        key = (controlled, len(lines))
+        if key not in buffers:
+            buffers[key] = _buffers(width - controlled, len(lines) - controlled, scratch)
+        return (at[1] if controlled else at), buffers[key]
 
-    slots: dict[tuple[tuple[int, ...], bool], np.ndarray | _ViewSlot] = {}
+    slots: dict[tuple[tuple[int, ...], bool], np.ndarray | tuple[np.ndarray, _Buffers]] = {}
     for _, cols in _gate_chunks(circuit.gates, _ORACLE_CHUNK):
         if circuit.flavor == "qc":
             keys = list(zip(cols.line_tuples(), (cols.kinds == _CU1).tolist()))
@@ -166,8 +170,8 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
             for u, at in gates:
                 state[at] = u.dot(state[at])
         else:
-            for u, at in gates:
-                _apply_viewed(u, at)
+            for u, (view, buf) in gates:
+                _apply_viewed(u, view, buf)
     return state
 
 

@@ -6,12 +6,14 @@ import numpy as np
 
 from . import algebra
 from .circuits import (
+    KIND_CODES,
+    GateColumns,
     GeneralCircuit,
     GuardError,
     MatchgateCircuit,
     UsageError,
     _ParsedGates,
-    _table_of,
+    _table,
     reals_from_complex,
 )
 
@@ -65,6 +67,22 @@ def random_matchgate_params(rng: np.random.Generator) -> tuple[float, ...]:
     return reals_from_complex(a) + reals_from_complex(b)
 
 
+def _drawn_table(size: int, most_lines: int, most_reals: int, draw) -> GateColumns:
+    """Gates 0 .. size - 1, each drawn by `draw(i)` as (kind, lines, reals) into
+    columns preallocated for `most_lines` lines and `most_reals` reals a gate."""
+    kinds = np.empty(size, np.intp)
+    lines, params = np.empty(size * most_lines, np.int64), np.empty(size * most_reals)
+    at_line = at_param = 0
+    for i in range(size):
+        kind, gate_lines, reals = draw(i)
+        kinds[i] = KIND_CODES[kind]
+        lines[at_line : at_line + len(gate_lines)] = gate_lines
+        params[at_param : at_param + len(reals)] = reals
+        at_line, at_param = at_line + len(gate_lines), at_param + len(reals)
+    lines = lines if at_line == len(lines) else lines[:at_line].copy()  # keep only what was drawn
+    return _table(kinds, lines, params if at_param == len(params) else params[:at_param].copy())
+
+
 def _random_mg_gate(k: int, rng: np.random.Generator, kinds: str) -> tuple:
     names, weights = zip(*MG_KIND_WEIGHTS)
     kind = "mg" if kinds == "haar" else str(rng.choice(names, p=weights))
@@ -98,7 +116,7 @@ def random_matchgate_circuit(
     while len(positions) < size:
         positions.append(int(rng.integers(1, width)))
     positions = positions[:size]
-    gates = _ParsedGates(_table_of([_random_mg_gate(int(k), rng, kinds) for k in positions]))
+    gates = _ParsedGates(_drawn_table(size, 1, 16, lambda i: _random_mg_gate(positions[i], rng, kinds)))
     idle = len(set(positions)) < width - 1
     inp = input_bits if input_bits is not None else "0" * width
     k = measure_line if measure_line is not None else 1
@@ -141,6 +159,6 @@ def random_general_circuit(
     if width < 1:
         raise UsageError(f"circuits need width >= 1, got {width}")
     _guard(width, size)
-    gates = _ParsedGates(_table_of([_random_qc_gate(width, rng, kinds) for _ in range(size)]))
+    gates = _ParsedGates(_drawn_table(size, 2, 32, lambda _: _random_qc_gate(width, rng, kinds)))
     inp = input_bits if input_bits is not None else "0" * width
     return GeneralCircuit(width, gates, inp)

@@ -249,8 +249,8 @@ def test_alignment_of_distance_one_labels_needs_no_gates(rng):
 
 def test_alignment_four_bit_example():
     # (AND line, q, last, basis).  mu = 3, window 2: labels 011, 010, 110,
-    # 111 on data lines 2..4; the AND sits on the ancilla, line 5.
-    assert _window(2, 3)[1:5] == (5, 2, 4, (1, 0, 2, 3))
+    # 111 on data lines 2..4; the one shared bit, 1 on line 3, is the AND.
+    assert _window(2, 3)[1:5] == (3, 2, 4, (1, 0, 2, 3))
     # mu = 4, window 4: labels 0101, 0100, 1100, 1101 vary in bits 1 and 4
     # (data lines 2 and 5); the ancilla is line 6.
     assert _window(4, 4)[1:5] == (6, 2, 5, (1, 0, 2, 3))
@@ -278,15 +278,15 @@ def test_window_planes_align_their_labels(mu):
                 assert len({label[p] for label in labels}) == 1
 
 
-def _window_rotation(k: int, mu: int, r: np.ndarray) -> np.ndarray:
-    """Dense r on matchgate k's window labels on mu + 2 lines, applied iff
-    line 1 is 1; every other basis state is left alone."""
+def _window_rotation(k: int, mu: int, r: np.ndarray, line1: tuple[int, ...]) -> np.ndarray:
+    """Dense r on matchgate k's window labels on mu + 2 lines, applied where
+    line 1 holds a value in `line1`; every other basis state is left alone."""
     width = mu + 2
     out = np.eye(1 << width)
     labels = [int(gray(i, mu), 2) for i in range(2 * k - 2, 2 * k + 2)]
-    for ancilla in (0, 1):
+    for control, ancilla in itertools.product(line1, (0, 1)):
         # Line 1 is the most significant bit, the work ancilla the least.
-        index = [(1 << (width - 1)) | (label << 1) | ancilla for label in labels]
+        index = [(control << (width - 1)) | (label << 1) | ancilla for label in labels]
         out[np.ix_(index, index)] = r
     return out
 
@@ -296,7 +296,9 @@ def test_window_gates_apply_the_controlled_window_rotation(mu, rng):
     # For every window, one pass emits the AND, Q, A on line q and B on the
     # last line under the AND, Q^dag and the AND again: densely, with the
     # work ancilla in |0>, the window's rotation R (R^T in the inverse pass)
-    # on its Gray labels where line 1 is 1, and the identity elsewhere.
+    # on its Gray labels, and the identity elsewhere.  The AND reads the
+    # shared label bits only, so R acts for either value of line 1 and
+    # leaves line 1 alone; at mu = 2 no bit is shared and line 1 fires R.
     n, width = 1 << (mu - 1), mu + 2
     for k in range(1, n):
         gate = GateApp("mg", (k,), randgen.random_matchgate_params(rng))
@@ -314,7 +316,7 @@ def test_window_gates_apply_the_controlled_window_rotation(mu, rng):
             ]
             u = and_gates @ dense_unitary([*runs[1], *runs[2], *runs[3]], width) @ and_gates
             # Even columns: the work ancilla (the last line) in |0>.
-            expected = _window_rotation(k, mu, r)
+            expected = _window_rotation(k, mu, r, (1,) if mu == 2 else (0, 1))
             assert np.abs(u[:, ::2] - expected[:, ::2]).max() <= 1e-12
 
 
@@ -527,6 +529,48 @@ def test_one_and_pair_and_one_local_pair_per_moved_matchgate(rng):
     # targets the work ancilla.
     to_ancilla = sum(1 for g in out if g.lines[-1] == ancilla)
     assert to_ancilla == sum(2 * sum(g.lines[-1] == ancilla for g in a) for a in ands)
+
+
+@pytest.mark.parametrize("mu", range(2, 7))
+def test_only_the_frame_and_the_pairing_runs_touch_line_one(mu, rng):
+    # c-(R S R^{-1}) = R c-S R^{-1}: the rotation passes need no control
+    # line.  Line 1 is on the frame H gates and the pairing runs only (at
+    # mu = 2, where no label bit is shared, it also fires each core), and
+    # every AND reads exactly its window's shared-bit lines.
+    n = 1 << (mu - 1)
+    c = randgen.random_matchgate_circuit(n, 4 * n, rng, "0" * n, 1, kinds="haar")
+    mcx_calls, ands = [], []
+    window, mcx = compress._window, compress._mcx
+
+    def mcx_spy(controls, target, pool):
+        mcx_calls.append(controls)
+        return mcx(controls, target, pool)
+
+    def window_spy(k, m):
+        mcx_calls.clear()  # the first call a window makes is its AND's outermost
+        w = window(k, m)
+        labels = [gray(i, m) for i in range(2 * k - 2, 2 * k + 2)]
+        shared = tuple(p + 2 for p in range(m) if p + 2 not in (w.q, w.last))
+        assert all(len({label[p - 2] for label in labels}) == 1 for p in shared)
+        ands.append((shared, w.fired, mcx_calls[:1]))
+        return w
+
+    with mock.patch.multiple(compress, _window=window_spy, _mcx=mcx_spy):
+        pieces = [_gates(p) for p in compress._gate_pieces(c)]
+    assert len(ands) >= n - 1
+    for shared, fired, calls in ands:
+        if len(shared) > 1:
+            assert (fired, calls) == (mu + 2, [shared])
+        else:
+            assert (fired, calls) == ((*shared, 1)[0], [])
+    frame = _gates(circuits._table_of([("h", (1,), ())]))
+    pairing = [_gates(compress._pairing_run(mu, invert)) for invert in (False, True)]
+    assert pieces[0] == pieces[-1] == frame and pairing[0] in pieces and pairing[1] in pieces
+    for piece in pieces[1:-1]:
+        if piece not in pairing:
+            for g in piece:
+                at_core = mu == 2 and g.kind == "cu1" and g.lines[0] == 1 and g.lines[1] > 1
+                assert 1 not in g.lines or at_core, g
 
 
 def _haar_mg(rng, k: int) -> GateApp:
