@@ -273,9 +273,10 @@ def reals_from_complex(m: np.ndarray) -> tuple[float, ...]:
     return tuple(np.asarray(m, dtype=complex).ravel().view(float).tolist())
 
 
-# Validation reads this many gates at a time, so its scratch memory does not
-# grow with the gate count: compress validates its input inside the traced
-# window of the flat-memory criterion (09), whose peak a larger run raises.
+# Validation and `light_cone` read this many gates at a time, so their scratch
+# memory does not grow with the gate count: compress validates and scans its
+# input inside the traced window of the flat-memory criterion (09), whose
+# peak a larger run raises.
 _VALIDATE_CHUNK = 512
 
 # Kind codes (positions in GATE_KINDS) and, by code, each kind's name and
@@ -312,6 +313,12 @@ class GateColumns(NamedTuple):
         p, step = self.params, self.params.strides[0]
         return np.lib.stride_tricks.as_strided(p, (len(p) - width + 1, width), (step, step))[at]
 
+    def take(self, rows: np.ndarray) -> GateColumns:
+        """The gates at `rows`, in that order, as a table of their own."""
+        kinds = self.kinds[rows]
+        lines = self.lines[_ranges(self.line_at[rows], _NLINES[kinds])]
+        return _table(kinds, lines, self.params[_ranges(self.param_at[rows], _NPARAMS[kinds])])
+
     def line_tuples(self) -> list[tuple[int, ...]]:
         """Each gate's lines, as a tuple."""
         return _cut(self.lines.tolist(), self.line_at, _NLINES[self.kinds])
@@ -333,6 +340,11 @@ class GateColumns(NamedTuple):
             self.line_at[lo:hi] - l0,
             self.param_at[lo:hi] - p0,
         )
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices starts[i] .. starts[i] + counts[i] - 1 of every i, end to end."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
 def _table(kinds: np.ndarray, lines: np.ndarray, params: np.ndarray) -> GateColumns:
@@ -409,6 +421,55 @@ def _gate_chunks(
     starts = range(0, len(gates), size)
     for lo in reversed(starts) if last_first else starts:
         yield lo, gates.table.part(lo, lo + size)
+
+
+# How a gate moves the support of a backward light cone (`light_cone`), by
+# kind code: it keeps it, exchanges its two lines' membership, or adds both
+# (a rot in plane 1 or 6 keeps it).
+_KEEPS, _SWAPS, _SPREADS = 0, 1, 2
+_CONE_EFFECT = np.array(
+    [_SWAPS if k == "w" else _KEEPS if k == "gxx" or sig[:2] == ("qc", 1) else _SPREADS
+     for k, sig in GATE_KINDS.items()] + [_SPREADS]
+)
+_PAIRED = _FLAVOR == "mg"  # kinds that act on the pair of their one line and the next
+
+
+def light_cone(gates: _ParsedGates, width: int, line: int) -> np.ndarray:
+    """Whether each of a valid circuit's gates lies in the backward light
+    cone of `line`'s readout on `width` lines: a gate outside it never meets
+    the lines its later gates carry the readout to, so it cannot change it.
+
+    One scan, last gate first, over a set of support lines that starts as
+    `line`: a gate is kept iff it meets the support, and then moves it.  An
+    mg gate acts on its pair (k, k+1).  `w` only exchanges the two lines'
+    dimensions, so it exchanges their membership; `gxx` is diagonal and a
+    `rot` in plane 1 or 6 stays within one line, so they leave it as it is;
+    every other mg kind adds both lines.  A one-line qc gate leaves the
+    support as it is and a two-line one adds both its lines.
+    """
+    support = [False] * (width + 2)
+    support[line] = True
+    keep = np.zeros(len(gates), dtype=bool)
+    for lo, cols in _gate_chunks(gates, _VALIDATE_CHUNK, last_first=True):
+        kinds, at = cols.kinds, cols.line_at
+        effect = _CONE_EFFECT[kinds]
+        rot = np.flatnonzero(kinds == KIND_CODES["rot"])
+        plane = cols.params[cols.param_at[rot]]
+        effect[rot[(plane == 1) | (plane == 6)]] = _KEEPS
+        first = cols.lines[at]
+        second = np.where(_PAIRED[kinds], first + 1, cols.lines[at + _NLINES[kinds] - 1])
+        effect, first, second = effect.tolist(), first.tolist(), second.tolist()
+        kept = []
+        for i in range(len(effect) - 1, -1, -1):
+            a, b = first[i], second[i]
+            if support[a] or support[b]:
+                kept.append(i)
+                if effect[i] == _SWAPS:
+                    support[a], support[b] = support[b], support[a]
+                elif effect[i] == _SPREADS:
+                    support[a] = support[b] = True
+        keep[np.array(kept, dtype=np.intp) + lo] = True
+    return keep
 
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)

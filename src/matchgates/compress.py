@@ -35,6 +35,15 @@ one, and only the product is compiled.  Everything is decomposed exactly to
 the cu1/u1/x gate set.  S contributes Gray-to-binary conversion, one
 controlled block on the last data line, and conversion back.
 
+Only the gates in line 1's backward light cone are compiled
+(`circuits.light_cone`): scanned last first, a gate is kept iff it meets a
+set of support lines that starts as line 1; `w` exchanges its two lines'
+membership, `gxx` and a `rot` in plane 1 or 6 leave it as it is, and every
+other kind adds both lines.  A dropped gate meets no dimension of the two
+rows of R that the readout (R S R^T)[2, 1] reads, so it changes neither.
+The width, the input and the validation of every gate are unchanged;
+`standardize`, which compress runs first, keeps every gate.
+
 Everything is generated lazily, a run of 64 matchgates at a time
 (`simulate._ROTATION_RUN`), as row ranges of GateColumns blocks: the
 rotations of a run are split into local pairs in one call, and the run's
@@ -71,6 +80,7 @@ from .circuits import (
     _require_flavor,
     _table,
     _table_of,
+    light_cone,
     reals_from_complex,
     validate_or_raise,
 )
@@ -271,7 +281,7 @@ def _fused(lines: list[int], rots: np.ndarray, invert: bool) -> tuple[list[int],
 
 
 def _rotation_pass(
-    circuit: MatchgateCircuit, window: Callable[[int], _Window], invert: bool
+    circuit: MatchgateCircuit, keep: np.ndarray, window: Callable[[int], _Window], invert: bool
 ) -> Iterator[_ParsedGates | _Piece]:
     """R (or R^{-1} with `invert`), one kept matchgate at a time
     (see `_fused`): its window's AND, Q, A on line q and B on the last line
@@ -281,9 +291,10 @@ def _rotation_pass(
     The rotations of each run of _ROTATION_RUN matchgates are fused,
     permuted into their windows' bases, transposed for R^{-1}, and split in
     one call; the run's A and B gates are one block, rows 2i and 2i + 1 for
-    its i-th moved matchgate.  Fusion never crosses a run.
+    its i-th moved matchgate.  Only the gates `keep` marks are read; fusion
+    never crosses a run.
     """
-    for lines, rots in rotation_runs(circuit.gates, last_first=invert):
+    for lines, rots in rotation_runs(circuit.gates, invert, keep):
         lines, rots = _fused(lines, rots, invert)
         moved = np.flatnonzero(np.abs(rots - np.eye(4)).max(axis=(1, 2)) > algebra.OMIT_ANGLE)
         windows = [window(lines[i]) for i in moved.tolist()]
@@ -316,15 +327,18 @@ def _pairing_run(mu: int, invert: bool) -> _ParsedGates:
 
 def _gate_pieces(circuit: MatchgateCircuit) -> Iterator[_ParsedGates | _Piece]:
     """The compressed circuit's gates, as tables and rows of tables: the
-    interference frame around R^{-1}, controlled S, R and controlled S^{-1}."""
+    interference frame around R^{-1}, controlled S, R and controlled S^{-1}.
+    Both rotation passes read only the gates in line 1's backward light
+    cone, which fix the two rows of R the readout reads."""
     n = _require_standard(circuit)
     mu = (2 * n).bit_length() - 1
+    keep = light_cone(circuit.gates, n, 1)
     window = functools.lru_cache(maxsize=WINDOW_CACHE_SIZE)(lambda k: _window(k, mu))
     frame = _ParsedGates(_table_of([("h", (1,), ())]))
     yield frame
-    yield from _rotation_pass(circuit, window, invert=True)
+    yield from _rotation_pass(circuit, keep, window, invert=True)
     yield _pairing_run(mu, invert=False)
-    yield from _rotation_pass(circuit, window, invert=False)
+    yield from _rotation_pass(circuit, keep, window, invert=False)
     yield _pairing_run(mu, invert=True)
     yield frame
 

@@ -3,8 +3,9 @@
 An m-qubit general circuit, measured in Z on line 1, is converted in four
 steps:
 
-  1. the basis input is folded into x gates before the circuit, and the
-     gates are fused into blocks of one or two qubits (`_blocks`): a gate
+  1. the basis input is folded into x gates before the circuit, the gates
+     outside line 1's backward light cone are dropped, and the rest are
+     fused into blocks of one or two qubits (`_blocks`): a gate
      joins the last block on its lines when that block is the last on all
      of them, and otherwise starts a block on its own lines that takes in
      the one-qubit blocks last on them.  Each block's unitary is the product
@@ -30,6 +31,13 @@ steps:
      swap of its own: with A in the gate a plane is one `rot` inside one
      line window, and with A a spectator it is two, planes (1,3) and (2,4)
      of the window of pairs a and a+1.
+
+The light cone (`circuits.light_cone`) is one scan, last gate first, over a
+set of support lines that starts as line 1: a gate is kept iff it touches
+the support, and a two-qubit gate adds both of its lines.  The Z_1 readout
+in the Heisenberg picture never reaches a dropped gate's lines, so it is
+the same; the output width, the all-zero input and the validation of every
+gate are unchanged, and the exact-count guard counts the kept gates.
 
 Fewer, wider gates give fewer `rot` factors and fewer swap networks, and the
 route starts from the first-use layout (`_first_use_layout`): B lowest, then
@@ -88,6 +96,7 @@ from .circuits import (
     _table,
     _table_of,
     gate_matrices,
+    light_cone,
     validate_or_raise,
 )
 
@@ -431,9 +440,11 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
             f"expanding {m} qubits needs 2^{m + 1} lines; guard is {width_guard} qubits"
         )
 
-    # Fold the basis input into x gates, fuse, then append the readout gadget.
+    # Fold the basis input into x gates, keep the gates in line 1's backward
+    # light cone, fuse, then append the readout gadget.
     prefix = _table_of([("x", (q + 1,), ()) for q, c in enumerate(circuit.input) if c == "1"])
-    table = _ParsedGates(prefix, circuit.gates).table
+    gates = _ParsedGates(prefix, circuit.gates)
+    table = gates.table.take(np.flatnonzero(light_cone(gates, m, 1)))
     gate_lines, mats = _fused(table.line_tuples(), gate_matrices(table))
     gate_lines.append((1, m + 1))
     mats.append(W_GADGET.astype(complex))

@@ -67,20 +67,33 @@ def random_matchgate_params(rng: np.random.Generator) -> tuple[float, ...]:
     return reals_from_complex(a) + reals_from_complex(b)
 
 
+# Gates per block that _drawn_table fills before trimming it.
+_DRAW_BLOCK = 1024
+
+
 def _drawn_table(size: int, most_lines: int, most_reals: int, draw) -> GateColumns:
-    """Gates 0 .. size - 1, each drawn by `draw(i)` as (kind, lines, reals) into
-    columns preallocated for `most_lines` lines and `most_reals` reals a gate."""
+    """Gates 0 .. size - 1, each drawn by `draw(i)` as (kind, lines, reals).
+
+    Each block of _DRAW_BLOCK gates is written into columns preallocated
+    for `most_lines` lines and `most_reals` reals a gate, trimmed to what
+    was drawn when full, and the blocks are joined once: the peak stays near
+    twice the drawn table, whatever the kind with the most reals.
+    """
     kinds = np.empty(size, np.intp)
-    lines, params = np.empty(size * most_lines, np.int64), np.empty(size * most_reals)
-    at_line = at_param = 0
-    for i in range(size):
-        kind, gate_lines, reals = draw(i)
-        kinds[i] = KIND_CODES[kind]
-        lines[at_line : at_line + len(gate_lines)] = gate_lines
-        params[at_param : at_param + len(reals)] = reals
-        at_line, at_param = at_line + len(gate_lines), at_param + len(reals)
-    lines = lines if at_line == len(lines) else lines[:at_line].copy()  # keep only what was drawn
-    return _table(kinds, lines, params if at_param == len(params) else params[:at_param].copy())
+    line_blocks, param_blocks = [np.empty(0, np.int64)], [np.empty(0)]
+    for lo in range(0, size, _DRAW_BLOCK):
+        count = min(_DRAW_BLOCK, size - lo)
+        lines, params = np.empty(count * most_lines, np.int64), np.empty(count * most_reals)
+        at_line = at_param = 0
+        for i in range(lo, lo + count):
+            kind, gate_lines, reals = draw(i)
+            kinds[i] = KIND_CODES[kind]
+            lines[at_line : at_line + len(gate_lines)] = gate_lines
+            params[at_param : at_param + len(reals)] = reals
+            at_line, at_param = at_line + len(gate_lines), at_param + len(reals)
+        line_blocks.append(lines[:at_line].copy())
+        param_blocks.append(params[:at_param].copy())
+    return _table(kinds, np.concatenate(line_blocks), np.concatenate(param_blocks))
 
 
 def _random_mg_gate(k: int, rng: np.random.Generator, kinds: str) -> tuple:

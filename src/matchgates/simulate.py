@@ -9,6 +9,14 @@ rotation R = R_N ... R_1, each R_t acting on the four Majorana dimensions
 where S(x) is the antisymmetric pairing matrix of the input.  The fast path
 never forms R: it pulls the two basis vectors e_{2k-1}, e_{2k} backwards
 through the gate list in O(N + n) time and applies S(x) sparsely.
+
+Both paths apply every gate.  Those outside line k's backward light cone
+(`circuits.light_cone`, which compress and expand use to drop gates) act
+where both vectors are still zero, so skipping them would change nothing
+but the work.  The fast path does not skip them: on a wide circuit whose
+cone widens with depth the kept gates grow faster than the gate count
+(line 1 of 200k Haar matchgates on 1024 lines keeps 20k, of 400k keeps
+83k), and the linear-scaling check of acceptance criterion 08 refuses that.
 """
 
 from __future__ import annotations
@@ -142,17 +150,23 @@ def _transposed_rotations(cols: GateColumns) -> np.ndarray:
 
 
 def rotation_runs(
-    gates: Sequence[GateApp], last_first: bool = False
+    gates: Sequence[GateApp], last_first: bool = False, keep: np.ndarray | None = None
 ) -> Iterator[tuple[list[int], np.ndarray]]:
     """(lower lines k, (C, 4, 4) rotations R) of each run of _ROTATION_RUN
     gates, R acting on dimensions 2k-1 .. 2k+2, in circuit order or, with
     `last_first`, in reverse: the last run first, its gates last first.
+    With a mask `keep`, one flag per gate, a run holds only the gates it
+    marks, and a run with none is skipped.
 
     The gates must be a circuit's `gates`, valid and of mg flavor; its table
     is sliced into the runs, each read through the batched closed form of
     the fast path.
     """
-    for _, cols in _gate_chunks(gates, _ROTATION_RUN, last_first):
+    for lo, cols in _gate_chunks(gates, _ROTATION_RUN, last_first):
+        if keep is not None:
+            cols = cols.take(np.flatnonzero(keep[lo : lo + _ROTATION_RUN]))
+            if not len(cols.kinds):
+                continue
         lines, rots = cols.lines.tolist(), _transposed_rotations(cols).transpose(0, 2, 1)
         yield (lines[::-1], rots[::-1]) if last_first else (lines, rots)
 

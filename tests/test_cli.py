@@ -175,8 +175,8 @@ def test_readme_expand_demo_emits_102_gates(tmp_path, capsys):
     "width, size, seed, flags, out_gates, digest",
     [
         (2, 4, 7, [], 102, "390e4309d1db73f858908d891aa6ebcd1798b7fd9620d33442f88ae8d14e2046"),
-        (4, 20, 1, [], 3912, "fa2ebe128724c03fd553df92543293bf9e1b89b6d40c0f8dc8b4925c81252abd"),
-        (6, 10, 1, ["--force"], 12032, "1c435ae5f2179ca0cdef3996375cf69fc5ae825bbc301a6a42588014752e6079"),
+        (4, 20, 1, [], 3304, "70d6db48d655460f8b59c5092ead4807fa399327941893a444f4bfa476b3a0d0"),
+        (6, 10, 1, ["--force"], 1120, "82f3e33b57dcf0bb5f9c737801201bdc5c59f1ef7e52070e1dca04a41218594d"),
     ],
     ids=["demo_wide", "e", "f"],
 )

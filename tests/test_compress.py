@@ -196,6 +196,14 @@ def _kept_runs(lines: list) -> list:
     return [[[run[i] for i in g] for g in _kept([lines[p] for p in run])] for run in order]
 
 
+def _staircase(rng, n: int) -> tuple[GateApp, ...]:
+    """Haar matchgates on pairs n - 1 down to 1.  Closing a circuit, they
+    put every gate in line 1's backward light cone: scanned last first, each
+    meets the lines the later ones reach, so after them the support holds
+    every line and compress drops no gate."""
+    return tuple(_haar_mg(rng, k) for k in range(n - 1, 0, -1))
+
+
 def _per_kept(k: int, mu: int) -> int:
     """Gates one kept matchgate on pair k emits per pass: its AND twice, Q,
     the local pair and Q^dag."""
@@ -236,8 +244,9 @@ def test_alignment_of_distance_one_labels_needs_no_gates(rng):
     # matchgate and pass its AND twice, Q, the local pair and Q^dag.
     n, mu = 8, 4
     # Haar matchgates: no product of them is the identity, as a product of
-    # two w or two gxx gates is.
+    # two w or two gxx gates is.  The staircase keeps all of them compiled.
     c = randgen.random_matchgate_circuit(n, 12, rng, "0" * n, 1, kinds="haar")
+    c = MatchgateCircuit(n, (*c.gates, *_staircase(rng, n)), "0" * n, 1)
     lines = [g.lines[0] for g in c.gates]
     for _, rots in rotation_runs(c.gates):
         assert (np.abs(rots - np.eye(4)).max(axis=(1, 2)) > algebra.OMIT_ANGLE).all()
@@ -307,7 +316,9 @@ def test_window_gates_apply_the_controlled_window_rotation(mu, rng):
         w = _window(k, mu)
         and_gates = dense_unitary(_gates(w.gates), width)
         for invert, r in ((False, rots[0]), (True, rots[0].T)):
-            runs = [_gates(p) for p in compress._rotation_pass(c, lambda j: _window(j, mu), invert)]
+            # The pass reads the one gate whether or not it is in line 1's light cone.
+            passes = compress._rotation_pass(c, np.ones(1, bool), lambda j: _window(j, mu), invert)
+            runs = [_gates(p) for p in passes]
             assert runs[0] == runs[4] == _gates(w.gates)
             assert (runs[1], runs[3]) == (_gates(w.enter), _gates(w.leave))
             assert [(g.kind, g.lines) for g in runs[2]] == [
@@ -429,6 +440,7 @@ def test_gate_stream_matches_the_one_shot_compiler(rng):
 
 def test_gate_stream_splits_one_run_of_rotations_at_a_time(rng):
     c = randgen.random_matchgate_circuit(8, 2000, rng, "0" * 8, 1, kinds="haar")
+    c = MatchgateCircuit(8, (*c.gates, *_staircase(rng, 8)), "0" * 8, 1)
     stacks = []
     local_pair = algebra.local_pair
     with mock.patch.object(
@@ -442,7 +454,7 @@ def test_gate_stream_splits_one_run_of_rotations_at_a_time(rng):
     # time (no Haar matchgate, nor a product of them, is the identity); the
     # inverse pass reads the short last run first.
     runs = _kept_runs([g.lines[0] for g in c.gates])
-    assert len(runs) == 2 * -(-2000 // _ROTATION_RUN)
+    assert len(runs) == 2 * -(-len(c.gates) // _ROTATION_RUN)
     assert stacks == [len(run) for run in runs]
     assert tuple(first + rest) == compress_circuit(c).gates
 
@@ -494,6 +506,7 @@ def test_one_and_pair_and_one_local_pair_per_moved_matchgate(rng):
     ancilla = mu + 2
     gates = list(randgen.random_matchgate_circuit(n, 10, rng, "0" * n, 1, kinds="haar").gates)
     gates[3:3] = [GateApp("rot", (1,), (2.0, 0.0)), GateApp("mg", (n - 1,), _IDENTITY_MG)]
+    gates += _staircase(rng, n)
     c = MatchgateCircuit(n, tuple(gates), "0" * n, measure_line=1)
     rots = np.concatenate([r for _, r in rotation_runs(c.gates)])
     moved = int((np.abs(rots - np.eye(4)).max(axis=(1, 2)) > algebra.OMIT_ANGLE).sum())
@@ -539,6 +552,7 @@ def test_only_the_frame_and_the_pairing_runs_touch_line_one(mu, rng):
     # every AND reads exactly its window's shared-bit lines.
     n = 1 << (mu - 1)
     c = randgen.random_matchgate_circuit(n, 4 * n, rng, "0" * n, 1, kinds="haar")
+    c = MatchgateCircuit(n, (*c.gates, *_staircase(rng, n)), "0" * n, 1)
     mcx_calls, ands = [], []
     window, mcx = compress._window, compress._mcx
 
@@ -590,28 +604,31 @@ def test_a_matchgate_folds_into_its_pair_past_distant_matchgates():
 
 def test_a_matchgate_on_a_neighbouring_pair_keeps_both_apart():
     # A gate on pair 3 overlaps window 2, so both rots are compiled, in
-    # each pass.
+    # each pass.  The staircase puts every gate in line 1's light cone.
     rng = np.random.default_rng(24)
     rot, inverse = GateApp("rot", (2,), (3.0, 0.7)), GateApp("rot", (2,), (3.0, -0.7))
     core = (_haar_mg(rng, 5), _haar_mg(rng, 3), _haar_mg(rng, 6))
-    c = MatchgateCircuit(8, (rot, *core, inverse), "0" * 8, 1, allow_idle=True)
-    bare = MatchgateCircuit(8, core, "0" * 8, 1, allow_idle=True)
+    stair = _staircase(rng, 8)
+    c = MatchgateCircuit(8, (rot, *core, inverse, *stair), "0" * 8, 1, allow_idle=True)
+    bare = MatchgateCircuit(8, (*core, *stair), "0" * 8, 1, allow_idle=True)
     out = compress_circuit(c)
     assert len(out.gates) == len(compress_circuit(bare).gates) + 2 * 2 * _per_kept(2, 4)
-    assert abs(expectation_z(run_statevector(out), 1) - simulate_expectation(bare)) <= 1e-12
+    assert abs(expectation_z(run_statevector(out), 1) - simulate_expectation(c)) <= 1e-12
 
 
 def test_matchgates_in_two_runs_are_not_fused():
     # Alternating pairs 4 and 5 fill the first run but its last gate; a rot
     # on pair 1 closes it, and its inverse opens the next run.  Fusion stays
     # within a run, so both are compiled, in each pass; one gate earlier,
-    # both fall in the first run and cancel.
+    # both fall in the first run and cancel.  The staircase puts every gate
+    # in line 1's light cone, so the fill is compiled too.
     rng = np.random.default_rng(25)
     fill = tuple(_haar_mg(rng, 4 + i % 2) for i in range(_ROTATION_RUN - 1))
     rot, inverse = GateApp("rot", (1,), (1.0, 0.4)), GateApp("rot", (1,), (1.0, -0.4))
-    split = MatchgateCircuit(8, (*fill, rot, inverse), "0" * 8, 1, allow_idle=True)
-    within = MatchgateCircuit(8, (*fill[:-1], rot, inverse, fill[-1]), "0" * 8, 1, allow_idle=True)
-    bare = len(compress_circuit(MatchgateCircuit(8, fill, "0" * 8, 1, allow_idle=True)).gates)
+    stair = _staircase(rng, 8)
+    split = MatchgateCircuit(8, (*fill, rot, inverse, *stair), "0" * 8, 1)
+    within = MatchgateCircuit(8, (*fill[:-1], rot, inverse, fill[-1], *stair), "0" * 8, 1)
+    bare = len(compress_circuit(MatchgateCircuit(8, (*fill, *stair), "0" * 8, 1)).gates)
     assert len(compress_circuit(split).gates) == bare + 2 * 2 * _per_kept(1, 4)
     assert len(compress_circuit(within).gates) == bare
 
@@ -683,10 +700,11 @@ def test_compressed_readout_matches_the_fast_simulation(circuit):
 def test_windows_past_the_cache_bound_are_rebuilt_exactly():
     # Width 128 has 127 windows, more than one stream keeps for reuse.
     # Visiting 65 windows and then the first again evicts it, so its gates
-    # are built a second time.
+    # are built a second time.  Scanned last first, each matchgate meets
+    # the lines the later ones reach, so all lie in line 1's light cone.
     n = 128
     rng = np.random.default_rng(11)
-    lines = list(range(1, 66)) + [1]
+    lines = [1, *range(65, 0, -1)]
     gates = tuple(GateApp("mg", (k,), randgen.random_matchgate_params(rng)) for k in lines)
     c = MatchgateCircuit(n, gates, "0" * n, measure_line=1, allow_idle=True)
     assert len(set(lines)) > compress.WINDOW_CACHE_SIZE

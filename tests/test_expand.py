@@ -320,6 +320,17 @@ def test_expanded_readout_matches_the_oracle(m, seed, size, kinds, data):
     assert abs(simulate_expectation(expand_circuit(c)) - want) <= 1e-9
 
 
+def _ladder(m: int, rng) -> tuple[GateApp, ...]:
+    """Haar u2 gates on lines (m, m - 1) down to (2, 1).  Closing a circuit,
+    they put every gate in line 1's backward light cone: scanned last first,
+    each meets a line the later ones reach, so after them the support holds
+    every line and expand drops no gate."""
+    return tuple(
+        GateApp("u2", (q + 1, q), reals_from_complex(randgen.haar_unitary(4, rng)))
+        for q in range(m - 1, 0, -1)
+    )
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8))
@@ -329,7 +340,10 @@ def test_expansion_emits_no_swap_but_its_networks(m, seed, size):
     # (the first used lowest, just above B).  Before each block its rebits
     # other than A move to the lowest pair-index bits.  Every `w` gate must
     # be one adjacent swap of the insertion sort of one such pair permutation.
-    c = randgen.random_general_circuit(m, size, np.random.default_rng(seed), "0" * m, "haar")
+    # The ladder puts every gate in line 1's light cone, so none is dropped.
+    rng = np.random.default_rng(seed)
+    c = randgen.random_general_circuit(m, size, rng, "0" * m, "haar")
+    c = GeneralCircuit(m, (*c.gates, *_ladder(m, rng)), "0" * m)
     out = expand_circuit(c)
     walk = [lines for lines, _ in _blocks([g.lines for g in c.gates])] + [(1, m + 1)]
     used: list[int] = []
@@ -392,7 +406,7 @@ def test_swap_network_is_the_insertion_sort(perm):
 
 
 def test_guard_refuses_before_allocating_the_expansion():
-    # 200 Haar gates at 8 qubits would emit about 2.64M gates; the refusal,
+    # 200 Haar gates at 8 qubits would emit about 2.61M gates; the refusal,
     # counted exactly, must come before anything near that size (or the
     # gates x pairs^2 comparisons, about 39 MiB) is allocated.
     c = randgen.random_general_circuit(8, 200, np.random.default_rng(1), kinds="haar")
