@@ -118,31 +118,6 @@ def make_matchgate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return g
 
 
-def split_matchgate(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Extract the (A, B) blocks of a 4x4 matrix laid out as a matchgate;
-    ValueError for any other shape."""
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (4, 4):
-        raise ValueError(f"a matchgate is 4x4, got shape {g.shape}")
-    z = g[MG_ROWS, MG_COLS]
-    return z[:4].reshape(2, 2), z[4:].reshape(2, 2)
-
-
-def is_matchgate(g: np.ndarray) -> bool:
-    """True if g is unitary, supported on the two parity blocks, det A = det B."""
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (4, 4):
-        return False
-    if not unitary_deviation(g) <= TOL_UNITARY:
-        return False
-    mask = np.ones((4, 4), dtype=bool)
-    mask[MG_ROWS, MG_COLS] = False
-    if not np.abs(g[mask]).max() <= TOL_DET_MATCH:
-        return False
-    a, b = split_matchgate(g)
-    return bool(abs(np.linalg.det(a) - np.linalg.det(b)) <= TOL_DET_MATCH)
-
-
 def jordan_wigner(n: int, j: int) -> np.ndarray:
     """The j-th of the 2n Majorana operators on n qubits, as a dense matrix.
 

@@ -9,6 +9,7 @@ subcommand) an internal error prints its traceback on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import traceback
@@ -127,7 +128,9 @@ def cmd_gen_random(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on its first use (the first `main` call)."""
     parser = argparse.ArgumentParser(
         prog="matchgates",
         description="Simulate, standardize and cross-compile matchgate circuits.",
@@ -142,12 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="matchgate readout in polynomial time")
     p.add_argument("circuit", help="mg circuit file")
     p.add_argument("--method", choices=("fast", "reference"), default="fast")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("standardize", help="rewrite to all-zero input, line-1 readout")
     p.add_argument("circuit", help="mg circuit file")
     p.add_argument("output", help="where to write the standardized circuit")
-    p.set_defaults(func=cmd_standardize)
 
     p = sub.add_parser("compress", help="compile mg circuit onto log-many qubits")
     p.add_argument("circuit", help="mg circuit file")
@@ -157,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="refuse inputs that are not already standardized and power-of-two wide",
     )
-    p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("expand", help="compile qc circuit into a wide mg circuit")
     p.add_argument("circuit", help="qc circuit file")
@@ -167,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"raise the width guard to {expand_mod.EXPAND_FORCED_MAX_WIDTH} qubits",
     )
-    p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("verify", help="compare <Z> readouts of two circuit files")
     p.add_argument("circuit_a")
@@ -187,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="oracle",
         help="engine for the first circuit (the second always uses the oracle)",
     )
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen-random", help="write a seeded random circuit")
     p.add_argument("flavor", choices=("mg", "qc"))
@@ -195,15 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("size", type=_nonnegative(int))
     p.add_argument("output")
     p.add_argument("--seed", type=_nonnegative(int), default=0)
-    p.set_defaults(func=cmd_gen_random)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:  # the command is looked up by name, so a replaced cmd_<name> runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -48,18 +48,19 @@ Everything is generated lazily, a run of 64 matchgates at a time
 (`simulate._ROTATION_RUN`), as row ranges of GateColumns blocks: the
 rotations of a run are split into local pairs in one call, and the run's
 controlled gates are one block of two rows per matchgate, built from those
-arrays.  A window's AND, Q and Q^dag are rows of one table, built once
-from arrays and emitted as the same objects each time the window is used;
-so are the frame and pairing runs, and only the public gate lists build
+arrays.  The windows a run needs that the stream does not hold are built
+together, as rows of one table, from one AND template per mu; a window's
+AND, Q and Q^dag are emitted as the same objects each time it is used, and
+so are the frame and pairing runs.  Only the public gate lists build
 GateApps (see `circuits`).  Memory is O(mu^2) per matchgate of the current
-run, plus the blocks of a bounded number of windows one stream keeps for
-reuse, independent of the input length.  `compress_circuit` keeps the output
-as these ranges, and `serialize_circuit` writes each distinct block once.
+run, plus the blocks of the at most WINDOW_CACHE_SIZE windows one stream
+keeps for reuse (a block holds at most one run's windows), independent of
+the input length.  `compress_circuit` keeps the output as these ranges,
+and `serialize_circuit` writes each distinct block once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Iterator, NamedTuple
 
@@ -216,48 +217,91 @@ class _Window(NamedTuple):
     order |00>, |01>, |10>, |11>; `enter` is `algebra.MAGIC` on (q, last)
     and `leave` its inverse.  The three are rows of one table."""
 
-    gates: _ParsedGates
+    gates: _Piece
     fired: int
     q: int
     last: int
     basis: tuple[int, ...]
-    enter: _ParsedGates
-    leave: _ParsedGates
+    enter: _Piece
+    leave: _Piece
 
 
-def _window(k: int, mu: int) -> _Window:
-    """Matchgate k's window (see `_Window`).
+def _and_template(mu: int) -> tuple[np.ndarray, ...]:
+    """The rows every window at `mu` holds (see `_windows`), as positions in
+    its lines (shared lines..., fired, q, last) and in its flags (is each
+    shared line's bit 0..., true): the row kinds, the lines, which flag keeps
+    each row and each line, and the reals.
 
-    The window is dimensions 2k-1 .. 2k+2, the Gray labels of 2k-2 .. 2k+1.
-    From an even start these vary only in the last bit and the bit q flipped
-    between the middle two, and agree on every other bit.  The AND gates set
-    the clean ancilla (line mu+2) to the AND of every shared bit, at its
-    value, borrowing the two window lines as dirty scratch.  One shared bit
-    (mu = 3) is the AND itself; with none (mu = 2) line 1 fires the core (a
-    controlled R is also correct), and there are no gates.
+    The AND is `_mcx` of the mu - 2 shared lines onto the work ancilla,
+    borrowing the two window lines.  `_mcx` never reads a line's value, so
+    computing it once on the positions and renumbering them gives each
+    window's Toffolis.
     """
-    labels = [gray(i, mu) for i in range(2 * k - 2, 2 * k + 2)]
-    varying = [p for p in range(mu) if len({label[p] for label in labels}) > 1]
-    if len(varying) != 2 or varying[-1] != mu - 1:
-        raise RuntimeError(f"Gray labels of window {k} vary in bits {varying}")
-    bit = varying[0]
-    basis = tuple(sorted(range(4), key=lambda i: labels[i][bit] + labels[i][-1]))
-    q, last = bit + 2, mu + 1  # label bit p sits on data line p + 2
-    controls = tuple(p + 2 for p in range(mu) if p not in varying)  # the shared bits' lines
-    fired = mu + 2 if len(controls) > 1 else (controls + (1,))[0]
-    and_lines, and_params = _toffolis(_mcx(controls, fired, (q, last)) if len(controls) > 1 else [])
-    # The AND is X on every shared line whose bit is 0, the Toffolis, and
-    # those X again; a lone shared line's X is undone by the AND's second use.
-    wraps = np.array([l for l in controls if labels[0][l - 2] == "0"], dtype=np.int64)
-    unwraps = wraps if len(controls) > 1 else wraps[:0]
-    x, cu1 = np.full(len(wraps), KIND_CODES["x"]), np.full(len(and_lines) // 2, KIND_CODES["cu1"])
-    kinds = np.concatenate([x, cu1, x[: len(unwraps)], _MAGIC_KINDS])
-    lines = np.concatenate([wraps, and_lines, unwraps, np.array([q, last])[_MAGIC_LINES]])
-    block = _table(kinds, lines, np.concatenate([and_params, _MAGIC_PARAMS]))
-    n = len(kinds) - 6
-    ranges = ((0, n), (n, n + 3), (n + 3, n + 6))
-    gates, enter, leave = (_ParsedGates(_Piece(block, lo, hi)) for lo, hi in ranges)
-    return _Window(gates, fired, q, last, basis, enter, leave)
+    c = mu - 2
+    and_lines, and_params = _toffolis(_mcx(tuple(range(c)), c, (c + 1, c + 2)) if c > 1 else [])
+    t, u = len(and_lines) // 2, c if c > 1 else 0  # the AND's rows, the X undoing the wraps
+    x, cu1 = KIND_CODES["x"], KIND_CODES["cu1"]
+    kinds = np.concatenate([np.full(c, x), np.full(t, cu1), np.full(u, x), _MAGIC_KINDS])
+    lines = np.concatenate([np.arange(c), and_lines, np.arange(u), c + 1 + _MAGIC_LINES])
+    row_flag = np.concatenate([np.arange(c), np.full(t, c), np.arange(u), np.full(6, c)])
+    line_flag = np.concatenate([np.arange(c), np.full(2 * t, c), np.arange(u), np.full(8, c)])
+    return kinds, lines, row_flag, line_flag, np.concatenate([and_params, _MAGIC_PARAMS])
+
+
+def _windows(ks: list[int], mu: int, template: tuple[np.ndarray, ...]) -> list[_Window]:
+    """The windows of the matchgates on pairs `ks` (see `_Window`), rows of
+    one table, from `_and_template(mu)`.
+
+    Window k is dimensions 2k-1 .. 2k+2, the Gray labels of 2k-2 .. 2k+1.
+    From an even start these vary only in the last bit and the bit flipped
+    between the middle two, on line q = mu - (trailing zeros of k), and agree
+    on every other bit.  The AND gates set the clean ancilla (line mu+2) to
+    the AND of every shared bit, at its value, borrowing the two window lines
+    as dirty scratch: X on every shared line whose bit is 0, the Toffolis,
+    and those X again.  One shared bit (mu = 3) is the AND itself, and its X
+    is undone by the AND's second use; with none (mu = 2) line 1 fires the
+    core (a controlled R is also correct), and there are no gates.
+    """
+    kinds, positions, row_flag, line_flag, params = template
+    c, last, count = mu - 2, mu + 1, len(ks)
+    label = np.array([(2 * k - 2) ^ (k - 1) for k in ks], dtype=np.int64)  # Gray label of 2k - 2
+    q = np.array([mu + 1 - (k & -k).bit_length() for k in ks], dtype=np.int64)
+    shared = np.arange(2, 2 + c) + (np.arange(2, 2 + c) >= q[:, None])  # every data line but q
+    fired = np.full(count, mu + 2) if c > 1 else shared[:, 0] if c else np.ones(count, np.int64)
+    at = np.column_stack([shared, fired, q, np.full(count, last)]).astype(np.int64)
+    flags = np.column_stack([(label[:, None] >> (last - shared)) & 1 == 0, np.ones(count, bool)])
+    rows, lines = flags[:, row_flag], at[:, positions][flags[:, line_flag]]
+    block = _table(kinds[rows.nonzero()[1]], lines, np.tile(params, count))
+    # As 2 * (bit q) + (last bit), the four labels read s, s ^ 1, s ^ 3, s ^ 2.
+    s = 2 * (label >> (last - q) & 1) + (label & 1)
+    bases = np.argsort(np.array([0, 1, 3, 2]) ^ s[:, None], axis=1).tolist()
+    ends = np.cumsum(rows.sum(axis=1)).tolist()
+    out = []
+    for end, start, f, qk, basis in zip(ends, [0, *ends], fired.tolist(), q.tolist(), bases):
+        ranges = ((start, end - 6), (end - 6, end - 3), (end - 3, end))
+        gates, enter, leave = (_Piece(block, lo, hi) for lo, hi in ranges)
+        out.append(_Window(gates, f, qk, last, tuple(basis), enter, leave))
+    return out
+
+
+def _window_cache(mu: int) -> Callable[[list[int]], list[_Window]]:
+    """One stream's windows: each call gives the windows of pairs `ks`,
+    building those that are not among the WINDOW_CACHE_SIZE it used last in
+    one `_windows` call."""
+    template, kept = _and_template(mu), {}
+
+    def windows(ks: list[int]) -> list[_Window]:
+        used = dict.fromkeys(ks)
+        new = [k for k in used if k not in kept]
+        built = dict(zip(new, _windows(new, mu, template) if new else []))
+        for k in used:  # the last used last
+            kept[k] = kept.pop(k, None) or built[k]
+        got = [kept[k] for k in ks]
+        while len(kept) > WINDOW_CACHE_SIZE:
+            del kept[next(iter(kept))]
+        return got
+
+    return windows
 
 
 def _fused(lines: list[int], rots: np.ndarray, invert: bool) -> tuple[list[int], np.ndarray]:
@@ -281,7 +325,10 @@ def _fused(lines: list[int], rots: np.ndarray, invert: bool) -> tuple[list[int],
 
 
 def _rotation_pass(
-    circuit: MatchgateCircuit, keep: np.ndarray, window: Callable[[int], _Window], invert: bool
+    circuit: MatchgateCircuit,
+    keep: np.ndarray,
+    cache: Callable[[list[int]], list[_Window]],
+    invert: bool,
 ) -> Iterator[_ParsedGates | _Piece]:
     """R (or R^{-1} with `invert`), one kept matchgate at a time
     (see `_fused`): its window's AND, Q, A on line q and B on the last line
@@ -297,7 +344,7 @@ def _rotation_pass(
     for lines, rots in rotation_runs(circuit.gates, invert, keep):
         lines, rots = _fused(lines, rots, invert)
         moved = np.flatnonzero(np.abs(rots - np.eye(4)).max(axis=(1, 2)) > algebra.OMIT_ANGLE)
-        windows = [window(lines[i]) for i in moved.tolist()]
+        windows = cache([lines[i] for i in moved.tolist()])
         basis = np.array([w.basis for w in windows], dtype=np.intp).reshape(-1, 4)
         r = rots[moved[:, None, None], basis[:, :, None], basis[:, None, :]]
         a, b = algebra.local_pair(r.transpose(0, 2, 1) if invert else r)
@@ -333,12 +380,12 @@ def _gate_pieces(circuit: MatchgateCircuit) -> Iterator[_ParsedGates | _Piece]:
     n = _require_standard(circuit)
     mu = (2 * n).bit_length() - 1
     keep = light_cone(circuit.gates, n, 1)
-    window = functools.lru_cache(maxsize=WINDOW_CACHE_SIZE)(lambda k: _window(k, mu))
+    cache = _window_cache(mu)
     frame = _ParsedGates(_table_of([("h", (1,), ())]))
     yield frame
-    yield from _rotation_pass(circuit, keep, window, invert=True)
+    yield from _rotation_pass(circuit, keep, cache, invert=True)
     yield _pairing_run(mu, invert=False)
-    yield from _rotation_pass(circuit, keep, window, invert=False)
+    yield from _rotation_pass(circuit, keep, cache, invert=False)
     yield _pairing_run(mu, invert=True)
     yield frame
 

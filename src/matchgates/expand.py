@@ -59,9 +59,8 @@ One `_rot_gates` call lifts every factor to the `rot` gates of its gate's
 first block of pairs, which are copied to the other blocks with the
 block's offset added to the lines, and one stable sort by gate puts each
 swap network before its gate's `rot` gates, after the Z_A layer.
-`realify_gate`, `pair_permutation`, `inversion_count` and `swap_network`
-are the one-gate case of the same helpers; `_rot_gates` also serves the
-public `two_level_to_matchgates`.
+`realify_gate` is the one-gate case of `_realify`; `_rot_gates` also
+serves the public `two_level_to_matchgates`.
 
 Rebit register (width m + 2): lines 1..m carry the original qubits, line
 m+1 is the realification rebit B, line m+2 (least significant) is the
@@ -193,13 +192,6 @@ def _bit_permutations(new_pos: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair_permutation(before: tuple[int, ...], after: tuple[int, ...]) -> np.ndarray:
-    """Where each line pair goes when the rebit lines, listed from the most
-    significant pair-index bit down, are reordered from `before` to `after`:
-    entry x is the new 0-based index of the pair now at index x."""
-    return _bit_permutations(np.array([[after.index(q) for q in before]], dtype=np.int64))[0]
-
-
 def _left_moves(perms: np.ndarray) -> np.ndarray:
     """Entry (g, i) is #{x < i : perms[g, x] > perms[g, i]}: how many places
     an insertion sort of row g moves its entry at i to the left.
@@ -226,21 +218,6 @@ def _networks(moves: np.ndarray) -> np.ndarray:
     starts = np.cumsum(c) - c
     first = (np.arange(moves.shape[-1]) + starts.reshape(moves.shape)).ravel()
     return np.repeat(first, c) - np.arange(c.sum())
-
-
-def inversion_count(perm: np.ndarray) -> int:
-    """The pairs x < y with perm[x] > perm[y]: how many adjacent swaps sort perm."""
-    return int(_left_moves(np.asarray(perm)[None]).sum())
-
-
-def swap_network(perm: np.ndarray) -> list[int]:
-    """The lines k of the `w` gates that move the pair at index x to perm[x].
-
-    `w` on line k exchanges pairs k and k+1 (1-based) without signs.  The
-    swaps are the adjacent transpositions of an insertion sort of perm, one
-    per inversion.
-    """
-    return _networks(_left_moves(np.asarray(perm)[None])).tolist()
 
 
 # The rot plane (1..6, algebra.PLANES) of window dimensions (a, b), at

@@ -12,6 +12,8 @@ from matchgates.algebra import (
     FERMIONIC_SWAP,
     GXX,
     LOCAL_OPS,
+    MG_COLS,
+    MG_ROWS,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -19,8 +21,9 @@ from matchgates.algebra import (
     PLANES,
     REPRODUCE_TOL,
     PlaneRotation,
+    TOL_DET_MATCH,
+    TOL_UNITARY,
     givens_factor,
-    is_matchgate,
     jordan_wigner,
     make_matchgate,
     matchgate_of_rotation,
@@ -28,12 +31,37 @@ from matchgates.algebra import (
     rot2,
     rotation_generator_exponential,
     rotation_of_matchgate,
-    split_matchgate,
+    unitary_deviation,
 )
 from matchgates.circuits import GateApp, gate_matrix
 from matchgates.expand import RealGate, realify_gate, two_level_to_matchgates
 from matchgates.oracle import expectation_z
 from matchgates.simulate import distribution_from_expectation, s_matrix
+
+
+def split_matchgate(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (A, B) blocks of a 4x4 matrix laid out as a matchgate (the
+    inverse of `make_matchgate`); ValueError for any other shape."""
+    g = np.asarray(g, dtype=complex)
+    if g.shape != (4, 4):
+        raise ValueError(f"a matchgate is 4x4, got shape {g.shape}")
+    z = g[MG_ROWS, MG_COLS]
+    return z[:4].reshape(2, 2), z[4:].reshape(2, 2)
+
+
+def is_matchgate(g: np.ndarray) -> bool:
+    """True if g is unitary, supported on the two parity blocks, det A = det B."""
+    g = np.asarray(g, dtype=complex)
+    if g.shape != (4, 4):
+        return False
+    if not unitary_deviation(g) <= TOL_UNITARY:
+        return False
+    mask = np.ones((4, 4), dtype=bool)
+    mask[MG_ROWS, MG_COLS] = False
+    if not np.abs(g[mask]).max() <= TOL_DET_MATCH:
+        return False
+    a, b = split_matchgate(g)
+    return bool(abs(np.linalg.det(a) - np.linalg.det(b)) <= TOL_DET_MATCH)
 
 
 def test_make_matchgate_places_blocks_on_parity_subspaces():

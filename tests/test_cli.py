@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: outputs, files, and exit codes."""
 
+import argparse
 import hashlib
+import os
 import subprocess
 import sys
 import time
@@ -9,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import matchgates
 from matchgates import circuits, cli, simulate
 from matchgates.cli import main
 from matchgates.circuits import parse_circuit
@@ -19,6 +22,8 @@ from conftest import record_gate_objects
 GXX_CIRCUIT = "circuit mg width=2 input=00 measure=1\ngxx 1\n"
 ROT_CIRCUIT = "circuit mg width=2 input=00 measure=2\nrot 1 plane=2 theta=0.9\n"
 SMALL_QC = "circuit qc width=2 input=10\nh 1\ncu1 1 2 m=1,0,0,0,0,0,0,1\n"
+# The directory that holds the matchgates package, for fresh interpreters.
+SRC = os.path.dirname(os.path.dirname(matchgates.__file__))
 
 
 def run_cli(*argv):
@@ -465,3 +470,57 @@ def test_a_huge_width_with_a_short_input_exits_2(tmp_path, capsys, command):
     stdout, err = capsys.readouterr()
     assert stdout == "" and "input length 1 != width 100000000000" in err
     assert "internal error" not in err and not out.exists()
+
+
+def test_repeated_calls_in_one_process_carry_no_state(tmp_path, capsys, monkeypatch):
+    # One process runs main again and again, with flags set and then left
+    # out and an argparse refusal in between; every call gives the exit
+    # code, stdout, stderr and files of the same command in a fresh
+    # interpreter.  Paths are relative, so the two runs print alike.
+    calls = [
+        ["verify", "r.mg", "r.mg", "--lines", "2", "1"],
+        ["verify", "r.mg", "r.mg"],
+        ["compress", "r.mg", "strict.qc", "--strict"],
+        ["verify", "r.mg", "r.mg", "--tol", "-1"],
+        ["compress", "r.mg", "plain.qc"],
+        ["expand", "w5.qc", "forced.mg", "--force"],
+        ["expand", "w5.qc", "guarded.mg"],
+        ["simulate", "r.mg"],
+    ]
+    # Lines 1 and 2 of r.mg read opposite values; its input is not all-zero.
+    r_mg = "circuit mg width=2 input=10 measure=1\nrot 1 plane=2 theta=0.9\n"
+    w5_qc = "circuit qc width=5 input=00000\nh 1\ncu1 1 2 m=0,0,1,0,1,0,0,0\n"
+    inputs = {"r.mg": r_mg, "w5.qc": w5_qc}
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    for folder in (here, fresh):
+        folder.mkdir()
+        for name, text in inputs.items():
+            (folder / name).write_text(text)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    want = []
+    for argv in calls:
+        command = [sys.executable, "-m", "matchgates.cli", *argv]
+        proc = subprocess.run(command, cwd=fresh, env=env, capture_output=True, text=True)
+        want.append((proc.returncode, proc.stdout, proc.stderr))
+
+    inits, init = [], argparse.ArgumentParser.__init__
+    spy = lambda *a, **kw: inits.append(len(got)) or init(*a, **kw)  # the call it came in
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    monkeypatch.chdir(here)
+    cli.build_parser.cache_clear()  # as in a new process: no parser yet
+    got = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got.append((code, *capsys.readouterr()))
+    assert got == want
+    assert [code for code, _, _ in got] == [4, 0, 2, 2, 0, 0, 3, 0]
+    # The parser and its six subparsers are built by the first call only.
+    assert inits == [0] * 7
+    assert sorted(p.name for p in here.iterdir()) == sorted(p.name for p in fresh.iterdir())
+    assert not (here / "strict.qc").exists() and not (here / "guarded.mg").exists()
+    for name in ("plain.qc", "forced.mg"):
+        assert (here / name).read_bytes() == (fresh / name).read_bytes()

@@ -20,7 +20,6 @@ from matchgates.circuits import (
 from matchgates.compress import (
     _mcx,
     _toffolis,
-    _window,
     compress_circuit,
     compress_gate_stream,
     gray,
@@ -204,6 +203,62 @@ def _staircase(rng, n: int) -> tuple[GateApp, ...]:
     return tuple(_haar_mg(rng, k) for k in range(n - 1, 0, -1))
 
 
+def _window(k: int, mu: int) -> compress._Window:
+    """Matchgate k's window, as compress builds it."""
+    return compress._windows([k], mu, compress._and_template(mu))[0]
+
+
+def reference_window(k: int, mu: int) -> compress._Window:
+    """Matchgate k's window built on its own, from its Gray labels, with its
+    own `_mcx` call on the window's lines: the reference that the windows
+    compress builds in batches from one AND template per mu must equal."""
+    labels = [gray(i, mu) for i in range(2 * k - 2, 2 * k + 2)]
+    varying = [p for p in range(mu) if len({label[p] for label in labels}) > 1]
+    assert len(varying) == 2 and varying[-1] == mu - 1
+    bit = varying[0]
+    basis = tuple(sorted(range(4), key=lambda i: labels[i][bit] + labels[i][-1]))
+    q, last = bit + 2, mu + 1  # label bit p sits on data line p + 2
+    controls = tuple(p + 2 for p in range(mu) if p not in varying)  # the shared bits' lines
+    fired = mu + 2 if len(controls) > 1 else (controls + (1,))[0]
+    and_lines, and_params = _toffolis(_mcx(controls, fired, (q, last)) if len(controls) > 1 else [])
+    # The AND is X on every shared line whose bit is 0, the Toffolis, and
+    # those X again; a lone shared line's X is undone by the AND's second use.
+    wraps = np.array([l for l in controls if labels[0][l - 2] == "0"], dtype=np.int64)
+    unwraps = wraps if len(controls) > 1 else wraps[:0]
+    x, cu1 = np.full(len(wraps), KIND_CODES["x"]), np.full(len(and_lines) // 2, KIND_CODES["cu1"])
+    kinds = np.concatenate([x, cu1, x[: len(unwraps)], compress._MAGIC_KINDS])
+    lines = np.concatenate([wraps, and_lines, unwraps, np.array([q, last])[compress._MAGIC_LINES]])
+    block = circuits._table(kinds, lines, np.concatenate([and_params, compress._MAGIC_PARAMS]))
+    n = len(kinds) - 6
+    ranges = ((0, n), (n, n + 3), (n + 3, n + 6))
+    gates, enter, leave = (circuits._Piece(block, lo, hi) for lo, hi in ranges)
+    return compress._Window(gates, fired, q, last, basis, enter, leave)
+
+
+def _rows(gates) -> tuple:
+    """The kinds, lines and reals of a window's gates, as lists."""
+    table = circuits._ParsedGates(gates).table
+    return table.kinds.tolist(), table.lines.tolist(), table.params.tolist()
+
+
+@pytest.mark.parametrize("mu", range(2, 8))
+def test_batched_windows_match_the_window_by_window_build(mu):
+    # Every window at mu, built in one batch in order, in reverse and
+    # shuffled, holds the reference's rows and fields; the batch is one table.
+    ks = list(range(1, 1 << (mu - 1)))
+    template = compress._and_template(mu)
+    order = np.random.default_rng(mu).permutation(ks).tolist()
+    for batch in (ks, ks[::-1], order):
+        got = compress._windows(batch, mu, template)
+        assert len({id(p.block) for w in got for p in (w.gates, w.enter, w.leave)}) == 1
+        for k, w in zip(batch, got):
+            want = reference_window(k, mu)
+            assert (w.fired, w.q, w.last, w.basis) == (want.fired, want.q, want.last, want.basis)
+            assert all(type(v) is int for v in (w.fired, w.q, w.last, *w.basis))
+            for part in ("gates", "enter", "leave"):
+                assert _rows(getattr(w, part)) == _rows(getattr(want, part)), (k, part)
+
+
 def _per_kept(k: int, mu: int) -> int:
     """Gates one kept matchgate on pair k emits per pass: its AND twice, Q,
     the local pair and Q^dag."""
@@ -317,7 +372,8 @@ def test_window_gates_apply_the_controlled_window_rotation(mu, rng):
         and_gates = dense_unitary(_gates(w.gates), width)
         for invert, r in ((False, rots[0]), (True, rots[0].T)):
             # The pass reads the one gate whether or not it is in line 1's light cone.
-            passes = compress._rotation_pass(c, np.ones(1, bool), lambda j: _window(j, mu), invert)
+            cache = compress._window_cache(mu)
+            passes = compress._rotation_pass(c, np.ones(1, bool), cache, invert)
             runs = [_gates(p) for p in passes]
             assert runs[0] == runs[4] == _gates(w.gates)
             assert (runs[1], runs[3]) == (_gates(w.enter), _gates(w.leave))
@@ -516,28 +572,20 @@ def test_one_and_pair_and_one_local_pair_per_moved_matchgate(rng):
     kept = _kept_runs([g.lines[0] for g in gates])
     kept_moved = sum(1 for run in kept for group in run if set(group) - {3, 4})
 
-    ands = []
-    window = compress._window
-
-    def window_spy(k, m):
-        w = window(k, m)
-        ands.append(_gates(w.gates))
-        return w
-
-    # With no window kept for reuse, every matchgate pass builds its window.
-    with mock.patch.multiple(compress, _window=window_spy, WINDOW_CACHE_SIZE=0):
-        runs = [_gates(p) for p in compress._gate_pieces(c)]
-    assert len(ands) == kept_moved
+    runs = [_gates(p) for p in compress._gate_pieces(c)]
     # Per moved kept matchgate and pass: the AND twice, Q and Q^dag (three
     # gates each) and one core of two cu1 gates from the ancilla, onto a window
     # line q and onto the last data line.
+    at = [i for i, r in enumerate(runs) if len(r) == 2 and {g.lines[0] for g in r} == {ancilla}]
+    assert len(at) == kept_moved
+    ands = [runs[i - 2] for i in at]
+    for i in at:
+        a, b = runs[i]
+        assert a.kind == b.kind == "cu1" and 2 <= a.lines[1] <= mu and b.lines[1] == mu + 1
+        assert runs[i + 2] == runs[i - 2] and len(runs[i - 1]) == len(runs[i + 1]) == 3
     pairing = len(_gates(compress._pairing_run(mu, invert=False)))
     out = list(itertools.chain(*runs))
     assert len(out) == 2 + 2 * pairing + sum(2 * len(g) + 8 for g in ands)
-    cores = [run for run in runs if len(run) == 2 and {g.lines[0] for g in run} == {ancilla}]
-    assert len(cores) == kept_moved
-    for a, b in cores:
-        assert a.kind == b.kind == "cu1" and 2 <= a.lines[1] <= mu and b.lines[1] == mu + 1
     # Each AND is emitted twice (compute, uncompute), and nothing else
     # targets the work ancilla.
     to_ancilla = sum(1 for g in out if g.lines[-1] == ancilla)
@@ -553,30 +601,34 @@ def test_only_the_frame_and_the_pairing_runs_touch_line_one(mu, rng):
     n = 1 << (mu - 1)
     c = randgen.random_matchgate_circuit(n, 4 * n, rng, "0" * n, 1, kinds="haar")
     c = MatchgateCircuit(n, (*c.gates, *_staircase(rng, n)), "0" * n, 1)
-    mcx_calls, ands = [], []
-    window, mcx = compress._window, compress._mcx
+    mcx_calls, built = [], []
+    windows, mcx = compress._windows, compress._mcx
 
     def mcx_spy(controls, target, pool):
-        mcx_calls.append(controls)
+        mcx_calls.append((controls, target, pool))
         return mcx(controls, target, pool)
 
-    def window_spy(k, m):
-        mcx_calls.clear()  # the first call a window makes is its AND's outermost
-        w = window(k, m)
-        labels = [gray(i, m) for i in range(2 * k - 2, 2 * k + 2)]
-        shared = tuple(p + 2 for p in range(m) if p + 2 not in (w.q, w.last))
-        assert all(len({label[p - 2] for label in labels}) == 1 for p in shared)
-        ands.append((shared, w.fired, mcx_calls[:1]))
-        return w
+    def windows_spy(ks, m, template):
+        built.extend(zip(ks, windows(ks, m, template)))
+        return [w for _, w in built[-len(ks) :]]
 
-    with mock.patch.multiple(compress, _window=window_spy, _mcx=mcx_spy):
+    with mock.patch.multiple(compress, _windows=windows_spy, _mcx=mcx_spy):
         pieces = [_gates(p) for p in compress._gate_pieces(c)]
-    assert len(ands) >= n - 1
-    for shared, fired, calls in ands:
-        if len(shared) > 1:
-            assert (fired, calls) == (mu + 2, [shared])
+    # The stream's one AND template is `_mcx` of the shared lines' positions
+    # onto the fired position, borrowing the positions of q and last.
+    c = mu - 2
+    assert mcx_calls[:1] == ([(tuple(range(c)), c, (c + 1, c + 2))] if c > 1 else [])
+    assert len(built) >= n - 1
+    for k, w in built:
+        labels = [gray(i, mu) for i in range(2 * k - 2, 2 * k + 2)]
+        shared = {p + 2 for p in range(mu) if p + 2 not in (w.q, w.last)}
+        assert all(len({label[p - 2] for label in labels}) == 1 for p in shared)
+        touched = {line for g in _gates(w.gates) for line in g.lines}
+        if len(shared) > 1:  # the AND reads every shared line, borrowing q and last
+            assert w.fired == mu + 2
+            assert shared | {w.fired} <= touched <= shared | {w.fired, w.q, w.last}
         else:
-            assert (fired, calls) == ((*shared, 1)[0], [])
+            assert w.fired == (*shared, 1)[0] and touched <= shared
     frame = _gates(circuits._table_of([("h", (1,), ())]))
     pairing = [_gates(compress._pairing_run(mu, invert)) for invert in (False, True)]
     assert pieces[0] == pieces[-1] == frame and pairing[0] in pieces and pairing[1] in pieces
@@ -708,9 +760,9 @@ def test_windows_past_the_cache_bound_are_rebuilt_exactly():
     gates = tuple(GateApp("mg", (k,), randgen.random_matchgate_params(rng)) for k in lines)
     c = MatchgateCircuit(n, gates, "0" * n, measure_line=1, allow_idle=True)
     assert len(set(lines)) > compress.WINDOW_CACHE_SIZE
-    with mock.patch.object(compress, "_window", wraps=compress._window) as built:
+    with mock.patch.object(compress, "_windows", wraps=compress._windows) as built:
         out = compress_circuit(c)
-    assert built.call_count > len(set(lines))
+    assert sum(len(call.args[0]) for call in built.call_args_list) > len(set(lines))
     with mock.patch.object(compress, "WINDOW_CACHE_SIZE", 0):
         assert compress_circuit(c).gates == out.gates
     got = expectation_z(run_statevector(out), 1)
@@ -736,10 +788,10 @@ def test_cli_compress_builds_no_gate_object_per_window_or_matchgate(tmp_path, rn
     src, dst = tmp_path / "c.mg", tmp_path / "c.qc"
     circuit = randgen.random_matchgate_circuit(8, 400, rng, "01101001", 3)
     src.write_text(circuits.serialize_circuit(circuit))
-    windows, window = [], compress._window
+    windows, batch = [], compress._windows
     built = record_gate_objects(monkeypatch)
-    kept = lambda k, mu: windows.append(window(k, mu)) or windows[-1]
-    monkeypatch.setattr(compress, "_window", kept)
+    kept = lambda ks, mu, template: windows.extend(batch(ks, mu, template)) or windows[-len(ks) :]
+    monkeypatch.setattr(compress, "_windows", kept)
     assert cli.main(["compress", str(src), str(dst)]) == 0
     monkeypatch.undo()
     # Windows, controlled gates, the pairing runs, the frame and standardize's

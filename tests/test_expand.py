@@ -24,13 +24,13 @@ from matchgates.expand import (
     W_GADGET,
     YTILDE,
     RealGate,
+    _bit_permutations,
     _blocks,
     _fused,
+    _left_moves,
+    _networks,
     expand_circuit,
-    inversion_count,
-    pair_permutation,
     realify_gate,
-    swap_network,
     two_level_to_matchgates,
 )
 from matchgates.oracle import expectation_z, run_statevector, verify_equivalent
@@ -165,6 +165,27 @@ def test_two_level_validates_dimensions():
 
 
 # ----- Fermionic swap networks ------------------------------------------------
+
+
+def pair_permutation(before: tuple[int, ...], after: tuple[int, ...]) -> np.ndarray:
+    """Where each line pair goes when the rebit lines, listed from the most
+    significant pair-index bit down, are reordered from `before` to `after`:
+    entry x is the new 0-based index of the pair now at index x.  The
+    one-gate case of the permutations expand builds."""
+    return _bit_permutations(np.array([[after.index(q) for q in before]], dtype=np.int64))[0]
+
+
+def inversion_count(perm: np.ndarray) -> int:
+    """The pairs x < y with perm[x] > perm[y]: how many adjacent swaps sort
+    perm, as expand counts them for its guard."""
+    return int(_left_moves(np.asarray(perm)[None]).sum())
+
+
+def swap_network(perm: np.ndarray) -> list[int]:
+    """The lines k of the `w` gates that move the pair at index x to perm[x],
+    as expand emits them: `w` on line k exchanges pairs k and k+1 (1-based)
+    without signs, once per inversion, in insertion-sort order."""
+    return _networks(_left_moves(np.asarray(perm)[None])).tolist()
 
 
 def _pair_permutation_matrix(perm: np.ndarray) -> np.ndarray:
