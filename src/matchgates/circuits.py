@@ -13,10 +13,10 @@ row holding its kind's counts of lines and parameters (`read_gates` makes a
 gate built in code without them a -1 row, empty), behind a sequence that
 equals, hashes and prints as the GateApp tuple.  Inside the library a gate
 is a table row: GateApps are built only for callers who hand them to a
-circuit, read its `gates`, call `compress_gate_stream`, `gray_converter_circuit`
-or `two_level_to_matchgates`, or parse text the table reader doubts.  The
-text format is `textformat`, whose `parse_circuit` and `serialize_circuit`
-are importable from here too.
+circuit, read its `gates`, or call `compress_gate_stream`,
+`gray_converter_circuit` or `two_level_to_matchgates`; parsed text is read
+into table rows.  The text format is `textformat`, whose `parse_circuit`
+and `serialize_circuit` are importable from here too.
 """
 
 from __future__ import annotations

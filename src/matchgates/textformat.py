@@ -22,7 +22,6 @@ from .circuits import (
     _NLINES,
     _NPARAMS,
     Circuit,
-    GateApp,
     GateColumns,
     GeneralCircuit,
     MatchgateCircuit,
@@ -31,6 +30,7 @@ from .circuits import (
     _ParsedGates,
     _refused,
     _table,
+    _table_of,
     validate_or_raise,
 )
 
@@ -157,17 +157,30 @@ def _parse_floats(val: str, what: str, lineno: int) -> tuple[float, ...]:
 def parse_circuit(text: str) -> Circuit:
     """Parse the text format; raises ParseError / ValidationError.
 
-    The gate lines, comments cut, are read straight into one GateColumns
-    table (`_read_table`); text that reader is not sure of goes through the
-    line parser instead, which words the error and its line.  The returned
-    circuit has passed `validate`.
+    The first line that holds more than a comment is the header.  The gate
+    lines after it, comments cut, are read _READ_BLOCK at a time straight
+    into table rows (`_read_block`); a block that reader is not sure of goes
+    through the line parser (`_parse_gate`) instead, which words the error
+    and its line.  Gate lines are read before the header fields.  The
+    returned circuit has passed `validate`.
     """
     rows = text.splitlines()
-    read = _read_table([row.split("#", 1)[0] for row in rows] if "#" in text else rows)
-    if read is None:
-        header, header_line, gates = _read_lines(rows)
-    else:
-        header, header_line, table = read
+    if "#" in text:
+        rows = [row.split("#", 1)[0] for row in rows]
+    at = next((i for i, row in enumerate(rows) if row.split()), None)
+    if at is None:
+        raise ParseError("empty input: no circuit header")
+    header, header_line = rows[at].split(), at + 1
+    if header[0] != "circuit":
+        raise ParseError(f"expected 'circuit' header, got {header[0]!r}", header_line)
+    blocks = []
+    for lo in range(header_line, len(rows) + 1, _READ_BLOCK):  # at least one block, maybe empty
+        block = rows[lo : lo + _READ_BLOCK]
+        read = _read_block(block)
+        if read is None:
+            body = enumerate(map(str.split, block), start=lo + 1)
+            read = _table_of([_parse_gate(toks, lineno) for lineno, toks in body if toks])[:3]
+        blocks.append(read)
 
     if len(header) < 2 or header[1] not in ("mg", "qc"):
         raise ParseError("header must name a flavor, 'mg' or 'qc'", header_line)
@@ -199,30 +212,9 @@ def parse_circuit(text: str) -> Circuit:
         if "measure" in fields or "idle" in fields:
             raise ParseError("measure=/idle= apply only to mg circuits", header_line)
         cls, rest = GeneralCircuit, (inp,)
-    circuit = cls(width, gates if read is None else _ParsedGates(table), *rest)
+    circuit = cls(width, _ParsedGates(_table(*map(np.concatenate, zip(*blocks)))), *rest)
     validate_or_raise(circuit)
     return circuit
-
-
-def _read_lines(rows: list[str]) -> tuple[list[str], int, list[GateApp]]:
-    """The line parser: header tokens, header line and gates, one line at a time."""
-    header: list[str] | None = None
-    header_line = 0
-    gates: list[GateApp] = []
-    for lineno, raw in enumerate(rows, start=1):
-        toks = raw.split("#", 1)[0].split()
-        if not toks:
-            continue
-        if header is None:
-            if toks[0] != "circuit":
-                raise ParseError(f"expected 'circuit' header, got {toks[0]!r}", lineno)
-            header = toks
-            header_line = lineno
-            continue
-        gates.append(_parse_gate(toks, lineno))
-    if header is None:
-        raise ParseError("empty input: no circuit header")
-    return header, header_line, gates
 
 
 # Each kind's key=value fields after its lines, in the serializer's order, with
@@ -246,37 +238,21 @@ _FIELD_MARKS = np.array(
 )
 
 
-# Gate lines that _read_table reads at a time, so that its token strings stay
-# few while the table grows.
+# Gate lines that parse_circuit reads at a time, so that its token strings
+# stay few while the table grows.
 _READ_BLOCK = 4096
 
 
-def _read_table(rows: list[str]) -> tuple[list[str], int, GateColumns] | None:
-    """Header tokens, header line and the gates as one table, or None at any doubt.
+def _read_block(rows: list[str]) -> tuple[np.ndarray, ...] | None:
+    """Kinds, lines and parameters of some gate lines, or None at any doubt.
 
     Every gate line must be its kind's serializer form: the kind, its line
     numbers, then its fields in order, each value with the kind's count of
     reals.  An unknown kind, another token count, a field out of order or
     without its key, a value with another count of reals or a token that
-    int() or float() refuses is a doubt.
-    """
-    at = next((i for i, row in enumerate(rows) if row.split()), None)
-    header = rows[at].split() if at is not None else None
-    if header is None or header[0] != "circuit":
-        return None
-    blocks = []
-    for lo in range(at + 1, len(rows) + 1, _READ_BLOCK):  # at least one block, maybe empty
-        block = _read_block(rows[lo : lo + _READ_BLOCK])
-        if block is None:
-            return None
-        blocks.append(block)
-    return header, at + 1, _table(*map(np.concatenate, zip(*blocks)))
-
-
-def _read_block(rows: list[str]) -> tuple[np.ndarray, ...] | None:
-    """Kinds, lines and parameters of some gate lines, or None at any doubt.
-    Lines and rot planes are read by int() and the reals by float(), one map
-    each, so values are exactly the line parser's."""
+    int() or float() refuses is a doubt, as is a line beyond int64.  Lines
+    and rot planes are read by int() and the reals by float(), one map each,
+    so values are exactly the line parser's."""
     body = [toks for toks in map(str.split, rows) if toks]
     names = list(map(itemgetter(0), body))
     n = len(body)
@@ -329,7 +305,8 @@ def _read_block(rows: list[str]) -> tuple[np.ndarray, ...] | None:
     return kinds, lines, params
 
 
-def _parse_gate(toks: list[str], lineno: int) -> GateApp:
+def _parse_gate(toks: list[str], lineno: int) -> tuple[str, tuple[int, ...], tuple[float, ...]]:
+    """One gate line's kind, lines and reals, or the ParseError that words it."""
     kind = toks[0]
     sig = GATE_KINDS.get(kind)
     if sig is None:
@@ -372,4 +349,6 @@ def _parse_gate(toks: list[str], lineno: int) -> GateApp:
     else:
         if kv:
             raise ParseError(f"{kind} takes no parameters", lineno)
-    return GateApp(kind, lines, params)
+    if not all(-(2**63) <= k < 2**63 for k in lines):  # no table row holds it
+        raise ParseError(f"line out of range +-{_LINE_LIMIT}", lineno)
+    return kind, lines, params

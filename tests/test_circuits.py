@@ -993,26 +993,77 @@ _LARGE_EDITS = [
     ("gxx", r"gxx", "cz"),
     ("gxx", r" ", "\t"),  # accepted
 ]
+# The swap on the first mg line instead: a doubted block, then table-read ones.
+_FIRST_BLOCK_EDIT = ("mg", r"(a=\S*) (b=\S*)", r"\2 \1", "first")
+
+
+def _edited_lines(circuit, edit) -> list[str]:
+    """The circuit's text as lines, with `edit` made on the last line of its
+    kind, or on the first line of it when the edit says "first"."""
+    lines = serialize_circuit(circuit).splitlines()
+    if edit is not None:
+        kind, pattern, replacement, *first = edit
+        of_kind = [i for i, line in enumerate(lines) if line.split()[0] == kind]
+        at = of_kind[0] if first else of_kind[-1]
+        assert at < 40 if first else at > len(lines) - 40
+        lines[at] = re.sub(pattern, replacement, lines[at], count=1)
+    return lines
 
 
 @pytest.mark.parametrize("size", [513, 4097])  # past a 512-gate and a 4096-line boundary
-@pytest.mark.parametrize("edit", [None, *_LARGE_EDITS])
+@pytest.mark.parametrize(
+    "edit", [None, *_LARGE_EDITS, pytest.param(_FIRST_BLOCK_EDIT, id="first-block")]
+)
 def test_parser_matches_the_reference_on_large_text(rng, size, edit):
     # One edit on the last line of a kind, near the end of a text that is
-    # valid otherwise: the same circuit bit for bit, or the same error and line.
+    # valid otherwise, or on the first: the same circuit bit for bit, or the
+    # same error and line.
     base = randgen.random_matchgate_circuit(4, size, rng)
-    lines = serialize_circuit(base).splitlines()
-    if edit is not None:
-        kind, pattern, replacement = edit
-        at = max(i for i, line in enumerate(lines) if line.split()[0] == kind)
-        assert at > len(lines) - 40
-        lines[at] = re.sub(pattern, replacement, lines[at], count=1)
+    lines = _edited_lines(base, edit)
     text = "\n".join(lines) + "\n"
     with np.errstate(all="ignore"):
         outcome = _parse_outcome(parse_circuit, text)
         assert outcome == _parse_outcome(reference_parse, text)
     if edit is None:
         assert outcome[0] == base
+
+
+def test_only_a_doubted_block_goes_through_the_line_parser(rng, monkeypatch):
+    # One odd line in the first of two blocks: the line parser reads that
+    # block alone, as rows, and no gate object is built.
+    base = randgen.random_matchgate_circuit(4, 4097, rng)
+    text = "\n".join(_edited_lines(base, _FIRST_BLOCK_EDIT)) + "\n"
+    parsed_lines, apps = [], []
+    parse_gate = textformat._parse_gate
+    monkeypatch.setattr(textformat, "_parse_gate", lambda *a: parsed_lines.append(1) or parse_gate(*a))
+    monkeypatch.setattr(circuits, "_gate_apps", lambda table: apps.append(1))
+    parsed = parse_circuit(text)
+    assert 0 < len(parsed_lines) <= textformat._READ_BLOCK and apps == []
+    monkeypatch.undo()
+    canonical = parse_circuit(serialize_circuit(base))
+    assert parsed == canonical and repr(parsed) == repr(canonical)
+
+
+# A line number int64 cannot hold, in the serializer's form and in another.
+_BEYOND_INT64 = ["w 9223372036854775808", "rot -9223372036854775809 theta=0.5 plane=2"]
+
+
+@pytest.mark.parametrize("at", [3, 5000])  # in the first block and in the second
+@pytest.mark.parametrize("line", _BEYOND_INT64, ids=["serializer-form", "other-form"])
+def test_a_line_beyond_int64_is_a_parse_error_on_its_line(rng, at, line):
+    rows = serialize_circuit(randgen.random_matchgate_circuit(4, 6000, rng)).splitlines()
+    rows[at - 1] = line
+    with pytest.raises(ParseError) as err:
+        parse_circuit("\n".join(rows) + "\n")
+    assert err.value.line == at
+    assert str(err.value) == f"line {at}: line out of range +-{2**62}"
+
+
+def test_a_line_inside_int64_stays_a_validation_error_with_its_value():
+    text = "circuit mg width=3 input=000 measure=1\nw 1\nw 4611686018427387905\nw 2\n"
+    with pytest.raises(ValidationError) as err:
+        parse_circuit(text)
+    assert err.value.violations == ["gate 2 (w): line 4611686018427387905 out of range 1..2"]
 
 
 # Parameter values for gates of any shape: signed zeros, non-integral and

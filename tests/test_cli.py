@@ -472,6 +472,15 @@ def test_a_huge_width_with_a_short_input_exits_2(tmp_path, capsys, command):
     assert "internal error" not in err and not out.exists()
 
 
+def test_a_line_beyond_int64_exits_2_naming_its_line(tmp_path, capsys):
+    src, out = tmp_path / "far.mg", tmp_path / "out.qc"
+    src.write_text("circuit mg width=2 input=00 measure=1\nw 1\n\nw 99999999999999999999999\n")
+    assert main(["compress", str(src), str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == f"invalid circuit: line 4: line out of range +-{2**62}\n"
+    assert not out.exists()
+
+
 def test_repeated_calls_in_one_process_carry_no_state(tmp_path, capsys, monkeypatch):
     # One process runs main again and again, with flags set and then left
     # out and an argparse refusal in between; every call gives the exit

@@ -62,9 +62,8 @@ def test_only_givens_factor_recovers_angles():
 
 def test_gate_objects_are_built_only_at_the_edge():
     # Inside the library a gate is a row of a GateColumns table.  A GateApp is
-    # built only for a caller: one who reads a circuit's gates, calls a public
-    # function that returns gates, or hands the line parser text that the
-    # table reader doubts.
+    # built only for a caller: one who reads a circuit's gates or calls a
+    # public function that returns gates.
     builders = ("GateApp", "_gate", "_gate_apps")
     found = {
         f"{path.stem}.{getattr(top, 'name', '<module>')}"
@@ -79,6 +78,5 @@ def test_gate_objects_are_built_only_at_the_edge():
         "compress.compress_gate_stream",
         "compress.gray_converter_circuit",
         "expand.two_level_to_matchgates",
-        "textformat._parse_gate",
     }
     assert "circuits._ParsedGates" in found and found <= edge, found - edge
