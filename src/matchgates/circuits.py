@@ -276,7 +276,8 @@ def reals_from_complex(m: np.ndarray) -> tuple[float, ...]:
 # Validation and `light_cone` read this many gates at a time, so their scratch
 # memory does not grow with the gate count: compress validates and scans its
 # input inside the traced window of the flat-memory criterion (09), whose
-# peak a larger run raises.
+# peak a larger run raises.  expand's cone scan reads its swap networks in
+# runs of about this many swaps.
 _VALIDATE_CHUNK = 512
 
 # Kind codes (positions in GATE_KINDS) and, by code, each kind's name and
@@ -423,7 +424,7 @@ def _gate_chunks(
         yield lo, gates.table.part(lo, lo + size)
 
 
-# How a gate moves the support of a backward light cone (`light_cone`), by
+# How a gate moves the support of a backward light cone (`_cone_moves`), by
 # kind code: it keeps it, exchanges its two lines' membership, or adds both
 # (a rot in plane 1 or 6 keeps it).
 _KEEPS, _SWAPS, _SPREADS = 0, 1, 2
@@ -434,41 +435,57 @@ _CONE_EFFECT = np.array(
 _PAIRED = _FLAVOR == "mg"  # kinds that act on the pair of their one line and the next
 
 
-def light_cone(gates: _ParsedGates, width: int, line: int) -> np.ndarray:
-    """Whether each of a valid circuit's gates lies in the backward light
-    cone of `line`'s readout on `width` lines: a gate outside it never meets
-    the lines its later gates carry the readout to, so it cannot change it.
+def _cone_moves(cols: GateColumns) -> tuple[list[int], list[int], list[int]]:
+    """How each gate of a table moves the support of a backward light cone
+    (`_KEEPS`, `_SWAPS` or `_SPREADS`) and the two lines it meets, as lists.
 
-    One scan, last gate first, over a set of support lines that starts as
-    `line`: a gate is kept iff it meets the support, and then moves it.  An
-    mg gate acts on its pair (k, k+1).  `w` only exchanges the two lines'
+    An mg gate acts on its pair (k, k+1).  `w` only exchanges the two lines'
     dimensions, so it exchanges their membership; `gxx` is diagonal and a
     `rot` in plane 1 or 6 stays within one line, so they leave it as it is;
     every other mg kind adds both lines.  A one-line qc gate leaves the
     support as it is and a two-line one adds both its lines.
     """
+    kinds, at = cols.kinds, cols.line_at
+    effect = _CONE_EFFECT[kinds]
+    rot = np.flatnonzero(kinds == KIND_CODES["rot"])
+    plane = cols.params[cols.param_at[rot]]
+    effect[rot[(plane == 1) | (plane == 6)]] = _KEEPS
+    first = cols.lines[at]
+    second = np.where(_PAIRED[kinds], first + 1, cols.lines[at + _NLINES[kinds] - 1])
+    return effect.tolist(), first.tolist(), second.tolist()
+
+
+def _cone_scan(moves: tuple[list[int], list[int], list[int]], support: list[bool]) -> list[int]:
+    """The gates, last first, that a backward light cone keeps: scanned last
+    gate first, a gate (its `_cone_moves`) is kept iff it meets `support`,
+    which it then moves in place."""
+    effect, first, second = moves
+    kept = []
+    for i in range(len(effect) - 1, -1, -1):
+        a, b = first[i], second[i]
+        if support[a] or support[b]:
+            kept.append(i)
+            if effect[i] == _SWAPS:
+                support[a], support[b] = support[b], support[a]
+            elif effect[i] == _SPREADS:
+                support[a] = support[b] = True
+    return kept
+
+
+def light_cone(gates: _ParsedGates, width: int, line: int) -> np.ndarray:
+    """Whether each of a valid circuit's gates lies in the backward light
+    cone of `line`'s readout on `width` lines: a gate outside it never meets
+    the lines its later gates carry the readout to, so it cannot change it.
+
+    One scan (`_cone_scan`), last gate first, over a set of support lines
+    that starts as `line`: a gate is kept iff it meets the support, and then
+    moves it as `_cone_moves` says.
+    """
     support = [False] * (width + 2)
     support[line] = True
     keep = np.zeros(len(gates), dtype=bool)
     for lo, cols in _gate_chunks(gates, _VALIDATE_CHUNK, last_first=True):
-        kinds, at = cols.kinds, cols.line_at
-        effect = _CONE_EFFECT[kinds]
-        rot = np.flatnonzero(kinds == KIND_CODES["rot"])
-        plane = cols.params[cols.param_at[rot]]
-        effect[rot[(plane == 1) | (plane == 6)]] = _KEEPS
-        first = cols.lines[at]
-        second = np.where(_PAIRED[kinds], first + 1, cols.lines[at + _NLINES[kinds] - 1])
-        effect, first, second = effect.tolist(), first.tolist(), second.tolist()
-        kept = []
-        for i in range(len(effect) - 1, -1, -1):
-            a, b = first[i], second[i]
-            if support[a] or support[b]:
-                kept.append(i)
-                if effect[i] == _SWAPS:
-                    support[a], support[b] = support[b], support[a]
-                elif effect[i] == _SPREADS:
-                    support[a] = support[b] = True
-        keep[np.array(kept, dtype=np.intp) + lo] = True
+        keep[np.array(_cone_scan(_cone_moves(cols), support), dtype=np.intp) + lo] = True
     return keep
 
 

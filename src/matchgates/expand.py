@@ -30,14 +30,18 @@ steps:
      (`algebra.givens_factor`), and each lifts to local `rot` gates with no
      swap of its own: with A in the gate a plane is one `rot` inside one
      line window, and with A a spectator it is two, planes (1,3) and (2,4)
-     of the window of pairs a and a+1.
+     of the window of pairs a and a+1.  Of these gates only those in the
+     backward light cone of line 1 of the emitted circuit are emitted
+     (`_emitted_cone`); a line no kept gate meets stays idle (`idle=1`).
 
-The light cone (`circuits.light_cone`) is one scan, last gate first, over a
+The light cone is one scan (`circuits._cone_scan`), last gate first, over a
 set of support lines that starts as line 1: a gate is kept iff it touches
-the support, and a two-qubit gate adds both of its lines.  The Z_1 readout
-in the Heisenberg picture never reaches a dropped gate's lines, so it is
-the same; the output width, the all-zero input and the validation of every
-gate are unchanged, and the exact-count guard counts the kept gates.
+the support, which it then moves (`circuits._cone_moves`): a two-qubit gate
+adds both of its lines, and a `w` exchanges their membership.  The Z_1 readout in the
+Heisenberg picture never reaches a dropped gate's lines, so it is the same.
+The same scan drops input gates (`circuits.light_cone`) in step 1 and
+emitted gates in step 4; the output width, the all-zero input and the
+validation of every input gate are unchanged.
 
 Fewer, wider gates give fewer `rot` factors and fewer swap networks, and the
 route starts from the first-use layout (`_first_use_layout`): B lowest, then
@@ -46,30 +50,39 @@ the first gates routed need few swaps or none.
 
 The output width is n = 2^{m+2} / 2 = 2^{m+1}, i.e. exactly 2^{m+1} lines.
 Exponential by design; guarded at EXPAND_MAX_WIDTH input qubits, and at
-EXPAND_MAX_GATES emitted gates, counted exactly before any is emitted.
+EXPAND_MAX_GATES emitted gates: the kept ones, counted exactly before any is
+emitted.
 
-Each stage runs once over the whole circuit, as arrays, with no GateApp
-per emitted gate.  A short walk over the blocks, last first, fixes every
-layout (`_walk`).  The blocks of one matrix size are realified as one stack,
+Each stage runs once over the whole circuit, with no GateApp per emitted
+gate, and all but the cone scan run as arrays.  A short walk over the
+blocks, last first, fixes every layout (`_walk`).  The blocks of one matrix size are realified as one stack,
 checked once (`_realify`) and factored by one `algebra.givens_factor` call.
 One table of where each rebit moves gives every pair permutation
 (`_bit_permutations`); their per-position left moves (`_left_moves`) give
-both the exact count for the guard and the swap networks (`_networks`).
-One `_rot_gates` call lifts every factor to the `rot` gates of its gate's
-first block of pairs, which are copied to the other blocks with the
-block's offset added to the lines, and one stable sort by gate puts each
-swap network before its gate's `rot` gates, after the Z_A layer.
+the swap networks (`_networks`).  One `_rot_gates` call lifts every factor
+to the `rot` gates of its gate's first block of pairs.  The light cone of
+the emission is scanned from this compact description, last gate first,
+before anything is emitted (`_emitted_cone`): a copy of a gate's first
+block meets only its own block of lines, so each distinct support of a
+block is scanned once per gate, and once the support holds every line all
+earlier gates are kept whole.  Then only the kept rows are built: the
+first-block gates copied to every block with the block's offset added to
+the lines (of a partly kept gate, the ones kept for that block), each swap
+network (masked) before its gate's `rot` gates.  The Z_A layer leads as
+gate 0 of this description: no swap, and one block of every line.
 `realify_gate` is the one-gate case of `_realify`; `_rot_gates` also
 serves the public `two_level_to_matchgates`.
 
 Rebit register (width m + 2): lines 1..m carry the original qubits, line
 m+1 is the realification rebit B, line m+2 (least significant) is the
-gadget rebit A.  The matchgate circuit's rotation is assembled as
-P V_hat^T Q . Z_A, where V_hat is the realified widened circuit, Z_A flips
-the sign of every odd rotation dimension pair, and P and Q^T are the pair
-permutations of the final and the start layout; the transpose and the Z_A
-layer together make the matchgate readout reproduce <Z_1> exactly rather
-than up to sign.  A pair permutation moves whole pairs without signs and
+gadget rebit A.  The full emission's rotation is P V_hat^T Q . Z_A, where
+V_hat is the realified widened circuit, Z_A flips the sign of every odd
+rotation dimension pair, and P and Q^T are the pair permutations of the
+final and the start layout; the transpose and the Z_A layer together make
+the matchgate readout reproduce <Z_1> exactly rather than up to sign.  The
+emitted circuit drops only gates outside line 1's light cone, each acting
+where the propagated rows of line 1 are exactly zero, so its rotation is
+that product in the two rows line 1's readout reads, and only there.  A pair permutation moves whole pairs without signs and
 keeps pair 1 (index 0 in every layout) in place, so P leaves the rows of
 line 1's readout as they are, and Q, which commutes with Z_A, leaves the
 all-zero input's pairing matrix unchanged: the start layout is free, and
@@ -78,6 +91,7 @@ the layout is never undone.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -85,11 +99,15 @@ import numpy as np
 
 from . import algebra
 from .circuits import (
-    GateApp,
-    GeneralCircuit,
     KIND_CODES,
+    GateApp,
+    GateColumns,
+    GeneralCircuit,
     GuardError,
     MatchgateCircuit,
+    _VALIDATE_CHUNK,
+    _cone_moves,
+    _cone_scan,
     _ParsedGates,
     _require_flavor,
     _table,
@@ -100,12 +118,11 @@ from .circuits import (
 )
 
 EXPAND_MAX_WIDTH = 4
-# The guard under --force: `expand --force` of 5 Haar u2 gates at 8 qubits emits 51k gates
-# (0.05 s, 44 MiB peak RSS, 2-core VM).
+# The guard under --force.
 EXPAND_FORCED_MAX_WIDTH = 8
 # expand refuses, before emitting anything, a circuit that would emit more
-# gates than this: `expand --force` of 115 Haar u2 gates at 8 qubits emits 1.92M gates
-# (0.8 s, 230 MiB peak RSS, 2-core VM).
+# gates than this: `expand --force` of 115 Haar u2 gates on random line pairs
+# at 8 qubits emits 1.48M gates (0.84 s, 188 MiB peak RSS, 2-core VM).
 EXPAND_MAX_GATES = 2_000_000
 
 # YT = iY: the real rotation by which realification represents multiplication
@@ -402,6 +419,63 @@ def _walk(
     return new_pos, local_pos, np.array(with_a), np.array(block)
 
 
+def _emitted_cone(
+    moves: np.ndarray, first: GateColumns, starts: np.ndarray, block: np.ndarray
+) -> tuple[int, list[tuple[np.ndarray, np.ndarray, list[np.ndarray]]]]:
+    """Which gates of the expansion lie in line 1's backward light cone.
+
+    The expansion is, per gate g, its swap network (the `_networks` of
+    moves[g]) and its first-block rot gates, rows starts[g] .. starts[g+1]-1
+    of `first`, copied to every block of block[g] lines; gate 0, the Z_A
+    layer, has no swap and one block of all lines.  It is scanned last
+    gate first by `circuits._cone_scan` from this description.  The copies
+    meet disjoint lines, so each copy reads only its block's support, and
+    each distinct support of a block is scanned once per gate; a block the
+    support misses keeps nothing.  Once the support holds every line, every
+    earlier gate meets it and it stays whole, so the scan stops there.
+
+    Returns (whole, partial): gates 0 .. whole - 1 keep every gate, and
+    partial[g - whole] is (keep, ids, rows) of each later gate: the keep mask
+    of its swap network, and per block the index in `rows` of the sorted
+    first-block rows it keeps (rows[0] is none).  Besides `moves` it holds
+    at most a byte per swap and two per block.
+    """
+    n = int(block[0])  # the Z_A layer's one block is every line
+    support = [False] * (n + 1)
+    support[1] = True
+    effect, lo_line, hi_line = _cone_moves(first)
+    starts, partial = starts.tolist() + [len(effect)], []
+    # The networks are read in runs of about _VALIDATE_CHUNK swaps, the last
+    # gate's first: `network` holds those of gates net .. the gate that read it.
+    at_swap = [0, *np.cumsum(moves.sum(axis=1)).tolist()]
+    g = net = len(block)
+    while g and not all(support[1:]):
+        g -= 1
+        b, lo, hi = int(block[g]), starts[g], starts[g + 1]
+        gate = (effect[lo:hi], lo_line[lo:hi], hi_line[lo:hi])
+        ids, rows, seen = np.zeros(n // b, dtype=np.int16), [np.empty(0, np.int64)], {}
+        for r in range(n // b):
+            at = slice(r * b + 1, r * b + b + 1)
+            pattern = tuple(support[at])
+            if True not in pattern:
+                continue
+            if pattern not in seen:
+                local = [False, *pattern]
+                kept = _cone_scan(gate, local)
+                seen[pattern] = (len(rows), local[1:])
+                rows.append(np.array(kept[::-1], dtype=np.int64) + lo)
+            ids[r], support[at] = seen[pattern]
+        if g < net:
+            net = min(g, bisect.bisect_left(at_swap, at_swap[g + 1] - _VALIDATE_CHUNK))
+            swaps = _networks(moves[net : g + 1])
+            network = _cone_moves(_table(np.full(len(swaps), KIND_CODES["w"]), swaps, np.empty(0)))
+        lo, hi = at_swap[g] - at_swap[net], at_swap[g + 1] - at_swap[net]
+        keep = np.zeros(hi - lo, dtype=bool)
+        keep[_cone_scan(tuple(column[lo:hi] for column in network), support)] = True
+        partial.append((keep, ids, rows))
+    return g, partial[::-1]
+
+
 def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH) -> MatchgateCircuit:
     """Compile an m-qubit general circuit to a 2^{m+1}-line matchgate circuit.
 
@@ -446,26 +520,17 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
 
     # The route: an insertion sort of each gate's pair permutation, whose
     # entry at i moves left once per earlier larger entry (_left_moves,
-    # which bounds the memory its comparisons take).
-    moves = _left_moves(_bit_permutations(np.array(new_pos)))
-
-    # The Z_A layer emits one local gate per pair; a gate its swap network
-    # and, per block, one gate per factor with A in the gate, two without.
-    swaps = moves.sum(axis=1)
-    counts = np.array([len(fs) for fs in factors])
-    rots = counts * np.where(with_a, 1, 2)  # rot gates of the first block
-    copied = rots * (n // block)
-    emitted = n // 2 + int(swaps.sum() + copied.sum())
-    if emitted > EXPAND_MAX_GATES:
-        raise GuardError(f"expanding would emit {emitted} gates; guard is {EXPAND_MAX_GATES}")
+    # which bounds the memory its comparisons take).  The Z_A layer leads
+    # as gate 0, which keeps the layout: it has no swap.
+    moves = _left_moves(_bit_permutations(np.array([list(range(m + 1)), *new_pos])))
 
     # The first block's rot gates of every gate, in one call.  With A a
     # spectator a factor in plane (a, a+1) acts alike on the A=0 and A=1
     # dimensions of pairs a and a+1: planes (2a-1, 2a+1) and (2a, 2a+2),
     # i.e. (1,3) and (2,4) of one window.
     flat = [r for fs in factors for r in fs]
-    gates = np.arange(len(factors))
-    gate = np.repeat(gates, counts)
+    counts = np.array([len(fs) for fs in factors])
+    gate = np.repeat(np.arange(len(factors)), counts)
     spectator = ~with_a[gate]
     row = np.repeat(np.arange(len(flat)), 1 + spectator)  # the factor of each rot gate
     spectator, second = spectator[row], np.diff(row, prepend=-1) == 0
@@ -474,27 +539,51 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
     theta = np.array([r.theta for r in flat], dtype=float)[row]
     first_lines, first_rows = _rot_gates(a, a + 1 + spectator, theta, block[gate[row]])
 
-    # The same gates shifted to every other block: emitted rot gate t of
-    # gate g is its first-block gate t mod rots[g], shifted by block[g] for
-    # each full round before it.
-    t = np.arange(copied.sum()) - np.repeat(np.cumsum(copied) - copied, copied)
-    rounds, t = np.divmod(t, np.repeat(rots, copied))
-    src = np.repeat(np.cumsum(rots) - rots, copied) + t
-    rot_lines = first_lines[src] + rounds * np.repeat(block, copied)
-
-    # Each gate's swap network goes before its rot gates: one stable sort
-    # by gate of the swaps, then the rot gates.
-    w_lines = _networks(moves)
-    order = np.argsort(
-        np.concatenate([np.repeat(gates, swaps), np.repeat(gates, copied)]), kind="stable"
-    )
-
-    # The Z_A layer leads: sign-flip of both dimensions of every odd-indexed
-    # pair, written as pi-rotations in the planes (4t-2, 4t).
+    # The Z_A layer, one block of all lines: sign-flip of both dimensions of
+    # every odd-indexed pair, written as pi-rotations in the planes (4t-2, 4t).
     z = np.arange(1, n // 2 + 1)
     z_lines, z_rows = _rot_gates(4 * z - 2, 4 * z, np.full(n // 2, math.pi), n)
+    first_lines = np.concatenate([z_lines, first_lines])
+    first_rows = np.concatenate([z_rows, first_rows])
+    rots = np.r_[n // 2, counts * np.where(with_a, 1, 2)]  # rot gates of the first block
+    starts = np.cumsum(rots) - rots
+    block = np.r_[n, block]
+
+    # Only the gates in line 1's light cone are emitted, and the guard counts
+    # exactly those, before any is.
     rot, w = KIND_CODES["rot"], KIND_CODES["w"]
-    kinds = np.concatenate([np.full(n // 2, rot), np.where(order < len(w_lines), w, rot)])
-    lines = np.concatenate([z_lines, np.concatenate([w_lines, rot_lines])[order]])
-    params = np.concatenate([z_rows.ravel(), first_rows[src].ravel()])
-    return MatchgateCircuit(n, _ParsedGates(_table(kinds, lines, params)), "0" * n, 1)
+    first = _table(np.full(len(first_lines), rot), first_lines, first_rows.ravel())
+    whole, partial = _emitted_cone(moves, first, starts, block)
+    swaps, copied = moves.sum(axis=1)[:whole], (rots * (n // block))[:whole]
+    emitted = int(swaps.sum() + copied.sum())
+    for keep, ids, rows in partial:
+        emitted += int(keep.sum()) + sum(len(rows[i]) for i in ids.tolist())
+    if emitted > EXPAND_MAX_GATES:
+        raise GuardError(f"expanding would emit {emitted} gates; guard is {EXPAND_MAX_GATES}")
+
+    # Gates before `whole` keep every gate: rot gate t of gate g is its
+    # first-block gate t mod rots[g], shifted by block[g] for each full round
+    # before it.  Each later gate keeps its kept swaps and, in each block,
+    # the first-block gates kept for that block's support, shifted to it.
+    t = np.arange(copied.sum()) - np.repeat(np.cumsum(copied) - copied, copied)
+    rounds, t = np.divmod(t, np.repeat(rots[:whole], copied))
+    w_lines = [_networks(moves[:whole])]
+    src = [np.repeat(starts[:whole], copied) + t]
+    shift = [rounds * np.repeat(block[:whole], copied)]
+    for g, (keep, ids, rows) in enumerate(partial, start=whole):
+        kept = [rows[i] for i in ids.tolist()]
+        w_lines.append(_networks(moves[g : g + 1])[keep])
+        src.append(np.concatenate(kept))
+        shift.append(np.repeat(np.arange(len(ids)) * block[g], [len(k) for k in kept]))
+
+    # Each gate's swap network goes before its rot gates.
+    n_w = [*swaps.tolist(), *(len(part) for part in w_lines[1:])]
+    n_rot = [*copied.tolist(), *(len(part) for part in src[1:])]
+    kinds = np.repeat(np.tile([w, rot], len(n_w)), np.ravel([n_w, n_rot], order="F"))
+    src = np.concatenate(src)
+    lines = np.empty(len(kinds), dtype=np.int64)
+    lines[kinds == w] = np.concatenate(w_lines)
+    lines[kinds == rot] = first_lines[src] + np.concatenate(shift)
+    # A line no kept gate meets stays idle.
+    table = _table(kinds, lines, first_rows[src].ravel())
+    return MatchgateCircuit(n, _ParsedGates(table), "0" * n, 1, allow_idle=True)

@@ -331,7 +331,10 @@ def _parse_gate(toks: list[str], lineno: int) -> tuple[str, tuple[int, ...], tup
         theta = _parse_floats(kv["theta"], "theta", lineno)
         if len(theta) != 1:
             raise ParseError("theta must be a single real", lineno)
-        params = (float(plane), theta[0])
+        try:
+            params = (float(plane), theta[0])
+        except OverflowError:  # more digits than a float holds
+            raise ParseError("plane out of float range", lineno) from None
     elif kind == "mg":
         if set(kv) != {"a", "b"}:
             raise ParseError("mg needs a= and b=", lineno)

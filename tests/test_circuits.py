@@ -816,7 +816,10 @@ def reference_parse(text: str):
             theta = _parse_floats(kv["theta"], "theta", lineno)
             if len(theta) != 1:
                 raise ParseError("theta must be a single real", lineno)
-            params = (float(plane), theta[0])
+            try:
+                params = (float(plane), theta[0])
+            except OverflowError:  # more digits than a float holds
+                raise ParseError("plane out of float range", lineno) from None
         elif kind == "mg":
             if set(kv) != {"a", "b"}:
                 raise ParseError("mg needs a= and b=", lineno)
@@ -1057,6 +1060,18 @@ def test_a_line_beyond_int64_is_a_parse_error_on_its_line(rng, at, line):
         parse_circuit("\n".join(rows) + "\n")
     assert err.value.line == at
     assert str(err.value) == f"line {at}: line out of range +-{2**62}"
+
+
+@pytest.mark.parametrize("digits", [20, 400])  # past int64; past a float too
+def test_a_huge_rot_plane_is_refused_alike_by_the_reference(digits):
+    # A plane past int64 that a float holds is a validation error; one with
+    # more digits than a float holds is a parse error on its line, in both.
+    text = f"circuit mg width=2 input=00 measure=1\nw 1\nrot 1 plane=1{'0' * digits} theta=0\n"
+    outcome = _parse_outcome(parse_circuit, text)
+    assert outcome == _parse_outcome(reference_parse, text)
+    assert outcome[0] is (ValidationError if digits == 20 else ParseError)
+    if digits == 400:
+        assert outcome[1:] == ("line 3: plane out of float range", 3)
 
 
 def test_a_line_inside_int64_stays_a_validation_error_with_its_value():

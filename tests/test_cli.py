@@ -167,21 +167,21 @@ def test_expand_reaches_the_exponential_width(tmp_path, capsys):
     assert run_cli("verify", str(f), str(out), "--tol", "1e-8") == 0
 
 
-def test_readme_expand_demo_emits_102_gates(tmp_path, capsys):
+def test_readme_expand_demo_emits_60_gates(tmp_path, capsys):
     f, out = tmp_path / "demo_small.qc", tmp_path / "demo_wide.mg"
     assert run_cli("gen-random", "qc", "2", "4", str(f), "--seed", "7") == 0
     capsys.readouterr()
     assert run_cli("expand", str(f), str(out)) == 0
-    assert "out_gates=102 ratio=25.5" in capsys.readouterr().out
+    assert "out_gates=60 ratio=15" in capsys.readouterr().out
     assert run_cli("verify", str(out), str(f), "--lhs", "mgsim") == 0
 
 
 @pytest.mark.parametrize(
     "width, size, seed, flags, out_gates, digest",
     [
-        (2, 4, 7, [], 102, "390e4309d1db73f858908d891aa6ebcd1798b7fd9620d33442f88ae8d14e2046"),
-        (4, 20, 1, [], 3304, "70d6db48d655460f8b59c5092ead4807fa399327941893a444f4bfa476b3a0d0"),
-        (6, 10, 1, ["--force"], 1120, "82f3e33b57dcf0bb5f9c737801201bdc5c59f1ef7e52070e1dca04a41218594d"),
+        (2, 4, 7, [], 60, "197201734cc6d8b711ac52448de43f880e4a65c98c9255b51e655bd51846cc99"),
+        (4, 20, 1, [], 2774, "b47fd1ea33e86c1c04ee79aec8b3b62507191d069214b7b88674152dab217152"),
+        (6, 10, 1, ["--force"], 29, "b54eb3589be08105dc2deb290f3de65e2ac15537681a03260eef86111a3f3ddf"),
     ],
     ids=["demo_wide", "e", "f"],
 )
@@ -479,6 +479,14 @@ def test_a_line_beyond_int64_exits_2_naming_its_line(tmp_path, capsys):
     stdout, err = capsys.readouterr()
     assert stdout == "" and err == f"invalid circuit: line 4: line out of range +-{2**62}\n"
     assert not out.exists()
+
+
+def test_a_rot_plane_beyond_float_range_exits_2_naming_its_line(tmp_path, capsys):
+    src = tmp_path / "big.mg"
+    src.write_text(f"circuit mg width=2 input=00 measure=1\nrot 1 plane=1{'0' * 400} theta=0\n")
+    assert main(["simulate", str(src)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == "invalid circuit: line 2: plane out of float range\n"
 
 
 def test_repeated_calls_in_one_process_carry_no_state(tmp_path, capsys, monkeypatch):

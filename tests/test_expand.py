@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from matchgates import randgen
 from matchgates.algebra import plane_rotation
 from matchgates.circuits import (
+    KIND_CODES,
     GateApp,
     GeneralCircuit,
     GuardError,
     MatchgateCircuit,
     gate_matrix,
+    light_cone,
     reals_from_complex,
 )
 from matchgates.compress import compress_circuit, pad_to_power_of_two
@@ -352,6 +354,38 @@ def _ladder(m: int, rng) -> tuple[GateApp, ...]:
     )
 
 
+def _unpruned(c: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH) -> MatchgateCircuit:
+    """The expansion of `c` with every gate kept: its cone scan made to keep
+    all walk gates whole, so nothing is pruned."""
+    from matchgates import expand
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expand, "_emitted_cone", lambda moves, *_: (len(moves), []))
+        return expand_circuit(c, width_guard=width_guard)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 12),
+    kinds=st.sampled_from(["mixed", "haar"]),
+    data=st.data(),
+)
+def test_expansion_is_the_unpruned_one_in_its_light_cone(m, seed, size, kinds, data):
+    # Pruning before emission keeps exactly the rows light_cone keeps of the
+    # unpruned emission, in order, and the readout bit for bit.
+    bits = data.draw(st.text("01", min_size=m, max_size=m))
+    c = randgen.random_general_circuit(m, size, np.random.default_rng(seed), bits, kinds)
+    out, full = expand_circuit(c, width_guard=5), _unpruned(c, 5)
+    assert out.width == full.width == 2 ** (m + 1) and out.allow_idle
+    want = full.gates.table.take(np.flatnonzero(light_cone(full.gates, full.width, 1)))
+    got = out.gates.table
+    for column in range(3):  # kinds, lines, params
+        assert np.array_equal(got[column], want[column])
+    assert simulate_expectation(out) == simulate_expectation(full)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8))
@@ -359,25 +393,32 @@ def test_expansion_emits_no_swap_but_its_networks(m, seed, size):
     # Walk the layout here: the gates fuse into blocks and the gadget follows.
     # The walk goes last block first, from the qubits in order of first use
     # (the first used lowest, just above B).  Before each block its rebits
-    # other than A move to the lowest pair-index bits.  Every `w` gate must
-    # be one adjacent swap of the insertion sort of one such pair permutation.
+    # other than A move to the lowest pair-index bits.  The unpruned
+    # emission's `w` gates must be the adjacent swaps of the insertion sorts
+    # of these pair permutations, in order, and the emitted ones exactly
+    # those of them that lie in line 1's light cone.
     # The ladder puts every gate in line 1's light cone, so none is dropped.
     rng = np.random.default_rng(seed)
     c = randgen.random_general_circuit(m, size, rng, "0" * m, "haar")
     c = GeneralCircuit(m, (*c.gates, *_ladder(m, rng)), "0" * m)
-    out = expand_circuit(c)
     walk = [lines for lines, _ in _blocks([g.lines for g in c.gates])] + [(1, m + 1)]
     used: list[int] = []
     for lines in reversed(walk):
         used += [q for q in lines if q <= m and q not in used]
     layout = tuple([q for q in range(1, m + 1) if q not in used] + used[::-1] + [m + 1])
-    swaps = 0
+    swaps = []
     for lines in reversed(walk):
         rebits = {q for q in lines if q <= m} | {m + 1}
         after = tuple(q for q in layout if q not in rebits) + tuple(q for q in layout if q in rebits)
-        swaps += inversion_count(pair_permutation(layout, after))
+        swaps += _insertion_sort_swaps(pair_permutation(layout, after).tolist())
         layout = after
-    assert sum(g.kind == "w" for g in out.gates) == swaps
+    full = _unpruned(c)
+    table = full.gates.table
+    is_w = table.kinds == KIND_CODES["w"]
+    assert table.lines[table.line_at[is_w]].tolist() == swaps
+    in_cone = light_cone(full.gates, full.width, 1)[is_w]
+    out = expand_circuit(c)
+    assert [g.lines[0] for g in out.gates if g.kind == "w"] == [k for k, keep in zip(swaps, in_cone) if keep]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -490,3 +531,15 @@ def test_gate_count_guard_is_the_exact_emitted_count(rng, monkeypatch):
         with pytest.raises(GuardError, match=f"would emit {emitted} gates"):
             expand_circuit(c)
         monkeypatch.undo()
+
+
+def test_the_guard_counts_the_pruned_gates(monkeypatch):
+    # `gen-random qc 6 10 --seed 1` emits 1120 gates unpruned and 29 pruned:
+    # a guard between the two accepts it.
+    from matchgates import expand
+
+    c = randgen.random_general_circuit(6, 10, np.random.default_rng(1), kinds="haar")
+    assert len(_unpruned(c, 6).gates) == 1120
+    monkeypatch.setattr(expand, "EXPAND_MAX_GATES", 500)
+    out = expand_circuit(c, width_guard=6)
+    assert len(out.gates) == 29 and out.width == 128

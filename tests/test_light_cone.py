@@ -177,13 +177,15 @@ def test_an_infinite_qc_gate_outside_the_cone_is_still_refused(tmp_path, capsys)
 
 
 def test_the_expand_guard_counts_the_gates_in_the_cone(tmp_path, capsys, rng):
-    # 200 Haar u2 gates on lines 2..8 would emit over EXPAND_MAX_GATES, but
+    # 400 Haar u2 gates on lines 2..8 would emit over EXPAND_MAX_GATES, but
     # a closing h on line 1 never reaches them: --force expands the circuit
     # as if they were not there.  A closing cu1 on lines 1 and 2 brings them
-    # into the cone, and the guard refuses it before emitting anything.
+    # into the cone, and the guard refuses it before emitting anything.  (The
+    # expansion keeps only their block copies on the pairs whose qubit-1 bit
+    # is 0, about half, so 200 such gates no longer reach the guard.)
     heavy = tuple(
         GateApp("u2", tuple(int(q) + 2 for q in rng.choice(7, 2, replace=False)), _u(4, rng))
-        for _ in range(200)
+        for _ in range(400)
     )
     h = GateApp("h", (1,))
     src, out = tmp_path / "c.qc", tmp_path / "c.mg"
