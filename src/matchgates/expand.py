@@ -37,11 +37,11 @@ steps:
 The light cone is one scan (`circuits._cone_scan`), last gate first, over a
 set of support lines that starts as line 1: a gate is kept iff it touches
 the support, which it then moves (`circuits._cone_moves`): a two-qubit gate
-adds both of its lines, and a `w` exchanges their membership.  The Z_1 readout in the
-Heisenberg picture never reaches a dropped gate's lines, so it is the same.
-The same scan drops input gates (`circuits.light_cone`) in step 1 and
-emitted gates in step 4; the output width, the all-zero input and the
-validation of every input gate are unchanged.
+adds both of its lines, and a `w` exchanges their membership.  The Z_1
+readout in the Heisenberg picture never reaches a dropped gate's lines, so
+it is the same.  The same scan drops input gates (`circuits.light_cone`) in
+step 1 and emitted gates in step 4; the output width, the all-zero input and
+the validation of every input gate are unchanged.
 
 Fewer, wider gates give fewer `rot` factors and fewer swap networks, and the
 route starts from the first-use layout (`_first_use_layout`): B lowest, then
@@ -55,38 +55,38 @@ emitted.
 
 Each stage runs once over the whole circuit, with no GateApp per emitted
 gate, and all but the cone scan run as arrays.  A short walk over the
-blocks, last first, fixes every layout (`_walk`).  The blocks of one matrix size are realified as one stack,
-checked once (`_realify`) and factored by one `algebra.givens_factor` call.
-One table of where each rebit moves gives every pair permutation
-(`_bit_permutations`); their per-position left moves (`_left_moves`) give
-the swap networks (`_networks`).  One `_rot_gates` call lifts every factor
-to the `rot` gates of its gate's first block of pairs.  The light cone of
-the emission is scanned from this compact description, last gate first,
-before anything is emitted (`_emitted_cone`): a copy of a gate's first
-block meets only its own block of lines, so each distinct support of a
-block is scanned once per gate, and once the support holds every line all
-earlier gates are kept whole.  Then only the kept rows are built: the
-first-block gates copied to every block with the block's offset added to
-the lines (of a partly kept gate, the ones kept for that block), each swap
-network (masked) before its gate's `rot` gates.  The Z_A layer leads as
-gate 0 of this description: no swap, and one block of every line.
-`realify_gate` is the one-gate case of `_realify`; `_rot_gates` also
-serves the public `two_level_to_matchgates`.
+blocks, last first, fixes every layout (`_walk`).  The blocks of one matrix
+size are realified as one stack, checked once (`_realify`) and factored by
+one `algebra.givens_factor` call.  One table of where each rebit moves gives
+every pair permutation (`_bit_permutations`); their per-position left moves
+(`_left_moves`) give the swap networks (`_networks`).  One `_rot_gates` call
+lifts every factor to the `rot` gates of its gate's first block of pairs.
+The light cone of the emission is scanned from this compact description,
+last gate first, before anything is emitted (`_emitted_cone`): a copy of a
+gate's first block meets only its own block of lines, so each distinct
+support of a block is scanned once per gate, and once the support holds
+every line all earlier gates are kept whole.  Then only the kept rows are
+built: the first-block gates copied to every block with the block's offset
+added to the lines (of a partly kept gate, the ones kept for that block),
+each swap network (masked) before its gate's `rot` gates.  The Z_A layer
+leads as gate 0 of this description: no swap, and one block of every line.
+`realify_gate` is the one-gate case of `_realify`; `_rot_gates` also serves
+the public `two_level_to_matchgates`.
 
-Rebit register (width m + 2): lines 1..m carry the original qubits, line
-m+1 is the realification rebit B, line m+2 (least significant) is the
-gadget rebit A.  The full emission's rotation is P V_hat^T Q . Z_A, where
-V_hat is the realified widened circuit, Z_A flips the sign of every odd
-rotation dimension pair, and P and Q^T are the pair permutations of the
-final and the start layout; the transpose and the Z_A layer together make
-the matchgate readout reproduce <Z_1> exactly rather than up to sign.  The
-emitted circuit drops only gates outside line 1's light cone, each acting
-where the propagated rows of line 1 are exactly zero, so its rotation is
-that product in the two rows line 1's readout reads, and only there.  A pair permutation moves whole pairs without signs and
-keeps pair 1 (index 0 in every layout) in place, so P leaves the rows of
-line 1's readout as they are, and Q, which commutes with Z_A, leaves the
-all-zero input's pairing matrix unchanged: the start layout is free, and
-the layout is never undone.
+Rebit register (width m + 2): lines 1..m carry the original qubits, line m+1
+is the realification rebit B, line m+2 (least significant) is the gadget
+rebit A.  The full emission's rotation is P V_hat^T Q . Z_A, where V_hat is
+the realified widened circuit, Z_A flips the sign of every odd rotation
+dimension pair, and P and Q^T are the pair permutations of the final and the
+start layout; the transpose and the Z_A layer together make the matchgate
+readout reproduce <Z_1> exactly rather than up to sign.  The emitted circuit
+drops only gates outside line 1's light cone, each acting where the
+propagated rows of line 1 are exactly zero, so its rotation is that product
+in the two rows line 1's readout reads, and only there.  A pair permutation
+moves whole pairs without signs and keeps pair 1 (index 0 in every layout)
+in place, so P leaves the rows of line 1's readout as they are, and Q, which
+commutes with Z_A, leaves the all-zero input's pairing matrix unchanged: the
+start layout is free, and the layout is never undone.
 """
 
 from __future__ import annotations

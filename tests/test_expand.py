@@ -418,7 +418,8 @@ def test_expansion_emits_no_swap_but_its_networks(m, seed, size):
     assert table.lines[table.line_at[is_w]].tolist() == swaps
     in_cone = light_cone(full.gates, full.width, 1)[is_w]
     out = expand_circuit(c)
-    assert [g.lines[0] for g in out.gates if g.kind == "w"] == [k for k, keep in zip(swaps, in_cone) if keep]
+    kept = [k for k, keep in zip(swaps, in_cone) if keep]
+    assert [g.lines[0] for g in out.gates if g.kind == "w"] == kept
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
