@@ -70,6 +70,7 @@ from . import algebra
 from .circuits import (
     KIND_CODES,
     GateApp,
+    GateColumns,
     GeneralCircuit,
     MatchgateCircuit,
     UsageError,
@@ -284,11 +285,13 @@ def _windows(ks: list[int], mu: int, template: tuple[np.ndarray, ...]) -> list[_
     return out
 
 
-def _window_cache(mu: int) -> Callable[[list[int]], list[_Window]]:
+def _window_cache(
+    mu: int, kept: dict[int, _Window] | None = None
+) -> Callable[[list[int]], list[_Window]]:
     """One stream's windows: each call gives the windows of pairs `ks`,
     building those that are not among the WINDOW_CACHE_SIZE it used last in
-    one `_windows` call."""
-    template, kept = _and_template(mu), {}
+    one `_windows` call.  `kept` holds those, by pair."""
+    template, kept = _and_template(mu), {} if kept is None else kept
 
     def windows(ks: list[int]) -> list[_Window]:
         used = dict.fromkeys(ks)
@@ -372,15 +375,18 @@ def _pairing_run(mu: int, invert: bool) -> _ParsedGates:
     return _ParsedGates(_table_of([*to_gray[::-1], ("cu1", (1, mu + 1), block), *to_gray]))
 
 
-def _gate_pieces(circuit: MatchgateCircuit) -> Iterator[_ParsedGates | _Piece]:
+def _gate_pieces(
+    circuit: MatchgateCircuit, windows: dict[int, _Window] | None = None
+) -> Iterator[_ParsedGates | _Piece]:
     """The compressed circuit's gates, as tables and rows of tables: the
     interference frame around R^{-1}, controlled S, R and controlled S^{-1}.
     Both rotation passes read only the gates in line 1's backward light
-    cone, which fix the two rows of R the readout reads."""
+    cone, which fix the two rows of R the readout reads.  `windows` holds
+    the windows the stream keeps for reuse (`_window_cache`)."""
     n = _require_standard(circuit)
     mu = (2 * n).bit_length() - 1
     keep = light_cone(circuit.gates, n, 1)
-    cache = _window_cache(mu)
+    cache = _window_cache(mu, windows)
     frame = _ParsedGates(_table_of([("h", (1,), ())]))
     yield frame
     yield from _rotation_pass(circuit, keep, cache, invert=True)
@@ -396,10 +402,24 @@ def compress_gate_stream(circuit: MatchgateCircuit) -> Iterator[GateApp]:
     Iterates the input gate list twice (once reversed), _ROTATION_RUN
     gates at a time.  Working state is one run's rotations, local pairs and
     controlled gates, plus the gates of the last WINDOW_CACHE_SIZE windows
-    used, which both passes of this stream reuse.
+    used, which both passes of this stream reuse.  The GateApps of a table
+    are built once while the stream reads it: the table of the current run
+    or of a window it keeps.
     """
-    for part in _gate_pieces(circuit):  # a window's gates are built once, for both passes
-        yield from part if isinstance(part, _ParsedGates) else _ParsedGates(part)
+    windows: dict[int, _Window] = {}
+    # id(table) -> the table (held, so that its id is not reused) and its GateApps
+    apps: dict[int, tuple[GateColumns, tuple[GateApp, ...]]] = {}
+    for part in _gate_pieces(circuit, windows):
+        if isinstance(part, _ParsedGates):
+            yield from part
+            continue
+        block, lo, hi = part
+        if id(block) not in apps:  # keep the last table built and those of kept windows
+            held = {id(w.gates.block) for w in windows.values()}
+            last = next(reversed(apps), None)
+            apps = {key: built for key, built in apps.items() if key in held or key == last}
+            apps[id(block)] = (block, _gate_apps(block))
+        yield from apps[id(block)][1][lo:hi]
 
 
 def compress_circuit(circuit: MatchgateCircuit) -> GeneralCircuit:

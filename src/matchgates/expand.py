@@ -27,10 +27,11 @@ steps:
      moves the gate's rebits to the lowest pair-index bits: the `w` swaps
      of an insertion sort of the pair permutation, one per inversion.  The
      gate is then factored into rotations in adjacent planes (a, a+1)
-     (`algebra.givens_factor`), and each lifts to local `rot` gates with no
-     swap of its own: with A in the gate a plane is one `rot` inside one
-     line window, and with A a spectator it is two, planes (1,3) and (2,4)
-     of the window of pairs a and a+1.  Of these gates only those in the
+     (`algebra.givens_factor`), and each lifts to one local gate with no
+     swap of its own: with A in the gate a `rot` inside one line window,
+     and with A a spectator the hopping matchgate `mg` G(1, R(t)) on the
+     window of pairs a and a+1, which turns its planes (1,3) and (2,4) by
+     one angle (`_hopping_rows`).  Of these gates only those in the
      backward light cone of line 1 of the emitted circuit are emitted
      (`_emitted_cone`); a line no kept gate meets stays idle (`idle=1`).
 
@@ -43,7 +44,7 @@ it is the same.  The same scan drops input gates (`circuits.light_cone`) in
 step 1 and emitted gates in step 4; the output width, the all-zero input and
 the validation of every input gate are unchanged.
 
-Fewer, wider gates give fewer `rot` factors and fewer swap networks, and the
+Fewer, wider gates give fewer factors and fewer swap networks, and the
 route starts from the first-use layout (`_first_use_layout`): B lowest, then
 the qubits in the order the walk, last gate first, first touches them, so
 the first gates routed need few swaps or none.
@@ -60,16 +61,16 @@ size are realified as one stack, checked once (`_realify`) and factored by
 one `algebra.givens_factor` call.  One table of where each rebit moves gives
 every pair permutation (`_bit_permutations`); their per-position left moves
 (`_left_moves`) give the swap networks (`_networks`).  One `_rot_gates` call
-lifts every factor to the `rot` gates of its gate's first block of pairs.
-The light cone of the emission is scanned from this compact description,
-last gate first, before anything is emitted (`_emitted_cone`): a copy of a
+lifts every factor to its gate in its gate's first block of pairs.  The
+light cone of the emission is scanned from this compact description, last
+gate first, before anything is emitted (`_emitted_cone`): a copy of a
 gate's first block meets only its own block of lines, so each distinct
 support of a block is scanned once per gate, and once the support holds
 every line all earlier gates are kept whole.  Then only the kept rows are
 built: the first-block gates copied to every block with the block's offset
 added to the lines (of a partly kept gate, the ones kept for that block),
-each swap network (masked) before its gate's `rot` gates.  The Z_A layer
-leads as gate 0 of this description: no swap, and one block of every line.
+each gate's kept swaps before its copies.  The Z_A layer leads as gate 0
+of this description: no swap, and one block of every line.
 `realify_gate` is the one-gate case of `_realify`; `_rot_gates` also serves
 the public `two_level_to_matchgates`.
 
@@ -122,7 +123,7 @@ EXPAND_MAX_WIDTH = 4
 EXPAND_FORCED_MAX_WIDTH = 8
 # expand refuses, before emitting anything, a circuit that would emit more
 # gates than this: `expand --force` of 115 Haar u2 gates on random line pairs
-# at 8 qubits emits 1.48M gates (0.84 s, 188 MiB peak RSS, 2-core VM).
+# at 8 qubits emits 1.32M gates (1.0 s, 221 MiB peak RSS, 2-core VM).
 EXPAND_MAX_GATES = 2_000_000
 
 # YT = iY: the real rotation by which realification represents multiplication
@@ -264,6 +265,14 @@ def _rot_gates(
     # The rot gate's own convention carries [la, lb] = +sin, so realizing
     # plane_rotation(la, lb, theta) needs the opposite angle.
     return k, np.stack([plane.astype(float), -theta], axis=1)
+
+
+def _hopping_rows(t: np.ndarray) -> np.ndarray:
+    """The 16 reals of the mg gate G(1, R(t)) of each angle, R(t) the 2x2
+    rotation: the product of the `rot` gates by t in planes 2 and 5."""
+    c, s, rows = np.cos(t), np.sin(t), np.zeros((len(t), 16))
+    rows[:, [0, 6]], rows[:, 8::2] = 1.0, np.column_stack([c, -s, s, c])
+    return rows
 
 
 def two_level_to_matchgates(a: int, b: int, theta: float, n: int) -> list[GateApp]:
@@ -425,7 +434,7 @@ def _emitted_cone(
     """Which gates of the expansion lie in line 1's backward light cone.
 
     The expansion is, per gate g, its swap network (the `_networks` of
-    moves[g]) and its first-block rot gates, rows starts[g] .. starts[g+1]-1
+    moves[g]) and its first-block gates, rows starts[g] .. starts[g+1]-1
     of `first`, copied to every block of block[g] lines; gate 0, the Z_A
     layer, has no swap and one block of all lines.  It is scanned last
     gate first by `circuits._cone_scan` from this description.  The copies
@@ -435,14 +444,13 @@ def _emitted_cone(
     earlier gate meets it and it stays whole, so the scan stops there.
 
     Returns (whole, partial): gates 0 .. whole - 1 keep every gate, and
-    partial[g - whole] is (keep, ids, rows) of each later gate: the keep mask
-    of its swap network, and per block the index in `rows` of the sorted
-    first-block rows it keeps (rows[0] is none).  Besides `moves` it holds
-    at most a byte per swap and two per block.
+    partial[g - whole] is (swaps, ids, rows) of each later gate: the lines
+    of the swaps of its network it keeps, in order, and per block the index
+    in `rows` of the sorted first-block rows it keeps.  Besides `moves` it
+    holds at most four bytes per kept swap and two per block.
     """
     n = int(block[0])  # the Z_A layer's one block is every line
-    support = [False] * (n + 1)
-    support[1] = True
+    support = [False, True] + [False] * (n - 1)  # line 1 of lines 1..n
     effect, lo_line, hi_line = _cone_moves(first)
     starts, partial = starts.tolist() + [len(effect)], []
     # The networks are read in runs of about _VALIDATE_CHUNK swaps, the last
@@ -453,12 +461,10 @@ def _emitted_cone(
         g -= 1
         b, lo, hi = int(block[g]), starts[g], starts[g + 1]
         gate = (effect[lo:hi], lo_line[lo:hi], hi_line[lo:hi])
-        ids, rows, seen = np.zeros(n // b, dtype=np.int16), [np.empty(0, np.int64)], {}
+        ids, rows, seen = np.empty(n // b, dtype=np.int16), [], {}
         for r in range(n // b):
             at = slice(r * b + 1, r * b + b + 1)
             pattern = tuple(support[at])
-            if True not in pattern:
-                continue
             if pattern not in seen:
                 local = [False, *pattern]
                 kept = _cone_scan(gate, local)
@@ -470,9 +476,8 @@ def _emitted_cone(
             swaps = _networks(moves[net : g + 1])
             network = _cone_moves(_table(np.full(len(swaps), KIND_CODES["w"]), swaps, np.empty(0)))
         lo, hi = at_swap[g] - at_swap[net], at_swap[g + 1] - at_swap[net]
-        keep = np.zeros(hi - lo, dtype=bool)
-        keep[_cone_scan(tuple(column[lo:hi] for column in network), support)] = True
-        partial.append((keep, ids, rows))
+        kept = _cone_scan(tuple(column[lo:hi] for column in network), support)
+        partial.append((swaps[lo:hi][kept[::-1]].astype(np.int32), ids, rows))
     return g, partial[::-1]
 
 
@@ -524,66 +529,61 @@ def expand_circuit(circuit: GeneralCircuit, width_guard: int = EXPAND_MAX_WIDTH)
     # as gate 0, which keeps the layout: it has no swap.
     moves = _left_moves(_bit_permutations(np.array([list(range(m + 1)), *new_pos])))
 
-    # The first block's rot gates of every gate, in one call.  With A a
+    # The first block's gate of every factor, in one call.  With A a
     # spectator a factor in plane (a, a+1) acts alike on the A=0 and A=1
     # dimensions of pairs a and a+1: planes (2a-1, 2a+1) and (2a, 2a+2),
-    # i.e. (1,3) and (2,4) of one window.
+    # i.e. (1,3) and (2,4) of one window, turned by one angle: one mg gate.
     flat = [r for fs in factors for r in fs]
     counts = np.array([len(fs) for fs in factors])
     gate = np.repeat(np.arange(len(factors)), counts)
     spectator = ~with_a[gate]
-    row = np.repeat(np.arange(len(flat)), 1 + spectator)  # the factor of each rot gate
-    spectator, second = spectator[row], np.diff(row, prepend=-1) == 0
-    a = np.array([r.a for r in flat], dtype=np.int64)[row]
-    a = np.where(spectator, 2 * a - 1 + second, a)
-    theta = np.array([r.theta for r in flat], dtype=float)[row]
-    first_lines, first_rows = _rot_gates(a, a + 1 + spectator, theta, block[gate[row]])
+    a = np.array([r.a for r in flat], dtype=np.int64)
+    a = np.where(spectator, 2 * a - 1, a)
+    theta = np.array([r.theta for r in flat], dtype=float)
+    first_lines, rot_rows = _rot_gates(a, a + 1 + spectator, theta, block[gate])
+    params = _hopping_rows(rot_rows[:, 1])
+    params[~spectator, :2] = rot_rows[~spectator]
+    rot, mg, w = KIND_CODES["rot"], KIND_CODES["mg"], KIND_CODES["w"]
 
     # The Z_A layer, one block of all lines: sign-flip of both dimensions of
     # every odd-indexed pair, written as pi-rotations in the planes (4t-2, 4t).
     z = np.arange(1, n // 2 + 1)
     z_lines, z_rows = _rot_gates(4 * z - 2, 4 * z, np.full(n // 2, math.pi), n)
-    first_lines = np.concatenate([z_lines, first_lines])
-    first_rows = np.concatenate([z_rows, first_rows])
-    rots = np.r_[n // 2, counts * np.where(with_a, 1, 2)]  # rot gates of the first block
-    starts = np.cumsum(rots) - rots
+    params = params[np.arange(16) < np.where(spectator, 16, 2)[:, None]]  # 16 reals or 2
+    kinds = np.r_[np.full(n // 2, rot), np.where(spectator, mg, rot)]
+    first = _table(kinds, np.r_[z_lines, first_lines], np.r_[z_rows.ravel(), params])
+    gates_of = np.r_[n // 2, counts]  # the first block's gates
+    starts = np.cumsum(gates_of) - gates_of
     block = np.r_[n, block]
 
     # Only the gates in line 1's light cone are emitted, and the guard counts
     # exactly those, before any is.
-    rot, w = KIND_CODES["rot"], KIND_CODES["w"]
-    first = _table(np.full(len(first_lines), rot), first_lines, first_rows.ravel())
     whole, partial = _emitted_cone(moves, first, starts, block)
-    swaps, copied = moves.sum(axis=1)[:whole], (rots * (n // block))[:whole]
-    emitted = int(swaps.sum() + copied.sum())
-    for keep, ids, rows in partial:
-        emitted += int(keep.sum()) + sum(len(rows[i]) for i in ids.tolist())
+    copied = (gates_of * (n // block))[:whole]
+    n_w = [*moves.sum(axis=1)[:whole].tolist(), *(len(swaps) for swaps, _, _ in partial)]
+    n_copied = copied.tolist() + [sum(len(rows[i]) for i in ids) for _, ids, rows in partial]
+    emitted = sum(n_w) + sum(n_copied)
     if emitted > EXPAND_MAX_GATES:
         raise GuardError(f"expanding would emit {emitted} gates; guard is {EXPAND_MAX_GATES}")
 
-    # Gates before `whole` keep every gate: rot gate t of gate g is its
-    # first-block gate t mod rots[g], shifted by block[g] for each full round
-    # before it.  Each later gate keeps its kept swaps and, in each block,
-    # the first-block gates kept for that block's support, shifted to it.
+    # Each gate's kept swaps go before its kept copies.  Gates before `whole`
+    # keep every gate: copy t of gate g is its first-block gate t mod
+    # gates_of[g], shifted by block[g] for each full round before it.  Each
+    # later gate keeps, in each block, the first-block gates kept for that
+    # block's support, shifted to it.
     t = np.arange(copied.sum()) - np.repeat(np.cumsum(copied) - copied, copied)
-    rounds, t = np.divmod(t, np.repeat(rots[:whole], copied))
-    w_lines = [_networks(moves[:whole])]
+    rounds, t = np.divmod(t, np.repeat(gates_of[:whole], copied))
+    w_lines = [_networks(moves[:whole]), *(swaps for swaps, _, _ in partial)]
     src = [np.repeat(starts[:whole], copied) + t]
     shift = [rounds * np.repeat(block[:whole], copied)]
-    for g, (keep, ids, rows) in enumerate(partial, start=whole):
+    for g, (_, ids, rows) in enumerate(partial, start=whole):
         kept = [rows[i] for i in ids.tolist()]
-        w_lines.append(_networks(moves[g : g + 1])[keep])
         src.append(np.concatenate(kept))
         shift.append(np.repeat(np.arange(len(ids)) * block[g], [len(k) for k in kept]))
-
-    # Each gate's swap network goes before its rot gates.
-    n_w = [*swaps.tolist(), *(len(part) for part in w_lines[1:])]
-    n_rot = [*copied.tolist(), *(len(part) for part in src[1:])]
-    kinds = np.repeat(np.tile([w, rot], len(n_w)), np.ravel([n_w, n_rot], order="F"))
-    src = np.concatenate(src)
-    lines = np.empty(len(kinds), dtype=np.int64)
-    lines[kinds == w] = np.concatenate(w_lines)
-    lines[kinds == rot] = first_lines[src] + np.concatenate(shift)
-    # A line no kept gate meets stays idle.
-    table = _table(kinds, lines, first_rows[src].ravel())
+    is_w = np.repeat(np.tile([True, False], len(n_w)), np.ravel([n_w, n_copied], order="F"))
+    copies = first.take(np.concatenate(src))
+    kinds, lines = np.full(len(is_w), w), np.empty(len(is_w), dtype=np.int64)
+    kinds[~is_w], lines[~is_w] = copies.kinds, copies.lines + np.concatenate(shift)
+    lines[is_w] = np.concatenate(w_lines)
+    table = _table(kinds, lines, copies.params)
     return MatchgateCircuit(n, _ParsedGates(table), "0" * n, 1, allow_idle=True)

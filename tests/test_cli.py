@@ -167,21 +167,21 @@ def test_expand_reaches_the_exponential_width(tmp_path, capsys):
     assert run_cli("verify", str(f), str(out), "--tol", "1e-8") == 0
 
 
-def test_readme_expand_demo_emits_60_gates(tmp_path, capsys):
+def test_readme_expand_demo_emits_53_gates(tmp_path, capsys):
     f, out = tmp_path / "demo_small.qc", tmp_path / "demo_wide.mg"
     assert run_cli("gen-random", "qc", "2", "4", str(f), "--seed", "7") == 0
     capsys.readouterr()
     assert run_cli("expand", str(f), str(out)) == 0
-    assert "out_gates=60 ratio=15" in capsys.readouterr().out
+    assert "out_gates=53 ratio=13.25" in capsys.readouterr().out
     assert run_cli("verify", str(out), str(f), "--lhs", "mgsim") == 0
 
 
 @pytest.mark.parametrize(
     "width, size, seed, flags, out_gates, digest",
     [
-        (2, 4, 7, [], 60, "197201734cc6d8b711ac52448de43f880e4a65c98c9255b51e655bd51846cc99"),
-        (4, 20, 1, [], 2774, "b47fd1ea33e86c1c04ee79aec8b3b62507191d069214b7b88674152dab217152"),
-        (6, 10, 1, ["--force"], 29, "b54eb3589be08105dc2deb290f3de65e2ac15537681a03260eef86111a3f3ddf"),
+        (2, 4, 7, [], 53, "7670ffc1166c0871845337f2916eaef6232b0b02c19a103417aeb7971a77cfed"),
+        (4, 20, 1, [], 2035, "0a99ef0991fd1c021cf4360483d3121f4d340a44b784e630c567b91a81640c24"),
+        (6, 10, 1, ["--force"], 26, "1650c9216aa84017e081b21e147414e5c5539de281b7ea421ffd6338122bbb76"),
     ],
     ids=["demo_wide", "e", "f"],
 )
@@ -211,10 +211,10 @@ def test_expand_guard_and_force(tmp_path, capsys):
 
 
 def test_expand_force_refuses_a_gate_count_over_the_guard(tmp_path, capsys, rng):
-    # 140 two-qubit gates at 8 qubits would emit about 2.6M gates: refused
+    # 160 two-qubit gates at 8 qubits would emit about 2.5M gates: refused
     # from the count, before any is emitted.
     gates = []
-    for _ in range(140):
+    for _ in range(160):
         q = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         lines = tuple(int(x) + 1 for x in rng.choice(8, 2, replace=False))
         gates.append(circuits.GateApp("u2", lines, circuits.reals_from_complex(np.linalg.qr(q)[0])))

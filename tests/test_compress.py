@@ -494,6 +494,24 @@ def test_gate_stream_matches_the_one_shot_compiler(rng):
     assert streamed[-1] == GateApp("h", (1,))
 
 
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.sampled_from([2, 4, 16, 64]),
+    size=st.integers(0, 200),
+    kinds=st.sampled_from(["mixed", "haar"]),
+    cache_size=st.sampled_from([0, 1, 3, compress.WINDOW_CACHE_SIZE]),
+)
+def test_gate_stream_is_the_compiled_circuit_gate_for_gate(seed, width, size, kinds, cache_size):
+    # The stream reuses the GateApps of a table while it reads the table:
+    # that of the current run or of a window it keeps, however few it keeps.
+    rng = np.random.default_rng(seed)
+    c = randgen.random_matchgate_circuit(width, size, rng, "0" * width, 1, kinds)
+    with mock.patch.object(compress, "WINDOW_CACHE_SIZE", cache_size):
+        streamed = tuple(compress_gate_stream(c))
+    assert streamed == compress_circuit(c).gates
+
+
 def test_gate_stream_splits_one_run_of_rotations_at_a_time(rng):
     c = randgen.random_matchgate_circuit(8, 2000, rng, "0" * 8, 1, kinds="haar")
     c = MatchgateCircuit(8, (*c.gates, *_staircase(rng, 8)), "0" * 8, 1)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgates import randgen
-from matchgates.algebra import plane_rotation
+from matchgates.algebra import plane_rotation, rotation_generator_exponential
 from matchgates.circuits import (
     KIND_CODES,
     GateApp,
@@ -19,6 +19,7 @@ from matchgates.circuits import (
     gate_matrix,
     light_cone,
     reals_from_complex,
+    validate,
 )
 from matchgates.compress import compress_circuit, pad_to_power_of_two
 from matchgates.expand import (
@@ -29,6 +30,7 @@ from matchgates.expand import (
     _bit_permutations,
     _blocks,
     _fused,
+    _hopping_rows,
     _left_moves,
     _networks,
     expand_circuit,
@@ -164,6 +166,42 @@ def test_two_level_validates_dimensions():
     for theta in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             two_level_to_matchgates(1, 2, theta, 4)
+
+
+@pytest.mark.parametrize(
+    "theta", [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, np.pi - 1e-12, -(np.pi - 1e-12), 0.7, -2.3]
+)
+def test_a_hopping_row_is_the_product_of_its_two_rots(theta):
+    # With rebit A a spectator, a factor turns planes 2 and 5 of one window
+    # by one angle; expand emits the product as one mg gate G(1, R(theta)).
+    gate = GateApp("mg", (1,), tuple(_hopping_rows(np.array([theta]))[0].tolist()))
+    want = rotation_generator_exponential(5, theta) @ rotation_generator_exponential(2, theta)
+    assert np.abs(gate_matrix(gate) - want).max() <= 1e-15
+    assert validate(MatchgateCircuit(2, (gate,), "00")) == []
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_no_window_holds_the_two_rots_of_one_hopping_gate(m):
+    # A plane-2 rot followed, on its window, by a plane-5 rot by the same
+    # angle is a spectator factor left split in two.  Every mg gate expand
+    # emits is a hopping gate: a = 1, b a rotation.
+    rng = np.random.default_rng(m)
+    hops = 0
+    for kinds in ("mixed", "haar"):
+        for _ in range(4):
+            c = randgen.random_general_circuit(m, 8, rng, "0" * m, kinds)
+            last: dict[int, GateApp] = {}
+            for g in expand_circuit(c).gates:
+                before = last.get(g.lines[0])
+                if g.kind == "rot" and g.params[0] == 5 and before is not None:
+                    assert before.params != (2.0, g.params[1]), (before, g)
+                if g.kind == "mg":
+                    hops += 1
+                    assert g.params[:8] == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+                    b = np.array(g.params[8::2]).reshape(2, 2)
+                    assert np.abs(b @ b.T - np.eye(2)).max() <= 1e-15 and b[0, 0] == b[1, 1]
+                last[g.lines[0]] = g
+    assert hops
 
 
 # ----- Fermionic swap networks ------------------------------------------------
@@ -469,7 +507,7 @@ def test_swap_network_is_the_insertion_sort(perm):
 
 
 def test_guard_refuses_before_allocating_the_expansion():
-    # 200 Haar gates at 8 qubits would emit about 2.61M gates; the refusal,
+    # 200 Haar gates at 8 qubits would emit about 2.43M gates; the refusal,
     # counted exactly, must come before anything near that size (or the
     # gates x pairs^2 comparisons, about 39 MiB) is allocated.
     c = randgen.random_general_circuit(8, 200, np.random.default_rng(1), kinds="haar")
@@ -535,12 +573,12 @@ def test_gate_count_guard_is_the_exact_emitted_count(rng, monkeypatch):
 
 
 def test_the_guard_counts_the_pruned_gates(monkeypatch):
-    # `gen-random qc 6 10 --seed 1` emits 1120 gates unpruned and 29 pruned:
+    # `gen-random qc 6 10 --seed 1` emits 928 gates unpruned and 26 pruned:
     # a guard between the two accepts it.
     from matchgates import expand
 
     c = randgen.random_general_circuit(6, 10, np.random.default_rng(1), kinds="haar")
-    assert len(_unpruned(c, 6).gates) == 1120
+    assert len(_unpruned(c, 6).gates) == 928
     monkeypatch.setattr(expand, "EXPAND_MAX_GATES", 500)
     out = expand_circuit(c, width_guard=6)
-    assert len(out.gates) == 29 and out.width == 128
+    assert len(out.gates) == 26 and out.width == 128
