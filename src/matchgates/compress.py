@@ -8,7 +8,8 @@ basis state whose label is the Gray code of j-1.  That real part is produced
 by the standard one-ancilla interference ("Hadamard-test") pattern: an H on
 the control line, V applied under that control, and a closing H.  Only S
 needs the control, as c-(R S R^{-1}) = R c-S R^{-1} (Barenco et al. 1995,
-arXiv:quant-ph/9503016): the rotation passes never read line 1.
+arXiv:quant-ph/9503016): the rotation passes never need line 1's value, so
+their ANDs may hold a partial product on it.
 
 Register layout (width mu + 2):
   line 1            control, measured
@@ -19,19 +20,24 @@ Controlled-V is streamed in runs of gates.  Matchgate k acts on the window of
 dimensions 2k-1 .. 2k+2, whose four Gray labels agree on every bit but the
 last and one other, q: the window is the two-qubit subspace of lines q and
 last with every shared bit fixed.  So for each matchgate, once per pass, the
-AND of the window's shared bits alone is computed into the work ancilla,
-borrowing the two window lines as dirty scratch (at mu = 3 the one shared
-line is itself the AND; at mu = 2 the window shares no bit, and the control
-line fires it, since a controlled R is also correct).  The
-matchgate's rotation, in the (bit q, last bit) basis, is an R in SO(4), and
-in the magic basis Q it is local: Q R Q^dag = A (x) B (Vatan & Williams 2004,
-arXiv:quant-ph/0308006).  So the window's R is Q on the two window lines, A on
-line q and B on the last line each under the ancilla, and Q^dag; wherever
-the ancilla is 0, Q^dag undoes Q.  The same AND gates then uncompute the
-ancilla.  Window k shares no dimension with the windows of pairs k +- 2 and
-beyond, so within a run a matchgate on pair k is folded into the last kept
-matchgate on k when no matchgate on pair k - 1 or k + 1 came after that
-one, and only the product is compiled.  Everything is decomposed exactly to
+AND of the window's shared bits alone is computed into the work ancilla.
+With three or more shared bits, the last shared line and line 1 fire the
+ancilla twice, and between the two an X under the other shared lines flips
+line 1, borrowing the two window lines and the ancilla as dirty scratch.
+Line 1 keeps that partial product through the window's core, and the AND's
+second use restores it: the dirty-ancilla construction of Barenco et al.,
+spread over compute and uncompute.  Two shared bits take one Toffoli; at
+mu = 3 the one shared line is itself the AND; at mu = 2 the window shares
+no bit, and the control line fires it, since a controlled R is also
+correct.  The matchgate's rotation, in the (bit q, last bit) basis, is an R
+in SO(4), and in the magic basis Q it is local: Q R Q^dag = A (x) B (Vatan &
+Williams 2004, arXiv:quant-ph/0308006).  So the window's R is Q on the two
+window lines, A on line q and B on the last line each under the ancilla, and
+Q^dag; wherever the ancilla is 0, Q^dag undoes Q.  The same AND gates then
+uncompute the ancilla.  Window k shares no dimension with the windows of
+pairs k +- 2 and beyond, so within a run a matchgate on pair k is folded
+into the last kept matchgate on k when no matchgate on pair k - 1 or k + 1
+came after that one, and only the product is compiled.  Everything is decomposed exactly to
 the cu1/u1/x gate set.  S contributes Gray-to-binary conversion, one
 controlled block on the last data line, and conversion back.
 
@@ -213,7 +219,9 @@ WINDOW_CACHE_SIZE = 64
 
 class _Window(NamedTuple):
     """Matchgate k's window: `gates` computes the AND on line `fired` (and,
-    again, uncomputes it); the labels vary on lines `q` and `last`, and
+    again, uncomputes it; from mu = 5 line 1 holds a partial product between
+    the two uses, which no other gate of the window reads, see
+    `_and_template`); the labels vary on lines `q` and `last`, and
     `basis` lists the four dimensions (0-based) in the (bit q, last bit)
     order |00>, |01>, |10>, |11>; `enter` is `algebra.MAGIC` on (q, last)
     and `leave` its inverse.  The three are rows of one table."""
@@ -229,17 +237,26 @@ class _Window(NamedTuple):
 
 def _and_template(mu: int) -> tuple[np.ndarray, ...]:
     """The rows every window at `mu` holds (see `_windows`), as positions in
-    its lines (shared lines..., fired, q, last) and in its flags (is each
-    shared line's bit 0..., true): the row kinds, the lines, which flag keeps
-    each row and each line, and the reals.
+    its lines (shared lines..., fired, q, last, line 1) and in its flags (is
+    each shared line's bit 0..., true): the row kinds, the lines, which flag
+    keeps each row and each line, and the reals.
 
-    The AND is `_mcx` of the mu - 2 shared lines onto the work ancilla,
-    borrowing the two window lines.  `_mcx` never reads a line's value, so
-    computing it once on the positions and renumbering them gives each
-    window's Toffolis.
+    With c = mu - 2 >= 3 shared lines the AND is T P T, T the Toffoli (last
+    shared line, line 1 -> fired) and P `_mcx` of the other c - 1 shared
+    lines onto line 1, borrowing q, last and fired.  From fired = 0, T P T
+    leaves fired holding the AND of all c and line 1 XORed with the AND of
+    the c - 1; P and T are involutions, so the AND's second use undoes both.
+    With two shared lines the AND is `_mcx` of both onto fired, one Toffoli.
+    `_mcx` never reads a line's value, so computing it once on the positions
+    and renumbering them gives each window's Toffolis.
     """
-    c = mu - 2
-    and_lines, and_params = _toffolis(_mcx(tuple(range(c)), c, (c + 1, c + 2)) if c > 1 else [])
+    c, one = mu - 2, mu + 1
+    if c > 2:  # T P T, as above
+        ends = [(c - 1, one, c)]
+        toffolis = ends + _mcx(tuple(range(c - 1)), one, (c + 1, c + 2, c)) + ends
+    else:
+        toffolis = _mcx(tuple(range(c)), c, (c + 1, c + 2)) if c > 1 else []
+    and_lines, and_params = _toffolis(toffolis)
     t, u = len(and_lines) // 2, c if c > 1 else 0  # the AND's rows, the X undoing the wraps
     x, cu1 = KIND_CODES["x"], KIND_CODES["cu1"]
     kinds = np.concatenate([np.full(c, x), np.full(t, cu1), np.full(u, x), _MAGIC_KINDS])
@@ -258,10 +275,11 @@ def _windows(ks: list[int], mu: int, template: tuple[np.ndarray, ...]) -> list[_
     between the middle two, on line q = mu - (trailing zeros of k), and agree
     on every other bit.  The AND gates set the clean ancilla (line mu+2) to
     the AND of every shared bit, at its value, borrowing the two window lines
-    as dirty scratch: X on every shared line whose bit is 0, the Toffolis,
-    and those X again.  One shared bit (mu = 3) is the AND itself, and its X
-    is undone by the AND's second use; with none (mu = 2) line 1 fires the
-    core (a controlled R is also correct), and there are no gates.
+    and line 1 as dirty scratch (see `_and_template`): X on every shared line
+    whose bit is 0, the Toffolis, and those X again.  One shared bit (mu = 3)
+    is the AND itself, and its X is undone by the AND's second use; with
+    none (mu = 2) line 1 fires the core (a controlled R is also correct), and
+    there are no gates.
     """
     kinds, positions, row_flag, line_flag, params = template
     c, last, count = mu - 2, mu + 1, len(ks)
@@ -269,7 +287,7 @@ def _windows(ks: list[int], mu: int, template: tuple[np.ndarray, ...]) -> list[_
     q = np.array([mu + 1 - (k & -k).bit_length() for k in ks], dtype=np.int64)
     shared = np.arange(2, 2 + c) + (np.arange(2, 2 + c) >= q[:, None])  # every data line but q
     fired = np.full(count, mu + 2) if c > 1 else shared[:, 0] if c else np.ones(count, np.int64)
-    at = np.column_stack([shared, fired, q, np.full(count, last)]).astype(np.int64)
+    at = np.column_stack([shared, fired, q, np.full(count, last), np.ones(count)]).astype(np.int64)
     flags = np.column_stack([(label[:, None] >> (last - shared)) & 1 == 0, np.ones(count, bool)])
     rows, lines = flags[:, row_flag], at[:, positions][flags[:, line_flag]]
     block = _table(kinds[rows.nonzero()[1]], lines, np.tile(params, count))

@@ -220,7 +220,15 @@ def reference_window(k: int, mu: int) -> compress._Window:
     q, last = bit + 2, mu + 1  # label bit p sits on data line p + 2
     controls = tuple(p + 2 for p in range(mu) if p not in varying)  # the shared bits' lines
     fired = mu + 2 if len(controls) > 1 else (controls + (1,))[0]
-    and_lines, and_params = _toffolis(_mcx(controls, fired, (q, last)) if len(controls) > 1 else [])
+    if len(controls) > 2:
+        # The last shared line and line 1 fire the ancilla twice, around
+        # `_mcx` of the other shared lines onto line 1, borrowing q, last and
+        # the ancilla.
+        ends = [(controls[-1], 1, fired)]
+        toffolis = ends + _mcx(controls[:-1], 1, (q, last, fired)) + ends
+    else:
+        toffolis = _mcx(controls, fired, (q, last)) if len(controls) > 1 else []
+    and_lines, and_params = _toffolis(toffolis)
     # The AND is X on every shared line whose bit is 0, the Toffolis, and
     # those X again; a lone shared line's X is undone by the AND's second use.
     wraps = np.array([l for l in controls if labels[0][l - 2] == "0"], dtype=np.int64)
@@ -385,6 +393,52 @@ def test_window_gates_apply_the_controlled_window_rotation(mu, rng):
             # Even columns: the work ancilla (the last line) in |0>.
             expected = _window_rotation(k, mu, r, (1,) if mu == 2 else (0, 1))
             assert np.abs(u[:, ::2] - expected[:, ::2]).max() <= 1e-12
+
+
+def _run_bits(gates, state: np.ndarray) -> np.ndarray:
+    """`state`, rows of bits with column l for line l, after a window's AND
+    run as bit operations: each x flips its line, and each five cu1 gates
+    that make a `_toffolis` Toffoli (c1, c2, t) flip t where c1 and c2 hold 1."""
+    state, gates = state.copy(), list(gates)
+    while gates:
+        g = gates.pop(0)
+        if g.kind == "x":
+            state[:, g.lines[0]] ^= 1
+            continue
+        toffoli = [g, *gates[:4]]
+        del gates[:4]
+        (c2, t), (c1, _) = toffoli[0].lines, toffoli[1].lines
+        assert tuple(toffoli) == _toffoli_gates([(c1, c2, t)])
+        state[:, t] ^= state[:, c1] & state[:, c2]
+    return state
+
+
+@pytest.mark.parametrize(
+    "mu, toffolis", [(3, 0), (4, 1), (5, 3), (6, 6), (7, 10), (8, 14), (9, 26)]
+)
+def test_every_window_and_is_exact_on_every_line_value(mu, toffolis):
+    # For every window and every value of its shared lines, q, last and
+    # line 1, with the work ancilla at 0: one use of the AND sets `fired`
+    # to the AND of the shared lines at the window's label bits and restores
+    # every other line but line 1 (which, from mu = 5, holds a partial
+    # product until the second use); the second use restores every line.
+    # At mu = 3 the one shared line is `fired`.
+    width = mu + 2
+    ks = list(range(1, 1 << (mu - 1)))
+    for k, w in zip(ks, compress._windows(ks, mu, compress._and_template(mu))):
+        label = gray(2 * k - 2, mu)
+        shared = [p + 2 for p in range(mu) if p + 2 not in (w.q, w.last)]
+        free = [1, *shared, w.q, w.last]
+        state = np.zeros((1 << len(free), width + 1), dtype=np.int64)
+        state[:, free] = list(itertools.product((0, 1), repeat=len(free)))
+        gates = _gates(w.gates)
+        assert sum(g.kind == "cu1" for g in gates) == 5 * toffolis
+        once = _run_bits(gates, state)
+        want = (state[:, shared] == [int(label[l - 2]) for l in shared]).all(axis=1)
+        assert (once[:, w.fired] == want).all(), k
+        back = [l for l in range(1, width + 1) if l != w.fired and (l != 1 or mu < 5)]
+        assert (once[:, back] == state[:, back]).all(), k
+        assert (_run_bits(gates, once) == state).all(), k
 
 
 # ----- Multi-controlled rotations ---------------------------------------------
@@ -613,9 +667,11 @@ def test_one_and_pair_and_one_local_pair_per_moved_matchgate(rng):
 @pytest.mark.parametrize("mu", range(2, 7))
 def test_only_the_frame_and_the_pairing_runs_touch_line_one(mu, rng):
     # c-(R S R^{-1}) = R c-S R^{-1}: the rotation passes need no control
-    # line.  Line 1 is on the frame H gates and the pairing runs only (at
-    # mu = 2, where no label bit is shared, it also fires each core), and
-    # every AND reads exactly its window's shared-bit lines.
+    # line.  Line 1 is on the frame H gates, the pairing runs and, from
+    # mu = 5, the ANDs, which hold a partial product on it between their two
+    # uses; no Q, Q^dag or core gate touches it (at mu = 2, where no label
+    # bit is shared, line 1 fires each core).  Every AND reads exactly its
+    # window's shared-bit lines.
     n = 1 << (mu - 1)
     c = randgen.random_matchgate_circuit(n, 4 * n, rng, "0" * n, 1, kinds="haar")
     c = MatchgateCircuit(n, (*c.gates, *_staircase(rng, n)), "0" * n, 1)
@@ -632,26 +688,37 @@ def test_only_the_frame_and_the_pairing_runs_touch_line_one(mu, rng):
 
     with mock.patch.multiple(compress, _windows=windows_spy, _mcx=mcx_spy):
         pieces = [_gates(p) for p in compress._gate_pieces(c)]
-    # The stream's one AND template is `_mcx` of the shared lines' positions
-    # onto the fired position, borrowing the positions of q and last.
+    # The stream's one AND template, on positions (shared lines..., fired,
+    # q, last, line 1): with c >= 3 shared lines, `_mcx` of all but the last
+    # onto line 1, borrowing q, last and fired; with two, `_mcx` of both
+    # onto fired, borrowing q and last.
     c = mu - 2
-    assert mcx_calls[:1] == ([(tuple(range(c)), c, (c + 1, c + 2))] if c > 1 else [])
+    if c > 2:
+        assert mcx_calls[:1] == [(tuple(range(c - 1)), c + 3, (c + 1, c + 2, c))]
+    else:
+        assert mcx_calls[:1] == ([(tuple(range(c)), c, (c + 1, c + 2))] if c > 1 else [])
     assert len(built) >= n - 1
+    ands = []
     for k, w in built:
         labels = [gray(i, mu) for i in range(2 * k - 2, 2 * k + 2)]
         shared = {p + 2 for p in range(mu) if p + 2 not in (w.q, w.last)}
         assert all(len({label[p - 2] for label in labels}) == 1 for p in shared)
-        touched = {line for g in _gates(w.gates) for line in g.lines}
-        if len(shared) > 1:  # the AND reads every shared line, borrowing q and last
+        ands.append(_gates(w.gates))
+        touched = {line for g in ands[-1] for line in g.lines}
+        if c > 2:
+            # The `_mcx` onto line 1 of c - 1 <= 3 controls borrows the
+            # first c - 3 of (q, last, fired).
             assert w.fired == mu + 2
-            assert shared | {w.fired} <= touched <= shared | {w.fired, w.q, w.last}
+            assert touched == shared | {w.fired, 1} | set((w.q, w.last)[: c - 3])
+        elif c == 2:  # one Toffoli
+            assert w.fired == mu + 2 and touched == shared | {w.fired}
         else:
             assert w.fired == (*shared, 1)[0] and touched <= shared
     frame = _gates(circuits._table_of([("h", (1,), ())]))
     pairing = [_gates(compress._pairing_run(mu, invert)) for invert in (False, True)]
     assert pieces[0] == pieces[-1] == frame and pairing[0] in pieces and pairing[1] in pieces
     for piece in pieces[1:-1]:
-        if piece not in pairing:
+        if piece not in pairing and piece not in ands:
             for g in piece:
                 at_core = mu == 2 and g.kind == "cu1" and g.lines[0] == 1 and g.lines[1] > 1
                 assert 1 not in g.lines or at_core, g
@@ -721,8 +788,8 @@ _EXAMPLE_MG = randgen.random_matchgate_params(np.random.default_rng(32))
 def _standard_circuits(draw):
     # Power-of-two widths from 2 to 32; every circuit touches the first and
     # last window and may hold identity rotations, which have no factors.
-    # From n = 32 (mu = 6) the window AND's five controls outnumber the
-    # borrowed lines, and _mcx splits.
+    # From n = 16 (mu = 5) the window AND holds a partial product on line 1
+    # between its two uses.
     n = draw(st.sampled_from([2, 4, 8, 16, 32]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lines = [1] + draw(st.lists(st.integers(1, n - 1), max_size=8)) + [n - 1]
